@@ -34,6 +34,7 @@ from .maps import (
     symplectic_matrix,
 )
 from .sections import (
+    MIN_MC_SAMPLES,
     fubini_check,
     section_of_phi,
     z_grid,
@@ -55,6 +56,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# verify's injectivity witness: images closer than IMAGE_TOL whose
+# preimages are at least PREIMAGE_MIN apart count as a collision.
+IMAGE_TOL = 1e-7
+PREIMAGE_MIN = 1e-3
 
 _FIXTURES = {
     "annulus": annulus_fixture,
@@ -105,36 +111,66 @@ def _report(spec: dict, checks, artifacts=()):
     }
 
 
-def _injectivity_check(phi, samples, seed, image_tol=1e-7, preimage_min=1e-3):
-    """Hash-grid collision scan: no two images within image_tol whose
-    preimages are at least preimage_min apart.
+def _image_collisions(X, Y, image_tol, preimage_min):
+    """Every pair (a, b), a < b, with ‖Y[a] − Y[b]‖ < image_tol and
+    ‖X[a] − X[b]‖ ≥ preimage_min, as an (m, 2) index array, together
+    with the m image distances.
 
-    Points within image_tol of each other share a cell in at least one
-    of the 2^d grids of cell size 2*image_tol shifted by image_tol.
+    Sorted sweep on the first image coordinate: each point is compared
+    with its sorted successors at offset k = 1, 2, ..., and drops out
+    once the gap in that coordinate reaches image_tol.  A pair closer
+    than image_tol is closer than that in every coordinate, and every
+    point sorted between its two members is too, so no close pair is
+    missed, and each pair is tested at exactly one offset.  The cost is
+    O(n log n + P), P the pairs within image_tol in the first coordinate.
     """
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0.0, 1.0, size=(samples, phi.dim))
-    Y = phi.forward(X)
-    d = phi.dim
-    cell = 2.0 * image_tol
-    collisions = 0
-    for shift_bits in range(2**d):
-        shifts = np.array([(shift_bits >> k) & 1 for k in range(d)]) * image_tol
-        keys = np.floor((Y + shifts) / cell).astype(np.int64)
-        order = np.lexsort(keys.T)
-        ks = keys[order]
-        same = np.all(ks[1:] == ks[:-1], axis=1)
-        idx = np.nonzero(same)[0]
-        for i in idx:
-            a, b = order[i], order[i + 1]
-            if np.linalg.norm(Y[a] - Y[b]) < image_tol and np.linalg.norm(
-                X[a] - X[b]
-            ) >= preimage_min:
-                collisions += 1
-    return collisions, samples
+    order = np.argsort(Y[:, 0], kind="stable")
+    key = Y[order, 0]
+    i = np.arange(len(key))
+    pairs, dists = [np.empty((0, 2), dtype=np.intp)], [np.empty(0)]
+    k = 1
+    while i.size:
+        i = i[i + k < len(key)]
+        i = i[key[i + k] - key[i] < image_tol]
+        a, b = order[i], order[i + k]
+        dist = np.linalg.norm(Y[a] - Y[b], axis=1)
+        hit = (dist < image_tol) & (np.linalg.norm(X[a] - X[b], axis=1) >= preimage_min)
+        pairs.append(np.sort(np.stack([a[hit], b[hit]], axis=1), axis=1))
+        dists.append(dist[hit])
+        k += 1
+    return np.concatenate(pairs), np.concatenate(dists)
+
+
+def _worst_pair(X, pairs, dists):
+    """The colliding pair whose images are closest, for a failing report."""
+    j = int(np.argmin(dists))
+    a, b = pairs[j]
+    return {"preimages": [X[a].tolist(), X[b].tolist()], "image_distance": float(dists[j])}
+
+
+def _injectivity_sample(phi, samples, seed):
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, phi.dim))
+    return X, phi.forward(X)
+
+
+def _injectivity_check(phi, samples, seed, image_tol=IMAGE_TOL, preimage_min=PREIMAGE_MIN):
+    """Collision scan of phi on `samples` uniform points of the cube: the
+    number of image pairs closer than image_tol (strictly) whose
+    preimages are at least preimage_min apart, and the sample count.
+
+    One sorted sweep on the first image coordinate (`_image_collisions`)
+    compares each image only with the successors that lie within
+    image_tol of it in that coordinate.  Any pair closer than image_tol
+    is among them, so every close pair is tested, and tested once.
+    """
+    X, Y = _injectivity_sample(phi, samples, seed)
+    pairs, _ = _image_collisions(X, Y, image_tol, preimage_min)
+    return len(pairs), samples
 
 
 def cmd_verify(args) -> int:
+    if args.samples < MIN_MC_SAMPLES:
+        raise ValueError(f"--samples must be at least {MIN_MC_SAMPLES}, got {args.samples}")
     config = EmbeddingConfig(n=args.n, c=args.c)
     phi = build_phi(config)
     checks = []
@@ -177,7 +213,13 @@ def cmd_verify(args) -> int:
 
     with _Phase("injectivity"):
         collisions, total = _injectivity_check(phi, args.samples, args.seed + 4)
-        checks.append(_check("phi_injectivity_collisions", collisions == 0, collisions, 0))
+        extra = {}
+        if collisions:
+            X, Y = _injectivity_sample(phi, args.samples, args.seed + 4)
+            extra["worst_pair"] = _worst_pair(X, *_image_collisions(X, Y, IMAGE_TOL, PREIMAGE_MIN))
+        checks.append(
+            _check("phi_injectivity_collisions", collisions == 0, collisions, 0, **extra)
+        )
 
     with _Phase("image volume"):
         rng = np.random.default_rng(args.seed + 5)

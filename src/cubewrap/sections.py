@@ -24,6 +24,9 @@ from .quotient import (
     reduce as circle_reduce,
 )
 
+# Fewest Monte Carlo points an area or volume estimate may rest on.
+MIN_MC_SAMPLES = 10_000
+
 __all__ = [
     "SectionDescription",
     "v_set",
@@ -151,8 +154,8 @@ def section_area_mc(z, samples: int, seed: int, config: EmbeddingConfig):
 
     Returns (estimate, binomial standard error).
     """
-    if samples < 10_000:
-        raise ValueError("samples must be at least 10^4")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}")
     sd = _resolve(z, config)
     if sd.status != "generic":
         return 0.0, 0.0

@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cubewrap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from cubewrap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _image_collisions, main
 
 FAST_VERIFY = ["verify", "--samples", "20000"]
 FAST_SECTIONS = ["sections", "--grid", "10x20", "--mc-spots", "2", "--samples", "20000"]
@@ -37,6 +41,12 @@ class TestExitCodes:
             [sys.executable, "-m", "cubewrap.cli"], capture_output=True, env=cli_env
         )
         assert proc.returncode == EXIT_USAGE
+
+    @pytest.mark.parametrize("samples", ["0", "9999"])
+    def test_usage_error_too_few_samples(self, capsys, samples):
+        code = main(["verify", "--samples", samples])
+        assert code == EXIT_USAGE
+        assert "--samples must be at least 10000" in capsys.readouterr().err
 
     def test_config_error_bad_c(self, capsys):
         code, _ = run_main(["verify", "--c", "0.5", "--samples", "20000"], capsys)
@@ -76,12 +86,121 @@ class TestVerify:
             "phi_image_volume_mc",
         } <= names
         assert doc["seed"] == 3 and doc["spec"]["c"] == 2.0
+        (inj,) = [c for c in doc["checks"] if c["name"] == "phi_injectivity_collisions"]
+        assert "worst_pair" not in inj
 
     def test_n3_adds_tail_check(self, capsys):
         code, out = run_main(FAST_VERIFY + ["--n", "3"], capsys)
         assert code == EXIT_OK
         names = {c["name"] for c in json.loads(out)["checks"]}
         assert "trailing_coordinates_identity" in names
+
+    def test_n4_passes_every_check(self, capsys):
+        code, out = run_main(["verify", "--n", "4", "--samples", "50000"], capsys)
+        doc = json.loads(out)
+        assert code == EXIT_OK, [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert all(c["passed"] for c in doc["checks"])
+        assert "trailing_coordinates_identity" in {c["name"] for c in doc["checks"]}
+
+    def test_collision_names_worst_pair(self, capsys, monkeypatch):
+        import cubewrap.cli as climod
+
+        real = climod._injectivity_sample
+
+        def planted(phi, samples, seed):
+            X, Y = real(phi, samples, seed)
+            Y[1:3] = Y[0]
+            Y[1:3, 0] += [4e-8, 9e-8]
+            return X, Y
+
+        monkeypatch.setattr(climod, "_injectivity_sample", planted)
+        code, out = run_main(FAST_VERIFY, capsys)
+        assert code == EXIT_CHECK_FAILED
+        (inj,) = [c for c in json.loads(out)["checks"] if c["name"] == "phi_injectivity_collisions"]
+        assert not inj["passed"] and inj["value"] == 3
+        X, _ = real(climod.build_phi(climod.EmbeddingConfig(n=2, c=2.0)), 20000, 4)
+        worst = inj["worst_pair"]
+        assert worst["preimages"] == [X[0].tolist(), X[1].tolist()]
+        assert worst["image_distance"] == pytest.approx(4e-8, rel=1e-6)
+
+
+def _brute_force_collisions(X, Y, image_tol, preimage_min):
+    pairs = set()
+    for a in range(len(Y) - 1):
+        dy = np.linalg.norm(Y[a] - Y[a + 1 :], axis=1)
+        dx = np.linalg.norm(X[a] - X[a + 1 :], axis=1)
+        pairs |= {(a, a + 1 + j) for j in np.nonzero((dy < image_tol) & (dx >= preimage_min))[0]}
+    return pairs
+
+
+class TestImageCollisions:
+    TOL, PMIN = 1e-7, 1e-3
+
+    def count(self, X, Y, image_tol=TOL, preimage_min=PMIN):
+        pairs, dists = _image_collisions(X, Y, image_tol, preimage_min)
+        assert len(pairs) == len(dists)
+        return len(pairs)
+
+    def test_planted_triple(self):
+        # A-B and B-C are close in the image but also in the preimage;
+        # only A-C collides, and B sorts between A and C.
+        shift = np.array([0.0, 2e-8, 4e-8])
+        Y = np.tile([0.3, 0.4, 0.5, 0.6], (3, 1))
+        Y[:, 0] += shift
+        X = np.full((3, 4), 0.5)
+        X[:, 0] += [0.0, 7.5e-4, 1.5e-3]
+        assert self.count(X, Y) == 1
+
+    def test_image_distance_must_be_strictly_below_tol(self):
+        tol = 2.0**-23  # 0.5 + tol is exact, so the distance is exactly tol
+        Y = np.full((2, 4), 0.5)
+        Y[1, 0] += tol
+        X = np.array([[0.1] * 4, [0.9] * 4])
+        assert self.count(X, Y, image_tol=tol) == 0
+        assert self.count(X, Y, image_tol=np.nextafter(tol, 1.0)) == 1
+
+    def test_close_preimages_are_not_a_collision(self):
+        Y = np.full((2, 4), 0.5)
+        Y[1] += 1e-9
+        X = np.full((2, 4), 0.5)
+        X[1, 0] += 0.9e-3
+        assert self.count(X, Y) == 0
+        X[1, 0] += 0.2e-3
+        assert self.count(X, Y) == 1
+
+    def test_pair_in_many_shifted_cells_counts_once(self):
+        # Both images share a cell in all 2^d grids of cell size 2*tol
+        # shifted by multiples of tol, so a per-grid count would give 16.
+        Y = np.full((2, 4), 0.5 + 0.5e-7)
+        Y[1] += 1e-9
+        X = np.array([[0.1] * 4, [0.9] * 4])
+        assert self.count(X, Y) == 1
+
+    def test_empty_and_single(self):
+        assert self.count(np.empty((0, 4)), np.empty((0, 4))) == 0
+        assert self.count(np.full((1, 4), 0.5), np.full((1, 4), 0.5)) == 0
+
+    @given(
+        d=st.sampled_from([4, 6]),
+        centres=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, d, centres, data):
+        n = data.draw(st.integers(2, 40))
+        unit = st.floats(0.0, 1.0)
+        cy = data.draw(hnp.arrays(float, (centres, d), elements=unit))
+        cx = data.draw(hnp.arrays(float, (centres, d), elements=unit))
+        which = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, centres - 1)))
+        dy = data.draw(hnp.arrays(float, (n, d), elements=st.floats(-1e-7, 1e-7)))
+        dx = data.draw(hnp.arrays(float, (n, d), elements=st.floats(-1e-3, 1e-3)))
+        X, Y = cx[which] + dx, cy[which] + dy
+        pairs, dists = _image_collisions(X, Y, self.TOL, self.PMIN)
+        got = {tuple(p) for p in pairs.tolist()}
+        assert len(got) == len(pairs)
+        assert got == _brute_force_collisions(X, Y, self.TOL, self.PMIN)
+        expected = np.linalg.norm(Y[pairs[:, 0]] - Y[pairs[:, 1]], axis=1)
+        assert np.allclose(dists, expected, rtol=1e-12, atol=0)
 
 
 class TestSections:
