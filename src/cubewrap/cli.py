@@ -46,6 +46,7 @@ from .topology import (
     check_hull_bound,
     complement_components,
     disk_fixture,
+    phi_section_cells,
     rasterize_section,
     slit_polyline,
 )
@@ -346,8 +347,15 @@ def cmd_topology(args) -> int:
         a = args.a if args.a is not None else 1.0 / args.c
         with _Phase("bounded hull"):
             hr = check_hull_bound(a, config, grid=args.grid, N=args.N)
+        extra = {}
+        if not hr.all_within_bound:
+            z1, z2, area = hr.worst
+            extra = {"worst_z": [z1, z2], "worst_hull_area": area}
         checks.append(
-            _check("hull_areas_bounded", hr.all_within_bound, hr.max_hull_area, a + hr.tolerance)
+            _check(
+                "hull_areas_bounded", hr.all_within_bound, hr.max_hull_area, a + hr.tolerance,
+                **extra,
+            )
         )
         checks.append(
             _check("hull_equals_section", hr.hull_equals_section, hr.hull_equals_section)
@@ -360,14 +368,24 @@ def cmd_topology(args) -> int:
         rng = np.random.default_rng(args.seed)
         w, h = args.grid
         conn_reports = []
-        all_ok = True
+        first_bad = None
         generic_z, _ = z_grid(config, (w, h))
         idx = rng.choice(len(generic_z), size=min(w * h, len(generic_z)), replace=False)
+        cells = phi_section_cells(args.N, config)
         for i in idx:
-            ok, rep = check_complement_connected(generic_z[i], config, args.N)
+            ok, rep = check_complement_connected(generic_z[i], config, args.N, cells=cells)
             conn_reports.append(rep.to_dict())
-            all_ok &= ok
-    checks.append(_check("complement_connected", all_ok, len(conn_reports)))
+            if not ok and first_bad is None:
+                first_bad = rep
+    extra = {}
+    if first_bad is not None:
+        extra = {
+            "first_disconnected_z": list(first_bad.z),
+            "first_disconnected_components": first_bad.components,
+        }
+    checks.append(
+        _check("complement_connected", first_bad is None, len(conn_reports), **extra)
+    )
     neg = complement_components(annulus_fixture(max(args.N, 256)))
     checks.append(_check("annulus_negative_control", neg.count == 2, neg.count, 2))
     report = _report(spec, checks)
@@ -453,20 +471,11 @@ def _raster_svg(r, size=512):
     out = [_svg_header(size, size)]
     out.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
     s = size / r.n
-    for i, row in enumerate(r.occupancy):
-        j = 0
-        while j < r.n:
-            if row[j]:
-                k = j
-                while k < r.n and row[k]:
-                    k += 1
-                out.append(
-                    f'<rect x="{i * s:.3f}" y="{(r.n - k) * s:.3f}" '
-                    f'width="{s:.3f}" height="{(k - j) * s:.3f}" fill="#d94141"/>\n'
-                )
-                j = k
-            else:
-                j += 1
+    for i, j, length in r.runs().tolist():
+        out.append(
+            f'<rect x="{i * s:.3f}" y="{(r.n - j - length) * s:.3f}" '
+            f'width="{s:.3f}" height="{length * s:.3f}" fill="#d94141"/>\n'
+        )
     out.append(f'<rect width="{size}" height="{size}" fill="none" stroke="#222"/>\n')
     out.append("</svg>\n")
     return "".join(out)

@@ -17,7 +17,7 @@ The two composed embeddings are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -724,11 +724,7 @@ class PsiMap(PhaseMap):
         self.n = config.n
         self.dim = 2 * config.n
         self.config = config
-        self._phi = PhiMap(
-            EmbeddingConfig(
-                n=config.n, c=self.c, fd_step=config.fd_step, tol_symp=config.tol_symp
-            )
-        )
+        self._phi = PhiMap(replace(config, c=self.c))
         self._kappa = KappaMap(side=1.0)
 
     @property

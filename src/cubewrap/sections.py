@@ -1,21 +1,32 @@
 """Analytic sections of the cube embedding's image and Monte Carlo checks.
 
 For a fixed z in the last 2n-2 coordinates, the slice of the image at z
-pulls back, through the cylinder-to-square map, to a product set on the
-cylinder: the full angle circle minus one point, times a union of one or
-two height intervals of total length 1/c.  The section in the square is
-the image of that ribbon, an annular band with a radial slit, of area
+pulls back, through the cylinder-to-square map λ, to a product set on
+the cylinder: the full angle circle minus one point (V), times a union
+of one or two height intervals of total length 1/c (W).  The section in
+the square is λ(V × W), an annular band with a radial slit, of area
 exactly 1/c.
+
+So whether a plane point lies in a section depends on z only through the
+slit angle and W.  `SectionCells` holds the cylinder coordinates (q̄, p)
+of a fixed point set, computed once: λ⁻¹ of square points for the cube
+embedding φ, λ⁻¹∘κ of disc points for the ball embedding ψ.  Per z,
+`_in_ribbon` tests p ∈ W and q̄ off the slit, and ψ adds its ball bound
+in closed form (`_ball_norm2`).  The membership and raster functions
+take the geometry as an optional `cells=` argument and build it when
+none is passed; a caller that holds N (or the point set) fixed builds it
+once and drops it when it returns.  Nothing caches geometry across
+calls, so a call's memory is released with it.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .maps import EmbeddingConfig, make_lambda, make_lambda_prime
+from .maps import DISC_RADIUS, EmbeddingConfig, KappaMap, make_lambda, make_lambda_prime
 from .quotient import (
     CircleIntervalSet,
     CircleValue,
@@ -29,15 +40,19 @@ MIN_MC_SAMPLES = 10_000
 
 __all__ = [
     "SectionDescription",
+    "SectionCells",
     "v_set",
     "w_set",
     "section_of_phi",
+    "sections_of_phi",
+    "resolve_section",
     "section_membership",
     "section_membership_many",
     "section_area_mc",
     "fubini_check",
     "FubiniReport",
     "section_to_json",
+    "psi_config",
     "psi_section_membership_many",
 ]
 
@@ -45,6 +60,13 @@ __all__ = [
 # removed angle counts as on the slit.  Keeps the measure-zero slit
 # robustly excluded under floating-point round trips.
 SLIT_TOL = 1e-9
+
+# κ sends circles to concentric squares, so |κ⁻¹(u)|² = (4/π)·‖u − ½‖∞².
+_BALL_K = 4.0 / math.pi
+
+# Points per map call when building SectionCells (element-wise maps, so
+# the result does not depend on it).
+_CHUNK = 1 << 16
 
 
 def v_set(Q2: float, c: float) -> CircleIntervalSet:
@@ -85,62 +107,133 @@ class SectionDescription:
         return self.V.arcs[0][0]
 
 
-def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
-    """Describe the section at z in R^{2n-2}.
+def sections_of_phi(zs, config: EmbeddingConfig):
+    """Describe the section at every row z of `zs` (shape (m, 2n-2)), in
+    order, one at a time.
 
     Empty off (0,1) x (0,c) x (0,1)^{2n-4}, empty at the rectangle
     puncture, otherwise a generic ribbon section of area exactly 1/c.
+    λ′⁻¹ is applied once to the (z1, z2) of all generic rows.
     """
-    z = tuple(float(v) for v in np.atleast_1d(np.asarray(z, dtype=float)))
-    if len(z) != 2 * config.n - 2:
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 2 or zs.shape[1] != 2 * config.n - 2:
         raise ValueError(f"z must have {2 * config.n - 2} coordinates")
     c = config.c
-    z1, z2 = z[0], z[1]
-    tail_ok = all(0 < v < 1 for v in z[2:])
-    if not (0 < z1 < 1 and 0 < z2 < c and tail_ok):
-        return SectionDescription(z=z, status="empty")
-    if (z1, z2) == config.z0:
-        return SectionDescription(z=z, status="puncture")
-    lamp = make_lambda_prime(c)
-    cyl = lamp.inverse(np.array([z1, z2]))
-    Q2 = float(cyl[0])
-    P2bar = circle_reduce(float(cyl[1]), c)
-    return SectionDescription(
-        z=z,
-        status="generic",
-        Q2=Q2,
-        P2bar=P2bar,
-        V=v_set(Q2, c),
-        W=w_set(P2bar, c),
-        analytic_area=1.0 / c,
-    )
+    z1, z2, tail = zs[:, 0], zs[:, 1], zs[:, 2:]
+    inside = (0 < z1) & (z1 < 1) & (0 < z2) & (z2 < c)
+    inside &= np.all((tail > 0) & (tail < 1), axis=1)
+    generic = inside & ~((z1 == config.z0[0]) & (z2 == config.z0[1]))
+    cyl = iter(make_lambda_prime(c).inverse(zs[generic, :2]).tolist())
+    for z, is_inside, is_generic in zip(zs.tolist(), inside.tolist(), generic.tolist()):
+        z = tuple(z)
+        if not is_generic:
+            yield SectionDescription(z=z, status="puncture" if is_inside else "empty")
+            continue
+        Q2, P2 = next(cyl)
+        P2bar = circle_reduce(P2, c)
+        yield SectionDescription(
+            z=z,
+            status="generic",
+            Q2=Q2,
+            P2bar=P2bar,
+            V=v_set(Q2, c),
+            W=w_set(P2bar, c),
+            analytic_area=1.0 / c,
+        )
 
 
-def _resolve(sd_or_z, config):
+def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
+    """Describe the section at z in R^{2n-2} (see `sections_of_phi`)."""
+    return next(sections_of_phi(np.atleast_1d(np.asarray(z, dtype=float))[None], config))
+
+
+def resolve_section(sd_or_z, config: EmbeddingConfig) -> SectionDescription:
+    """A SectionDescription as given, or the section at the given z."""
     if isinstance(sd_or_z, SectionDescription):
         return sd_or_z
     return section_of_phi(sd_or_z, config)
 
 
-def section_membership_many(ys, sd_or_z, config: EmbeddingConfig, slit_tol: float = SLIT_TOL):
-    """Vectorized membership of square points in the section at z."""
-    sd = _resolve(sd_or_z, config)
+@dataclass(frozen=True)
+class SectionCells:
+    """Cylinder coordinates of a fixed set of plane points.
+
+    `inside` marks the points in the domain of the cylinder map (shape
+    `points.shape[:-1]`); `qbar` and `p` are the angle and height of the
+    inside points, in the order of `points[inside]`.  None of it depends
+    on z, so one instance serves every section of a raster.
+    """
+
+    points: np.ndarray
+    inside: np.ndarray
+    qbar: np.ndarray
+    p: np.ndarray
+
+    @classmethod
+    def _build(cls, points, inside, to_cylinder):
+        """(q̄, p) = to_cylinder(points[inside]), mapped _CHUNK points at
+        a time: the maps make about a dozen temporaries per call."""
+        pts, mask = points.reshape(-1, 2), inside.reshape(-1)
+        qbar = np.empty(np.count_nonzero(mask))
+        p = np.empty_like(qbar)
+        k = 0
+        for s in range(0, len(pts), _CHUNK):
+            cyl = to_cylinder(pts[s : s + _CHUNK][mask[s : s + _CHUNK]])
+            qbar[k : k + len(cyl)], p[k : k + len(cyl)] = cyl[:, 0], cyl[:, 1]
+            k += len(cyl)
+        return cls(points=points, inside=inside, qbar=qbar, p=p)
+
+    @classmethod
+    def phi(cls, ys, config: EmbeddingConfig) -> "SectionCells":
+        """λ⁻¹ on the open unit square minus the puncture y0."""
+        ys = np.asarray(ys, dtype=float)
+        inside = np.all((ys > 0.0) & (ys < 1.0), axis=-1)
+        inside &= ~((ys[..., 0] == config.y0[0]) & (ys[..., 1] == config.y0[1]))
+        return cls._build(ys, inside, make_lambda(config).inverse)
+
+    @classmethod
+    def psi(cls, ys) -> "SectionCells":
+        """λ⁻¹∘κ on the open disc of radius DISC_RADIUS."""
+        ys = np.asarray(ys, dtype=float)
+        inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
+        kappa, lam = KappaMap(side=1.0), make_lambda()
+        return cls._build(ys, inside, lambda u: lam.inverse(kappa.forward(u)))
+
+    def check_points(self, ys):
+        if ys is not self.points and ys.shape != self.points.shape:
+            raise ValueError("cells were built for another point set")
+
+
+def _in_ribbon(qbar, p, sd: SectionDescription, slit_tol: float):
+    """Cylinder points of the ribbon V × W: p ∈ W and the angle q̄ at
+    circle distance more than slit_tol from the slit."""
+    ok = sd.W.contains_many(p)
+    d = np.mod(qbar - sd.slit_angle, 1.0)
+    ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
+    return ok
+
+
+def _ball_norm2(u1, u2):
+    """|κ⁻¹(u)|² of the square point u = (u1, u2), in closed form."""
+    m = np.maximum(np.abs(u1 - 0.5), np.abs(u2 - 0.5))
+    return _BALL_K * (m * m)
+
+
+def section_membership_many(
+    ys, sd_or_z, config: EmbeddingConfig, slit_tol: float = SLIT_TOL, cells=None
+):
+    """Vectorized membership of square points in the section at z.
+
+    `cells`, if given, is `SectionCells.phi` of the same `ys`."""
+    sd = resolve_section(sd_or_z, config)
     ys = np.asarray(ys, dtype=float)
     out = np.zeros(ys.shape[:-1], dtype=bool)
     if sd.status != "generic":
         return out
-    inside = np.all((ys > 0.0) & (ys < 1.0), axis=-1)
-    inside &= ~((ys[..., 0] == config.y0[0]) & (ys[..., 1] == config.y0[1]))
-    if not np.any(inside):
-        return out
-    lam = make_lambda(config)
-    cyl = lam.inverse(ys[inside])
-    qbar, p = cyl[..., 0], cyl[..., 1]
-    ok = sd.W.contains_many(p)
-    vp = sd.slit_angle
-    d = np.mod(qbar - vp, 1.0)
-    ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
-    out[inside] = ok
+    if cells is None:
+        cells = SectionCells.phi(ys, config)
+    cells.check_points(ys)
+    out[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd, slit_tol)
     return out
 
 
@@ -156,7 +249,7 @@ def section_area_mc(z, samples: int, seed: int, config: EmbeddingConfig):
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}")
-    sd = _resolve(z, config)
+    sd = resolve_section(z, config)
     if sd.status != "generic":
         return 0.0, 0.0
     rng = np.random.default_rng(seed)
@@ -217,18 +310,19 @@ def fubini_check(
     seed: int = 0,
 ) -> FubiniReport:
     """Check that section areas integrate to the cube volume 1 and that
-    the maximal area attains the sharp bound 1/c."""
+    the maximal area attains the sharp bound 1/c.
+
+    The sections of the whole grid come from one `sections_of_phi` pass
+    and are consumed one at a time."""
     generic_z, special_z = z_grid(config, grid)
     c = config.c
-    areas = []
-    for z in generic_z:
-        sd = section_of_phi(z, config)
-        areas.append(sd.analytic_area)
-    areas = np.asarray(areas)
     # Cells at or near the puncture contribute area 0 over a measure-zero
     # (in the grid limit) region; include them at their analytic value.
-    special_areas = [section_of_phi(z, config).analytic_area for z in special_z]
-    all_areas = np.concatenate([areas, np.asarray(special_areas)])
+    zs = np.concatenate([generic_z, special_z])
+    all_areas = np.fromiter(
+        (sd.analytic_area for sd in sections_of_phi(zs, config)), float, len(zs)
+    )
+    areas = all_areas[: len(generic_z)]
     integral = float(all_areas.mean() * c)
     spots = []
     mc_integral = None
@@ -271,55 +365,49 @@ def section_to_json(
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, slit_tol: float = SLIT_TOL):
+def psi_config(config: EmbeddingConfig, a: float) -> EmbeddingConfig:
+    """The cube embedding behind the ball embedding of capacity a: c = 1/a."""
+    if not 0 < a <= 1:
+        raise ValueError(f"a must be in (0, 1], got {a}")
+    return replace(config, c=1.0 / a)
+
+
+def psi_section_membership_many(
+    ys, z, config: EmbeddingConfig, a: float, slit_tol: float = SLIT_TOL, cells=None
+):
     """Vectorized membership of plane points in the z-section of the
     ball embedding's image (c = 1/a).
 
     A point y belongs iff its square image under the concentric map,
     paired with z, pulls back through the cube embedding to a point of
-    the cube that came from the ball.
+    the cube that came from the ball.  With u = κ(y) and (q̄, p1) =
+    λ⁻¹(u), that cube point has (q1, p1) = (q̄ + c·Q2 mod 1, p1) and
+    (Q2, p2) = (Q2, P̄2 − c·p1 mod c); it came from the ball iff the
+    κ⁻¹-norms of its coordinate pairs, trailing pairs of z included,
+    sum below DISC_RADIUS².  `cells`, if given, is `SectionCells.psi`
+    of the same `ys`.
     """
-    from .maps import DISC_RADIUS, KappaMap  # local to avoid cycle at import
-
-    if not 0 < a <= 1:
-        raise ValueError(f"a must be in (0,1], got {a}")
-    c = 1.0 / a
-    cfg = EmbeddingConfig(n=config.n, c=c, fd_step=config.fd_step, tol_symp=config.tol_symp)
+    cfg = psi_config(config, a)
+    c = cfg.c
+    sd = resolve_section(z, cfg)
     ys = np.asarray(ys, dtype=float)
     out = np.zeros(ys.shape[:-1], dtype=bool)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    tail = z[2:]
-    if not (0 < z[0] < 1 and 0 < z[1] < c and np.all((tail > 0) & (tail < 1))):
-        return out
-    sd = section_of_phi(z, cfg)
     if sd.status != "generic":
         return out
-    r = DISC_RADIUS
-    inside = np.hypot(ys[..., 0], ys[..., 1]) < r
-    if not np.any(inside):
-        return out
-    kappa = KappaMap(side=1.0)
-    u = kappa.forward(ys[inside])
-    lam = make_lambda(cfg)
-    cyl = lam.inverse(u)
-    qbar, p1 = cyl[..., 0], cyl[..., 1]
-    ok = (p1 > 0) & (p1 < 1)
-    ok &= sd.W.contains_many(p1)
-    vp = sd.slit_angle
-    d = np.mod(qbar - vp, 1.0)
-    ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
-    # Reconstruct the cube preimage and apply the ball constraint.
-    q1 = np.mod(qbar + c * sd.Q2, 1.0)
+    if cells is None:
+        cells = SectionCells.psi(ys)
+    cells.check_points(ys)
+    ok = _in_ribbon(cells.qbar, cells.p, sd, slit_tol)
+    # The cube preimage and the ball constraint, on ribbon points only.
+    idx = np.flatnonzero(ok)
+    p1 = cells.p[idx]
+    q1 = np.mod(cells.qbar[idx] + c * sd.Q2, 1.0)
     p2 = np.mod(sd.P2bar.representative - c * p1, c)
-    ok &= (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
-    b1 = kappa.inverse(np.stack([q1, p1], axis=-1))
-    b2 = kappa.inverse(np.stack([np.full_like(q1, sd.Q2), p2], axis=-1))
-    norm2 = np.sum(b1 * b1, axis=-1) + np.sum(b2 * b2, axis=-1)
-    # Trailing coordinate pairs of z contribute through the same
-    # concentric map on each pair.
-    for k in range(0, len(tail), 2):
-        bk = kappa.inverse(np.array(tail[k : k + 2]))
-        norm2 = norm2 + float(np.sum(bk * bk))
-    ok &= norm2 < r**2
-    out[inside] = ok
+    keep = (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
+    tail = sd.z[2:]
+    tail_norm2 = sum(float(_ball_norm2(tail[k], tail[k + 1])) for k in range(0, len(tail), 2))
+    norm2 = _ball_norm2(q1, p1) + _ball_norm2(sd.Q2, p2) + tail_norm2
+    keep &= norm2 < DISC_RADIUS**2
+    ok[idx] = keep
+    out[cells.inside] = ok
     return out

@@ -7,6 +7,12 @@ cell-center membership; the zero-width radial slit is kept open on the
 grid by freeing the cells a fine polyline of the slit passes through
 (plus their 8-neighborhood), so that the complement corridor the slit
 provides survives discretization at any resolution.
+
+The cylinder coordinates of a raster's cell centres depend only on its
+resolution and box, not on z (see `sections.SectionCells`).
+`phi_section_cells` and `psi_section_cells` build them for one raster;
+the loops that hold N fixed (`check_hull_bound`, the CLI's connectivity
+sweep) build them once and pass them as `cells=` to every z.
 """
 from __future__ import annotations
 
@@ -19,15 +25,19 @@ from scipy import ndimage
 
 from .maps import DISC_RADIUS, EmbeddingConfig, KappaMap, make_lambda
 from .sections import (
+    SectionCells,
     SectionDescription,
+    psi_config,
     psi_section_membership_many,
+    resolve_section,
     section_membership_many,
-    section_of_phi,
 )
 
 __all__ = [
     "Raster",
     "RegionLabels",
+    "phi_section_cells",
+    "psi_section_cells",
     "rasterize_section",
     "rasterize_psi_section",
     "complement_components",
@@ -91,25 +101,22 @@ class Raster:
         with open(path, "wb") as fh:
             fh.write(header + data)
 
+    def runs(self) -> np.ndarray:
+        """Row-wise runs of occupied cells: an (m, 3) array of
+        (row, start, length), in row-major order."""
+        pad = np.zeros((self.n, self.n + 2), dtype=np.int8)
+        pad[:, 1:-1] = self.occupancy.astype(bool)
+        step = np.diff(pad, axis=1)
+        rows, starts = np.nonzero(step == 1)
+        _, ends = np.nonzero(step == -1)
+        return np.stack([rows, starts, ends - starts], axis=1)
+
     def to_rle_json(self) -> str:
         """Row-wise run-length encoding: list of (row, start, length) runs."""
-        runs = []
-        for i, row in enumerate(self.occupancy):
-            j = 0
-            row = row.astype(bool)
-            while j < self.n:
-                if row[j]:
-                    k = j
-                    while k < self.n and row[k]:
-                        k += 1
-                    runs.append([i, j, k - j])
-                    j = k
-                else:
-                    j += 1
         doc = {
             "n": self.n,
             "box": [self.x0, self.y0, self.side],
-            "runs": runs,
+            "runs": self.runs().tolist(),
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -136,7 +143,7 @@ def complement_components(r: Raster) -> RegionLabels:
     ring = np.concatenate(
         [labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]
     )
-    touching = tuple(sorted(set(int(v) for v in ring if v > 0)))
+    touching = tuple(np.unique(ring[ring > 0]).tolist())
     return RegionLabels(labels=labels, count=int(count), boundary_touching=touching)
 
 
@@ -178,23 +185,59 @@ def slit_polyline(sd: SectionDescription, config: EmbeddingConfig, steps: int):
     return lam.forward(qp)
 
 
+def _phi_blank(N: int) -> Raster:
+    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool))
+
+
+def _psi_blank(N: int, margin_cells: int) -> Raster:
+    """An empty raster over a box slightly larger than the disc of
+    radius 1/sqrt(pi)."""
+    side = 2 * DISC_RADIUS * (1.0 + 2.0 * margin_cells / N)
+    x0 = -side / 2.0
+    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
+
+
+def phi_section_cells(N: int, config: EmbeddingConfig) -> SectionCells:
+    """Cylinder coordinates of the cell centres of a φ raster at N."""
+    return SectionCells.phi(_phi_blank(N).cell_centers().reshape(-1, 2), config)
+
+
+def psi_section_cells(N: int, margin_cells: int = 2) -> SectionCells:
+    """Cylinder coordinates of the cell centres of a ψ raster at N."""
+    return SectionCells.psi(_psi_blank(N, margin_cells).cell_centers().reshape(-1, 2))
+
+
+def _raster_cells(r: Raster, cells, build) -> SectionCells:
+    """`cells` if given, after checking they are r's cell centres, else
+    `build(centres)`."""
+    if cells is None:
+        return build(r.cell_centers().reshape(-1, 2))
+    first = cells.points[:1]
+    if cells.points.shape != (r.n * r.n, 2) or not np.array_equal(
+        first, [[r.x0 + 0.5 * r.cell, r.y0 + 0.5 * r.cell]]
+    ):
+        raise ValueError("cells were built for another raster")
+    return cells
+
+
 def rasterize_section(
-    z, config: EmbeddingConfig, N: int, keep_slit_open: bool = True
+    z, config: EmbeddingConfig, N: int, keep_slit_open: bool = True, cells=None
 ) -> Raster:
     """Rasterize the section at z over [0,1]^2 by cell-center membership.
 
     With keep_slit_open (the default) the cells along the analytic slit
     path are freed; the slit has zero width, so plain center sampling
-    would close it at every finite resolution.
+    would close it at every finite resolution.  `cells`, if given, is
+    `phi_section_cells(N, config)`.
     """
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
-    sd = section_of_phi(z, config) if not isinstance(z, SectionDescription) else z
-    r = Raster(n=N, occupancy=np.zeros((N, N), dtype=bool))
+    sd = resolve_section(z, config)
+    r = _phi_blank(N)
     if sd.status != "generic":
         return r
-    centers = r.cell_centers().reshape(-1, 2)
-    occ = section_membership_many(centers, sd, config).reshape(N, N)
+    cells = _raster_cells(r, cells, lambda ys: SectionCells.phi(ys, config))
+    occ = section_membership_many(cells.points, sd, config, cells=cells).reshape(N, N)
     if keep_slit_open:
         pts = slit_polyline(sd, config, steps=8 * N)
         _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
@@ -215,33 +258,32 @@ def _touching_heights(W, tol: float = 1e-9):
 
 
 def rasterize_psi_section(
-    z, config: EmbeddingConfig, a: float, N: int, margin_cells: int = 2
+    z, config: EmbeddingConfig, a: float, N: int, margin_cells: int = 2, cells=None
 ) -> Raster:
     """Rasterize the z-section of the ball embedding's image over a box
-    slightly larger than the disc of radius 1/sqrt(pi)."""
+    slightly larger than the disc of radius 1/sqrt(pi).  `cells`, if
+    given, is `psi_section_cells(N, margin_cells)`."""
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
-    c = 1.0 / a
-    cfg = EmbeddingConfig(n=config.n, c=c, fd_step=config.fd_step, tol_symp=config.tol_symp)
-    side = 2 * DISC_RADIUS * (1.0 + 2.0 * margin_cells / N)
-    x0 = -side / 2.0
-    r = Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
-    centers = r.cell_centers().reshape(-1, 2)
-    occ = psi_section_membership_many(centers, z, cfg, a).reshape(N, N)
-    sd = section_of_phi(z, cfg)
-    if sd.status == "generic":
-        kappa = KappaMap(side=1.0)
-        pts = kappa.inverse(slit_polyline(sd, cfg, steps=8 * N))
-        _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
-        # A shared endpoint of touching height intervals is a zero-width
-        # free loop around the band; the ball constraint widens it into
-        # visible pockets in places, so keep the whole loop open too.
-        lam = make_lambda(cfg)
-        for v in _touching_heights(sd.W):
-            ang = np.mod(sd.slit_angle + (np.arange(8 * N) + 0.5) / (8 * N), 1.0)
-            loop = lam.forward(np.stack([ang, np.full_like(ang, v)], axis=-1))
-            _stamp_polyline(occ, kappa.inverse(loop), r.x0, r.y0, r.cell, N)
-    return Raster(n=N, occupancy=occ, x0=x0, y0=x0, side=side)
+    cfg = psi_config(config, a)
+    sd = resolve_section(z, cfg)
+    r = _psi_blank(N, margin_cells)
+    if sd.status != "generic":
+        return r
+    cells = _raster_cells(r, cells, SectionCells.psi)
+    occ = psi_section_membership_many(cells.points, sd, cfg, a, cells=cells).reshape(N, N)
+    kappa = KappaMap(side=1.0)
+    pts = kappa.inverse(slit_polyline(sd, cfg, steps=8 * N))
+    _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
+    # A shared endpoint of touching height intervals is a zero-width
+    # free loop around the band; the ball constraint widens it into
+    # visible pockets in places, so keep the whole loop open too.
+    lam = make_lambda(cfg)
+    for v in _touching_heights(sd.W):
+        ang = np.mod(sd.slit_angle + (np.arange(8 * N) + 0.5) / (8 * N), 1.0)
+        loop = lam.forward(np.stack([ang, np.full_like(ang, v)], axis=-1))
+        _stamp_polyline(occ, kappa.inverse(loop), r.x0, r.y0, r.cell, N)
+    return Raster(n=N, occupancy=occ, x0=r.x0, y0=r.y0, side=r.side)
 
 
 @dataclass(frozen=True)
@@ -262,17 +304,17 @@ class ConnectivityReport:
         }
 
 
-def check_complement_connected(z, config: EmbeddingConfig, N: int):
+def check_complement_connected(z, config: EmbeddingConfig, N: int, cells=None):
     """True iff the complement of the section raster (in the plane) is a
-    single flood-fill component.  Verdicts below N = 256 are advisory."""
+    single flood-fill component.  Verdicts below N = 256 are advisory.
+    `cells`, if given, is `phi_section_cells(N, config)`."""
     if N < 256:
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
-    r = rasterize_section(z, config, N)
+    sd = resolve_section(z, config)
+    r = rasterize_section(sd, config, N, cells=cells)
     labels = complement_components(r)
-    sd = z if isinstance(z, SectionDescription) else section_of_phi(z, config)
-    zz = sd.z
     report = ConnectivityReport(
-        z=tuple(zz),
+        z=tuple(sd.z),
         N=N,
         components=labels.count,
         connected=labels.count == 1,
@@ -287,7 +329,7 @@ def slit_path_witness(z, config: EmbeddingConfig, steps: int = 1000):
     Returns (polyline, all_outside).  The path starts on the square
     boundary (t -> 0) and ends at the puncture (t -> 1).
     """
-    sd = z if isinstance(z, SectionDescription) else section_of_phi(z, config)
+    sd = resolve_section(z, config)
     if sd.status != "generic":
         raise ValueError("the slit path exists only for generic sections")
     lam = make_lambda(config)
@@ -324,6 +366,9 @@ class HullReport:
     all_within_bound: bool
     hull_equals_section: bool
     entries: tuple  # ((z1, z2, hull_area, section_area), ...)
+    # (z1, z2, hull_area) of the entry furthest above its own bound
+    # a + tolerance; named by a failing check, not serialized.
+    worst: tuple = ()
 
     def to_dict(self):
         return {
@@ -342,28 +387,32 @@ def check_hull_bound(
     a: float, config: EmbeddingConfig, grid=(20, 20), N: int = 1024
 ) -> HullReport:
     """Verify that every section hull of the ball embedding has area at
-    most a (up to a raster tolerance scaling with boundary length / N)."""
-    if not 0 < a <= 1:
-        raise ValueError(f"a must be in (0, 1], got {a}")
-    c = 1.0 / a
-    cfg = EmbeddingConfig(n=config.n, c=c, fd_step=config.fd_step, tol_symp=config.tol_symp)
+    most a (up to a raster tolerance scaling with boundary length / N).
+
+    The raster geometry is built once and serves every z of the grid."""
+    cfg = psi_config(config, a)
+    c = cfg.c
     w, h = grid
     z1 = (np.arange(w) + 0.5) / w
     z2 = (np.arange(h) + 0.5) / h * c
+    cells = psi_section_cells(N)
     entries = []
     worst_tol = 0.0
+    worst, worst_excess = (), -math.inf
     all_ok = True
     hull_eq = True
     for zi in z1:
         for zj in z2:
             if math.hypot(zi - 0.5, zj - c / 2) < 1e-3:
                 continue
-            r = rasterize_psi_section((zi, zj), cfg, a, N)
+            r = rasterize_psi_section((zi, zj), cfg, a, N, cells=cells)
             hull = bounded_hull(r)
             tol = 4.0 * r.perimeter_estimate() / N
             worst_tol = max(worst_tol, tol)
             area = hull.area()
             entries.append((float(zi), float(zj), area, r.area()))
+            if area - (a + tol) > worst_excess:
+                worst, worst_excess = (float(zi), float(zj), area), area - (a + tol)
             if area > a + tol:
                 all_ok = False
             if not np.array_equal(hull.occupancy, r.occupancy):
@@ -377,6 +426,7 @@ def check_hull_bound(
         all_within_bound=all_ok,
         hull_equals_section=hull_eq,
         entries=tuple(entries),
+        worst=worst,
     )
 
 

@@ -248,6 +248,67 @@ class TestTopology:
         doc = json.loads(out)
         assert doc["hull"]["all_within_bound"] and doc["hull"]["hull_equals_section"]
 
+    @staticmethod
+    def _check(doc, name):
+        (entry,) = [c for c in doc["checks"] if c["name"] == name]
+        return entry
+
+    def test_passing_checks_name_no_z(self, capsys):
+        _, out = run_main(FAST_TOPOLOGY, capsys)
+        assert set(self._check(json.loads(out), "complement_connected")) == {
+            "name", "passed", "value"
+        }
+        _, out = run_main(["topology", "--hull", "--a", "0.5", "--grid", "2x2", "--N", "256"], capsys)
+        assert set(self._check(json.loads(out), "hull_areas_bounded")) == {
+            "name", "passed", "value", "tolerance"
+        }
+
+    def test_disconnected_section_names_first_z(self, capsys, monkeypatch):
+        # plant a closed annulus (complement in two components) at every z
+        # after the first one checked
+        import cubewrap.topology as topo
+
+        real = topo.rasterize_section
+        seen = []
+
+        def planted(sd, config, N, **kw):
+            seen.append(sd.z)
+            return topo.annulus_fixture(N) if len(seen) > 1 else real(sd, config, N, **kw)
+
+        monkeypatch.setattr(topo, "rasterize_section", planted)
+        code, out = run_main(FAST_TOPOLOGY, capsys)
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(out)
+        check = self._check(doc, "complement_connected")
+        assert not check["passed"]
+        assert check["first_disconnected_z"] == list(seen[1])
+        assert check["first_disconnected_components"] == 2
+        assert doc["connectivity"][0]["connected"] and not doc["connectivity"][1]["connected"]
+
+    def test_oversized_hull_names_worst_z(self, capsys, monkeypatch):
+        # plant a disc of area about 0.64 > a = 0.5 at one z of the grid
+        import cubewrap.topology as topo
+
+        real = topo.rasterize_psi_section
+        target = (0.75, 0.5)
+
+        def planted(z, config, a, N, **kw):
+            if tuple(z) == target:
+                return topo.disk_fixture(N, radius=0.45)
+            return real(z, config, a, N, **kw)
+
+        monkeypatch.setattr(topo, "rasterize_psi_section", planted)
+        code, out = run_main(
+            ["topology", "--hull", "--a", "0.5", "--grid", "2x2", "--N", "256"], capsys
+        )
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(out)
+        check = self._check(doc, "hull_areas_bounded")
+        assert not check["passed"]
+        assert check["worst_z"] == list(target)
+        planted_entry = [e for e in doc["hull"]["entries"] if tuple(e[:2]) == target]
+        assert check["worst_hull_area"] == planted_entry[0][2] > check["tolerance"]
+
 
 class TestPlot:
     def test_artifacts(self, capsys, tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda
 from cubewrap.quotient import reduce
@@ -195,3 +197,166 @@ class TestPsiSectionMembership:
     def test_invalid_a(self):
         with pytest.raises(ValueError):
             psi_section_membership_many(np.zeros((1, 2)), [0.3, 0.7], CFG2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched sections and the shared cylinder geometry
+
+
+def _section_reference(z, config):
+    """Per-z description with λ′ built and inverted for one point."""
+    from cubewrap.maps import make_lambda_prime
+    from cubewrap.sections import SectionDescription
+
+    z = tuple(float(v) for v in z)
+    c = config.c
+    if not (0 < z[0] < 1 and 0 < z[1] < c and all(0 < v < 1 for v in z[2:])):
+        return SectionDescription(z=z, status="empty")
+    if (z[0], z[1]) == config.z0:
+        return SectionDescription(z=z, status="puncture")
+    cyl = make_lambda_prime(c).inverse(np.array([z[0], z[1]]))
+    Q2, P2bar = float(cyl[0]), reduce(float(cyl[1]), c)
+    return SectionDescription(
+        z=z, status="generic", Q2=Q2, P2bar=P2bar,
+        V=v_set(Q2, c), W=w_set(P2bar, c), analytic_area=1.0 / c,
+    )
+
+
+def _psi_reference(ys, z, config, a, slit_tol=1e-9):
+    """ψ membership with every step per z and the ball norm through κ⁻¹."""
+    from cubewrap.maps import DISC_RADIUS, KappaMap
+
+    c = 1.0 / a
+    cfg = EmbeddingConfig(n=config.n, c=c)
+    out = np.zeros(ys.shape[:-1], dtype=bool)
+    sd = _section_reference(z, cfg)
+    if sd.status != "generic":
+        return out
+    inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
+    kappa = KappaMap(side=1.0)
+    cyl = make_lambda(cfg).inverse(kappa.forward(ys[inside]))
+    qbar, p1 = cyl[..., 0], cyl[..., 1]
+    ok = (p1 > 0) & (p1 < 1) & sd.W.contains_many(p1)
+    d = np.mod(qbar - sd.slit_angle, 1.0)
+    ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
+    q1 = np.mod(qbar + c * sd.Q2, 1.0)
+    p2 = np.mod(sd.P2bar.representative - c * p1, c)
+    ok &= (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
+    b1 = kappa.inverse(np.stack([q1, p1], axis=-1))
+    b2 = kappa.inverse(np.stack([np.full_like(q1, sd.Q2), p2], axis=-1))
+    norm2 = np.sum(b1 * b1, axis=-1) + np.sum(b2 * b2, axis=-1)
+    for k in range(2, len(sd.z), 2):
+        bk = kappa.inverse(np.array(sd.z[k : k + 2]))
+        norm2 = norm2 + float(np.sum(bk * bk))
+    out[inside] = ok & (norm2 < DISC_RADIUS**2)
+    return out
+
+
+class TestSectionsOfPhi:
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi])
+    def test_batch_equals_per_z(self, c):
+        from cubewrap.sections import sections_of_phi, z_grid
+
+        cfg = EmbeddingConfig(n=2, c=c)
+        generic_z, special_z = z_grid(cfg, (50, 100))
+        zs = np.concatenate([generic_z, special_z, [cfg.z0, (1.5, 0.5)]])
+        batch = list(sections_of_phi(zs, cfg))
+        assert batch == [section_of_phi(z, cfg) for z in zs]
+        assert batch == [_section_reference(z, cfg) for z in zs]
+        assert [sd.status for sd in batch[-2:]] == ["puncture", "empty"]
+
+    def test_n3_tail_and_dimension(self):
+        from cubewrap.sections import sections_of_phi
+
+        cfg = EmbeddingConfig(n=3, c=2.0)
+        zs = [[0.3, 0.7, 0.5, 0.5], [0.3, 0.7, 1.5, 0.5], [0.6, 1.1, 0.2, 0.9]]
+        assert list(sections_of_phi(zs, cfg)) == [_section_reference(z, cfg) for z in zs]
+        with pytest.raises(ValueError):
+            list(sections_of_phi([[0.3, 0.7]], cfg))
+
+    def test_fubini_does_not_call_section_of_phi_per_cell(self, monkeypatch):
+        import cubewrap.sections as sec
+
+        calls = []
+        real = sec.section_of_phi
+        monkeypatch.setattr(sec, "section_of_phi", lambda z, cfg: calls.append(z) or real(z, cfg))
+        fr = fubini_check(CFG2, grid=(20, 40), mc_spots=1, samples_per_spot=10_000)
+        assert fr.generic_cells == 800 and len(calls) == 1
+
+
+class TestBallNorm:
+    @given(u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    @example(u=(0.5, 0.5))
+    @example(u=(0.2, 0.2))
+    @example(u=(0.8, 0.2))
+    @example(u=(0.0, 1.0))
+    @example(u=(0.0, 0.3))
+    @example(u=(0.7, 1.0))
+    @example(u=(1.0, 0.5))
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_kappa_inverse(self, u):
+        from cubewrap.maps import KappaMap
+        from cubewrap.sections import _ball_norm2
+
+        u = np.array(u)
+        via_kappa = np.sum(KappaMap().inverse(u) ** 2, -1)
+        closed = _ball_norm2(u[0], u[1])
+        assert closed == pytest.approx(4 / math.pi * np.max(np.abs(u - 0.5)) ** 2, abs=0, rel=1e-15)
+        assert abs(via_kappa - closed) <= 4 * np.spacing(closed)
+
+    def test_ball_test_removes_ribbon_points(self):
+        from cubewrap.maps import DISC_RADIUS
+        from cubewrap.sections import SLIT_TOL, SectionCells, _in_ribbon, psi_config
+
+        t = np.linspace(-DISC_RADIUS, DISC_RADIUS, 301)
+        ys = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        a, z = 0.5, (0.3, 0.7)
+        sd = section_of_phi(z, psi_config(CFG2, a))
+        cells = SectionCells.psi(ys)
+        ribbon = np.zeros(len(ys), dtype=bool)
+        ribbon[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd, SLIT_TOL)
+        psi = psi_section_membership_many(ys, z, CFG2, a, cells=cells)
+        assert not np.any(psi & ~ribbon)
+        assert psi.sum() < ribbon.sum()
+
+    @pytest.mark.parametrize(
+        "n, z, a",
+        [
+            (2, (0.3, 0.7), 0.5),
+            (2, (0.025, 0.375), 1.0),
+            (2, (0.61, 2.9), 1 / math.pi),
+            (2, (0.3, 2.7), 0.25),
+            (3, (0.3, 0.7, 0.2, 0.6), 0.5),
+            (3, (0.45, 1.2, 0.5, 0.5), 0.5),
+        ],
+    )
+    def test_membership_equals_kappa_inverse_reference(self, n, z, a):
+        from cubewrap.maps import DISC_RADIUS
+
+        cfg = EmbeddingConfig(n=n, c=2.0)
+        t = (np.arange(400) + 0.5) / 400 * 2.2 * DISC_RADIUS - 1.1 * DISC_RADIUS
+        ys = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        got = psi_section_membership_many(ys, z, cfg, a)
+        assert got.any()
+        assert np.array_equal(got, _psi_reference(ys, z, cfg, a))
+
+
+class TestSectionCells:
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_chunked_build_equals_one_pass(self, kind, monkeypatch):
+        import cubewrap.sections as sec
+        from cubewrap.maps import KappaMap
+
+        rng = np.random.default_rng(8)
+        if kind == "phi":
+            ys = rng.uniform(0.0, 1.0, (30_000, 2))
+            cyl = make_lambda(CFG2).inverse(ys)
+            build = lambda: sec.SectionCells.phi(ys, CFG2)  # noqa: E731
+        else:
+            ys = rng.uniform(-0.6, 0.6, (30_000, 2))
+            inside = np.hypot(ys[:, 0], ys[:, 1]) < sec.DISC_RADIUS
+            cyl = make_lambda().inverse(KappaMap().forward(ys[inside]))
+            build = lambda: sec.SectionCells.psi(ys)  # noqa: E731
+        monkeypatch.setattr(sec, "_CHUNK", 4099)
+        cells = build()
+        assert np.array_equal(cells.qbar, cyl[:, 0]) and np.array_equal(cells.p, cyl[:, 1])

@@ -17,6 +17,8 @@ from cubewrap.topology import (
     complement_components,
     disk_fixture,
     occupied_components,
+    phi_section_cells,
+    psi_section_cells,
     rasterize_psi_section,
     rasterize_section,
     slit_path_witness,
@@ -210,3 +212,93 @@ class TestPsiSections:
     def test_empty_section_near_puncture_skipped(self):
         report = check_hull_bound(0.5, CFG2, grid=(2, 2), N=256)
         assert all(len(e) == 4 for e in report.entries)
+
+
+def _runs_reference(occ):
+    """Row-wise runs by scanning each row cell by cell."""
+    runs = []
+    for i, row in enumerate(occ.astype(bool)):
+        j = 0
+        while j < len(row):
+            if row[j]:
+                k = j
+                while k < len(row) and row[k]:
+                    k += 1
+                runs.append([i, j, k - j])
+                j = k
+            else:
+                j += 1
+    return runs
+
+
+class TestRuns:
+    def test_matches_row_scan(self):
+        rng = np.random.default_rng(3)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            occ = rng.uniform(size=(37, 37)) < density
+            assert Raster(n=37, occupancy=occ).runs().tolist() == _runs_reference(occ)
+
+    def test_fixture_runs(self):
+        r = annulus_with_slit_fixture(128)
+        assert r.runs().tolist() == _runs_reference(r.occupancy)
+        assert json.loads(r.to_rle_json())["runs"] == _runs_reference(r.occupancy)
+
+
+class TestSharedGeometry:
+    @pytest.mark.parametrize(
+        "n, c, zs",
+        [
+            (2, 1.0, [(0.3, 0.7), (0.8, 0.15)]),
+            (2, math.pi, [(0.3, 0.7), (0.6, 2.9)]),
+            (3, 2.0, [(0.3, 0.7, 0.2, 0.6), (0.45, 1.2, 0.5, 0.5)]),
+        ],
+    )
+    def test_phi_shared_cells(self, n, c, zs):
+        cfg = EmbeddingConfig(n=n, c=c)
+        cells = phi_section_cells(256, cfg)
+        for z in zs:
+            shared = rasterize_section(z, cfg, 256, cells=cells)
+            own = rasterize_section(z, cfg, 256)
+            assert own.occupancy.any()
+            assert np.array_equal(shared.occupancy, own.occupancy)
+
+    @pytest.mark.parametrize(
+        "n, a, zs",
+        [
+            (2, 1.0, [(0.025, 0.375), (0.3, 0.7)]),  # touching intervals at a = 1
+            (2, 1 / math.pi, [(0.3, 0.7), (0.61, 2.9)]),
+            (3, 0.5, [(0.3, 0.7, 0.2, 0.6), (0.45, 1.2, 0.5, 0.5)]),
+        ],
+    )
+    def test_psi_shared_cells(self, n, a, zs):
+        cfg = EmbeddingConfig(n=n, c=2.0)
+        cells = psi_section_cells(256)
+        for z in zs:
+            shared = rasterize_psi_section(z, cfg, a, 256, cells=cells)
+            own = rasterize_psi_section(z, cfg, a, 256)
+            assert own.occupancy.any()
+            assert np.array_equal(shared.occupancy, own.occupancy)
+            assert (shared.x0, shared.side) == (own.x0, own.side)
+
+    def test_cells_of_another_raster_rejected(self):
+        with pytest.raises(ValueError):
+            rasterize_section([0.3, 0.7], CFG2, 128, cells=phi_section_cells(256, CFG2))
+        with pytest.raises(ValueError):
+            rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=psi_section_cells(256, 3))
+
+    def test_hull_report_equals_per_z_recomputation(self):
+        a, N = 0.5, 256
+        cfg = EmbeddingConfig(n=2, c=2.0)
+        entries, tols = [], []
+        for zi in (np.arange(3) + 0.5) / 3:
+            for zj in (np.arange(3) + 0.5) / 3 * 2.0:
+                if math.hypot(zi - 0.5, zj - 1.0) < 1e-3:
+                    continue
+                r = rasterize_psi_section((zi, zj), cfg, a, N)
+                hull = bounded_hull(r)
+                tols.append(4.0 * r.perimeter_estimate() / N)
+                entries.append([float(zi), float(zj), hull.area(), r.area()])
+        d = check_hull_bound(a, cfg, grid=(3, 3), N=N).to_dict()
+        assert d["entries"] == entries
+        assert d["tolerance"] == max(tols)
+        assert d["max_hull_area"] == max(e[2] for e in entries)
