@@ -10,11 +10,10 @@ from .maps import (
     build_phi,
     build_psi,
     check_symplectic,
-    corner_straighten,
     make_lambda,
     make_lambda_prime,
-    shear,
-    wrap_project,
+    shear_wrap,
+    unshear_wrap,
 )
 from .quotient import (
     CircleIntervalSet,
@@ -50,11 +49,10 @@ __all__ = [
     "build_phi",
     "build_psi",
     "check_symplectic",
-    "corner_straighten",
     "make_lambda",
     "make_lambda_prime",
-    "shear",
-    "wrap_project",
+    "shear_wrap",
+    "unshear_wrap",
     "CircleIntervalSet",
     "CircleValue",
     "LineIntervalSet",

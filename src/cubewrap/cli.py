@@ -31,11 +31,13 @@ from .maps import (
     build_psi,
     check_symplectic,
     finite_difference_jacobian,
+    make_lambda,
     symplectic_matrix,
 )
 from .sections import (
     MIN_MC_SAMPLES,
     fubini_check,
+    pad_z,
     section_of_phi,
     z_grid,
 )
@@ -289,7 +291,7 @@ def cmd_sections(args) -> int:
             )
         )
     # Puncture section, tested separately from the generic grid.
-    sd0 = section_of_phi(config.z0 + (0.5,) * (2 * config.n - 4), config)
+    sd0 = section_of_phi(pad_z(config.z0, config), config)
     checks.append(_check("puncture_section_empty", sd0.status == "puncture", sd0.status))
 
     if args.out:
@@ -436,11 +438,9 @@ def _ribbon_svg(sd, size=400):
     return "".join(out)
 
 
-def _section_svg(sd, config, size=400, arcs=512):
+def _section_svg(sd, size=400, arcs=512):
     """The section in the square: annular band(s) with the radial slit."""
-    from .maps import make_lambda
-
-    lam = make_lambda(config)
+    lam = make_lambda()
     out = [_svg_header(size, size)]
     out.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
     if sd.status == "generic":
@@ -452,7 +452,7 @@ def _section_svg(sd, config, size=400, arcs=512):
             ring = np.concatenate([outer, inner[::-1]])
             pts = [(x * size, (1 - y) * size) for x, y in ring]
             out.append(_polygon(pts, "#d94141", "0.85"))
-        slit = slit_polyline(sd, config, steps=256)
+        slit = slit_polyline(sd, steps=256)
         out.append(
             _polyline([(x * size, (1 - y) * size) for x, y in slit], "#2b4c9b", "1.5")
         )
@@ -485,15 +485,14 @@ def cmd_plot(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
     spec = _spec_echo(args, command="plot")
     z = args.z if args.z is not None else (0.3, 0.7 * args.c)
-    z = tuple(z) + (0.5,) * (2 * config.n - 2 - len(z))
-    sd = section_of_phi(z, config)
+    sd = section_of_phi(pad_z(z, config), config)
     outdir = args.out or "."
     artifacts = []
     try:
         os.makedirs(outdir, exist_ok=True)
         for name, content in [
-            ("ribbon.svg", _ribbon_svg(sd) if sd.status == "generic" else _section_svg(sd, config)),
-            ("section.svg", _section_svg(sd, config)),
+            ("ribbon.svg", _ribbon_svg(sd) if sd.status == "generic" else _section_svg(sd)),
+            ("section.svg", _section_svg(sd)),
         ]:
             path = os.path.join(outdir, name)
             with open(path, "w") as fh:
@@ -533,7 +532,6 @@ def _spec_echo(args, command):
         "hull": getattr(args, "hull", False),
         "fixture": getattr(args, "fixture", None),
         "out": getattr(args, "out", None),
-        "format": getattr(args, "format", None),
     }
     return spec
 
@@ -591,9 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--z", type=_z_arg, default=None)
         sp.add_argument("--out", default=_env_default("OUT", str, None))
-        sp.add_argument(
-            "--format", choices=["json", "csv", "svg", "pgm"], default="json"
-        )
 
     sp = sub.add_parser("verify", help="symplecticity, injectivity, containment")
     common(sp)

@@ -32,14 +32,12 @@ __all__ = [
     "ChiMap",
     "KappaMap",
     "ComposedPlaneMap",
-    "corner_straighten",
     "make_lambda",
     "make_lambda_prime",
-    "shear",
-    "wrap_project",
+    "shear_matrix",
+    "shear_wrap",
+    "unshear_wrap",
     "PhaseMap",
-    "ShearMap",
-    "WrapProject",
     "PhiMap",
     "PsiMap",
     "build_phi",
@@ -122,10 +120,6 @@ class PlaneMap2D:
     def singular_distance(self, pts):
         pts = _as_points(pts)
         return np.full(pts.shape[:-1], np.inf)
-
-    def jacobian_inverse(self, pts):
-        """Jacobian of the inverse map at image points `pts`."""
-        return np.linalg.inv(self.jacobian(self.inverse(pts)))
 
 
 @dataclass(frozen=True)
@@ -319,6 +313,7 @@ class KappaMap(PlaneMap2D):
         return np.linalg.inv(self._jacobian_square_to_disc(square_pts))
 
     def jacobian_inverse(self, pts):
+        """Jacobian of the inverse (square -> disc) map at square points."""
         return self._jacobian_square_to_disc(pts)
 
     def singular_distance(self, pts):
@@ -331,9 +326,14 @@ class KappaMap(PlaneMap2D):
 
 @dataclass(frozen=True)
 class ComposedPlaneMap(PlaneMap2D):
-    """Composition of plane maps, applied left to right."""
+    """Composition of plane maps, applied left to right.
+
+    A cylinder map names its periodic input axis and period; `inverse`
+    reduces that coordinate into [0, period)."""
 
     maps: tuple
+    periodic_axis: int | None = None
+    period: float = 1.0
 
     def forward(self, pts):
         out = _as_points(pts)
@@ -345,6 +345,8 @@ class ComposedPlaneMap(PlaneMap2D):
         out = _as_points(pts)
         for m in reversed(self.maps):
             out = m.inverse(out)
+        if self.periodic_axis is not None:
+            out[..., self.periodic_axis] = np.mod(out[..., self.periodic_axis], self.period)
         return out
 
     def jacobian(self, pts):
@@ -365,85 +367,21 @@ class ComposedPlaneMap(PlaneMap2D):
         return d
 
 
-def corner_straighten(z):
-    """The quadrant-to-half-plane corner map w = z^2/|z| (complex).
-
-    Doubles area: |det J| = 2 everywhere off the origin.  Returns
-    (w, singular) where singular flags inputs at the origin (mapped
-    to 0, where the map is not differentiable).
-    """
-    pts = _as_points(z)
-    if np.any(pts < -1e-12):
-        raise DomainError("input outside the closed quadrant [0, inf)^2")
-    zc = pts[..., 0] + 1j * pts[..., 1]
-    az = np.abs(zc)
-    singular = az == 0
-    safe = np.where(singular, 1.0, az)
-    w = zc * zc / safe
-    w = np.where(singular, 0.0, w)
-    return np.stack([w.real, w.imag], axis=-1), singular
-
-
-def corner_straighten_jacobian(z):
-    """Analytic Jacobian of the corner map off the origin."""
-    pts = _as_points(z)
-    x, y = pts[..., 0], pts[..., 1]
-    rho = np.hypot(x, y)
-    # w = z^2 / |z|; d w = (2z/|z|) dz - (z^2/(2|z|^3)) (zbar dz + z dzbar)
-    zc = x + 1j * y
-    dz = 2 * zc / rho - zc * zc * np.conj(zc) / (2 * rho**3)
-    dzbar = -(zc**3) / (2 * rho**3)
-    # For w = f(z, zbar): J = [[Re(dz+dzbar), -Im(dz-dzbar)], [Im(dz+dzbar), Re(dz-dzbar)]]
-    J = np.empty(pts.shape[:-1] + (2, 2))
-    J[..., 0, 0] = (dz + dzbar).real
-    J[..., 0, 1] = -(dz - dzbar).imag
-    J[..., 1, 0] = (dz + dzbar).imag
-    J[..., 1, 1] = (dz - dzbar).real
-    return J
-
-
-class _LambdaMap(ComposedPlaneMap):
-    """Cylinder (R/Z) x (0,1) -> (0,1)^2 minus the center point."""
-
-    def inverse(self, pts):
-        out = super().inverse(pts)
-        out = out.copy()
-        out[..., 0] = np.mod(out[..., 0], 1.0)
-        return out
-
-
-def make_lambda(config: EmbeddingConfig | None = None) -> _LambdaMap:
-    """The cylinder-to-punctured-square symplectomorphism.
+def make_lambda() -> ComposedPlaneMap:
+    """The cylinder-to-punctured-square symplectomorphism
+    (R/Z) x (0,1) -> (0,1)^2 minus the center point.
 
     Composition of the cylinder-to-disc collapse with the concentric
     disc-to-square map; height -> 1 converges to the square center.
     """
-    return _LambdaMap(maps=(ChiMap(L=1.0, H=1.0), KappaMap(side=1.0)))
+    return ComposedPlaneMap(
+        maps=(ChiMap(L=1.0, H=1.0), KappaMap(side=1.0)), periodic_axis=0, period=1.0
+    )
 
 
-class _LambdaPrimeMap(ComposedPlaneMap):
-    """Cylinder (0,1) x (R/cZ) -> ((0,1) x (0,c)) minus the rectangle center."""
-
-    def __init__(self, c: float):
-        sqc = math.sqrt(c)
-        swap = LinearPlaneMap(matrix=((0.0, -1.0), (1.0, 0.0)))
-        scale = LinearPlaneMap(matrix=((1.0 / sqc, 0.0), (0.0, sqc)))
-        object.__setattr__(
-            self,
-            "maps",
-            (swap, ChiMap(L=c, H=1.0), KappaMap(side=sqc), scale),
-        )
-        object.__setattr__(self, "c", c)
-
-    def inverse(self, pts):
-        out = super().inverse(pts)
-        out = out.copy()
-        out[..., 1] = np.mod(out[..., 1], self.c)
-        return out
-
-
-def make_lambda_prime(c: float) -> _LambdaPrimeMap:
-    """The cylinder-to-punctured-rectangle symplectomorphism.
+def make_lambda_prime(c: float) -> ComposedPlaneMap:
+    """The cylinder-to-punctured-rectangle symplectomorphism
+    (0,1) x (R/cZ) -> ((0,1) x (0,c)) minus the rectangle center.
 
     Input is (height, angle mod c); the orientation-preserving swap
     (h, a) -> (-a, h) feeds the cylinder collapse, then the concentric
@@ -452,7 +390,12 @@ def make_lambda_prime(c: float) -> _LambdaPrimeMap:
     """
     if not c >= 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    return _LambdaPrimeMap(c)
+    sqc = math.sqrt(c)
+    swap = LinearPlaneMap(matrix=((0.0, -1.0), (1.0, 0.0)))
+    scale = LinearPlaneMap(matrix=((1.0 / sqc, 0.0), (0.0, sqc)))
+    return ComposedPlaneMap(
+        maps=(swap, ChiMap(L=c, H=1.0), KappaMap(side=sqc), scale), periodic_axis=1, period=c
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,82 +453,32 @@ def _asX(X, dim):
     return X
 
 
-@dataclass(frozen=True)
-class ShearMap(PhaseMap):
+def shear_matrix(c: float):
     """The linear shear (q1, p1, q2, p2) -> (q1 - c*q2, p1, q2, c*p1 + p2)."""
-
-    c: float
-    dim: int = 4
-
-    def __post_init__(self):
-        if not self.c >= 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
-
-    @property
-    def matrix(self):
-        c = self.c
-        return np.array(
-            [
-                [1.0, 0.0, -c, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, c, 0.0, 1.0],
-            ]
-        )
-
-    def forward(self, X):
-        return _asX(X, 4) @ self.matrix.T
-
-    def inverse(self, X):
-        return _asX(X, 4) @ np.linalg.inv(self.matrix).T
-
-    def jacobian(self, X):
-        X = _asX(X, 4)
-        return np.broadcast_to(self.matrix, X.shape[:-1] + (4, 4)).copy()
-
-    def contains(self, X):
-        X = _asX(X, 4)
-        return np.ones(X.shape[:-1], dtype=bool)
-
-    def _raw_samples(self, rng, count):
-        return rng.uniform(-1.0, 1.0, size=(count, 4))
+    return np.array(
+        [
+            [1.0, 0.0, -c, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, c, 0.0, 1.0],
+        ]
+    )
 
 
-def shear(c: float) -> ShearMap:
-    return ShearMap(c=c)
+def shear_wrap(X, c: float):
+    """(Qbar1, P1, Q2, Pbar2) of the cube points X: the shear of their
+    first four coordinates, with Qbar1 wrapped onto R/Z and Pbar2 onto
+    R/cZ."""
+    Y = X[..., :4] @ shear_matrix(c).T
+    return np.stack(
+        [np.mod(Y[..., 0], 1.0), Y[..., 1], Y[..., 2], np.mod(Y[..., 3], c)], axis=-1
+    )
 
 
-@dataclass(frozen=True)
-class WrapProject(PhaseMap):
-    """Canonical projection R^4 -> (R/Z) x R x R x (R/cZ): reduces the
-    first coordinate mod 1 and the last mod c.  Local symplectomorphism
-    with identity Jacobian."""
-
-    c: float
-    dim: int = 4
-
-    def forward(self, X):
-        X = _asX(X, 4).copy()
-        X[..., 0] = np.mod(X[..., 0], 1.0)
-        X[..., 3] = np.mod(X[..., 3], self.c)
-        return X
-
-    def jacobian(self, X):
-        X = _asX(X, 4)
-        return np.broadcast_to(np.eye(4), X.shape[:-1] + (4, 4)).copy()
-
-    def contains(self, X):
-        X = _asX(X, 4)
-        return np.ones(X.shape[:-1], dtype=bool)
-
-    def _raw_samples(self, rng, count):
-        return rng.uniform(-1.0, 1.0, size=(count, 4))
-
-
-def wrap_project(c: float) -> WrapProject:
-    if not c >= 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    return WrapProject(c=c)
+def unshear_wrap(qbar1, p1, Q2, p2bar, c: float):
+    """The cube coordinates (q1, p2) of the cylinder point (Qbar1, P1, Q2,
+    Pbar2): the inverse shear, reduced into [0, 1) and [0, c)."""
+    return np.mod(qbar1 + c * Q2, 1.0), np.mod(p2bar - c * p1, c)
 
 
 # Cylinder angles at which the concentric disc/square map is singular
@@ -607,30 +500,22 @@ class PhiMap(PhaseMap):
         self.c = config.c
         self.n = config.n
         self.dim = 2 * config.n
-        self._shear = ShearMap(c=config.c)
-        self._lam = make_lambda(config)
+        self._lam = make_lambda()
         self._lamp = make_lambda_prime(config.c)
 
     @property
     def component_names(self):
-        return ("shear", "wrap_project", "lambda x lambda_prime", "identity")
+        return ("shear", "wrap", "lambda x lambda_prime", "identity")
 
     def contains(self, X):
         X = _asX(X, self.dim)
         return np.all((X > 0.0) & (X < 1.0), axis=-1)
 
-    def _cylinder_coords(self, X):
-        """(Qbar1, P1, Q2, Pbar2) after shear and wrap."""
-        Y = self._shear.forward(X[..., :4])
-        Q1 = np.mod(Y[..., 0], 1.0)
-        P2 = np.mod(Y[..., 3], self.c)
-        return np.stack([Q1, Y[..., 1], Y[..., 2], P2], axis=-1)
-
     def forward(self, X):
         X = _asX(X, self.dim)
         if not np.all(self.contains(X)):
             raise DomainError("input outside the open unit cube")
-        W = self._cylinder_coords(X)
+        W = shear_wrap(X, self.c)
         out = np.empty_like(X)
         out[..., 0:2] = self._lam.forward(W[..., 0:2])
         out[..., 2:4] = self._lamp.forward(W[..., 2:4])
@@ -639,11 +524,11 @@ class PhiMap(PhaseMap):
 
     def jacobian(self, X):
         X = _asX(X, self.dim)
-        W = self._cylinder_coords(X)
+        W = shear_wrap(X, self.c)
         Jl = self._lam.jacobian(W[..., 0:2])
         Jp = self._lamp.jacobian(W[..., 2:4])
         J = np.zeros(X.shape[:-1] + (self.dim, self.dim))
-        S = self._shear.matrix
+        S = shear_matrix(self.c)
         block = np.zeros(X.shape[:-1] + (4, 4))
         block[..., 0:2, 0:2] = Jl
         block[..., 2:4, 2:4] = Jp
@@ -655,7 +540,7 @@ class PhiMap(PhaseMap):
     def smooth_mask(self, X, margin: float):
         X = _asX(X, self.dim)
         ok = np.all((X > margin) & (X < 1.0 - margin), axis=-1)
-        W = self._cylinder_coords(X)
+        W = shear_wrap(X, self.c)
         # Stay away from the concentric-map diagonals in both cylinders.
         d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES, 1.0).min(axis=-1)
         a2 = np.mod(-W[..., 3], self.c) / self.c
@@ -666,8 +551,8 @@ class PhiMap(PhaseMap):
         return rng.uniform(0.0, 1.0, size=(count, self.dim))
 
     def image_contains(self, Y):
-        """Membership test for the image, via the closed-form inverse of
-        the shear-and-wrap stage."""
+        """Membership test for the image: inside the punctured target
+        box, with its inverse inside the open cube."""
         Y = _asX(Y, self.dim)
         in_box = np.all((Y[..., :3] > 0) & (Y[..., :3] < 1), axis=-1)
         in_box &= (Y[..., 3] > 0) & (Y[..., 3] < self.c)
@@ -679,15 +564,8 @@ class PhiMap(PhaseMap):
         out = np.zeros(Y.shape[:-1], dtype=bool)
         if not np.any(in_box):
             return out
-        Yb = Y[in_box]
-        cyl1 = self._lam.inverse(Yb[..., 0:2])
-        cyl2 = self._lamp.inverse(Yb[..., 2:4])
-        q1 = np.mod(cyl1[..., 0] + self.c * cyl2[..., 0], 1.0)
-        p2 = np.mod(cyl2[..., 1] - self.c * cyl1[..., 1], self.c)
-        ok = (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
-        ok &= (cyl1[..., 1] > 0) & (cyl1[..., 1] < 1)
-        ok &= (cyl2[..., 0] > 0) & (cyl2[..., 0] < 1)
-        out[in_box] = ok
+        X = self.inverse(Y[in_box])[..., :4]
+        out[in_box] = np.all((X > 0) & (X < 1), axis=-1)
         return out
 
     def inverse(self, Y):
@@ -696,10 +574,11 @@ class PhiMap(PhaseMap):
         cyl1 = self._lam.inverse(Y[..., 0:2])
         cyl2 = self._lamp.inverse(Y[..., 2:4])
         X = np.empty_like(Y)
-        X[..., 0] = np.mod(cyl1[..., 0] + self.c * cyl2[..., 0], 1.0)
         X[..., 1] = cyl1[..., 1]
         X[..., 2] = cyl2[..., 0]
-        X[..., 3] = np.mod(cyl2[..., 1] - self.c * cyl1[..., 1], self.c)
+        X[..., 0], X[..., 3] = unshear_wrap(
+            cyl1[..., 0], cyl1[..., 1], cyl2[..., 0], cyl2[..., 1], self.c
+        )
         X[..., 4:] = Y[..., 4:]
         return X
 

@@ -56,16 +56,6 @@ class CircleValue:
             self, "representative", _reduce_scalar(self.representative, self.period)
         )
 
-    def __add__(self, other: "CircleValue") -> "CircleValue":
-        if other.period != self.period:
-            raise ValueError("cannot add circle values with different periods")
-        return CircleValue(self.representative + other.representative, self.period)
-
-    def distance_to(self, x: float) -> float:
-        """Shortest circle distance from this point to the real number x."""
-        d = _reduce_scalar(x - self.representative, self.period)
-        return min(d, self.period - d)
-
 
 def reduce(x: float, period: float) -> CircleValue:
     """Reduce a real number modulo the period, result in [0, period)."""

@@ -20,13 +20,19 @@ calls, so a call's memory is released with it.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .maps import DISC_RADIUS, EmbeddingConfig, KappaMap, make_lambda, make_lambda_prime
+from .maps import (
+    DISC_RADIUS,
+    EmbeddingConfig,
+    KappaMap,
+    make_lambda,
+    make_lambda_prime,
+    unshear_wrap,
+)
 from .quotient import (
     CircleIntervalSet,
     CircleValue,
@@ -51,7 +57,8 @@ __all__ = [
     "section_area_mc",
     "fubini_check",
     "FubiniReport",
-    "section_to_json",
+    "pad_z",
+    "z_grid",
     "psi_config",
     "psi_section_membership_many",
 ]
@@ -189,7 +196,7 @@ class SectionCells:
         ys = np.asarray(ys, dtype=float)
         inside = np.all((ys > 0.0) & (ys < 1.0), axis=-1)
         inside &= ~((ys[..., 0] == config.y0[0]) & (ys[..., 1] == config.y0[1]))
-        return cls._build(ys, inside, make_lambda(config).inverse)
+        return cls._build(ys, inside, make_lambda().inverse)
 
     @classmethod
     def psi(cls, ys) -> "SectionCells":
@@ -288,15 +295,24 @@ class FubiniReport:
         }
 
 
+def pad_z(z, config: EmbeddingConfig):
+    """z (shape (..., k)) padded to 2n-2 coordinates, the missing
+    trailing ones at the cube centre 0.5."""
+    z = np.asarray(z, dtype=float)
+    tail = np.full(z.shape[:-1] + (max(0, 2 * config.n - 2 - z.shape[-1]),), 0.5)
+    return np.concatenate([z, tail], axis=-1)
+
+
 def z_grid(config: EmbeddingConfig, shape=(50, 100), exclude_radius: float = 1e-3):
-    """Cell-center grid over (0,1) x (0,c); cells within the exclusion
-    radius of the rectangle puncture are reported separately."""
+    """Cell-center grid over (0,1) x (0,c), in z1-major order, as z of
+    2n-2 coordinates (`pad_z`); cells within the exclusion radius of the
+    rectangle puncture are reported separately."""
     w, h = shape
     c = config.c
     z1 = (np.arange(w) + 0.5) / w
     z2 = (np.arange(h) + 0.5) / h * c
     Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
-    pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
+    pts = pad_z(np.stack([Z1.ravel(), Z2.ravel()], axis=-1), config)
     z0 = np.array(config.z0)
     near = np.hypot(pts[:, 0] - z0[0], pts[:, 1] - z0[1]) < exclude_radius
     return pts[~near], pts[near]
@@ -349,22 +365,6 @@ def fubini_check(
     )
 
 
-def section_to_json(
-    sd: SectionDescription, mc_area=None, mc_stderr=None, seed=None, indent=None
-) -> str:
-    doc = {
-        "z": list(sd.z),
-        "status": sd.status,
-        "V_arcs": [list(a) for a in (sd.V.arcs if sd.V else [])],
-        "W_intervals": [list(i) for i in (sd.W.intervals if sd.W else [])],
-        "analytic_area": sd.analytic_area,
-        "mc_area": mc_area,
-        "mc_stderr": mc_stderr,
-        "seed": seed,
-    }
-    return json.dumps(doc, indent=indent, sort_keys=True)
-
-
 def psi_config(config: EmbeddingConfig, a: float) -> EmbeddingConfig:
     """The cube embedding behind the ball embedding of capacity a: c = 1/a."""
     if not 0 < a <= 1:
@@ -401,8 +401,7 @@ def psi_section_membership_many(
     # The cube preimage and the ball constraint, on ribbon points only.
     idx = np.flatnonzero(ok)
     p1 = cells.p[idx]
-    q1 = np.mod(cells.qbar[idx] + c * sd.Q2, 1.0)
-    p2 = np.mod(sd.P2bar.representative - c * p1, c)
+    q1, p2 = unshear_wrap(cells.qbar[idx], p1, sd.Q2, sd.P2bar.representative, c)
     keep = (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
     tail = sd.z[2:]
     tail_norm2 = sum(float(_ball_norm2(tail[k], tail[k + 1])) for k in range(0, len(tail), 2))

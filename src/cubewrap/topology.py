@@ -16,7 +16,6 @@ sweep) build them once and pass them as `cells=` to every z.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from .sections import (
     psi_section_membership_many,
     resolve_section,
     section_membership_many,
+    z_grid,
 )
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _FOUR_CONN = ndimage.generate_binary_structure(2, 1)
-_EIGHT_CONN = ndimage.generate_binary_structure(2, 2)
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,6 @@ class Raster:
         _, ends = np.nonzero(step == -1)
         return np.stack([rows, starts, ends - starts], axis=1)
 
-    def to_rle_json(self) -> str:
-        """Row-wise run-length encoding: list of (row, start, length) runs."""
-        doc = {
-            "n": self.n,
-            "box": [self.x0, self.y0, self.side],
-            "runs": self.runs().tolist(),
-        }
-        return json.dumps(doc, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class RegionLabels:
@@ -147,12 +137,6 @@ def complement_components(r: Raster) -> RegionLabels:
     return RegionLabels(labels=labels, count=int(count), boundary_touching=touching)
 
 
-def occupied_components(r: Raster) -> int:
-    """Number of occupied components (8-connectivity)."""
-    _, count = ndimage.label(r.occupancy.astype(bool), structure=_EIGHT_CONN)
-    return int(count)
-
-
 def _stamp_polyline(occupancy: np.ndarray, pts, x0, y0, cell, n):
     """Free every cell a polyline passes through, plus its 8-neighborhood,
     so the corridor it cuts is at least one 4-connected cell wide."""
@@ -169,7 +153,7 @@ def _stamp_polyline(occupancy: np.ndarray, pts, x0, y0, cell, n):
     occupancy &= ~mask
 
 
-def slit_polyline(sd: SectionDescription, config: EmbeddingConfig, steps: int):
+def slit_polyline(sd: SectionDescription, steps: int):
     """Points of the slit path: the image of the removed angle, from the
     square boundary (t -> 0) to the puncture (t -> 1).
 
@@ -177,7 +161,7 @@ def slit_polyline(sd: SectionDescription, config: EmbeddingConfig, steps: int):
     a straight ray; uniform height sampling would leave large spatial
     gaps near the center.
     """
-    lam = make_lambda(config)
+    lam = make_lambda()
     rho = np.linspace(DISC_RADIUS, 0.0, steps, endpoint=False)
     t = 1.0 - math.pi * rho * rho
     t = np.clip(t, 1e-12, 1.0 - 1e-12)
@@ -239,7 +223,7 @@ def rasterize_section(
     cells = _raster_cells(r, cells, lambda ys: SectionCells.phi(ys, config))
     occ = section_membership_many(cells.points, sd, config, cells=cells).reshape(N, N)
     if keep_slit_open:
-        pts = slit_polyline(sd, config, steps=8 * N)
+        pts = slit_polyline(sd, steps=8 * N)
         _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
     return Raster(n=N, occupancy=occ)
 
@@ -273,12 +257,12 @@ def rasterize_psi_section(
     cells = _raster_cells(r, cells, SectionCells.psi)
     occ = psi_section_membership_many(cells.points, sd, cfg, a, cells=cells).reshape(N, N)
     kappa = KappaMap(side=1.0)
-    pts = kappa.inverse(slit_polyline(sd, cfg, steps=8 * N))
+    pts = kappa.inverse(slit_polyline(sd, steps=8 * N))
     _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
     # A shared endpoint of touching height intervals is a zero-width
     # free loop around the band; the ball constraint widens it into
     # visible pockets in places, so keep the whole loop open too.
-    lam = make_lambda(cfg)
+    lam = make_lambda()
     for v in _touching_heights(sd.W):
         ang = np.mod(sd.slit_angle + (np.arange(8 * N) + 0.5) / (8 * N), 1.0)
         loop = lam.forward(np.stack([ang, np.full_like(ang, v)], axis=-1))
@@ -332,7 +316,7 @@ def slit_path_witness(z, config: EmbeddingConfig, steps: int = 1000):
     sd = resolve_section(z, config)
     if sd.status != "generic":
         raise ValueError("the slit path exists only for generic sections")
-    lam = make_lambda(config)
+    lam = make_lambda()
     t = (np.arange(steps) + 0.5) / steps
     qp = np.stack([np.full_like(t, sd.slit_angle), t], axis=-1)
     pts = lam.forward(qp)
@@ -391,32 +375,26 @@ def check_hull_bound(
 
     The raster geometry is built once and serves every z of the grid."""
     cfg = psi_config(config, a)
-    c = cfg.c
-    w, h = grid
-    z1 = (np.arange(w) + 0.5) / w
-    z2 = (np.arange(h) + 0.5) / h * c
     cells = psi_section_cells(N)
     entries = []
     worst_tol = 0.0
     worst, worst_excess = (), -math.inf
     all_ok = True
     hull_eq = True
-    for zi in z1:
-        for zj in z2:
-            if math.hypot(zi - 0.5, zj - c / 2) < 1e-3:
-                continue
-            r = rasterize_psi_section((zi, zj), cfg, a, N, cells=cells)
-            hull = bounded_hull(r)
-            tol = 4.0 * r.perimeter_estimate() / N
-            worst_tol = max(worst_tol, tol)
-            area = hull.area()
-            entries.append((float(zi), float(zj), area, r.area()))
-            if area - (a + tol) > worst_excess:
-                worst, worst_excess = (float(zi), float(zj), area), area - (a + tol)
-            if area > a + tol:
-                all_ok = False
-            if not np.array_equal(hull.occupancy, r.occupancy):
-                hull_eq = False
+    for z in z_grid(cfg, grid)[0]:
+        r = rasterize_psi_section(z, cfg, a, N, cells=cells)
+        hull = bounded_hull(r)
+        tol = 4.0 * r.perimeter_estimate() / N
+        worst_tol = max(worst_tol, tol)
+        area = hull.area()
+        zi, zj = float(z[0]), float(z[1])
+        entries.append((zi, zj, area, r.area()))
+        if area - (a + tol) > worst_excess:
+            worst, worst_excess = (zi, zj, area), area - (a + tol)
+        if area > a + tol:
+            all_ok = False
+        if not np.array_equal(hull.occupancy, r.occupancy):
+            hull_eq = False
     return HullReport(
         a=a,
         N=N,

@@ -42,6 +42,13 @@ class TestExitCodes:
         )
         assert proc.returncode == EXIT_USAGE
 
+    def test_no_format_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "json"])
+        assert exc.value.code == EXIT_USAGE
+        code, out = run_main(FAST_VERIFY, capsys)
+        assert "format" not in json.loads(out)["spec"]
+
     @pytest.mark.parametrize("samples", ["0", "9999"])
     def test_usage_error_too_few_samples(self, capsys, samples):
         code = main(["verify", "--samples", samples])
@@ -308,6 +315,29 @@ class TestTopology:
         assert check["worst_z"] == list(target)
         planted_entry = [e for e in doc["hull"]["entries"] if tuple(e[:2]) == target]
         assert check["worst_hull_area"] == planted_entry[0][2] > check["tolerance"]
+
+
+class TestHalfDimensionThree:
+    """sections and topology build z with 2n-2 coordinates at n = 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sections", "--n", "3", "--grid", "4x4", "--mc-spots", "1", "--samples", "20000"],
+            ["topology", "--n", "3", "--grid", "1x2", "--N", "256"],
+            ["topology", "--hull", "--n", "3", "--a", "0.5", "--grid", "2x2", "--N", "256"],
+        ],
+    )
+    def test_every_check_passes(self, capsys, argv):
+        code, out = run_main(argv, capsys)
+        doc = json.loads(out)
+        assert code == EXIT_OK, [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+
+    def test_connectivity_z_has_trailing_centre(self, capsys):
+        _, out = run_main(["topology", "--n", "3", "--grid", "1x2", "--N", "256"], capsys)
+        for rep in json.loads(out)["connectivity"]:
+            assert len(rep["z"]) == 4 and rep["z"][2:] == [0.5, 0.5]
 
 
 class TestPlot:

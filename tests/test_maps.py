@@ -9,19 +9,19 @@ from cubewrap.maps import (
     DomainError,
     EmbeddingConfig,
     KappaMap,
+    PhaseMap,
     PhiMap,
     build_phi,
     build_psi,
     check_symplectic,
-    corner_straighten,
-    corner_straighten_jacobian,
     finite_difference_jacobian,
     make_lambda,
     make_lambda_prime,
-    shear,
+    shear_matrix,
+    shear_wrap,
     symplectic_defect,
     symplectic_matrix,
-    wrap_project,
+    unshear_wrap,
 )
 
 RNG = np.random.default_rng(12345)
@@ -50,15 +50,16 @@ class TestConfig:
 
 class TestShear:
     def test_example(self):
-        out = shear(2.0).forward(np.array([0.25, 0.5, 0.5, 0.25]))
-        assert np.allclose(out, [-0.75, 0.5, 0.5, 1.25])
+        # (q1 - c*q2, p1, q2, c*p1 + p2) needs no wrap here.
+        out = shear_wrap(np.array([0.75, 0.5, 0.25, 0.25]), 2.0)
+        assert np.allclose(out, [0.25, 0.5, 0.25, 1.25])
 
     def test_origin_fixed(self):
-        assert np.allclose(shear(1.0).forward(np.zeros(4)), 0.0)
+        assert np.allclose(shear_wrap(np.zeros(4), 1.0), 0.0)
 
     def test_exactly_symplectic(self):
         for c in [1.0, 1.5, 2.0, math.pi]:
-            M = shear(c).matrix
+            M = shear_matrix(c)
             Om = symplectic_matrix(2)
             assert np.array_equal(M.T @ Om @ M, Om)
             assert np.linalg.det(M) == pytest.approx(1.0)
@@ -66,17 +67,27 @@ class TestShear:
 
 class TestWrapProject:
     def test_reduction(self):
-        out = wrap_project(2.0).forward(np.array([-0.75, 0.5, 0.5, 1.25]))
+        # Sheared to (-0.75, 0.5, 0.5, 1.25); only Qbar1 wraps.
+        out = shear_wrap(np.array([0.25, 0.5, 0.5, 0.25]), 2.0)
         assert np.allclose(out, [0.25, 0.5, 0.5, 1.25])
 
     def test_reduction_wrapping(self):
-        out = wrap_project(2.0).forward(np.array([0.1, 0.2, 0.3, 2.4]))
+        # Sheared to (0.1, 0.2, 0.3, 2.4); Pbar2 wraps mod c.
+        out = shear_wrap(np.array([0.7, 0.2, 0.3, 2.0]), 2.0)
         assert np.allclose(out, [0.1, 0.2, 0.3, 0.4])
 
     def test_middle_unchanged(self):
         X = RNG.uniform(-5, 5, (100, 4))
-        Y = wrap_project(1.5).forward(X)
+        Y = shear_wrap(X, 1.5)
         assert np.array_equal(Y[:, 1:3], X[:, 1:3])
+
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi])
+    def test_unshear_wrap_inverts_on_the_cube(self, c):
+        X = np.random.default_rng(15).uniform(0, 1, (10_000, 4))
+        W = shear_wrap(X, c)
+        q1, p2 = unshear_wrap(W[:, 0], W[:, 1], W[:, 2], W[:, 3], c)
+        assert np.abs(q1 - X[:, 0]).max() < 1e-12
+        assert np.abs(p2 - X[:, 3]).max() < 1e-12
 
 
 class TestChi:
@@ -150,32 +161,6 @@ class TestKappa:
         pts = pts[k.singular_distance(pts) > 1e-3][:1000]
         J = k.jacobian(pts)
         Jfd = finite_difference_jacobian(k.forward, pts, 1e-7)
-        assert np.abs(J - Jfd).max() < 1e-5
-
-
-class TestCornerStraighten:
-    def test_examples(self):
-        out, sing = corner_straighten(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        assert np.allclose(out, [[1, 0], [-1, 0], [0, math.sqrt(2)]])
-        assert not sing.any()
-
-    def test_origin_flagged(self):
-        out, sing = corner_straighten(np.array([0.0, 0.0]))
-        assert np.allclose(out, 0.0) and bool(sing)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            corner_straighten(np.array([-1.0, 0.5]))
-
-    def test_area_doubling(self):
-        pts = np.abs(RNG.normal(size=(10_000, 2))) + 1e-3
-        det = np.linalg.det(corner_straighten_jacobian(pts))
-        assert np.abs(det - 2).max() < 1e-9
-
-    def test_jacobian_matches_finite_differences(self):
-        pts = np.abs(RNG.normal(size=(500, 2))) + 0.05
-        J = corner_straighten_jacobian(pts)
-        Jfd = finite_difference_jacobian(lambda z: corner_straighten(z)[0], pts, 1e-7)
         assert np.abs(J - Jfd).max() < 1e-5
 
 
@@ -289,6 +274,14 @@ class TestPhi:
         assert phi.image_contains(Y).all()
         assert np.abs(phi.inverse(Y) - X).max() < 1e-12
 
+    @pytest.mark.parametrize("n, c", [(2, 1.0), (2, math.pi), (3, 2.0)])
+    def test_image_contains_every_image_point(self, n, c):
+        phi = build_phi(EmbeddingConfig(n=n, c=c))
+        X = np.random.default_rng(16).uniform(0, 1, (20_000, 2 * n))
+        Y = phi.forward(X)
+        assert phi.image_contains(Y).all()
+        assert np.abs(phi.inverse(Y) - X).max() < 1e-12
+
     def test_domain_error(self):
         phi = build_phi(EmbeddingConfig(n=2, c=2.0))
         with pytest.raises(DomainError):
@@ -334,20 +327,42 @@ class TestPsi:
             build_psi(EmbeddingConfig(n=2, c=2.0), 1.5)
 
 
+class _LinearPhaseMap(PhaseMap):
+    """X -> M X on all of R^4."""
+
+    dim = 4
+
+    def __init__(self, M):
+        self.M = M
+
+    def forward(self, X):
+        return X @ self.M.T
+
+    def jacobian(self, X):
+        return np.broadcast_to(self.M, X.shape[:-1] + (4, 4)).copy()
+
+    def contains(self, X):
+        return np.ones(X.shape[:-1], dtype=bool)
+
+    def _raw_samples(self, rng, count):
+        return rng.uniform(-1.0, 1.0, size=(count, 4))
+
+
 class TestCheckSymplectic:
     def test_identity_like_map_zero_deviation(self):
-        pm = wrap_project(2.0)
+        pm = _LinearPhaseMap(np.eye(4))
         assert symplectic_defect(pm, RNG.uniform(0, 1, (100, 4))).max() == 0.0
 
     def test_shear_exact(self):
-        rep = check_symplectic(shear(2.0), 100, tol=1e-12, seed=2)
+        rep = check_symplectic(_LinearPhaseMap(shear_matrix(2.0)), 100, tol=1e-12, seed=2)
         assert rep.max_deviation < 1e-12
 
     def test_report_fields(self):
-        rep = check_symplectic(shear(2.0), 10, tol=1e-12, seed=3)
+        rep = check_symplectic(build_phi(EmbeddingConfig(n=2, c=2.0)), 10, tol=1e-12, seed=3)
         d = rep.to_dict()
         assert d["seed"] == 3 and d["samples"] == 10 and d["passed"]
+        assert d["map"] == "PhiMap" and len(d["worst_point"]) == 4
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
-            check_symplectic(shear(2.0), 0, tol=1e-12)
+            check_symplectic(build_phi(EmbeddingConfig(n=2, c=2.0)), 0, tol=1e-12)

@@ -62,11 +62,6 @@ class TestReduce:
             r = reduce(x, L)
             assert reduce(r.representative, L).representative == r.representative
 
-    def test_addition_reduces(self):
-        a = reduce(0.7, 1.0)
-        b = reduce(0.6, 1.0)
-        assert (a + b).representative == pytest.approx(reduce(1.3, 1.0).representative)
-
 
 class TestCircleIntervalSet:
     def test_complement_of_near_full(self):

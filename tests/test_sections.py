@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from cubewrap.sections import (
     section_membership,
     section_membership_many,
     section_of_phi,
-    section_to_json,
     v_set,
     w_set,
 )
@@ -107,7 +105,7 @@ class TestMembership:
         assert not section_membership([1.5, 0.5], [0.3, 0.7], CFG2)
 
     def test_slit_excluded(self):
-        lam = make_lambda(CFG2)
+        lam = make_lambda()
         sd = section_of_phi([0.3, 0.7], CFG2)
         for t in (0.1, 0.45, 0.8):
             y = lam.forward(np.array([sd.slit_angle, t]))
@@ -161,21 +159,6 @@ class TestFubini:
         assert fr.mc_integral == pytest.approx(1.0, abs=0.02)
         for _, _, est, se in fr.mc_spots:
             assert abs(est - 0.5) < 3 * se
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        sd = section_of_phi([0.3, 0.7], CFG2)
-        doc = json.loads(section_to_json(sd, mc_area=0.5, mc_stderr=1e-3, seed=4))
-        assert doc["status"] == "generic"
-        assert doc["analytic_area"] == 0.5
-        assert doc["seed"] == 4
-        assert len(doc["W_intervals"]) in (1, 2)
-        assert len(doc["V_arcs"]) == 1
-
-    def test_empty_section_json(self):
-        doc = json.loads(section_to_json(section_of_phi([5.0, 0.5], CFG2)))
-        assert doc["status"] == "empty" and doc["V_arcs"] == []
 
 
 class TestPsiSectionMembership:
@@ -234,7 +217,7 @@ def _psi_reference(ys, z, config, a, slit_tol=1e-9):
         return out
     inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
     kappa = KappaMap(side=1.0)
-    cyl = make_lambda(cfg).inverse(kappa.forward(ys[inside]))
+    cyl = make_lambda().inverse(kappa.forward(ys[inside]))
     qbar, p1 = cyl[..., 0], cyl[..., 1]
     ok = (p1 > 0) & (p1 < 1) & sd.W.contains_many(p1)
     d = np.mod(qbar - sd.slit_angle, 1.0)
@@ -350,7 +333,7 @@ class TestSectionCells:
         rng = np.random.default_rng(8)
         if kind == "phi":
             ys = rng.uniform(0.0, 1.0, (30_000, 2))
-            cyl = make_lambda(CFG2).inverse(ys)
+            cyl = make_lambda().inverse(ys)
             build = lambda: sec.SectionCells.phi(ys, CFG2)  # noqa: E731
         else:
             ys = rng.uniform(-0.6, 0.6, (30_000, 2))

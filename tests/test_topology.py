@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from cubewrap.topology import (
     check_hull_bound,
     complement_components,
     disk_fixture,
-    occupied_components,
     phi_section_cells,
     psi_section_cells,
     rasterize_psi_section,
@@ -60,12 +58,12 @@ class TestRaster:
         occ = np.zeros((6, 6), dtype=bool)
         occ[2, 1:4] = True
         occ[4, 5] = True
-        doc = json.loads(Raster(n=6, occupancy=occ).to_rle_json())
+        runs = Raster(n=6, occupancy=occ).runs()
         rebuilt = np.zeros((6, 6), dtype=bool)
-        for i, j, ln in doc["runs"]:
+        for i, j, ln in runs:
             rebuilt[i, j : j + ln] = True
         assert np.array_equal(rebuilt, occ)
-        assert doc["box"] == [0.0, 0.0, 1.0]
+        assert runs.tolist() == [[2, 1, 3], [4, 5, 1]]
 
 
 class TestFixtures:
@@ -80,10 +78,6 @@ class TestFixtures:
 
     def test_disk_complement_connected(self):
         assert complement_components(disk_fixture()).count == 1
-
-    def test_occupied_components(self):
-        assert occupied_components(annulus_fixture()) == 1
-        assert occupied_components(disk_fixture()) == 1
 
 
 class TestBoundedHull:
@@ -241,7 +235,6 @@ class TestRuns:
     def test_fixture_runs(self):
         r = annulus_with_slit_fixture(128)
         assert r.runs().tolist() == _runs_reference(r.occupancy)
-        assert json.loads(r.to_rle_json())["runs"] == _runs_reference(r.occupancy)
 
 
 class TestSharedGeometry:
