@@ -13,6 +13,7 @@ from .maps import (
     make_lambda,
     make_lambda_prime,
     shear_wrap,
+    square_to_cylinder,
     unshear_wrap,
 )
 from .quotient import (
@@ -52,6 +53,7 @@ __all__ = [
     "make_lambda",
     "make_lambda_prime",
     "shear_wrap",
+    "square_to_cylinder",
     "unshear_wrap",
     "CircleIntervalSet",
     "CircleValue",

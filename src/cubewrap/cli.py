@@ -171,6 +171,13 @@ def _injectivity_check(phi, samples, seed, image_tol=IMAGE_TOL, preimage_min=PRE
     return len(pairs), samples
 
 
+def _symplectic_check(name, rep):
+    """The check entry of a SymplecticReport; a failing one names the
+    sampled point of largest defect."""
+    extra = {} if rep.passed else {"worst_point": list(rep.worst_point)}
+    return _check(name, rep.passed, rep.max_deviation, rep.tol, **extra)
+
+
 def cmd_verify(args) -> int:
     if args.samples < MIN_MC_SAMPLES:
         raise ValueError(f"--samples must be at least {MIN_MC_SAMPLES}, got {args.samples}")
@@ -181,9 +188,7 @@ def cmd_verify(args) -> int:
 
     with _Phase("symplecticity"):
         rep = check_symplectic(phi, samples=10_000, tol=config.tol_symp, seed=args.seed)
-        checks.append(
-            _check("phi_symplectic_analytic", rep.passed, rep.max_deviation, rep.tol)
-        )
+        checks.append(_symplectic_check("phi_symplectic_analytic", rep))
         rng = np.random.default_rng(args.seed + 1)
         Xs = phi.sample_domain(rng, 1000, margin=1e-4)
         Jfd = finite_difference_jacobian(phi.forward, Xs, config.fd_step)
@@ -192,9 +197,7 @@ def cmd_verify(args) -> int:
         checks.append(_check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4))
         psi = build_psi(config, a=1.0 / args.c)
         rep_psi = check_symplectic(psi, samples=10_000, tol=config.tol_symp, seed=args.seed)
-        checks.append(
-            _check("psi_symplectic_analytic", rep_psi.passed, rep_psi.max_deviation, rep_psi.tol)
-        )
+        checks.append(_symplectic_check("psi_symplectic_analytic", rep_psi))
 
     with _Phase("containment"):
         rng = np.random.default_rng(args.seed + 2)
@@ -373,7 +376,7 @@ def cmd_topology(args) -> int:
         first_bad = None
         generic_z, _ = z_grid(config, (w, h))
         idx = rng.choice(len(generic_z), size=min(w * h, len(generic_z)), replace=False)
-        cells = phi_section_cells(args.N, config)
+        cells = phi_section_cells(args.N)
         for i in idx:
             ok, rep = check_complement_connected(generic_z[i], config, args.N, cells=cells)
             conn_reports.append(rep.to_dict())

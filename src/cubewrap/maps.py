@@ -33,6 +33,7 @@ __all__ = [
     "KappaMap",
     "ComposedPlaneMap",
     "make_lambda",
+    "square_to_cylinder",
     "make_lambda_prime",
     "shear_matrix",
     "shear_wrap",
@@ -379,6 +380,41 @@ def make_lambda() -> ComposedPlaneMap:
     )
 
 
+def square_to_cylinder(ys):
+    """λ⁻¹ in closed form, with no trig: the cylinder point (q̄, p) of
+    each point y of the open unit square minus its centre (undefined at
+    the centre).
+
+    λ⁻¹ = χ⁻¹∘κ⁻¹.  Write (u, v) = y − ½ and let r be the coordinate of
+    larger magnitude (u where |u| ≥ |v|, else v).  On each of κ's four
+    sectors, κ⁻¹ sends (u, v) to the disc point of radius k·|r|, k =
+    2/√π, at the angle below, and χ⁻¹ reads off q̄ = angle / 2π mod 1
+    and p = 1 − π·radius² = 1 − 4r²:
+
+    * |u| ≥ |v|, u > 0: angle (π/4)(v/u), so q̄ = v/8u;
+    * |u| ≥ |v|, u < 0: κ⁻¹ has signed radius k·u < 0, which turns the
+      angle by π: q̄ = v/8u + ½;
+    * |v| > |u|, v > 0: angle π/2 − (π/4)(u/v), so q̄ = ¼ − u/8v;
+    * |v| > |u|, v < 0: likewise turned by π: q̄ = ¼ − u/8v + ½.
+
+    Only the sector u > 0 reaches below 0 (q̄ ≥ −⅛), so the reduction
+    mod 1 is q̄ − floor(q̄).  Agrees with `make_lambda().inverse` to a
+    few ulp (tests/test_certificates.py proves the sector formulas).
+    """
+    ys = _as_points(ys)
+    u, v = ys[..., 0] - 0.5, ys[..., 1] - 0.5
+    first = np.abs(u) >= np.abs(v)
+    r = np.where(first, u, v)
+    offset = np.where(first, 0.0, 0.25)
+    offset[r < 0] += 0.5
+    out = np.empty(ys.shape)
+    q = np.divide(np.where(first, v, -u), 8.0 * r, out=out[..., 0])
+    q += offset
+    q -= np.floor(q)
+    out[..., 1] = 1.0 - 4.0 * (r * r)
+    return out
+
+
 def make_lambda_prime(c: float) -> ComposedPlaneMap:
     """The cylinder-to-punctured-rectangle symplectomorphism
     (0,1) x (R/cZ) -> ((0,1) x (0,c)) minus the rectangle center.
@@ -477,8 +513,12 @@ def shear_wrap(X, c: float):
 
 def unshear_wrap(qbar1, p1, Q2, p2bar, c: float):
     """The cube coordinates (q1, p2) of the cylinder point (Qbar1, P1, Q2,
-    Pbar2): the inverse shear, reduced into [0, 1) and [0, c)."""
-    return np.mod(qbar1 + c * Q2, 1.0), np.mod(p2bar - c * p1, c)
+    Pbar2): the inverse shear, reduced into [0, 1) and [0, c).  The
+    reduction mod 1 is x − floor(x), which is bit-identical to
+    np.mod(x, 1.0) and cheaper."""
+    q1 = qbar1 + c * Q2
+    q1 -= np.floor(q1)
+    return q1, np.mod(p2bar - c * p1, c)
 
 
 # Cylinder angles at which the concentric disc/square map is singular

@@ -9,14 +9,17 @@ exactly 1/c.
 
 So whether a plane point lies in a section depends on z only through the
 slit angle and W.  `SectionCells` holds the cylinder coordinates (q̄, p)
-of a fixed point set, computed once: λ⁻¹ of square points for the cube
-embedding φ, λ⁻¹∘κ of disc points for the ball embedding ψ.  Per z,
-`_in_ribbon` tests p ∈ W and q̄ off the slit, and ψ adds its ball bound
-in closed form (`_ball_norm2`).  The membership and raster functions
-take the geometry as an optional `cells=` argument and build it when
-none is passed; a caller that holds N (or the point set) fixed builds it
-once and drops it when it returns.  Nothing caches geometry across
-calls, so a call's memory is released with it.
+of a fixed point set, computed once and in closed form.  For the cube
+embedding φ they are λ⁻¹ of square points, `maps.square_to_cylinder`:
+p = 1 − 4‖y − ½‖∞² and a sector-wise rational angle, with no trig.
+For the ball embedding ψ they are λ⁻¹∘κ = χ⁻¹∘κ⁻¹∘κ = χ⁻¹ of disc
+points: plain polar coordinates, q̄ = arg y / 2π and p = 1 − π|y|².
+Per z, `_in_ribbon` tests p ∈ W and q̄ off the slit, and ψ adds its ball
+bound in closed form (`_ball_norm2`).  The membership and raster
+functions take the geometry as an optional `cells=` argument and build
+it when none is passed; a caller that holds N (or the point set) fixed
+builds it once and drops it when it returns.  Nothing caches geometry
+across calls, so a call's memory is released with it.
 """
 from __future__ import annotations
 
@@ -27,10 +30,10 @@ import numpy as np
 
 from .maps import (
     DISC_RADIUS,
+    ChiMap,
     EmbeddingConfig,
-    KappaMap,
-    make_lambda,
     make_lambda_prime,
+    square_to_cylinder,
     unshear_wrap,
 )
 from .quotient import (
@@ -191,20 +194,21 @@ class SectionCells:
         return cls(points=points, inside=inside, qbar=qbar, p=p)
 
     @classmethod
-    def phi(cls, ys, config: EmbeddingConfig) -> "SectionCells":
-        """λ⁻¹ on the open unit square minus the puncture y0."""
+    def phi(cls, ys) -> "SectionCells":
+        """λ⁻¹ on the open unit square minus the puncture y0 = (½, ½),
+        in closed form (`square_to_cylinder`)."""
         ys = np.asarray(ys, dtype=float)
         inside = np.all((ys > 0.0) & (ys < 1.0), axis=-1)
-        inside &= ~((ys[..., 0] == config.y0[0]) & (ys[..., 1] == config.y0[1]))
-        return cls._build(ys, inside, make_lambda().inverse)
+        inside &= ~((ys[..., 0] == 0.5) & (ys[..., 1] == 0.5))
+        return cls._build(ys, inside, square_to_cylinder)
 
     @classmethod
     def psi(cls, ys) -> "SectionCells":
-        """λ⁻¹∘κ on the open disc of radius DISC_RADIUS."""
+        """λ⁻¹∘κ = χ⁻¹ on the open disc of radius DISC_RADIUS: the
+        polar coordinates (arg y / 2π, 1 − π|y|²)."""
         ys = np.asarray(ys, dtype=float)
         inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
-        kappa, lam = KappaMap(side=1.0), make_lambda()
-        return cls._build(ys, inside, lambda u: lam.inverse(kappa.forward(u)))
+        return cls._build(ys, inside, ChiMap(L=1.0, H=1.0).inverse)
 
     def check_points(self, ys):
         if ys is not self.points and ys.shape != self.points.shape:
@@ -213,9 +217,11 @@ class SectionCells:
 
 def _in_ribbon(qbar, p, sd: SectionDescription, slit_tol: float):
     """Cylinder points of the ribbon V × W: p ∈ W and the angle q̄ at
-    circle distance more than slit_tol from the slit."""
+    circle distance more than slit_tol from the slit.  The angle is
+    reduced mod 1 as d − floor(d), bit-identical to np.mod(d, 1.0)."""
     ok = sd.W.contains_many(p)
-    d = np.mod(qbar - sd.slit_angle, 1.0)
+    d = qbar - sd.slit_angle
+    d -= np.floor(d)
     ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
     return ok
 
@@ -238,7 +244,7 @@ def section_membership_many(
     if sd.status != "generic":
         return out
     if cells is None:
-        cells = SectionCells.phi(ys, config)
+        cells = SectionCells.phi(ys)
     cells.check_points(ys)
     out[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd, slit_tol)
     return out

@@ -9,10 +9,14 @@ grid by freeing the cells a fine polyline of the slit passes through
 provides survives discretization at any resolution.
 
 The cylinder coordinates of a raster's cell centres depend only on its
-resolution and box, not on z (see `sections.SectionCells`).
-`phi_section_cells` and `psi_section_cells` build them for one raster;
-the loops that hold N fixed (`check_hull_bound`, the CLI's connectivity
-sweep) build them once and pass them as `cells=` to every z.
+resolution and box, not on z, and have closed forms (see
+`sections.SectionCells`): λ⁻¹ of the square for φ, polar coordinates of
+the disc for ψ.  `phi_section_cells` and `psi_section_cells` build them
+for one raster; the loops that hold N fixed (`check_hull_bound`, the
+CLI's connectivity sweep) build them once and pass them as `cells=` to
+every z.  `bounded_hull` skips the search for holes when every
+complement component reaches the margin ring, the usual case for a
+slit section.
 """
 from __future__ import annotations
 
@@ -181,9 +185,9 @@ def _psi_blank(N: int, margin_cells: int) -> Raster:
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
 
 
-def phi_section_cells(N: int, config: EmbeddingConfig) -> SectionCells:
+def phi_section_cells(N: int) -> SectionCells:
     """Cylinder coordinates of the cell centres of a φ raster at N."""
-    return SectionCells.phi(_phi_blank(N).cell_centers().reshape(-1, 2), config)
+    return SectionCells.phi(_phi_blank(N).cell_centers().reshape(-1, 2))
 
 
 def psi_section_cells(N: int, margin_cells: int = 2) -> SectionCells:
@@ -212,7 +216,7 @@ def rasterize_section(
     With keep_slit_open (the default) the cells along the analytic slit
     path are freed; the slit has zero width, so plain center sampling
     would close it at every finite resolution.  `cells`, if given, is
-    `phi_section_cells(N, config)`.
+    `phi_section_cells(N)`.
     """
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
@@ -220,7 +224,7 @@ def rasterize_section(
     r = _phi_blank(N)
     if sd.status != "generic":
         return r
-    cells = _raster_cells(r, cells, lambda ys: SectionCells.phi(ys, config))
+    cells = _raster_cells(r, cells, SectionCells.phi)
     occ = section_membership_many(cells.points, sd, config, cells=cells).reshape(N, N)
     if keep_slit_open:
         pts = slit_polyline(sd, steps=8 * N)
@@ -291,7 +295,7 @@ class ConnectivityReport:
 def check_complement_connected(z, config: EmbeddingConfig, N: int, cells=None):
     """True iff the complement of the section raster (in the plane) is a
     single flood-fill component.  Verdicts below N = 256 are advisory.
-    `cells`, if given, is `phi_section_cells(N, config)`."""
+    `cells`, if given, is `phi_section_cells(N)`."""
     if N < 256:
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
     sd = resolve_section(z, config)
@@ -330,11 +334,15 @@ class AmbiguousHullError(ValueError):
 
 def bounded_hull(r: Raster) -> Raster:
     """Union of the occupancy with every complement component that does
-    not touch the free margin ring (the bounded components)."""
+    not touch the free margin ring (the bounded components).  When every
+    component touches the ring there is no hole, and the hull is the
+    occupancy."""
     occ = r.occupancy.astype(bool)
     if occ[0, :].any() or occ[-1, :].any() or occ[:, 0].any() or occ[:, -1].any():
         raise AmbiguousHullError("occupancy touches the raster margin")
     labels = complement_components(r)
+    if len(labels.boundary_touching) == labels.count:
+        return Raster(n=r.n, occupancy=occ, x0=r.x0, y0=r.y0, side=r.side)
     bounded = np.isin(labels.interior_labels, labels.boundary_touching, invert=True)
     hull = occ | (bounded & (labels.interior_labels > 0))
     return Raster(n=r.n, occupancy=hull, x0=r.x0, y0=r.y0, side=r.side)

@@ -99,7 +99,7 @@ def test_criterion_03_complement_connectivity(capsys):
         generic_z, _ = z_grid(cfg, (10, 10))
         assert len(generic_z) >= 100
         for N in (256, 512, 1024):
-            cells = phi_section_cells(N, cfg)
+            cells = phi_section_cells(N)
             for z in generic_z[:100]:
                 connected, _ = check_complement_connected(z, cfg, N, cells=cells)
                 ok &= connected

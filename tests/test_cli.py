@@ -109,6 +109,36 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
         assert "trailing_coordinates_identity" in {c["name"] for c in doc["checks"]}
 
+    def test_failing_symplectic_check_names_worst_point(self, capsys, monkeypatch):
+        import functools
+
+        import cubewrap.cli as climod
+        from cubewrap.maps import symplectic_defect
+
+        _, out = run_main(FAST_VERIFY, capsys)
+        passing = {c["name"]: c for c in json.loads(out)["checks"]}
+        # A tolerance of 0 fails both analytic checks: no sampled defect is exactly 0.
+        zero_tol = functools.partial(climod.EmbeddingConfig, tol_symp=0.0)
+        monkeypatch.setattr(climod, "EmbeddingConfig", zero_tol)
+        code, out = run_main(FAST_VERIFY, capsys)
+        assert code == EXIT_CHECK_FAILED
+        failing = {c["name"]: c for c in json.loads(out)["checks"]}
+        cfg = zero_tol(n=2, c=2.0)
+        maps = {
+            "phi_symplectic_analytic": climod.build_phi(cfg),
+            "psi_symplectic_analytic": climod.build_psi(cfg, a=0.5),
+        }
+        for name, pm in maps.items():
+            entry = failing[name]
+            assert not entry["passed"] and entry["tolerance"] == 0.0
+            assert "worst_point" not in passing[name]
+            assert len(entry["worst_point"]) == 4
+            defect = symplectic_defect(pm, np.array([entry["worst_point"]]))[0]
+            assert entry["value"] == passing[name]["value"]
+            assert defect == pytest.approx(entry["value"], rel=1e-9, abs=0)
+        for name in ("phi_symplectic_fd", "phi_image_volume_mc"):
+            assert "worst_point" not in failing[name]
+
     def test_collision_names_worst_pair(self, capsys, monkeypatch):
         import cubewrap.cli as climod
 

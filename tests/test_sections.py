@@ -324,22 +324,98 @@ class TestBallNorm:
         assert np.array_equal(got, _psi_reference(ys, z, cfg, a))
 
 
+def _square_probe_points(rng):
+    """Square points where λ⁻¹'s closed form could go wrong: uniform, on
+    and beside κ's diagonals, on and beside the edges, near the centre."""
+    t = rng.uniform(1e-6, 1.0 - 1e-6, 20_000)
+    s = rng.choice([-1.0, 1.0], 20_000)
+    side = rng.choice([1e-12, 1e-6, 0.5 - 1e-12], 20_000)
+    tiny = rng.uniform(-1e-9, 1e-9, (20_000, 2))
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, (100_000, 2)),
+        np.stack([t, t], -1),
+        np.stack([t, 1.0 - t], -1),
+        np.stack([t, t + s * 1e-12], -1),
+        np.stack([t, side], -1),
+        np.stack([side, t], -1),
+        np.stack([1.0 - side, t], -1),
+        0.5 + tiny,
+        0.5 + 1e-4 * rng.uniform(-1.0, 1.0, (20_000, 2)),
+    ])
+
+
+def _disc_probe_points(rng):
+    """Disc points: uniform, on κ's diagonals and axes, next to the rim,
+    near the centre."""
+    from cubewrap.maps import DISC_RADIUS
+
+    k = 20_000
+    rho = DISC_RADIUS * rng.uniform(0.0, 1.0, k)
+    axis = rng.integers(0, 8, k) * (math.pi / 4)
+    rim = DISC_RADIUS * (1.0 - rng.uniform(1e-15, 1e-9, k))
+    ang = rng.uniform(-math.pi, math.pi, (3, k))
+    near = np.concatenate([rng.uniform(1e-12, 1e-6, k // 2), rng.uniform(1e-6, 1e-3, k // 2)])
+    polar = [(rho, axis), (rim, ang[0]), (near, ang[1]), (rho, ang[2])]
+    pts = np.concatenate(
+        [np.stack([r * np.cos(a), r * np.sin(a)], -1) for r, a in polar]
+    )
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) < DISC_RADIUS]
+
+
+# Asserted bounds, (q̄ in circle distance, p), of the closed forms against
+# the map round trip.  φ: both sides share κ⁻¹'s (u, v) = y − ½, and the
+# largest errors on the probe points are 2.2e-16 and 6.7e-16.  ψ: the
+# round trip λ⁻¹∘κ adds ½ to coordinates of size |y| in κ and subtracts
+# it again in κ⁻¹, so its angle carries an error up to (2/√π)·2⁻⁵³/|y|
+# that the closed form χ⁻¹ does not have; beyond that the largest errors
+# are 1.1e-14 and 1.1e-15.
+PHI_TOL = (1e-15, 1e-15)
+PSI_TOL = (2e-14, 2e-15)
+
+
 class TestSectionCells:
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_chunked_build_equals_one_pass(self, kind, monkeypatch):
         import cubewrap.sections as sec
-        from cubewrap.maps import KappaMap
+        from cubewrap.maps import ChiMap, square_to_cylinder
 
         rng = np.random.default_rng(8)
         if kind == "phi":
             ys = rng.uniform(0.0, 1.0, (30_000, 2))
-            cyl = make_lambda().inverse(ys)
-            build = lambda: sec.SectionCells.phi(ys, CFG2)  # noqa: E731
+            ys[17] = 0.5  # the puncture is left out
+            inside = np.ones(len(ys), dtype=bool)
+            inside[17] = False
+            cyl = square_to_cylinder(ys[inside])
+            build = lambda: sec.SectionCells.phi(ys)  # noqa: E731
         else:
             ys = rng.uniform(-0.6, 0.6, (30_000, 2))
             inside = np.hypot(ys[:, 0], ys[:, 1]) < sec.DISC_RADIUS
-            cyl = make_lambda().inverse(KappaMap().forward(ys[inside]))
+            cyl = ChiMap(L=1.0, H=1.0).inverse(ys[inside])
             build = lambda: sec.SectionCells.psi(ys)  # noqa: E731
         monkeypatch.setattr(sec, "_CHUNK", 4099)
         cells = build()
+        assert np.array_equal(cells.inside, inside)
         assert np.array_equal(cells.qbar, cyl[:, 0]) and np.array_equal(cells.p, cyl[:, 1])
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_closed_form_matches_map_round_trip(self, kind):
+        from cubewrap.maps import KappaMap
+        from cubewrap.quotient import circle_distance
+        from cubewrap.sections import SectionCells
+
+        rng = np.random.default_rng(21)
+        if kind == "phi":
+            ys = _square_probe_points(rng)
+            cells = SectionCells.phi(ys)
+            ref = make_lambda().inverse(ys[cells.inside])
+            qbar_tol, p_tol = PHI_TOL
+        else:
+            ys = _disc_probe_points(rng)
+            cells = SectionCells.psi(ys)
+            ref = make_lambda().inverse(KappaMap().forward(ys[cells.inside]))
+            qbar_tol, p_tol = PSI_TOL
+            qbar_tol += 2.0**-52 / np.hypot(*ys[cells.inside].T)
+        assert cells.inside.mean() > 0.99
+        assert np.all((cells.qbar >= 0.0) & (cells.qbar < 1.0))
+        assert np.all(circle_distance(cells.qbar, ref[:, 0], 1.0) <= qbar_tol)
+        assert np.abs(cells.p - ref[:, 1]).max() <= p_tol

@@ -108,6 +108,30 @@ class TestBoundedHull:
             hb = bounded_hull(big).occupancy
             assert not np.any(hs & ~hb)
 
+    def test_matches_isin_reference_with_and_without_holes(self):
+        def reference(r):
+            labels = complement_components(r)
+            inner = labels.interior_labels
+            bounded = ~np.isin(inner, labels.boundary_touching) & (inner > 0)
+            return r.occupancy | bounded
+
+        rng = np.random.default_rng(4)
+        rasters = [disk_fixture(), annulus_with_slit_fixture(), annulus_fixture()]
+        for density in (0.05, 0.3, 0.55, 0.7):
+            occ = rng.uniform(size=(48, 48)) < density
+            occ[[0, -1], :] = occ[:, [0, -1]] = False
+            rasters.append(Raster(n=48, occupancy=occ))
+        holes = []
+        for r in rasters:
+            labels = complement_components(r)
+            hull = bounded_hull(r)
+            assert np.array_equal(hull.occupancy, reference(r))
+            assert hull.occupancy is not r.occupancy
+            holes.append(len(labels.boundary_touching) < labels.count)
+            if not holes[-1]:
+                assert np.array_equal(hull.occupancy, r.occupancy)
+        assert holes[:3] == [False, False, True] and True in holes[3:]
+
     def test_margin_contact_is_ambiguous(self):
         occ = np.zeros((64, 64), dtype=bool)
         occ[0, 10] = True
@@ -248,7 +272,7 @@ class TestSharedGeometry:
     )
     def test_phi_shared_cells(self, n, c, zs):
         cfg = EmbeddingConfig(n=n, c=c)
-        cells = phi_section_cells(256, cfg)
+        cells = phi_section_cells(256)
         for z in zs:
             shared = rasterize_section(z, cfg, 256, cells=cells)
             own = rasterize_section(z, cfg, 256)
@@ -275,7 +299,7 @@ class TestSharedGeometry:
 
     def test_cells_of_another_raster_rejected(self):
         with pytest.raises(ValueError):
-            rasterize_section([0.3, 0.7], CFG2, 128, cells=phi_section_cells(256, CFG2))
+            rasterize_section([0.3, 0.7], CFG2, 128, cells=phi_section_cells(256))
         with pytest.raises(ValueError):
             rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=psi_section_cells(256, 3))
 
