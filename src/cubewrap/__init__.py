@@ -17,10 +17,8 @@ from .maps import (
     unshear_wrap,
 )
 from .quotient import (
-    CircleIntervalSet,
     CircleValue,
     LineIntervalSet,
-    complement,
     preimage_affine_mod,
     reduce,
 )
@@ -30,8 +28,6 @@ from .sections import (
     section_area_mc,
     section_membership,
     section_of_phi,
-    v_set,
-    w_set,
 )
 from .topology import (
     Raster,
@@ -55,10 +51,8 @@ __all__ = [
     "shear_wrap",
     "square_to_cylinder",
     "unshear_wrap",
-    "CircleIntervalSet",
     "CircleValue",
     "LineIntervalSet",
-    "complement",
     "preimage_affine_mod",
     "reduce",
     "SectionDescription",
@@ -66,8 +60,6 @@ __all__ = [
     "section_area_mc",
     "section_membership",
     "section_of_phi",
-    "v_set",
-    "w_set",
     "Raster",
     "bounded_hull",
     "check_complement_connected",

@@ -5,7 +5,8 @@ pulls back, through the cylinder-to-square map λ, to a product set on
 the cylinder: the full angle circle minus one point (V), times a union
 of one or two height intervals of total length 1/c (W).  The section in
 the square is λ(V × W), an annular band with a radial slit, of area
-exactly 1/c.
+exactly 1/c.  `SectionDescription` stores V as its one missing point,
+the slit angle, and W as a `LineIntervalSet`.
 
 So whether a plane point lies in a section depends on z only through the
 slit angle and W.  `SectionCells` holds the cylinder coordinates (q̄, p)
@@ -37,7 +38,6 @@ from .maps import (
     unshear_wrap,
 )
 from .quotient import (
-    CircleIntervalSet,
     CircleValue,
     LineIntervalSet,
     preimage_affine_mod,
@@ -50,10 +50,7 @@ MIN_MC_SAMPLES = 10_000
 __all__ = [
     "SectionDescription",
     "SectionCells",
-    "v_set",
-    "w_set",
     "section_of_phi",
-    "sections_of_phi",
     "resolve_section",
     "section_membership",
     "section_membership_many",
@@ -79,82 +76,61 @@ _BALL_K = 4.0 / math.pi
 _CHUNK = 1 << 16
 
 
-def v_set(Q2: float, c: float) -> CircleIntervalSet:
-    """The angle circle R/Z minus the single point -c*Q2 mod 1."""
-    if not 0 < Q2 < 1:
-        raise ValueError(f"Q2 must be in (0,1), got {Q2}")
-    if not c >= 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    vp = circle_reduce(-c * Q2, 1.0).representative
-    return CircleIntervalSet.from_arcs([(vp, 1.0)], 1.0)
-
-
-def w_set(P2bar: CircleValue, c: float) -> LineIntervalSet:
-    """Heights P1 in (0,1) reachable at angle class P2bar: one or two
-    open intervals of total length 1/c."""
-    if P2bar.period != c:
-        raise ValueError("P2bar period must equal c")
-    return preimage_affine_mod(P2bar, c, offset_range=(0.0, 1.0), clip=(0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class SectionDescription:
-    """Analytic data of one z-section of the embedded cube's image."""
+    """Analytic data of one z-section of the embedded cube's image: V
+    as its one missing point, `slit_angle`, and the heights W."""
 
     z: tuple
     status: str  # "empty" | "puncture" | "generic"
     Q2: float | None = None
     P2bar: CircleValue | None = None
-    V: CircleIntervalSet | None = None
+    slit_angle: float | None = None
     W: LineIntervalSet | None = None
     analytic_area: float = 0.0
 
-    @property
-    def slit_angle(self) -> float | None:
-        """The removed angle on the circle (start of the single V arc)."""
-        if self.V is None or not self.V.arcs:
-            return None
-        return self.V.arcs[0][0]
 
-
-def sections_of_phi(zs, config: EmbeddingConfig):
-    """Describe the section at every row z of `zs` (shape (m, 2n-2)), in
-    order, one at a time.
-
-    Empty off (0,1) x (0,c) x (0,1)^{2n-4}, empty at the rectangle
-    puncture, otherwise a generic ribbon section of area exactly 1/c.
-    λ′⁻¹ is applied once to the (z1, z2) of all generic rows.
-    """
+def _inside_generic(zs, config: EmbeddingConfig):
+    """Masks over the rows z of `zs` (shape (m, 2n-2)): inside, z in
+    (0,1) x (0,c) x (0,1)^{2n-4}; generic, inside and off the rectangle
+    puncture z0."""
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != 2 * config.n - 2:
         raise ValueError(f"z must have {2 * config.n - 2} coordinates")
-    c = config.c
     z1, z2, tail = zs[:, 0], zs[:, 1], zs[:, 2:]
-    inside = (0 < z1) & (z1 < 1) & (0 < z2) & (z2 < c)
+    inside = (0 < z1) & (z1 < 1) & (0 < z2) & (z2 < config.c)
     inside &= np.all((tail > 0) & (tail < 1), axis=1)
     generic = inside & ~((z1 == config.z0[0]) & (z2 == config.z0[1]))
-    cyl = iter(make_lambda_prime(c).inverse(zs[generic, :2]).tolist())
-    for z, is_inside, is_generic in zip(zs.tolist(), inside.tolist(), generic.tolist()):
-        z = tuple(z)
-        if not is_generic:
-            yield SectionDescription(z=z, status="puncture" if is_inside else "empty")
-            continue
-        Q2, P2 = next(cyl)
-        P2bar = circle_reduce(P2, c)
-        yield SectionDescription(
-            z=z,
-            status="generic",
-            Q2=Q2,
-            P2bar=P2bar,
-            V=v_set(Q2, c),
-            W=w_set(P2bar, c),
-            analytic_area=1.0 / c,
-        )
+    return inside, generic
 
 
 def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
-    """Describe the section at z in R^{2n-2} (see `sections_of_phi`)."""
-    return next(sections_of_phi(np.atleast_1d(np.asarray(z, dtype=float))[None], config))
+    """Describe the section at z in R^{2n-2}.
+
+    Empty off (0,1) x (0,c) x (0,1)^{2n-4}, empty at the rectangle
+    puncture, otherwise a generic ribbon section of area exactly 1/c:
+    with (Q2, P2) = λ′⁻¹(z1, z2), the slit sits at angle -c·Q2 mod 1 and
+    W is `preimage_affine_mod(P2 mod c, c)`.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=float))[None]
+    inside, generic = _inside_generic(zs, config)
+    z = tuple(zs[0].tolist())
+    if not generic[0]:
+        return SectionDescription(z=z, status="puncture" if inside[0] else "empty")
+    c = config.c
+    Q2, P2 = make_lambda_prime(c).inverse(zs[:, :2])[0].tolist()
+    if not 0 < Q2 < 1:
+        raise ValueError(f"Q2 must be in (0,1), got {Q2}")
+    P2bar = circle_reduce(P2, c)
+    return SectionDescription(
+        z=z,
+        status="generic",
+        Q2=Q2,
+        P2bar=P2bar,
+        slit_angle=circle_reduce(-c * Q2, 1.0).representative,
+        W=preimage_affine_mod(P2bar, c),
+        analytic_area=1.0 / c,
+    )
 
 
 def resolve_section(sd_or_z, config: EmbeddingConfig) -> SectionDescription:
@@ -312,7 +288,8 @@ def pad_z(z, config: EmbeddingConfig):
 def z_grid(config: EmbeddingConfig, shape=(50, 100), exclude_radius: float = 1e-3):
     """Cell-center grid over (0,1) x (0,c), in z1-major order, as z of
     2n-2 coordinates (`pad_z`); cells within the exclusion radius of the
-    rectangle puncture are reported separately."""
+    rectangle puncture are reported separately.  A grid with no cell
+    left outside that radius is an error."""
     w, h = shape
     c = config.c
     z1 = (np.arange(w) + 0.5) / w
@@ -321,6 +298,11 @@ def z_grid(config: EmbeddingConfig, shape=(50, 100), exclude_radius: float = 1e-
     pts = pad_z(np.stack([Z1.ravel(), Z2.ravel()], axis=-1), config)
     z0 = np.array(config.z0)
     near = np.hypot(pts[:, 0] - z0[0], pts[:, 1] - z0[1]) < exclude_radius
+    if near.all():
+        raise ValueError(
+            f"z grid {w}x{h} has no generic cell: no cell centre lies "
+            f"{exclude_radius} or more from the puncture z0"
+        )
     return pts[~near], pts[near]
 
 
@@ -334,16 +316,16 @@ def fubini_check(
     """Check that section areas integrate to the cube volume 1 and that
     the maximal area attains the sharp bound 1/c.
 
-    The sections of the whole grid come from one `sections_of_phi` pass
-    and are consumed one at a time."""
+    Every generic section has area 1/c (see `section_of_phi`), so the
+    areas of the whole grid come from one inside/generic mask."""
+    if mc_spots < 0:
+        raise ValueError(f"mc_spots must be non-negative, got {mc_spots}")
     generic_z, special_z = z_grid(config, grid)
     c = config.c
     # Cells at or near the puncture contribute area 0 over a measure-zero
     # (in the grid limit) region; include them at their analytic value.
-    zs = np.concatenate([generic_z, special_z])
-    all_areas = np.fromiter(
-        (sd.analytic_area for sd in sections_of_phi(zs, config)), float, len(zs)
-    )
+    _, generic = _inside_generic(np.concatenate([generic_z, special_z]), config)
+    all_areas = np.where(generic, 1.0 / c, 0.0)
     areas = all_areas[: len(generic_z)]
     integral = float(all_areas.mean() * c)
     spots = []

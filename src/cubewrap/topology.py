@@ -383,13 +383,14 @@ def check_hull_bound(
 
     The raster geometry is built once and serves every z of the grid."""
     cfg = psi_config(config, a)
+    zs = z_grid(cfg, grid)[0]
     cells = psi_section_cells(N)
     entries = []
     worst_tol = 0.0
     worst, worst_excess = (), -math.inf
     all_ok = True
     hull_eq = True
-    for z in z_grid(cfg, grid)[0]:
+    for z in zs:
         r = rasterize_psi_section(z, cfg, a, N, cells=cells)
         hull = bounded_hull(r)
         tol = 4.0 * r.perimeter_estimate() / N

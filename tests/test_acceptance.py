@@ -293,7 +293,7 @@ def test_criterion_10_w_set_oracle(capsys):
         ok &= not np.any((analytic != oracle) & ~near_edge)
     report(
         capsys, 10,
-        "w_set matches the brute-force congruence grid for 1000 random cases, length = 1/c",
+        "W matches the brute-force congruence grid for 1000 random cases, length = 1/c",
         ok, f"worst length error {worst_len:.2e}",
     )
 

@@ -18,6 +18,20 @@ where (q̄, p) is `maps.square_to_cylinder`'s closed form.  Numerical
 spot checks tie the symbolic κ⁻¹ and closed form to the code.  Each
 certificate is shown to fail on a planted wrong constant and on the
 formula of a neighbouring sector.
+
+The heights W of a section, `quotient.preimage_affine_mod(T, c)`, are
+the x in (0, 1) with c·x + t = T (mod c) for some t in (0, 1).  The
+code takes the arc start s = (T − 1)/c + k, k the integer that reduces
+it into [0, 1), and e = s + 1/c, and returns (s, e) when e ≤ 1, else
+(0, min(e − 1, s)) and (s, 1).  With c = 1 + d, d ≥ 0, the certificates
+prove:
+
+* start: (T − c·s − 1)/c is an integer, so at x = s the offset t that
+  solves the congruence is 1, and it falls to 0 as x runs to s + 1/c;
+* length: on each branch the pieces have total length exactly 1/c (on
+  the wrapped one, c ≥ 1 resolves the min to e − 1).
+
+Each fails on a planted wrong arc start or wrapped-piece end.
 """
 
 import math
@@ -27,7 +41,7 @@ import pytest
 import sympy as sp
 
 from cubewrap.maps import KappaMap, square_to_cylinder
-from cubewrap.quotient import circle_distance
+from cubewrap.quotient import circle_distance, preimage_affine_mod, reduce
 from cubewrap.sections import _BALL_K
 
 R = sp.Symbol("R", positive=True)
@@ -125,3 +139,60 @@ def test_symbolic_forms_match_the_code(sector):
         assert circle_distance(qbar, q_ref, 1.0) <= 4e-16
         assert p == pytest.approx(p_ref, abs=4e-16, rel=0)
         assert math.isclose(np.sum(KappaMap().inverse(y) ** 2), _BALL_K * Rv**2, rel_tol=1e-14)
+
+
+TARGET = sp.Symbol("T", real=True)
+D = sp.Symbol("d", nonnegative=True)
+K_SHIFT = sp.Symbol("k", integer=True)
+C_SCALE = 1 + D
+
+
+def w_pieces(branch, start=None, wrap_end=None):
+    """W's pieces on a branch, as `preimage_affine_mod` writes them."""
+    c = C_SCALE
+    s = (TARGET - 1) / c + K_SHIFT if start is None else start
+    e = s + 1 / c
+    if branch == "unwrapped":
+        return s, [(s, e)]
+    end = sp.Min(e - 1, s) if wrap_end is None else wrap_end(e, s)
+    return s, [(sp.Integer(0), end), (s, sp.Integer(1))]
+
+
+def certify_w(branch, **planted):
+    s, pieces = w_pieces(branch, **planted)
+    c = C_SCALE
+    length = sum(b - a for a, b in pieces)
+    return {
+        "start": sp.simplify((TARGET - c * s - 1) / c).is_integer is True,
+        "length": sp.simplify(length - 1 / c) == 0,
+    }
+
+
+@pytest.mark.parametrize("branch", ["unwrapped", "wrapped"])
+def test_w_length_proved(branch):
+    assert certify_w(branch) == {"start": True, "length": True}
+
+
+@pytest.mark.parametrize("branch", ["unwrapped", "wrapped"])
+def test_w_certificate_fails_on_planted_errors(branch):
+    wrong_start = TARGET / C_SCALE + K_SHIFT
+    assert not certify_w(branch, start=wrong_start)["start"]
+    if branch == "wrapped":
+        assert not certify_w(branch, wrap_end=lambda e, s: e - 1 + s)["length"]
+        assert not certify_w(branch, wrap_end=lambda e, s: s)["length"]
+
+
+def test_w_symbolic_pieces_match_the_code():
+    """The symbolic pieces are the ones `preimage_affine_mod` returns."""
+    branches = {b: sp.lambdify((TARGET, D, K_SHIFT), w_pieces(b)[1], "math")
+                for b in ("unwrapped", "wrapped")}
+    rng = np.random.default_rng(7)
+    seen = set()
+    for c in np.concatenate([[1.0, 2.0, math.pi], rng.uniform(1.0, 10.0, 200)]):
+        T = float(rng.uniform(0.0, c))
+        k = -math.floor((T - 1.0) / c)
+        branch = "unwrapped" if (T - 1.0) / c + k + 1.0 / c <= 1.0 else "wrapped"
+        seen.add(branch)
+        got = preimage_affine_mod(reduce(T, c), c).intervals
+        assert np.allclose(got, branches[branch](T, c - 1.0, k), rtol=0, atol=1e-15)
+    assert seen == {"unwrapped", "wrapped"}

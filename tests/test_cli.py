@@ -55,6 +55,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--samples must be at least 10000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sections", "--grid", "0x5"],
+            ["sections", "--grid", "1x1"],
+            ["topology", "--hull", "--grid", "1x1"],
+            ["topology", "--grid", "1x1"],
+            ["topology", "--grid", "0x1"],
+        ],
+    )
+    def test_usage_error_grid_without_generic_cell(self, capsys, argv):
+        # at 1x1 the only cell centre is the puncture z0
+        code = main(argv)
+        assert code == EXIT_USAGE
+        assert f"z grid {argv[-1]} has no generic cell" in capsys.readouterr().err
+
+    def test_usage_error_negative_mc_spots(self, capsys):
+        code = main(["sections", "--grid", "5x10", "--mc-spots", "-3", "--samples", "20000"])
+        assert code == EXIT_USAGE
+        assert "mc_spots must be non-negative, got -3" in capsys.readouterr().err
+
     def test_config_error_bad_c(self, capsys):
         code, _ = run_main(["verify", "--c", "0.5", "--samples", "20000"], capsys)
         assert code == EXIT_USAGE

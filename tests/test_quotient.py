@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubewrap.quotient import (
-    CircleIntervalSet,
     InvalidPeriodError,
     LineIntervalSet,
-    complement,
     preimage_affine_mod,
     reduce,
 )
+
+# Targets at scale 1 where start + 1 - 1 rounds one ulp past the start.
+FULL_CIRCLE_TARGETS = (0.4632352941176471, 0.5, 0.46710526315789474)
 
 
 def w_grid_oracle(t: float, c: float, step: float = 1e-3):
@@ -22,6 +23,21 @@ def w_grid_oracle(t: float, c: float, step: float = 1e-3):
     p2_grid = np.clip(np.round(s / step) * step, step, 1 - step)
     d = np.minimum(np.abs(s - p2_grid), c - np.abs(s - p2_grid))
     return P1, d <= step / 2 + 1e-12
+
+
+def w_arc_reference(t: float, c: float):
+    """W by the general arc path: the arc of start (t - 1)/c and length
+    1/c on R/Z, reduced, unrolled into line pieces, clipped to (0, 1),
+    fragments of 1e-15 or less dropped, and normalized."""
+    s = reduce((t - 1.0) / c, 1.0).representative
+    e = s + 1.0 / c
+    pieces = [(s, e)] if e <= 1.0 else [(s, 1.0), (0.0, min(e - 1.0, s))]
+    out = []
+    for a, b in sorted(pieces):
+        a, b = max(a, 0.0), min(b, 1.0)
+        if b - a > 1e-15:
+            out.append((a, b))
+    return LineIntervalSet.from_intervals(out).intervals
 
 
 class TestReduce:
@@ -61,55 +77,6 @@ class TestReduce:
             L = rng.uniform(1e-2, 10)
             r = reduce(x, L)
             assert reduce(r.representative, L).representative == r.representative
-
-
-class TestCircleIntervalSet:
-    def test_complement_of_near_full(self):
-        s = CircleIntervalSet.from_arcs([(0.3, 1.0)], 1.0)
-        assert complement(s).arcs == ()
-
-    def test_complement_of_single_arc(self):
-        s = CircleIntervalSet.from_arcs([(0.0, 0.25)], 1.0)
-        assert complement(s).arcs == ((0.25, 0.75),)
-
-    def test_complement_of_wrapped_pair(self):
-        s = CircleIntervalSet.from_arcs([(0.0, 0.25), (0.75, 0.25)], 1.0)
-        assert complement(s).arcs == ((0.25, 0.5),)
-
-    def test_merge_adjacent(self):
-        s = CircleIntervalSet.from_arcs([(0.0, 0.25), (0.25, 0.25)], 1.0)
-        assert s.arcs == ((0.0, 0.5),)
-
-    def test_complement_involution(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            k = rng.integers(1, 4)
-            starts = np.sort(rng.uniform(0, 1, 2 * k))
-            arcs = [(starts[2 * i], starts[2 * i + 1] - starts[2 * i]) for i in range(k)]
-            arcs = [(s, l) for s, l in arcs if l > 1e-6]
-            if not arcs:
-                continue
-            s = CircleIntervalSet.from_arcs(arcs, 1.0)
-            cc = complement(complement(s))
-            assert len(cc.arcs) == len(s.arcs)
-            assert cc.total_length == pytest.approx(s.total_length, abs=1e-12)
-
-    def test_open_membership(self):
-        s = CircleIntervalSet.from_arcs([(0.2, 0.3)], 1.0)
-        assert not s.contains(0.2)
-        assert not s.contains(0.5)
-        assert s.contains(0.35)
-        assert s.contains_many([0.2, 0.35, 0.5]).tolist() == [False, True, False]
-
-    def test_length_complement_additivity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(500):
-            L = rng.uniform(0.5, 5)
-            a, b = np.sort(rng.uniform(0, L, 2))
-            if b - a < 1e-9:
-                continue
-            s = CircleIntervalSet.from_arcs([(a, b - a)], L)
-            assert s.total_length + complement(s).total_length == pytest.approx(L, rel=1e-12)
 
 
 class TestLineIntervalSet:
@@ -154,7 +121,7 @@ class TestPreimageAffineMod:
         # scale 1: the preimage is the full interval minus one point, and
         # the split must survive the wrap arithmetic (start + 1 - 1 can
         # round one ulp past the start and silently merge the pieces)
-        for t in (0.4632352941176471, 0.5, 0.46710526315789474):
+        for t in FULL_CIRCLE_TARGETS:
             w = preimage_affine_mod(reduce(t, 1.0), 1.0)
             assert len(w.intervals) == 2
             assert w.intervals[0][1] == w.intervals[1][0]
@@ -192,3 +159,24 @@ class TestPreimageAffineMod:
             # oracle acceptances lie within one grid step of the set
             near = w.contains_many(P1) | w.contains_many(P1 - step) | w.contains_many(P1 + step)
             assert not np.any(oracle & ~near)
+
+    @given(
+        t=st.floats(0.0, 1e3, allow_nan=False),
+        c=st.floats(1.0, 1e3, allow_nan=False),
+    )
+    @example(t=0.0, c=2.0)
+    @example(t=0.0, c=1.0)
+    @example(t=float(np.nextafter(2.0, 0.0)), c=2.0)
+    @example(t=float(np.nextafter(np.pi, 0.0)), c=np.pi)
+    @example(t=float(np.nextafter(1.0, 0.0)), c=2.0)
+    @example(t=float(np.nextafter(1.0, 2.0)), c=2.0)
+    @example(t=float(np.nextafter(1.0, 0.0)), c=1.0)
+    @example(t=FULL_CIRCLE_TARGETS[0], c=1.0)
+    @example(t=FULL_CIRCLE_TARGETS[1], c=1.0)
+    @example(t=FULL_CIRCLE_TARGETS[2], c=1.0)
+    @settings(max_examples=2000, deadline=None)
+    def test_equals_arc_reference(self, t, c):
+        target = reduce(t, c)
+        w = preimage_affine_mod(target, c)
+        bits = [x.hex() for iv in w.intervals for x in iv]
+        assert bits == [x.hex() for iv in w_arc_reference(target.representative, c) for x in iv]

@@ -5,60 +5,79 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda
-from cubewrap.quotient import reduce
+from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda, make_lambda_prime
+from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
+    SLIT_TOL,
+    _in_ribbon,
     fubini_check,
     psi_section_membership_many,
     section_area_mc,
     section_membership,
     section_membership_many,
     section_of_phi,
-    v_set,
-    w_set,
 )
 
 CFG2 = EmbeddingConfig(n=2, c=2.0)
 
 
 class TestVSet:
+    """V, the angle circle minus one point, is stored as that point."""
+
     def test_removed_point(self):
-        v = v_set(0.3, 2.0)
-        # removed angle: -0.6 mod 1 = 0.4
-        assert not v.contains(0.4)
-        assert v.contains(0.41)
-        assert v.total_length == 1.0
+        sd = section_of_phi([0.3, 0.7], CFG2)
+        assert sd.slit_angle == reduce(-2.0 * sd.Q2, 1.0).representative
+        # a height in W: the ribbon drops the slit angle, keeps its neighbour
+        p = np.full(2, sum(sd.W.intervals[0]) / 2)
+        qbar = np.mod([sd.slit_angle, sd.slit_angle + 0.01], 1.0)
+        assert _in_ribbon(qbar, p, sd, SLIT_TOL).tolist() == [False, True]
 
     def test_c1_symmetry(self):
-        v = v_set(0.5, 1.0)
-        assert not v.contains(0.5)
-        assert v.contains(0.1)
+        cfg = EmbeddingConfig(n=2, c=1.0)
+        sd = section_of_phi([0.3, 0.7], cfg)
+        assert sd.slit_angle == reduce(-sd.Q2, 1.0).representative
+        # at c = 1, W is all of (0, 1) but one point, and the slit stays out
+        assert sd.W.total_length == pytest.approx(1.0, abs=1e-15)
+        lam = make_lambda()
+        for t in (0.1, 0.45, 0.8):
+            assert not section_membership(lam.forward(np.array([sd.slit_angle, t])), sd, cfg)
+            assert section_membership(lam.forward(np.array([sd.slit_angle + 0.1, t])), sd, cfg)
 
     def test_domain(self):
+        # z within rounding of the puncture: λ′⁻¹ returns the height 1
+        with pytest.raises(ValueError, match="Q2 must be in"):
+            section_of_phi([0.5, float(np.nextafter(1.0, 2.0))], CFG2)
         with pytest.raises(ValueError):
-            v_set(0.0, 2.0)
-        with pytest.raises(ValueError):
-            v_set(0.5, 0.5)
+            EmbeddingConfig(n=2, c=0.5)
 
 
 class TestWSet:
+    """W, the heights of a generic section, is `preimage_affine_mod`."""
+
+    @staticmethod
+    def _section_at(P2, c, Q2=0.3):
+        cfg = EmbeddingConfig(n=2, c=c)
+        z = make_lambda_prime(c).forward(np.array([Q2, P2]))
+        return section_of_phi(z, cfg)
+
     def test_split_case(self):
-        assert w_set(reduce(0.5, 2.0), 2.0).intervals == ((0.0, 0.25), (0.75, 1.0))
+        sd = self._section_at(0.5, 2.0)
+        assert sd.W == preimage_affine_mod(sd.P2bar, 2.0)
+        assert np.allclose(sd.W.intervals, ((0.0, 0.25), (0.75, 1.0)), atol=1e-12)
 
     def test_single_case(self):
-        assert w_set(reduce(1.5, 2.0), 2.0).intervals == ((0.25, 0.75),)
-
-    def test_period_mismatch(self):
-        with pytest.raises(ValueError):
-            w_set(reduce(0.5, 1.0), 2.0)
+        sd = self._section_at(1.5, 2.0)
+        assert sd.W == preimage_affine_mod(sd.P2bar, 2.0)
+        assert np.allclose(sd.W.intervals, ((0.25, 0.75),), atol=1e-12)
 
     def test_interval_count_and_length(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             c = rng.uniform(1, 8)
-            w = w_set(reduce(rng.uniform(0, c), c), c)
-            assert len(w.intervals) in (1, 2)
-            assert abs(w.total_length - 1 / c) < 1e-12
+            sd = self._section_at(rng.uniform(0, c), c, Q2=rng.uniform(0.01, 0.99))
+            assert sd.W == preimage_affine_mod(sd.P2bar, c)
+            assert len(sd.W.intervals) in (1, 2)
+            assert abs(sd.W.total_length - 1 / c) < 1e-12
 
 
 class TestSectionOfPhi:
@@ -74,7 +93,7 @@ class TestSectionOfPhi:
         sd = section_of_phi([0.3, 0.7], CFG2)
         assert sd.status == "generic"
         assert sd.analytic_area == 0.5
-        assert sd.V.total_length == 1.0
+        assert 0.0 <= sd.slit_angle < 1.0
         assert abs(sd.W.total_length - 0.5) < 1e-12
 
     def test_n3_tail_handling(self):
@@ -188,7 +207,6 @@ class TestPsiSectionMembership:
 
 def _section_reference(z, config):
     """Per-z description with λ′ built and inverted for one point."""
-    from cubewrap.maps import make_lambda_prime
     from cubewrap.sections import SectionDescription
 
     z = tuple(float(v) for v in z)
@@ -201,7 +219,8 @@ def _section_reference(z, config):
     Q2, P2bar = float(cyl[0]), reduce(float(cyl[1]), c)
     return SectionDescription(
         z=z, status="generic", Q2=Q2, P2bar=P2bar,
-        V=v_set(Q2, c), W=w_set(P2bar, c), analytic_area=1.0 / c,
+        slit_angle=reduce(-c * Q2, 1.0).representative,
+        W=preimage_affine_mod(P2bar, c), analytic_area=1.0 / c,
     )
 
 
@@ -238,24 +257,31 @@ def _psi_reference(ys, z, config, a, slit_tol=1e-9):
 class TestSectionsOfPhi:
     @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi])
     def test_batch_equals_per_z(self, c):
-        from cubewrap.sections import sections_of_phi, z_grid
+        from cubewrap.sections import _inside_generic, z_grid
 
         cfg = EmbeddingConfig(n=2, c=c)
         generic_z, special_z = z_grid(cfg, (50, 100))
         zs = np.concatenate([generic_z, special_z, [cfg.z0, (1.5, 0.5)]])
-        batch = list(sections_of_phi(zs, cfg))
-        assert batch == [section_of_phi(z, cfg) for z in zs]
-        assert batch == [_section_reference(z, cfg) for z in zs]
-        assert [sd.status for sd in batch[-2:]] == ["puncture", "empty"]
+        per_z = [section_of_phi(z, cfg) for z in zs]
+        assert per_z == [_section_reference(z, cfg) for z in zs]
+        assert [sd.status for sd in per_z[-2:]] == ["puncture", "empty"]
+        # fubini_check's one mask gives every z the status section_of_phi does
+        inside, generic = _inside_generic(zs, cfg)
+        status = np.where(generic, "generic", np.where(inside, "puncture", "empty"))
+        assert status.tolist() == [sd.status for sd in per_z]
+        # and its areas are the per-z analytic areas, bit for bit
+        fr = fubini_check(cfg, grid=(50, 100))
+        areas = np.array([sd.analytic_area for sd in per_z[:-2]])
+        assert fr.analytic_integral == float(areas.mean() * c)
+        assert fr.max_area == float(areas.max())
+        assert fr.min_generic_area == float(areas[: len(generic_z)].min())
 
     def test_n3_tail_and_dimension(self):
-        from cubewrap.sections import sections_of_phi
-
         cfg = EmbeddingConfig(n=3, c=2.0)
         zs = [[0.3, 0.7, 0.5, 0.5], [0.3, 0.7, 1.5, 0.5], [0.6, 1.1, 0.2, 0.9]]
-        assert list(sections_of_phi(zs, cfg)) == [_section_reference(z, cfg) for z in zs]
+        assert [section_of_phi(z, cfg) for z in zs] == [_section_reference(z, cfg) for z in zs]
         with pytest.raises(ValueError):
-            list(sections_of_phi([[0.3, 0.7]], cfg))
+            section_of_phi([0.3, 0.7], cfg)
 
     def test_fubini_does_not_call_section_of_phi_per_cell(self, monkeypatch):
         import cubewrap.sections as sec
