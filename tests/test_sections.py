@@ -70,6 +70,15 @@ class TestWSet:
         assert sd.W == preimage_affine_mod(sd.P2bar, 2.0)
         assert np.allclose(sd.W.intervals, ((0.25, 0.75),), atol=1e-12)
 
+    def test_period_mismatch(self):
+        # P̄2 lives on R/cZ: W cannot be taken against another period
+        sd = self._section_at(0.5, 2.0)
+        assert sd.P2bar.period == 2.0
+        with pytest.raises(ValueError):
+            preimage_affine_mod(sd.P2bar, 3.0)
+        with pytest.raises(ValueError):
+            preimage_affine_mod(reduce(0.5, 1.0), 2.0)
+
     def test_interval_count_and_length(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
