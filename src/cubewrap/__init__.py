@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 
 from .maps import (
     DISC_RADIUS,
+    SYMPLECTIC_TOL,
     EmbeddingConfig,
     build_phi,
     build_psi,
@@ -42,6 +43,7 @@ from .topology import (
 __all__ = [
     "__version__",
     "DISC_RADIUS",
+    "SYMPLECTIC_TOL",
     "EmbeddingConfig",
     "build_phi",
     "build_psi",

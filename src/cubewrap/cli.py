@@ -6,11 +6,19 @@ Subcommands:
   topology  complement connectivity and bounded-hull checks
   plot      SVG figures of the cylinder ribbon, its square image, raster
 
+Each subcommand takes only the flags it reads; the defaults are the
+argparse defaults, and nothing else (no environment variable) sets them:
+
+  verify    --n --c --seed --samples --out
+  sections  --n --c --seed --samples --grid --mc-spots --out
+  topology  --n --c --seed --N --grid --hull --a --fixture --out
+  plot      --n --c --z --N --out
+
 Reports are JSON (schema "1") and byte-identical for identical spec and
-seed; timing goes to stderr so it never perturbs report bytes.  Exit
-codes: 0 all checks pass, 1 check failure, 2 usage/config error, 3 I/O
-error.  Every flag can be overridden with a CUBEWRAP_<NAME> environment
-variable (e.g. CUBEWRAP_SEED=7).
+seed; the spec keeps every key of the schema, null ([] for grid, false
+for hull) where the subcommand has no such flag.  Timing goes to stderr
+so it never perturbs report bytes.  Exit codes: 0 all checks pass, 1
+check failure, 2 usage/config error, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -20,12 +28,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .maps import (
     DISC_RADIUS,
+    SMOOTH_MARGIN,
+    SYMPLECTIC_TOL,
     EmbeddingConfig,
     build_phi,
     build_psi,
@@ -64,6 +75,11 @@ EXIT_IO = 3
 # preimages are at least PREIMAGE_MIN apart count as a collision.
 IMAGE_TOL = 1e-7
 PREIMAGE_MIN = 1e-3
+
+# Pixel sizes of the figures, and the arcs per band outline of section.svg.
+_FIGURE_SIZE = 400
+_RASTER_FIGURE_SIZE = 512
+_BAND_ARCS = 512
 
 _FIXTURES = {
     "annulus": annulus_fixture,
@@ -184,19 +200,19 @@ def cmd_verify(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
     phi = build_phi(config)
     checks = []
-    spec = _spec_echo(args, command="verify")
+    spec = _spec_echo(args)
 
     with _Phase("symplecticity"):
-        rep = check_symplectic(phi, samples=10_000, tol=config.tol_symp, seed=args.seed)
+        rep = check_symplectic(phi, samples=10_000, tol=SYMPLECTIC_TOL, seed=args.seed)
         checks.append(_symplectic_check("phi_symplectic_analytic", rep))
         rng = np.random.default_rng(args.seed + 1)
-        Xs = phi.sample_domain(rng, 1000, margin=1e-4)
-        Jfd = finite_difference_jacobian(phi.forward, Xs, config.fd_step)
+        Xs = phi.sample_domain(rng, 1000, margin=SMOOTH_MARGIN)
+        Jfd = finite_difference_jacobian(phi.forward, Xs)
         Om = symplectic_matrix(config.n)
         dev_fd = float(np.abs(np.swapaxes(Jfd, -1, -2) @ Om @ Jfd - Om).max())
         checks.append(_check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4))
         psi = build_psi(config, a=1.0 / args.c)
-        rep_psi = check_symplectic(psi, samples=10_000, tol=config.tol_symp, seed=args.seed)
+        rep_psi = check_symplectic(psi, samples=10_000, tol=SYMPLECTIC_TOL, seed=args.seed)
         checks.append(_symplectic_check("psi_symplectic_analytic", rep_psi))
 
     with _Phase("containment"):
@@ -249,7 +265,7 @@ def cmd_verify(args) -> int:
 def cmd_sections(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
     checks = []
-    spec = _spec_echo(args, command="sections")
+    spec = _spec_echo(args)
     w, h = args.grid
     artifacts = []
 
@@ -320,22 +336,19 @@ def cmd_sections(args) -> int:
         artifacts.append(csv_path)
 
     report = _report(spec, checks, artifacts)
-    report["fubini"] = fr.to_dict()
+    report["fubini"] = asdict(fr)
     return _finish(report, args)
 
 
 def cmd_topology(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
     checks = []
-    spec = _spec_echo(args, command="topology")
+    spec = _spec_echo(args)
+    if args.a is not None and not args.hull:
+        raise ValueError("--a sets the bound of --hull and needs it")
 
     if args.fixture:
-        try:
-            fixture = _FIXTURES[args.fixture]
-        except KeyError:
-            print(f"unknown fixture {args.fixture!r}", file=sys.stderr)
-            return EXIT_USAGE
-        r = fixture(args.N)
+        r = _FIXTURES[args.fixture](args.N)
         labels = complement_components(r)
         expected = 1 if args.fixture != "annulus" else 2
         checks.append(
@@ -366,7 +379,7 @@ def cmd_topology(args) -> int:
             _check("hull_equals_section", hr.hull_equals_section, hr.hull_equals_section)
         )
         report = _report(spec, checks)
-        report["hull"] = hr.to_dict()
+        report["hull"] = {k: v for k, v in asdict(hr).items() if k != "worst"}
         return _finish(report, args)
 
     with _Phase("connectivity"):
@@ -379,7 +392,7 @@ def cmd_topology(args) -> int:
         cells = phi_section_cells(args.N)
         for i in idx:
             ok, rep = check_complement_connected(generic_z[i], config, args.N, cells=cells)
-            conn_reports.append(rep.to_dict())
+            conn_reports.append(asdict(rep))
             if not ok and first_bad is None:
                 first_bad = rep
     extra = {}
@@ -422,9 +435,10 @@ def _polyline(points, stroke, width="1"):
     return f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width}"/>\n'
 
 
-def _ribbon_svg(sd, size=400):
+def _ribbon_svg(sd):
     """The product set on the unrolled cylinder: angle horizontal, height
     vertical, with the removed angle drawn as a slit line."""
+    size = _FIGURE_SIZE
     out = [_svg_header(size, size)]
     out.append(f'<rect width="{size}" height="{size}" fill="#dde9f5"/>\n')
     vp = sd.slit_angle
@@ -441,8 +455,9 @@ def _ribbon_svg(sd, size=400):
     return "".join(out)
 
 
-def _section_svg(sd, size=400, arcs=512):
+def _section_svg(sd):
     """The section in the square: annular band(s) with the radial slit."""
+    size, arcs = _FIGURE_SIZE, _BAND_ARCS
     lam = make_lambda()
     out = [_svg_header(size, size)]
     out.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
@@ -469,8 +484,9 @@ def _section_svg(sd, size=400, arcs=512):
     return "".join(out)
 
 
-def _raster_svg(r, size=512):
+def _raster_svg(r):
     """Run-length rectangles of the occupancy grid."""
+    size = _RASTER_FIGURE_SIZE
     out = [_svg_header(size, size)]
     out.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
     s = size / r.n
@@ -486,9 +502,12 @@ def _raster_svg(r, size=512):
 
 def cmd_plot(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
-    spec = _spec_echo(args, command="plot")
+    spec = _spec_echo(args)
     z = args.z if args.z is not None else (0.3, 0.7 * args.c)
     sd = section_of_phi(pad_z(z, config), config)
+    # Rasterized before any file is written, so an --N below the raster
+    # minimum writes nothing.
+    r = rasterize_section(sd, config, args.N)
     outdir = args.out or "."
     artifacts = []
     try:
@@ -496,16 +515,12 @@ def cmd_plot(args) -> int:
         for name, content in [
             ("ribbon.svg", _ribbon_svg(sd) if sd.status == "generic" else _section_svg(sd)),
             ("section.svg", _section_svg(sd)),
+            ("raster.svg", _raster_svg(r)),
         ]:
             path = os.path.join(outdir, name)
             with open(path, "w") as fh:
                 fh.write(content)
             artifacts.append(path)
-        r = rasterize_section(sd, config, max(args.N, 64) if args.N else 256)
-        path = os.path.join(outdir, "raster.svg")
-        with open(path, "w") as fh:
-            fh.write(_raster_svg(r))
-        artifacts.append(path)
         pgm = os.path.join(outdir, "raster.pgm")
         r.to_pgm(pgm)
         artifacts.append(pgm)
@@ -521,12 +536,14 @@ def cmd_plot(args) -> int:
 # Plumbing
 
 
-def _spec_echo(args, command):
-    spec = {
-        "command": command,
+def _spec_echo(args):
+    """Every key of schema "1"; a flag the subcommand lacks echoes null
+    ([] for grid, false for hull)."""
+    return {
+        "command": args.command,
         "n": args.n,
         "c": args.c,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
         "N": getattr(args, "N", None),
         "grid": list(getattr(args, "grid", ()) or ()),
@@ -534,9 +551,8 @@ def _spec_echo(args, command):
         "a": getattr(args, "a", None),
         "hull": getattr(args, "hull", False),
         "fixture": getattr(args, "fixture", None),
-        "out": getattr(args, "out", None),
+        "out": args.out,
     }
-    return spec
 
 
 def _finish(report, args) -> int:
@@ -563,11 +579,8 @@ def _z_arg(s):
     return tuple(float(v) for v in s.split(","))
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(f"CUBEWRAP_{name}")
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _count_arg(s):
+    return int(float(s))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,40 +591,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples_default=1_000_000, N_default=256, grid_default=(50, 100)):
-        sp.add_argument("--n", type=int, default=_env_default("N_HALFDIM", int, 2))
-        sp.add_argument("--c", type=float, default=_env_default("C", float, 2.0))
-        sp.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
-        sp.add_argument(
-            "--samples", type=lambda s: int(float(s)),
-            default=_env_default("SAMPLES", lambda s: int(float(s)), samples_default),
-        )
-        sp.add_argument("--N", type=int, default=_env_default("N", int, N_default))
-        sp.add_argument(
-            "--grid", type=_grid_arg, default=_env_default("GRID", _grid_arg, grid_default)
-        )
-        sp.add_argument("--z", type=_z_arg, default=None)
-        sp.add_argument("--out", default=_env_default("OUT", str, None))
+    def subcommand(name, func, help):
+        """A subparser with the flags every subcommand reads."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--n", type=int, default=2)
+        sp.add_argument("--c", type=float, default=2.0)
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("verify", help="symplecticity, injectivity, containment")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
+    sp = subcommand("verify", cmd_verify, "symplecticity, injectivity, containment")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=_count_arg, default=1_000_000)
 
-    sp = sub.add_parser("sections", help="section areas, sharpness, Fubini")
-    common(sp, samples_default=1_000_000)
+    sp = subcommand("sections", cmd_sections, "section areas, sharpness, Fubini")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=_count_arg, default=1_000_000)
+    sp.add_argument("--grid", type=_grid_arg, default=(50, 100))
     sp.add_argument("--mc-spots", type=int, default=20)
-    sp.set_defaults(func=cmd_sections)
 
-    sp = sub.add_parser("topology", help="complement connectivity, bounded hulls")
-    common(sp, N_default=512, grid_default=(10, 10))
-    sp.add_argument("--hull", action="store_true")
+    sp = subcommand("topology", cmd_topology, "complement connectivity, bounded hulls")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--N", type=int, default=512)
+    sp.add_argument("--grid", type=_grid_arg, default=(10, 10))
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--hull", action="store_true")
+    mode.add_argument("--fixture", choices=sorted(_FIXTURES), default=None)
     sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--fixture", choices=sorted(_FIXTURES), default=None)
-    sp.set_defaults(func=cmd_topology)
 
-    sp = sub.add_parser("plot", help="SVG figures of ribbon, section, raster")
-    common(sp, N_default=256)
-    sp.set_defaults(func=cmd_plot)
+    sp = subcommand("plot", cmd_plot, "SVG figures of ribbon, section, raster")
+    sp.add_argument("--z", type=_z_arg, default=None)
+    sp.add_argument("--N", type=int, default=256)
 
     return p
 

@@ -25,6 +25,9 @@ from .quotient import circle_distance
 
 __all__ = [
     "DISC_RADIUS",
+    "FD_STEP",
+    "SMOOTH_MARGIN",
+    "SYMPLECTIC_TOL",
     "DomainError",
     "EmbeddingConfig",
     "PlaneMap2D",
@@ -43,6 +46,7 @@ __all__ = [
     "PsiMap",
     "build_phi",
     "build_psi",
+    "psi_config",
     "symplectic_matrix",
     "symplectic_defect",
     "finite_difference_jacobian",
@@ -54,6 +58,18 @@ __all__ = [
 DISC_RADIUS = 1.0 / math.sqrt(math.pi)
 
 TWO_PI = 2.0 * math.pi
+
+# Largest symplectic defect max|JᵀΩJ − Ω| an analytic Jacobian may show.
+SYMPLECTIC_TOL = 1e-8
+
+# Central finite-difference step of the Jacobian cross-check.
+FD_STEP = 1e-6
+
+# Distance from the singular loci that symplectic checks sample beyond.
+SMOOTH_MARGIN = 1e-4
+
+# Batches of raw samples `sample_domain` draws before it gives up.
+_MAX_TRIES = 200
 
 
 class DomainError(ValueError):
@@ -72,22 +88,12 @@ class EmbeddingConfig:
 
     n: int = 2
     c: float = 1.0
-    fd_step: float = 1e-6
-    tol_symp: float = 1e-8
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
         if not self.c >= 1:
             raise ValueError(f"c must be >= 1, got {self.c}")
-
-    @property
-    def r(self) -> float:
-        return DISC_RADIUS
-
-    @property
-    def y0(self):
-        return (0.5, 0.5)
 
     @property
     def z0(self):
@@ -463,10 +469,10 @@ class PhaseMap:
     def smooth_mask(self, X, margin: float):
         return self.contains(X)
 
-    def sample_domain(self, rng, count: int, margin: float = 0.0, max_tries: int = 200):
+    def sample_domain(self, rng, count: int, margin: float = 0.0):
         """Uniform domain samples avoiding the singular margin."""
         out = np.empty((0, self.dim))
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             X = self._raw_samples(rng, count)
             ok = self.smooth_mask(X, margin) if margin > 0 else self.contains(X)
             out = np.concatenate([out, X[ok]])
@@ -628,6 +634,13 @@ def build_phi(config: EmbeddingConfig) -> PhiMap:
     return PhiMap(config)
 
 
+def psi_config(config: EmbeddingConfig, a: float) -> EmbeddingConfig:
+    """The cube embedding behind the ball embedding of capacity a: c = 1/a."""
+    if not 0 < a <= 1:
+        raise ValueError(f"a must be in (0, 1], got {a}")
+    return replace(config, c=1.0 / a)
+
+
 class PsiMap(PhaseMap):
     """The ball embedding: conjugate the cube embedding (with c = 1/a)
     by the equal-area disc/square map on every input pair and by its
@@ -636,23 +649,18 @@ class PsiMap(PhaseMap):
     """
 
     def __init__(self, config: EmbeddingConfig, a: float):
-        if not 0 < a <= 1:
-            raise ValueError(f"a must be in (0, 1], got {a}")
+        cube = psi_config(config, a)
         self.a = a
-        self.c = 1.0 / a
+        self.c = cube.c
         self.n = config.n
         self.dim = 2 * config.n
         self.config = config
-        self._phi = PhiMap(replace(config, c=self.c))
+        self._phi = PhiMap(cube)
         self._kappa = KappaMap(side=1.0)
-
-    @property
-    def r(self) -> float:
-        return DISC_RADIUS
 
     def contains(self, X):
         X = _asX(X, self.dim)
-        return np.sum(X * X, axis=-1) < self.r**2
+        return np.sum(X * X, axis=-1) < DISC_RADIUS**2
 
     def _to_cube(self, X):
         U = np.empty_like(X)
@@ -689,7 +697,7 @@ class PsiMap(PhaseMap):
     def smooth_mask(self, X, margin: float):
         X = _asX(X, self.dim)
         norm2 = np.sum(X * X, axis=-1)
-        ok = norm2 < (self.r - margin) ** 2
+        ok = norm2 < (DISC_RADIUS - margin) ** 2
         for i in range(self.n):
             pair = X[..., 2 * i : 2 * i + 2]
             ok &= self._kappa.singular_distance(pair) > margin
@@ -709,7 +717,7 @@ class PsiMap(PhaseMap):
     def _raw_samples(self, rng, count):
         X = rng.normal(size=(count, self.dim))
         X /= np.linalg.norm(X, axis=-1, keepdims=True)
-        radii = self.r * rng.uniform(size=(count, 1)) ** (1.0 / self.dim)
+        radii = DISC_RADIUS * rng.uniform(size=(count, 1)) ** (1.0 / self.dim)
         return X * radii
 
 
@@ -732,7 +740,7 @@ def symplectic_defect(pm: PhaseMap, X):
     return np.abs(D).max(axis=(-1, -2))
 
 
-def finite_difference_jacobian(forward, X, step: float = 1e-6):
+def finite_difference_jacobian(forward, X, step: float = FD_STEP):
     """Central finite-difference Jacobian of a vectorized map."""
     X = np.asarray(X, dtype=float)
     dim = X.shape[-1]
@@ -755,32 +763,19 @@ class SymplecticReport:
     passed: bool
     component_names: tuple = field(default_factory=tuple)
 
-    def to_dict(self):
-        return {
-            "map": self.map_name,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_deviation": self.max_deviation,
-            "worst_point": list(self.worst_point),
-            "passed": self.passed,
-            "components": list(self.component_names),
-        }
-
 
 def check_symplectic(
     pm: PhaseMap,
     samples: int,
     tol: float,
     seed: int = 0,
-    margin: float = 1e-4,
 ) -> SymplecticReport:
     """Sample the domain away from singular loci and report the maximal
     symplectic defect of the analytic Jacobian."""
     if samples <= 0:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    X = pm.sample_domain(rng, samples, margin=margin)
+    X = pm.sample_domain(rng, samples, margin=SMOOTH_MARGIN)
     dev = symplectic_defect(pm, X)
     worst = int(np.argmax(dev))
     return SymplecticReport(

@@ -67,43 +67,23 @@ def circle_distance(x, y, period):
     return np.minimum(d, period - d)
 
 
-def _normalize_intervals(intervals):
-    # Merge overlapping intervals only; intervals that merely touch stay
-    # separate (the shared endpoint is not in the open union).
-    ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
-    if not ivs:
-        return ()
-    merged = [list(ivs[0])]
-    for a, b in ivs[1:]:
-        if a < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
-
-
 @dataclass(frozen=True)
 class LineIntervalSet:
-    """A finite union of disjoint open intervals on the real line."""
+    """A finite union of disjoint open intervals on the real line, sorted
+    (intervals that touch stay separate: the shared endpoint is not in
+    the open union)."""
 
     intervals: tuple
-
-    @classmethod
-    def from_intervals(cls, intervals) -> "LineIntervalSet":
-        return cls(intervals=_normalize_intervals(intervals))
 
     @property
     def total_length(self) -> float:
         return float(sum(b - a for a, b in self.intervals))
 
-    def contains(self, x: float, edge_tol: float = 0.0) -> bool:
-        return any(a + edge_tol < x < b - edge_tol for a, b in self.intervals)
-
-    def contains_many(self, xs, edge_tol: float = 0.0):
+    def contains_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape, dtype=bool)
         for a, b in self.intervals:
-            out |= (xs > a + edge_tol) & (xs < b - edge_tol)
+            out |= (xs > a) & (xs < b)
         return out
 
 

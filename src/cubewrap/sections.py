@@ -25,7 +25,7 @@ across calls, so a call's memory is released with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .maps import (
     ChiMap,
     EmbeddingConfig,
     make_lambda_prime,
+    psi_config,
     square_to_cylinder,
     unshear_wrap,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "FubiniReport",
     "pad_z",
     "z_grid",
-    "psi_config",
     "psi_section_membership_many",
 ]
 
@@ -67,6 +67,10 @@ __all__ = [
 # removed angle counts as on the slit.  Keeps the measure-zero slit
 # robustly excluded under floating-point round trips.
 SLIT_TOL = 1e-9
+
+# z grid cells whose centre lies closer than this to the puncture z0 are
+# set apart from the generic cells.
+Z0_EXCLUSION = 1e-3
 
 # κ sends circles to concentric squares, so |κ⁻¹(u)|² = (4/π)·‖u − ½‖∞².
 _BALL_K = 4.0 / math.pi
@@ -120,7 +124,10 @@ def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
     c = config.c
     Q2, P2 = make_lambda_prime(c).inverse(zs[:, :2])[0].tolist()
     if not 0 < Q2 < 1:
-        raise ValueError(f"Q2 must be in (0,1), got {Q2}")
+        raise ValueError(
+            f"z = {z} lies within rounding of the puncture z0 = {config.z0} or of "
+            f"the rectangle's edge: Q2 must be in (0,1), got {Q2}"
+        )
     P2bar = circle_reduce(P2, c)
     return SectionDescription(
         z=z,
@@ -191,14 +198,14 @@ class SectionCells:
             raise ValueError("cells were built for another point set")
 
 
-def _in_ribbon(qbar, p, sd: SectionDescription, slit_tol: float):
+def _in_ribbon(qbar, p, sd: SectionDescription):
     """Cylinder points of the ribbon V × W: p ∈ W and the angle q̄ at
-    circle distance more than slit_tol from the slit.  The angle is
+    circle distance more than SLIT_TOL from the slit.  The angle is
     reduced mod 1 as d − floor(d), bit-identical to np.mod(d, 1.0)."""
     ok = sd.W.contains_many(p)
     d = qbar - sd.slit_angle
     d -= np.floor(d)
-    ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
+    ok &= (d > SLIT_TOL) & (d < 1.0 - SLIT_TOL)
     return ok
 
 
@@ -208,9 +215,7 @@ def _ball_norm2(u1, u2):
     return _BALL_K * (m * m)
 
 
-def section_membership_many(
-    ys, sd_or_z, config: EmbeddingConfig, slit_tol: float = SLIT_TOL, cells=None
-):
+def section_membership_many(ys, sd_or_z, config: EmbeddingConfig, cells=None):
     """Vectorized membership of square points in the section at z.
 
     `cells`, if given, is `SectionCells.phi` of the same `ys`."""
@@ -222,13 +227,13 @@ def section_membership_many(
     if cells is None:
         cells = SectionCells.phi(ys)
     cells.check_points(ys)
-    out[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd, slit_tol)
+    out[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd)
     return out
 
 
-def section_membership(y, sd_or_z, config: EmbeddingConfig, slit_tol: float = SLIT_TOL) -> bool:
+def section_membership(y, sd_or_z, config: EmbeddingConfig) -> bool:
     """Is the square point y in the section at z?"""
-    return bool(section_membership_many(np.asarray(y, dtype=float), sd_or_z, config, slit_tol))
+    return bool(section_membership_many(np.asarray(y, dtype=float), sd_or_z, config))
 
 
 def section_area_mc(z, samples: int, seed: int, config: EmbeddingConfig):
@@ -262,20 +267,6 @@ class FubiniReport:
     mc_spots: tuple  # ((z1, z2, mc_area, stderr), ...)
     mc_integral: float | None
 
-    def to_dict(self):
-        return {
-            "c": self.c,
-            "grid": list(self.grid),
-            "seed": self.seed,
-            "generic_cells": self.generic_cells,
-            "special_cells": self.special_cells,
-            "max_area": self.max_area,
-            "min_generic_area": self.min_generic_area,
-            "analytic_integral": self.analytic_integral,
-            "mc_spots": [list(row) for row in self.mc_spots],
-            "mc_integral": self.mc_integral,
-        }
-
 
 def pad_z(z, config: EmbeddingConfig):
     """z (shape (..., k)) padded to 2n-2 coordinates, the missing
@@ -285,9 +276,9 @@ def pad_z(z, config: EmbeddingConfig):
     return np.concatenate([z, tail], axis=-1)
 
 
-def z_grid(config: EmbeddingConfig, shape=(50, 100), exclude_radius: float = 1e-3):
+def z_grid(config: EmbeddingConfig, shape=(50, 100)):
     """Cell-center grid over (0,1) x (0,c), in z1-major order, as z of
-    2n-2 coordinates (`pad_z`); cells within the exclusion radius of the
+    2n-2 coordinates (`pad_z`); cells within Z0_EXCLUSION of the
     rectangle puncture are reported separately.  A grid with no cell
     left outside that radius is an error."""
     w, h = shape
@@ -297,11 +288,11 @@ def z_grid(config: EmbeddingConfig, shape=(50, 100), exclude_radius: float = 1e-
     Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
     pts = pad_z(np.stack([Z1.ravel(), Z2.ravel()], axis=-1), config)
     z0 = np.array(config.z0)
-    near = np.hypot(pts[:, 0] - z0[0], pts[:, 1] - z0[1]) < exclude_radius
+    near = np.hypot(pts[:, 0] - z0[0], pts[:, 1] - z0[1]) < Z0_EXCLUSION
     if near.all():
         raise ValueError(
             f"z grid {w}x{h} has no generic cell: no cell centre lies "
-            f"{exclude_radius} or more from the puncture z0"
+            f"{Z0_EXCLUSION} or more from the puncture z0"
         )
     return pts[~near], pts[near]
 
@@ -353,16 +344,7 @@ def fubini_check(
     )
 
 
-def psi_config(config: EmbeddingConfig, a: float) -> EmbeddingConfig:
-    """The cube embedding behind the ball embedding of capacity a: c = 1/a."""
-    if not 0 < a <= 1:
-        raise ValueError(f"a must be in (0, 1], got {a}")
-    return replace(config, c=1.0 / a)
-
-
-def psi_section_membership_many(
-    ys, z, config: EmbeddingConfig, a: float, slit_tol: float = SLIT_TOL, cells=None
-):
+def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, cells=None):
     """Vectorized membership of plane points in the z-section of the
     ball embedding's image (c = 1/a).
 
@@ -385,7 +367,7 @@ def psi_section_membership_many(
     if cells is None:
         cells = SectionCells.psi(ys)
     cells.check_points(ys)
-    ok = _in_ribbon(cells.qbar, cells.p, sd, slit_tol)
+    ok = _in_ribbon(cells.qbar, cells.p, sd)
     # The cube preimage and the ball constraint, on ribbon points only.
     idx = np.flatnonzero(ok)
     p1 = cells.p[idx]

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .maps import DISC_RADIUS, EmbeddingConfig, KappaMap, make_lambda
+from .maps import DISC_RADIUS, EmbeddingConfig, KappaMap, make_lambda, psi_config
 from .sections import (
     SectionCells,
     SectionDescription,
-    psi_config,
     psi_section_membership_many,
     resolve_section,
     section_membership_many,
@@ -55,6 +54,13 @@ __all__ = [
 ]
 
 _FOUR_CONN = ndimage.generate_binary_structure(2, 1)
+
+# Free cells between the disc of a ψ raster and the edge of its box, on
+# each side.
+_PSI_MARGIN_CELLS = 2
+
+# Two intervals of W closer than this share an endpoint.
+_TOUCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,10 +183,10 @@ def _phi_blank(N: int) -> Raster:
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool))
 
 
-def _psi_blank(N: int, margin_cells: int) -> Raster:
+def _psi_blank(N: int) -> Raster:
     """An empty raster over a box slightly larger than the disc of
     radius 1/sqrt(pi)."""
-    side = 2 * DISC_RADIUS * (1.0 + 2.0 * margin_cells / N)
+    side = 2 * DISC_RADIUS * (1.0 + 2.0 * _PSI_MARGIN_CELLS / N)
     x0 = -side / 2.0
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
 
@@ -190,9 +196,9 @@ def phi_section_cells(N: int) -> SectionCells:
     return SectionCells.phi(_phi_blank(N).cell_centers().reshape(-1, 2))
 
 
-def psi_section_cells(N: int, margin_cells: int = 2) -> SectionCells:
+def psi_section_cells(N: int) -> SectionCells:
     """Cylinder coordinates of the cell centres of a ψ raster at N."""
-    return SectionCells.psi(_psi_blank(N, margin_cells).cell_centers().reshape(-1, 2))
+    return SectionCells.psi(_psi_blank(N).cell_centers().reshape(-1, 2))
 
 
 def _raster_cells(r: Raster, cells, build) -> SectionCells:
@@ -232,7 +238,7 @@ def rasterize_section(
     return Raster(n=N, occupancy=occ)
 
 
-def _touching_heights(W, tol: float = 1e-9):
+def _touching_heights(W):
     """Heights where two open intervals of W share an endpoint.
 
     The shared endpoint is excluded from the open union, so it is a
@@ -241,21 +247,19 @@ def _touching_heights(W, tol: float = 1e-9):
     return [
         0.5 * (iv[k][1] + iv[k + 1][0])
         for k in range(len(iv) - 1)
-        if iv[k + 1][0] - iv[k][1] < tol
+        if iv[k + 1][0] - iv[k][1] < _TOUCH_TOL
     ]
 
 
-def rasterize_psi_section(
-    z, config: EmbeddingConfig, a: float, N: int, margin_cells: int = 2, cells=None
-) -> Raster:
+def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells=None) -> Raster:
     """Rasterize the z-section of the ball embedding's image over a box
     slightly larger than the disc of radius 1/sqrt(pi).  `cells`, if
-    given, is `psi_section_cells(N, margin_cells)`."""
+    given, is `psi_section_cells(N)`."""
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
     cfg = psi_config(config, a)
     sd = resolve_section(z, cfg)
-    r = _psi_blank(N, margin_cells)
+    r = _psi_blank(N)
     if sd.status != "generic":
         return r
     cells = _raster_cells(r, cells, SectionCells.psi)
@@ -281,15 +285,6 @@ class ConnectivityReport:
     components: int
     connected: bool
     occupied_fraction: float
-
-    def to_dict(self):
-        return {
-            "z": list(self.z),
-            "N": self.N,
-            "components": self.components,
-            "connected": self.connected,
-            "occupied_fraction": self.occupied_fraction,
-        }
 
 
 def check_complement_connected(z, config: EmbeddingConfig, N: int, cells=None):
@@ -361,18 +356,6 @@ class HullReport:
     # (z1, z2, hull_area) of the entry furthest above its own bound
     # a + tolerance; named by a failing check, not serialized.
     worst: tuple = ()
-
-    def to_dict(self):
-        return {
-            "a": self.a,
-            "N": self.N,
-            "grid": list(self.grid),
-            "max_hull_area": self.max_hull_area,
-            "tolerance": self.tolerance,
-            "all_within_bound": self.all_within_bound,
-            "hull_equals_section": self.hull_equals_section,
-            "entries": [list(e) for e in self.entries],
-        }
 
 
 def check_hull_bound(

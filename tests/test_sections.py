@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda, make_lambda_prime
 from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
-    SLIT_TOL,
     _in_ribbon,
     fubini_check,
     psi_section_membership_many,
@@ -30,7 +29,7 @@ class TestVSet:
         # a height in W: the ribbon drops the slit angle, keeps its neighbour
         p = np.full(2, sum(sd.W.intervals[0]) / 2)
         qbar = np.mod([sd.slit_angle, sd.slit_angle + 0.01], 1.0)
-        assert _in_ribbon(qbar, p, sd, SLIT_TOL).tolist() == [False, True]
+        assert _in_ribbon(qbar, p, sd).tolist() == [False, True]
 
     def test_c1_symmetry(self):
         cfg = EmbeddingConfig(n=2, c=1.0)
@@ -127,7 +126,7 @@ class TestSectionOfPhi:
 
 class TestMembership:
     def test_puncture_point_excluded(self):
-        assert not section_membership(CFG2.y0, [0.3, 0.7], CFG2)
+        assert not section_membership((0.5, 0.5), [0.3, 0.7], CFG2)
 
     def test_outside_square(self):
         assert not section_membership([1.5, 0.5], [0.3, 0.7], CFG2)
@@ -323,8 +322,8 @@ class TestBallNorm:
         assert abs(via_kappa - closed) <= 4 * np.spacing(closed)
 
     def test_ball_test_removes_ribbon_points(self):
-        from cubewrap.maps import DISC_RADIUS
-        from cubewrap.sections import SLIT_TOL, SectionCells, _in_ribbon, psi_config
+        from cubewrap.maps import DISC_RADIUS, psi_config
+        from cubewrap.sections import SectionCells
 
         t = np.linspace(-DISC_RADIUS, DISC_RADIUS, 301)
         ys = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -332,7 +331,7 @@ class TestBallNorm:
         sd = section_of_phi(z, psi_config(CFG2, a))
         cells = SectionCells.psi(ys)
         ribbon = np.zeros(len(ys), dtype=bool)
-        ribbon[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd, SLIT_TOL)
+        ribbon[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd)
         psi = psi_section_membership_many(ys, z, CFG2, a, cells=cells)
         assert not np.any(psi & ~ribbon)
         assert psi.sum() < ribbon.sum()

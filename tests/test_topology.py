@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubewrap.maps import DISC_RADIUS, EmbeddingConfig
-from cubewrap.sections import section_of_phi
+from cubewrap.sections import SectionCells, section_of_phi
 from cubewrap.topology import (
     AmbiguousHullError,
     Raster,
@@ -179,8 +179,7 @@ class TestConnectivity:
     def test_report_fields(self):
         ok, report = check_complement_connected([0.3, 0.7], CFG2, 256)
         assert ok
-        d = report.to_dict()
-        assert d["N"] == 256 and d["connected"] and 0 < d["occupied_fraction"] < 1
+        assert report.N == 256 and report.connected and 0 < report.occupied_fraction < 1
 
 
 class TestSlitWitness:
@@ -211,8 +210,7 @@ class TestPsiSections:
         assert report.hull_equals_section
         assert report.max_hull_area <= 0.5 + report.tolerance
         # the 3x3 grid center lands on the puncture and is skipped
-        d = report.to_dict()
-        assert len(d["entries"]) == 8
+        assert len(report.entries) == 8
 
     def test_invalid_a(self):
         with pytest.raises(ValueError):
@@ -301,7 +299,9 @@ class TestSharedGeometry:
         with pytest.raises(ValueError):
             rasterize_section([0.3, 0.7], CFG2, 128, cells=phi_section_cells(256))
         with pytest.raises(ValueError):
-            rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=psi_section_cells(256, 3))
+            # same cell count, box of the φ raster
+            other_box = SectionCells.psi(phi_section_cells(256).points)
+            rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=other_box)
 
     def test_hull_report_equals_per_z_recomputation(self):
         a, N = 0.5, 256
@@ -314,8 +314,8 @@ class TestSharedGeometry:
                 r = rasterize_psi_section((zi, zj), cfg, a, N)
                 hull = bounded_hull(r)
                 tols.append(4.0 * r.perimeter_estimate() / N)
-                entries.append([float(zi), float(zj), hull.area(), r.area()])
-        d = check_hull_bound(a, cfg, grid=(3, 3), N=N).to_dict()
-        assert d["entries"] == entries
-        assert d["tolerance"] == max(tols)
-        assert d["max_hull_area"] == max(e[2] for e in entries)
+                entries.append((float(zi), float(zj), hull.area(), r.area()))
+        report = check_hull_bound(a, cfg, grid=(3, 3), N=N)
+        assert report.entries == tuple(entries)
+        assert report.tolerance == max(tols)
+        assert report.max_hull_area == max(e[2] for e in entries)
