@@ -172,19 +172,20 @@ def _injectivity_sample(phi, samples, seed):
     return X, phi.forward(X)
 
 
-def _injectivity_check(phi, samples, seed, image_tol=IMAGE_TOL, preimage_min=PREIMAGE_MIN):
+def _injectivity_check(phi, samples, seed):
     """Collision scan of phi on `samples` uniform points of the cube: the
-    number of image pairs closer than image_tol (strictly) whose
-    preimages are at least preimage_min apart, and the sample count.
+    number of image pairs closer than IMAGE_TOL (strictly) whose
+    preimages are at least PREIMAGE_MIN apart, and the `_worst_pair` of
+    them (None when there is none).
 
     One sorted sweep on the first image coordinate (`_image_collisions`)
     compares each image only with the successors that lie within
-    image_tol of it in that coordinate.  Any pair closer than image_tol
+    IMAGE_TOL of it in that coordinate.  Any pair closer than IMAGE_TOL
     is among them, so every close pair is tested, and tested once.
     """
     X, Y = _injectivity_sample(phi, samples, seed)
-    pairs, _ = _image_collisions(X, Y, image_tol, preimage_min)
-    return len(pairs), samples
+    pairs, dists = _image_collisions(X, Y, IMAGE_TOL, PREIMAGE_MIN)
+    return len(pairs), _worst_pair(X, pairs, dists) if len(pairs) else None
 
 
 def _symplectic_check(name, rep):
@@ -234,11 +235,8 @@ def cmd_verify(args) -> int:
         )
 
     with _Phase("injectivity"):
-        collisions, total = _injectivity_check(phi, args.samples, args.seed + 4)
-        extra = {}
-        if collisions:
-            X, Y = _injectivity_sample(phi, args.samples, args.seed + 4)
-            extra["worst_pair"] = _worst_pair(X, *_image_collisions(X, Y, IMAGE_TOL, PREIMAGE_MIN))
+        collisions, worst = _injectivity_check(phi, args.samples, args.seed + 4)
+        extra = {"worst_pair": worst} if collisions else {}
         checks.append(
             _check("phi_injectivity_collisions", collisions == 0, collisions, 0, **extra)
         )

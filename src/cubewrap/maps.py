@@ -1,23 +1,33 @@
 """Primitive area/symplectic maps and the composed embeddings.
 
-Plane maps (2D) act on arrays of shape (..., 2); phase maps (2n-D) act
-on arrays of shape (..., 2n).  All maps carry analytic Jacobians;
-central finite differences are only used as a cross-check in the tests
-and verification driver.
+Plane maps act on arrays of shape (..., 2); phase maps (2n-D) act on
+arrays of shape (..., 2n).  The plane maps are all of unit size:
 
-The two composed embeddings are
+* χ (`ChiMap`), the cylinder (R/Z) x [0, 1) onto the punctured disc of
+  unit area, and its inverse, plain polar coordinates;
+* κ (`KappaMap`), the equal-area concentric map of that disc onto the
+  unit square, with its Jacobian;
+* λ = κ∘χ (`make_lambda`), the cylinder onto the punctured square,
+  written once in closed form with no trig: forward, inverse
+  (`square_to_cylinder`) and Jacobian;
+* λ′ (`make_lambda_prime(c)`), the cylinder (0, 1) x (R/cZ) onto the
+  punctured rectangle (0, 1) x (0, c), which is λ rescaled.
+
+The phase maps carry analytic Jacobians; central finite differences are
+only used as a cross-check in the tests and the `verify` command.  The
+two composed embeddings are
 
 * the cube-into-polydisc embedding: shear, wrap both mixed coordinates
   onto circles, then map the two resulting cylinders onto a punctured
-  square and a punctured rectangle, and
+  square (λ) and a punctured rectangle (λ′), and
 
-* the ball embedding obtained by conjugating with the equal-area
-  disc/square map on every coordinate pair.
+* the ball embedding obtained by conjugating with κ on every coordinate
+  pair.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +40,8 @@ __all__ = [
     "SYMPLECTIC_TOL",
     "DomainError",
     "EmbeddingConfig",
-    "PlaneMap2D",
-    "LinearPlaneMap",
     "ChiMap",
     "KappaMap",
-    "ComposedPlaneMap",
     "make_lambda",
     "square_to_cylinder",
     "make_lambda_prime",
@@ -107,111 +114,35 @@ def _as_points(pts):
     return pts
 
 
-class PlaneMap2D:
-    """A 2D map with forward/inverse evaluation and an analytic Jacobian.
+class ChiMap:
+    """Area-preserving map from the cylinder (R/Z) x [0, 1) onto the
+    punctured closed disc of unit area.
 
-    `jacobian` is the Jacobian of the forward direction, shape (..., 2, 2).
-    `singular_distance` returns the distance from a domain point to the
-    declared singular set (inf when there is none).
-    """
-
-    def forward(self, pts):
-        raise NotImplementedError
-
-    def inverse(self, pts):
-        raise NotImplementedError
-
-    def jacobian(self, pts):
-        raise NotImplementedError
-
-    def singular_distance(self, pts):
-        pts = _as_points(pts)
-        return np.full(pts.shape[:-1], np.inf)
-
-
-@dataclass(frozen=True)
-class LinearPlaneMap(PlaneMap2D):
-    matrix: tuple
-    offset: tuple = (0.0, 0.0)
-
-    def _A(self):
-        return np.asarray(self.matrix, dtype=float)
-
-    def forward(self, pts):
-        return _as_points(pts) @ self._A().T + np.asarray(self.offset)
-
-    def inverse(self, pts):
-        rhs = _as_points(pts) - np.asarray(self.offset)
-        return rhs @ np.linalg.inv(self._A()).T
-
-    def jacobian(self, pts):
-        pts = _as_points(pts)
-        return np.broadcast_to(self._A(), pts.shape[:-1] + (2, 2)).copy()
-
-
-@dataclass(frozen=True)
-class ChiMap(PlaneMap2D):
-    """Area-preserving map from the cylinder (R/LZ) x [0, H) onto the
-    punctured closed disc of area L*H.
-
-    (q, p) goes to the point at angle 2*pi*q/L and radius sqrt(L*(H-p)/pi):
-    the bottom rim p=0 lands on the boundary circle, p -> H collapses to
+    (q, p) goes to the point at angle 2*pi*q and radius sqrt((1-p)/pi):
+    the bottom rim p=0 lands on the boundary circle, p -> 1 collapses to
     the (excluded) center.
     """
-
-    L: float = 1.0
-    H: float = 1.0
-
-    def __post_init__(self):
-        if not (self.L > 0 and self.H > 0):
-            raise ValueError("circumference and height must be positive")
-
-    @property
-    def rim_radius(self) -> float:
-        return math.sqrt(self.L * self.H / math.pi)
 
     def forward(self, pts):
         pts = _as_points(pts)
         q, p = pts[..., 0], pts[..., 1]
-        if np.any(p < 0) or np.any(p >= self.H):
-            raise DomainError("height coordinate outside [0, H)")
-        theta = TWO_PI * q / self.L
-        rho = np.sqrt(self.L * (self.H - p) / math.pi)
+        if np.any(p < 0) or np.any(p >= 1.0):
+            raise DomainError("height coordinate outside [0, 1)")
+        theta = TWO_PI * q
+        rho = np.sqrt((1.0 - p) / math.pi)
         return np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
 
     def inverse(self, pts):
         pts = _as_points(pts)
         x, y = pts[..., 0], pts[..., 1]
-        rho2 = x * x + y * y
-        p = self.H - math.pi * rho2 / self.L
-        q = np.mod(self.L * np.arctan2(y, x) / TWO_PI, self.L)
+        p = 1.0 - math.pi * (x * x + y * y)
+        q = np.mod(np.arctan2(y, x) / TWO_PI, 1.0)
         return np.stack([q, p], axis=-1)
 
-    def jacobian(self, pts):
-        pts = _as_points(pts)
-        q, p = pts[..., 0], pts[..., 1]
-        theta = TWO_PI * q / self.L
-        rho = np.sqrt(self.L * (self.H - p) / math.pi)
-        drho_dp = -self.L / (TWO_PI * rho)
-        dtheta_dq = TWO_PI / self.L
-        c, s = np.cos(theta), np.sin(theta)
-        J = np.empty(pts.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -rho * s * dtheta_dq
-        J[..., 0, 1] = c * drho_dp
-        J[..., 1, 0] = rho * c * dtheta_dq
-        J[..., 1, 1] = s * drho_dp
-        return J
 
-    def singular_distance(self, pts):
-        # The map degenerates as p -> H (collapse to the center).
-        pts = _as_points(pts)
-        return self.H - pts[..., 1]
-
-
-@dataclass(frozen=True)
-class KappaMap(PlaneMap2D):
+class KappaMap:
     """Equal-area concentric map from the closed disc of radius
-    side/sqrt(pi) (centered at 0) onto the square [0, side]^2.
+    1/sqrt(pi) (centered at 0) onto the unit square.
 
     Concentric circles go to concentric squares; within each of the four
     diagonal sectors the angle is reparametrized linearly.  The Jacobian
@@ -219,21 +150,11 @@ class KappaMap(PlaneMap2D):
     continuous but not differentiable.
     """
 
-    side: float = 1.0
-
-    def __post_init__(self):
-        if not self.side > 0:
-            raise ValueError("side must be positive")
-
-    @property
-    def radius(self) -> float:
-        return self.side / math.sqrt(math.pi)
-
     def forward(self, pts):
         pts = _as_points(pts)
         x, y = pts[..., 0], pts[..., 1]
         rho = np.hypot(x, y)
-        if np.any(rho > self.radius * (1 + 1e-12)):
+        if np.any(rho > DISC_RADIUS * (1 + 1e-12)):
             raise DomainError("point outside the closed disc")
         theta = np.arctan2(y, x)
         m = rho * math.sqrt(math.pi) / 2.0
@@ -254,14 +175,12 @@ class KappaMap(PlaneMap2D):
         v = np.where(left, -m * k * phi_left, v)
         u = np.where(bottom, m * (2.0 + k * theta), u)
         v = np.where(bottom, -m, v)
-        h = self.side / 2.0
-        return np.stack([u + h, v + h], axis=-1)
+        return np.stack([u + 0.5, v + 0.5], axis=-1)
 
     def inverse(self, pts):
         pts = _as_points(pts)
-        h = self.side / 2.0
-        u = pts[..., 0] - h
-        v = pts[..., 1] - h
+        u = pts[..., 0] - 0.5
+        v = pts[..., 1] - 0.5
         au, av = np.abs(u), np.abs(v)
         kk = 2.0 / math.sqrt(math.pi)
         # Branch |u| >= |v|: signed radius u, angle (pi/4)(v/u).
@@ -281,9 +200,8 @@ class KappaMap(PlaneMap2D):
 
     def _jacobian_square_to_disc(self, square_pts):
         pts = _as_points(square_pts)
-        h = self.side / 2.0
-        u = pts[..., 0] - h
-        v = pts[..., 1] - h
+        u = pts[..., 0] - 0.5
+        v = pts[..., 1] - 0.5
         au, av = np.abs(u), np.abs(v)
         kk = 2.0 / math.sqrt(math.pi)
         use1 = au >= av
@@ -324,66 +242,72 @@ class KappaMap(PlaneMap2D):
         return self._jacobian_square_to_disc(pts)
 
     def singular_distance(self, pts):
-        # Singular on the four diagonal rays (sector boundaries) and at 0.
+        """Distance from the four diagonal rays (sector boundaries) and 0,
+        where the map is not differentiable."""
         pts = _as_points(pts)
         x, y = pts[..., 0], pts[..., 1]
         d_diag = np.minimum(np.abs(x - y), np.abs(x + y)) / math.sqrt(2.0)
         return np.minimum(d_diag, np.hypot(x, y))
 
 
-@dataclass(frozen=True)
-class ComposedPlaneMap(PlaneMap2D):
-    """Composition of plane maps, applied left to right.
+# cos and sin of k quarter turns, k = 0, ..., 4 (k = 4 is k = 0 again).
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 
-    A cylinder map names its periodic input axis and period; `inverse`
-    reduces that coordinate into [0, period)."""
 
-    maps: tuple
-    periodic_axis: int | None = None
-    period: float = 1.0
+def _square_walk(qp):
+    """m = ½√(1 − p) and the point S(t) of the boundary of [−1, 1]² at
+    t = 8·(q mod 1), as (m, cos, sin, s): t = 2k + s with s ∈ [−1, 1),
+    and S(t) = R_k·(1, s), R_k the turn by k quarters.  So S walks the
+    right edge (1, t) for t ∈ [0, 1) ∪ [7, 8) (as t − 8), the top edge
+    (2 − t, 1) on [1, 3), the left edge (−1, 4 − t) on [3, 5) and the
+    bottom edge (t − 6, −1) on [5, 7).  Every t − 2k is exact."""
+    qp = _as_points(qp)
+    q, p = qp[..., 0], qp[..., 1]
+    t = q - np.floor(q)
+    t *= 8.0
+    k = np.floor(0.5 * (t + 1.0)).astype(np.intp)
+    return 0.5 * np.sqrt(1.0 - p), _QUARTER_COS[k], _QUARTER_SIN[k], t - 2.0 * k
 
-    def forward(self, pts):
-        out = _as_points(pts)
-        for m in self.maps:
-            out = m.forward(out)
+
+class _Lambda:
+    """λ, the cylinder-to-punctured-square symplectomorphism
+    (R/Z) x [0,1) -> (0,1)^2 minus the center point, in closed form.
+
+    λ = κ∘χ: χ sends (q, p) to radius √((1 − p)/π) at angle 2πq, and κ
+    sends that circle to the square of half-side m = ½√(1 − p), turning
+    each eighth of the angle linearly into a half-edge.  So λ(q, p) =
+    ½ + m·S(t), t = 8·(q mod 1), with S the walk of `_square_walk`, and
+    height -> 1 converges to the square center.  No trig.  The Jacobian
+    is [8m·S′(t) | −S(t)/(8m)], of determinant 1 (tests/
+    test_certificates.py proves both sector by sector).
+    """
+
+    def forward(self, qp):
+        m, cos, sin, s = _square_walk(qp)
+        out = np.empty(m.shape + (2,))
+        out[..., 0] = 0.5 + m * (cos - sin * s)
+        out[..., 1] = 0.5 + m * (sin + cos * s)
         return out
 
-    def inverse(self, pts):
-        out = _as_points(pts)
-        for m in reversed(self.maps):
-            out = m.inverse(out)
-        if self.periodic_axis is not None:
-            out[..., self.periodic_axis] = np.mod(out[..., self.periodic_axis], self.period)
-        return out
+    def inverse(self, ys):
+        return square_to_cylinder(ys)
 
-    def jacobian(self, pts):
-        x = _as_points(pts)
-        J = None
-        for m in self.maps:
-            Jm = m.jacobian(x)
-            J = Jm if J is None else Jm @ J
-            x = m.forward(x)
+    def jacobian(self, qp):
+        m, cos, sin, s = _square_walk(qp)
+        J = np.empty(m.shape + (2, 2))
+        J[..., 0, 0] = -8.0 * m * sin
+        J[..., 1, 0] = 8.0 * m * cos
+        w = -1.0 / (8.0 * m)
+        J[..., 0, 1] = (cos - sin * s) * w
+        J[..., 1, 1] = (sin + cos * s) * w
         return J
 
-    def singular_distance(self, pts):
-        x = _as_points(pts)
-        d = np.full(x.shape[:-1], np.inf)
-        for m in self.maps:
-            d = np.minimum(d, m.singular_distance(x))
-            x = m.forward(x)
-        return d
 
-
-def make_lambda() -> ComposedPlaneMap:
-    """The cylinder-to-punctured-square symplectomorphism
-    (R/Z) x (0,1) -> (0,1)^2 minus the center point.
-
-    Composition of the cylinder-to-disc collapse with the concentric
-    disc-to-square map; height -> 1 converges to the square center.
-    """
-    return ComposedPlaneMap(
-        maps=(ChiMap(L=1.0, H=1.0), KappaMap(side=1.0)), periodic_axis=0, period=1.0
-    )
+def make_lambda() -> _Lambda:
+    """λ in closed form: forward, inverse (`square_to_cylinder`) and
+    Jacobian."""
+    return _Lambda()
 
 
 def square_to_cylinder(ys):
@@ -404,8 +328,8 @@ def square_to_cylinder(ys):
     * |v| > |u|, v < 0: likewise turned by π: q̄ = ¼ − u/8v + ½.
 
     Only the sector u > 0 reaches below 0 (q̄ ≥ −⅛), so the reduction
-    mod 1 is q̄ − floor(q̄).  Agrees with `make_lambda().inverse` to a
-    few ulp (tests/test_certificates.py proves the sector formulas).
+    mod 1 is q̄ − floor(q̄).  tests/test_certificates.py proves the
+    sector formulas.
     """
     ys = _as_points(ys)
     u, v = ys[..., 0] - 0.5, ys[..., 1] - 0.5
@@ -421,23 +345,49 @@ def square_to_cylinder(ys):
     return out
 
 
-def make_lambda_prime(c: float) -> ComposedPlaneMap:
-    """The cylinder-to-punctured-rectangle symplectomorphism
-    (0,1) x (R/cZ) -> ((0,1) x (0,c)) minus the rectangle center.
+@dataclass(frozen=True)
+class _LambdaPrime:
+    """λ′, the cylinder-to-punctured-rectangle symplectomorphism
+    (0,1) x (R/cZ) -> ((0,1) x (0,c)) minus the rectangle center, as λ
+    rescaled.
 
-    Input is (height, angle mod c); the orientation-preserving swap
-    (h, a) -> (-a, h) feeds the cylinder collapse, then the concentric
-    map onto the square of side sqrt(c), then the area-preserving
-    stretch onto (0,1) x (0,c).  Total Jacobian determinant +1.
+    Input is (height, angle mod c).  λ′ = scale∘κ_√c∘χ_c∘swap: the swap
+    (h, a) -> (−a, h), the cylinder collapse of circumference c, the
+    concentric map onto the square of side √c, and the stretch
+    diag(1/√c, √c) onto (0,1) x (0,c).  Since κ_√c∘χ_c(q, p) =
+    √c·λ(q/c, p), this is λ′(h, a) = (y₁, c·y₂) with y = λ(−a/c, h), of
+    Jacobian diag(1, c)·Jλ·[[0, −1/c], [1, 0]] (determinant 1).
     """
+
+    c: float
+
+    def _lambda_point(self, ha):
+        """(−a/c, h), the point where λ′ reads λ."""
+        ha = _as_points(ha)
+        return np.stack([-ha[..., 1] / self.c, ha[..., 0]], axis=-1)
+
+    def forward(self, ha):
+        y = _Lambda().forward(self._lambda_point(ha))
+        y[..., 1] *= self.c
+        return y
+
+    def inverse(self, zs):
+        """(p, −c·q̄ mod c), where (q̄, p) = λ⁻¹(z₁, z₂/c)."""
+        zs = _as_points(zs)
+        cyl = square_to_cylinder(np.stack([zs[..., 0], zs[..., 1] / self.c], axis=-1))
+        return np.stack([cyl[..., 1], np.mod(-self.c * cyl[..., 0], self.c)], axis=-1)
+
+    def jacobian(self, ha):
+        J = _Lambda().jacobian(self._lambda_point(ha))
+        return np.diag([1.0, self.c]) @ J @ np.array([[0.0, -1.0 / self.c], [1.0, 0.0]])
+
+
+def make_lambda_prime(c: float) -> _LambdaPrime:
+    """λ′ for the rectangle (0,1) x (0,c), c >= 1, in closed form through
+    λ: forward, inverse and Jacobian."""
     if not c >= 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    sqc = math.sqrt(c)
-    swap = LinearPlaneMap(matrix=((0.0, -1.0), (1.0, 0.0)))
-    scale = LinearPlaneMap(matrix=((1.0 / sqc, 0.0), (0.0, sqc)))
-    return ComposedPlaneMap(
-        maps=(swap, ChiMap(L=c, H=1.0), KappaMap(side=sqc), scale), periodic_axis=1, period=c
-    )
+    return _LambdaPrime(c)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +432,6 @@ class PhaseMap:
 
     def _raw_samples(self, rng, count):
         raise NotImplementedError
-
-    @property
-    def component_names(self):
-        return (type(self).__name__,)
 
 
 def _asX(X, dim):
@@ -542,16 +488,11 @@ class PhiMap(PhaseMap):
     """
 
     def __init__(self, config: EmbeddingConfig):
-        self.config = config
         self.c = config.c
         self.n = config.n
         self.dim = 2 * config.n
         self._lam = make_lambda()
         self._lamp = make_lambda_prime(config.c)
-
-    @property
-    def component_names(self):
-        return ("shear", "wrap", "lambda x lambda_prime", "identity")
 
     def contains(self, X):
         X = _asX(X, self.dim)
@@ -654,9 +595,8 @@ class PsiMap(PhaseMap):
         self.c = cube.c
         self.n = config.n
         self.dim = 2 * config.n
-        self.config = config
         self._phi = PhiMap(cube)
-        self._kappa = KappaMap(side=1.0)
+        self._kappa = KappaMap()
 
     def contains(self, X):
         X = _asX(X, self.dim)
@@ -761,7 +701,6 @@ class SymplecticReport:
     max_deviation: float
     worst_point: tuple
     passed: bool
-    component_names: tuple = field(default_factory=tuple)
 
 
 def check_symplectic(
@@ -786,5 +725,4 @@ def check_symplectic(
         max_deviation=float(dev[worst]),
         worst_point=tuple(float(v) for v in X[worst]),
         passed=bool(dev[worst] < tol),
-        component_names=tuple(pm.component_names),
     )

@@ -191,7 +191,7 @@ class SectionCells:
         polar coordinates (arg y / 2π, 1 − π|y|²)."""
         ys = np.asarray(ys, dtype=float)
         inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
-        return cls._build(ys, inside, ChiMap(L=1.0, H=1.0).inverse)
+        return cls._build(ys, inside, ChiMap().inverse)
 
     def check_points(self, ys):
         if ys is not self.points and ys.shape != self.points.shape:

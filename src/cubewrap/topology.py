@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .maps import DISC_RADIUS, EmbeddingConfig, KappaMap, make_lambda, psi_config
+from .maps import DISC_RADIUS, ChiMap, EmbeddingConfig, make_lambda, psi_config
 from .sections import (
     SectionCells,
     SectionDescription,
@@ -163,20 +163,24 @@ def _stamp_polyline(occupancy: np.ndarray, pts, x0, y0, cell, n):
     occupancy &= ~mask
 
 
-def slit_polyline(sd: SectionDescription, steps: int):
-    """Points of the slit path: the image of the removed angle, from the
-    square boundary (t -> 0) to the puncture (t -> 1).
+def _slit_cylinder(sd: SectionDescription, steps: int):
+    """Cylinder points (slit angle, t) of the removed angle, from the rim
+    (t -> 0) to the puncture (t -> 1).
 
-    Sampled uniformly in the intermediate disc radius, where the path is
-    a straight ray; uniform height sampling would leave large spatial
-    gaps near the center.
+    Sampled uniformly in the disc radius of χ, where the path is a
+    straight ray; uniform height sampling would leave large spatial gaps
+    near the center.
     """
-    lam = make_lambda()
     rho = np.linspace(DISC_RADIUS, 0.0, steps, endpoint=False)
     t = 1.0 - math.pi * rho * rho
     t = np.clip(t, 1e-12, 1.0 - 1e-12)
-    qp = np.stack([np.full_like(t, sd.slit_angle), t], axis=-1)
-    return lam.forward(qp)
+    return np.stack([np.full_like(t, sd.slit_angle), t], axis=-1)
+
+
+def slit_polyline(sd: SectionDescription, steps: int):
+    """Points of the slit path: the image of the removed angle under λ,
+    from the square boundary to the puncture."""
+    return make_lambda().forward(_slit_cylinder(sd, steps))
 
 
 def _phi_blank(N: int) -> Raster:
@@ -264,17 +268,16 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
         return r
     cells = _raster_cells(r, cells, SectionCells.psi)
     occ = psi_section_membership_many(cells.points, sd, cfg, a, cells=cells).reshape(N, N)
-    kappa = KappaMap(side=1.0)
-    pts = kappa.inverse(slit_polyline(sd, steps=8 * N))
-    _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
+    # The disc points are κ⁻¹ of the square ones, and κ⁻¹∘λ = χ.
+    chi = ChiMap()
+    _stamp_polyline(occ, chi.forward(_slit_cylinder(sd, 8 * N)), r.x0, r.y0, r.cell, N)
     # A shared endpoint of touching height intervals is a zero-width
     # free loop around the band; the ball constraint widens it into
     # visible pockets in places, so keep the whole loop open too.
-    lam = make_lambda()
     for v in _touching_heights(sd.W):
         ang = np.mod(sd.slit_angle + (np.arange(8 * N) + 0.5) / (8 * N), 1.0)
-        loop = lam.forward(np.stack([ang, np.full_like(ang, v)], axis=-1))
-        _stamp_polyline(occ, kappa.inverse(loop), r.x0, r.y0, r.cell, N)
+        loop = chi.forward(np.stack([ang, np.full_like(ang, v)], axis=-1))
+        _stamp_polyline(occ, loop, r.x0, r.y0, r.cell, N)
     return Raster(n=N, occupancy=occ, x0=r.x0, y0=r.y0, side=r.side)
 
 

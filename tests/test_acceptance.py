@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from cubewrap.cli import _injectivity_check
+from composed_maps import chi_jacobian, composed_lambda, composed_lambda_prime
+from cubewrap.cli import IMAGE_TOL, PREIMAGE_MIN, _injectivity_check
 from cubewrap.maps import (
     DISC_RADIUS,
     ChiMap,
@@ -162,13 +163,13 @@ def test_criterion_05_symplecticity(capsys):
 
 def test_criterion_06_injectivity(capsys):
     phi = build_phi(EmbeddingConfig(n=2, c=2.0))
-    collisions, total = _injectivity_check(
-        phi, 1_000_000, seed=3, image_tol=1e-7, preimage_min=1e-3
-    )
+    # the criterion's witness: the check's image and preimage distances
+    assert (IMAGE_TOL, PREIMAGE_MIN) == (1e-7, 1e-3)
+    collisions, worst = _injectivity_check(phi, 1_000_000, seed=3)
     report(
         capsys, 6,
         "no image pair within 1e-7 among 10^6 samples with preimages >= 1e-3 apart",
-        collisions == 0, f"{collisions} collisions / {total} samples",
+        collisions == 0, f"{collisions} collisions, worst pair {worst}",
     )
 
 
@@ -223,10 +224,10 @@ def test_criterion_09_primitive_maps(capsys):
         pts = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1)
         return pts
 
-    # chi: cylinder to punctured disc
-    chi = ChiMap(L=1.0, H=1.0)
+    # chi: cylinder to punctured disc, its Jacobian through chi = kappa^-1 o lambda
+    chi = ChiMap()
     qp = np.stack([rng.uniform(0, 1, n_pts), rng.uniform(0.01, 0.99, n_pts)], axis=-1)
-    dets = np.linalg.det(chi.jacobian(qp))
+    dets = np.linalg.det(chi_jacobian(qp))
     worst_det = max(worst_det, float(np.abs(dets - 1).max()))
     back = chi.inverse(chi.forward(qp))
     rt = np.abs(np.mod(back[:, 0] - qp[:, 0] + 0.5, 1.0) - 0.5).max()
@@ -234,7 +235,7 @@ def test_criterion_09_primitive_maps(capsys):
     worst_rt = max(worst_rt, rt)
 
     # kappa: disc to square (off the diagonal rays)
-    kappa = KappaMap(side=1.0)
+    kappa = KappaMap()
     pts = disc_points(DISC_RADIUS, 4 * n_pts)
     pts = pts[kappa.singular_distance(pts) > 1e-3][:n_pts]
     dets = np.linalg.det(kappa.jacobian(pts))
@@ -242,17 +243,18 @@ def test_criterion_09_primitive_maps(capsys):
     worst_rt = max(worst_rt, float(np.abs(kappa.inverse(kappa.forward(pts)) - pts).max()))
 
     # lambda (periodic first coordinate) and lambda-prime (periodic
-    # second coordinate of period c), via their cylinder coordinates
+    # second coordinate of period c), via their cylinder coordinates,
+    # away from the diagonals of their compositions
     lam_cases = [
-        (make_lambda(), 0, 1.0),
-        (make_lambda_prime(2.0), 1, 2.0),
+        (make_lambda(), composed_lambda(), 0, 1.0),
+        (make_lambda_prime(2.0), composed_lambda_prime(2.0), 1, 2.0),
     ]
-    for pm, periodic_axis, period in lam_cases:
+    for pm, composed, periodic_axis, period in lam_cases:
         cols = [None, None]
         cols[periodic_axis] = rng.uniform(0, period, 4 * n_pts)
         cols[1 - periodic_axis] = rng.uniform(0.01, 0.99, 4 * n_pts)
         u = np.stack(cols, axis=-1)
-        u = u[pm.singular_distance(u) > 1e-3][:n_pts]
+        u = u[composed.singular_distance(u) > 1e-3][:n_pts]
         dets = np.linalg.det(pm.jacobian(u))
         worst_det = max(worst_det, float(np.abs(dets - 1).max()))
         back = pm.inverse(pm.forward(u))

@@ -1,5 +1,5 @@
-"""Exact certificates, with sympy, for the closed forms the raster
-geometry relies on.
+"""Exact certificates, with sympy, for the closed forms the maps and the
+raster geometry rely on.
 
 On each of the concentric map κ's four sectors, κ⁻¹ is written as in
 `KappaMap.inverse`: with (u, v) = y − ½ and k = 2/√π, the branch
@@ -32,6 +32,21 @@ prove:
   the wrapped one, c ≥ 1 resolves the min to e − 1).
 
 Each fails on a planted wrong arc start or wrapped-piece end.
+
+λ and λ′ are written in closed form (`maps._Lambda`, `maps._LambdaPrime`).
+On each of κ's sectors, with t = 8q = 2k + s and 1 − p = w > 0, the
+certificates prove:
+
+* forward: ½ + m·R_k·(1, s), m = ½√(1 − p), equals κ∘χ(q, p), κ read
+  from `KappaMap.forward` and χ as radius √((1 − p)/π) at angle 2πq;
+* Jacobian: the code's [8m·S′(t) | −S(t)/(8m)] is the derivative of κ∘χ,
+  and its determinant is 1;
+* λ′: (h, a) ↦ (y₁, c·y₂), y = λ(−a/c, h), equals scale∘κ_√c∘χ_c∘swap,
+  symbolic in c.
+
+Each fails on a planted wrong constant (the 8 of t, the ½ of m, the
+scale of a coordinate of λ′) and on the rotation of a neighbouring
+sector.  Numerical spot checks tie the symbolic forms to the code.
 """
 
 import math
@@ -40,7 +55,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cubewrap.maps import KappaMap, square_to_cylinder
+from cubewrap.maps import (
+    _QUARTER_COS,
+    _QUARTER_SIN,
+    KappaMap,
+    make_lambda,
+    make_lambda_prime,
+    square_to_cylinder,
+)
 from cubewrap.quotient import circle_distance, preimage_affine_mod, reduce
 from cubewrap.sections import _BALL_K
 
@@ -196,3 +218,143 @@ def test_w_symbolic_pieces_match_the_code():
         got = preimage_affine_mod(reduce(T, c), c).intervals
         assert np.allclose(got, branches[branch](T, c - 1.0, k), rtol=0, atol=1e-15)
     assert seen == {"unwrapped", "wrapped"}
+
+
+# λ = κ∘χ in closed form.  On the cylinder, t = 8q = 2k + s with s in
+# [−1, 1) picks κ's sector k (right 0, top 1, left 2, bottom 3; the code's
+# k = 4 is the right sector again).  χ sends (q, p) to the disc point of
+# radius ρ = √((1 − p)/π) at angle θ = 2πq, which κ reads as arctan2's
+# principal value (θ − 2π on the bottom sector; on the left one κ uses
+# θ ∓ π, which is πs/4 either way).  W1 = 1 − p > 0.
+S = sp.Symbol("s", real=True)
+W1 = sp.Symbol("w", positive=True)
+C_LEN = sp.Symbol("c", positive=True)
+QUARTERS = {"right": 0, "top": 1, "left": 2, "bottom": 3}
+
+
+def kappa_forward(sector, rho, theta, side=sp.Integer(1)):
+    """`KappaMap.forward` on the sector, from the polar coordinates of its
+    input point, for the square of the given side."""
+    m = rho * sp.sqrt(sp.pi) / 2
+    k = 4 / sp.pi
+    u, v = {
+        "right": (m, m * k * theta),
+        "top": (m * (2 - k * theta), m),
+        "left": (-m, -m * k * (theta - sp.pi)),
+        "bottom": (m * (2 + k * theta), -m),
+    }[sector]
+    return u + side / 2, v + side / 2
+
+
+def chi_polar(sector, q, height, L=sp.Integer(1)):
+    """χ of circumference L and height 1 at (q, height): (ρ, principal θ)."""
+    theta = 2 * sp.pi * q / L
+    if sector == "bottom":
+        theta -= 2 * sp.pi
+    return sp.sqrt(L * (1 - height) / sp.pi), theta
+
+
+def q_on(sector):
+    return (2 * QUARTERS[sector] + S) / 8
+
+
+def closed_lambda(sector, q, p, eight=8, half=sp.Rational(1, 2), code_sector=None):
+    """`_Lambda.forward` on the sector: ½ + m·R_k·(1, s), m = ½√(1 − p),
+    s = 8q − 2k, with R_k's cos and sin read from the code's tables."""
+    k = QUARTERS[code_sector or sector]
+    cos, sin = sp.Integer(int(_QUARTER_COS[k])), sp.Integer(int(_QUARTER_SIN[k]))
+    m = half * sp.sqrt(1 - p)
+    s = eight * q - 2 * k
+    return 1 / sp.Integer(2) + m * (cos - sin * s), 1 / sp.Integer(2) + m * (sin + cos * s)
+
+
+def closed_lambda_jacobian(sector, q, p, eight=8, code_sector=None):
+    """`_Lambda.jacobian` on the sector: [8m·S′(t) | −S(t)/(8m)]."""
+    k = QUARTERS[code_sector or sector]
+    cos, sin = sp.Integer(int(_QUARTER_COS[k])), sp.Integer(int(_QUARTER_SIN[k]))
+    m = sp.sqrt(1 - p) / 2
+    s = 8 * q - 2 * k
+    w = -1 / (eight * m)
+    return sp.Matrix([[-eight * m * sin, (cos - sin * s) * w], [eight * m * cos, (sin + cos * s) * w]])
+
+
+def _vanishes(exprs):
+    return all(sp.simplify(e) == 0 for e in exprs)
+
+
+def certify_lambda(sector, code_sector=None, **planted):
+    """Which identities hold on `sector`: the closed form equals κ∘χ, and
+    the code's Jacobian is the derivative of κ∘χ with determinant 1."""
+    Q, P = sp.symbols("q p", real=True)
+    composed = kappa_forward(sector, *chi_polar(sector, Q, P))
+    closed = closed_lambda(sector, Q, P, code_sector=code_sector, **planted)
+    jac_planted = {k: v for k, v in planted.items() if k == "eight"}
+    J = closed_lambda_jacobian(sector, Q, P, code_sector=code_sector, **jac_planted)
+    dJ = sp.Matrix(composed).jacobian([Q, P])
+    on = {Q: q_on(sector), P: 1 - W1}
+    return {
+        "forward": _vanishes([(a - b).subs(on) for a, b in zip(closed, composed)]),
+        "jacobian": _vanishes(list((J - dJ).subs(on))) and _vanishes([J.det().subs(on) - 1]),
+    }
+
+
+@pytest.mark.parametrize("sector", QUARTERS)
+def test_lambda_closed_form_proved(sector):
+    assert certify_lambda(sector) == {"forward": True, "jacobian": True}
+
+
+@pytest.mark.parametrize("sector", QUARTERS)
+def test_lambda_certificate_fails_on_planted_errors(sector):
+    assert certify_lambda(sector, eight=7) == {"forward": False, "jacobian": False}
+    assert not certify_lambda(sector, half=sp.Rational(1, 3))["forward"]
+    neighbour = certify_lambda(sector, code_sector=NEXT[sector])
+    assert neighbour == {"forward": False, "jacobian": False}
+
+
+def test_lambda_tables_close_the_walk():
+    """k = 4 (t in [7, 8)) reads the right sector's rotation."""
+    assert (_QUARTER_COS[4], _QUARTER_SIN[4]) == (_QUARTER_COS[0], _QUARTER_SIN[0])
+
+
+def certify_lambda_prime(sector, scale_first=1, scale_second=None, code_sector=None):
+    """λ′ through λ, (h, a) ↦ (y₁, c·y₂) with y = λ(−a/c, h), against
+    scale∘κ_√c∘χ_c∘swap on the sector of −a/c, symbolic in c > 0."""
+    scale_second = C_LEN if scale_second is None else scale_second
+    a = -C_LEN * q_on(sector)  # so that −a/c is the sector's q
+    h = 1 - W1
+    y = closed_lambda(sector, -a / C_LEN, h, code_sector=code_sector)
+    through = (scale_first * y[0], scale_second * y[1])
+    sqc = sp.sqrt(C_LEN)
+    q_swapped, p_swapped = -a, h  # swap: (h, a) -> (−a, h)
+    x1, x2 = kappa_forward(sector, *chi_polar(sector, q_swapped, p_swapped, L=C_LEN), side=sqc)
+    composed = (x1 / sqc, sqc * x2)
+    return _vanishes([u - v for u, v in zip(through, composed)])
+
+
+@pytest.mark.parametrize("sector", QUARTERS)
+def test_lambda_symbolic_forms_match_the_code(sector):
+    """The symbolic closed forms of λ, Jλ and λ′ are the ones the code
+    computes."""
+    Q, P, A, H = sp.symbols("q p a h", real=True)
+    lam_f = sp.lambdify((Q, P), closed_lambda(sector, Q, P), "math")
+    lam_j = sp.lambdify((Q, P), closed_lambda_jacobian(sector, Q, P).tolist(), "math")
+    lamp_f = sp.lambdify((A, H, C_LEN), closed_lambda(sector, -A / C_LEN, H), "math")
+    rng = np.random.default_rng(9)
+    for sv, pv, c in zip(rng.uniform(-1, 1, 50), rng.uniform(0, 0.999, 50), rng.uniform(1, 5, 50)):
+        qv = (2 * QUARTERS[sector] + sv) / 8
+        assert np.allclose(make_lambda().forward([qv, pv]), lam_f(qv, pv), rtol=0, atol=1e-15)
+        assert np.allclose(make_lambda().jacobian([qv, pv]), lam_j(qv, pv), rtol=1e-14, atol=0)
+        y1, y2 = lamp_f(-c * qv, pv, c)
+        assert np.allclose(make_lambda_prime(c).forward([pv, -c * qv]), [y1, c * y2], rtol=1e-14)
+
+
+@pytest.mark.parametrize("sector", QUARTERS)
+def test_lambda_prime_through_lambda_proved(sector):
+    assert certify_lambda_prime(sector)
+
+
+@pytest.mark.parametrize("sector", QUARTERS)
+def test_lambda_prime_certificate_fails_on_planted_errors(sector):
+    assert not certify_lambda_prime(sector, scale_second=sp.sqrt(C_LEN))
+    assert not certify_lambda_prime(sector, scale_first=C_LEN)
+    assert not certify_lambda_prime(sector, code_sector=NEXT[sector])

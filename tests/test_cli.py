@@ -185,19 +185,31 @@ class TestVerify:
         for name in ("phi_symplectic_fd", "phi_image_volume_mc"):
             assert "worst_point" not in failing[name]
 
-    def test_collision_names_worst_pair(self, capsys, monkeypatch):
+    @staticmethod
+    def _plant_collisions(monkeypatch):
+        """Make the injectivity sample's images 1 and 2 land 4e-8 and
+        9e-8 from image 0; returns the drawing function's call log."""
         import cubewrap.cli as climod
 
-        real = climod._injectivity_sample
+        real, drawn = climod._injectivity_sample, []
 
         def planted(phi, samples, seed):
+            drawn.append(seed)
             X, Y = real(phi, samples, seed)
             Y[1:3] = Y[0]
             Y[1:3, 0] += [4e-8, 9e-8]
             return X, Y
 
         monkeypatch.setattr(climod, "_injectivity_sample", planted)
+        return drawn
+
+    def test_collision_names_worst_pair(self, capsys, monkeypatch):
+        import cubewrap.cli as climod
+
+        real = climod._injectivity_sample
+        drawn = self._plant_collisions(monkeypatch)
         code, out = run_main(FAST_VERIFY, capsys)
+        assert drawn == [4]
         assert code == EXIT_CHECK_FAILED
         (inj,) = [c for c in json.loads(out)["checks"] if c["name"] == "phi_injectivity_collisions"]
         assert not inj["passed"] and inj["value"] == 3
@@ -205,6 +217,17 @@ class TestVerify:
         worst = inj["worst_pair"]
         assert worst["preimages"] == [X[0].tolist(), X[1].tolist()]
         assert worst["image_distance"] == pytest.approx(4e-8, rel=1e-6)
+
+    def test_collision_is_swept_once(self, capsys, monkeypatch):
+        import cubewrap.cli as climod
+
+        self._plant_collisions(monkeypatch)
+        real, sweeps = climod._image_collisions, []
+        monkeypatch.setattr(
+            climod, "_image_collisions", lambda *a: sweeps.append(1) or real(*a)
+        )
+        code, out = run_main(FAST_VERIFY, capsys)
+        assert code == EXIT_CHECK_FAILED and len(sweeps) == 1
 
 
 def _brute_force_collisions(X, Y, image_tol, preimage_min):

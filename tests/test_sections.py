@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from composed_maps import composed_lambda
 from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda, make_lambda_prime
 from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
@@ -243,8 +244,8 @@ def _psi_reference(ys, z, config, a, slit_tol=1e-9):
     if sd.status != "generic":
         return out
     inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
-    kappa = KappaMap(side=1.0)
-    cyl = make_lambda().inverse(kappa.forward(ys[inside]))
+    kappa = KappaMap()
+    cyl = composed_lambda().inverse(kappa.forward(ys[inside]))
     qbar, p1 = cyl[..., 0], cyl[..., 1]
     ok = (p1 > 0) & (p1 < 1) & sd.W.contains_many(p1)
     d = np.mod(qbar - sd.slit_angle, 1.0)
@@ -397,7 +398,7 @@ def _disc_probe_points(rng):
 
 
 # Asserted bounds, (q̄ in circle distance, p), of the closed forms against
-# the map round trip.  φ: both sides share κ⁻¹'s (u, v) = y − ½, and the
+# the map round trip through the composed λ (`composed_maps`).  φ: both sides share κ⁻¹'s (u, v) = y − ½, and the
 # largest errors on the probe points are 2.2e-16 and 6.7e-16.  ψ: the
 # round trip λ⁻¹∘κ adds ½ to coordinates of size |y| in κ and subtracts
 # it again in κ⁻¹, so its angle carries an error up to (2/√π)·2⁻⁵³/|y|
@@ -424,7 +425,7 @@ class TestSectionCells:
         else:
             ys = rng.uniform(-0.6, 0.6, (30_000, 2))
             inside = np.hypot(ys[:, 0], ys[:, 1]) < sec.DISC_RADIUS
-            cyl = ChiMap(L=1.0, H=1.0).inverse(ys[inside])
+            cyl = ChiMap().inverse(ys[inside])
             build = lambda: sec.SectionCells.psi(ys)  # noqa: E731
         monkeypatch.setattr(sec, "_CHUNK", 4099)
         cells = build()
@@ -441,12 +442,12 @@ class TestSectionCells:
         if kind == "phi":
             ys = _square_probe_points(rng)
             cells = SectionCells.phi(ys)
-            ref = make_lambda().inverse(ys[cells.inside])
+            ref = composed_lambda().inverse(ys[cells.inside])
             qbar_tol, p_tol = PHI_TOL
         else:
             ys = _disc_probe_points(rng)
             cells = SectionCells.psi(ys)
-            ref = make_lambda().inverse(KappaMap().forward(ys[cells.inside]))
+            ref = composed_lambda().inverse(KappaMap().forward(ys[cells.inside]))
             qbar_tol, p_tol = PSI_TOL
             qbar_tol += 2.0**-52 / np.hypot(*ys[cells.inside].T)
         assert cells.inside.mean() > 0.99
