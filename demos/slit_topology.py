@@ -10,11 +10,13 @@ checks the analytic slit path point by point.
 Run:  python3 demos/slit_topology.py
 """
 from cubewrap import EmbeddingConfig, check_complement_connected, slit_path_witness
+from cubewrap.sections import section_membership_many
 from cubewrap.topology import (
+    Raster,
     annulus_fixture,
     annulus_with_slit_fixture,
     complement_components,
-    rasterize_section,
+    phi_section_cells,
 )
 
 config = EmbeddingConfig(n=2, c=2.0)
@@ -36,9 +38,12 @@ for N in (256, 512, 1024):
         f"occupied fraction {rep.occupied_fraction:.3f}"
     )
 
-# keep_slit_open=False shows what discretization alone would do: at any
-# finite resolution the zero-width slit closes and a hole appears
-r_closed = rasterize_section(z, config, 512, keep_slit_open=False)
+# Cell-centre membership with no slit stamp shows what discretization
+# alone would do: at any finite resolution the zero-width slit closes
+# and a hole appears
+cells = phi_section_cells(512)
+occ = section_membership_many(cells.points, z, config, cells=cells)
+r_closed = Raster(n=512, occupancy=occ.reshape(512, 512))
 print(
     f"\nwithout the slit stamp (N = 512): "
     f"{complement_components(r_closed).count} components (hole trapped)"

@@ -4,12 +4,15 @@ Plane maps act on arrays of shape (..., 2); phase maps (2n-D) act on
 arrays of shape (..., 2n).  The plane maps are all of unit size:
 
 * χ (`ChiMap`), the cylinder (R/Z) x [0, 1) onto the punctured disc of
-  unit area, and its inverse, plain polar coordinates;
-* κ (`KappaMap`), the equal-area concentric map of that disc onto the
-  unit square, with its Jacobian;
+  unit area, its inverse, plain polar coordinates, and its Jacobian;
 * λ = κ∘χ (`make_lambda`), the cylinder onto the punctured square,
   written once in closed form with no trig: forward, inverse
   (`square_to_cylinder`) and Jacobian;
+* κ (`KappaMap`), the equal-area concentric map of the disc onto the
+  unit square, with its inverse and Jacobian.  κ shares λ's sector walk
+  and differs from λ only in the radial coordinate: κ(x) = ½ + m·S(t)
+  with m = (√π/2)|x| and t = 8·arg x/2π, and κ⁻¹ reads the angle and
+  signed radius off `square_to_cylinder`'s sectors;
 * λ′ (`make_lambda_prime(c)`), the cylinder (0, 1) x (R/cZ) onto the
   punctured rectangle (0, 1) x (0, c), which is λ rescaled.
 
@@ -22,7 +25,8 @@ two composed embeddings are
   square (λ) and a punctured rectangle (λ′), and
 
 * the ball embedding obtained by conjugating with κ on every coordinate
-  pair.
+  pair.  Since κ⁻¹∘λ = χ, its first output pair is χ of the wrapped
+  cylinder point.
 """
 from __future__ import annotations
 
@@ -65,6 +69,9 @@ __all__ = [
 DISC_RADIUS = 1.0 / math.sqrt(math.pi)
 
 TWO_PI = 2.0 * math.pi
+
+# Half-side of κ's square per unit radius of its circle.
+_HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
 # Largest symplectic defect max|JᵀΩJ − Ω| an analytic Jacobian may show.
 SYMPLECTIC_TOL = 1e-8
@@ -139,115 +146,20 @@ class ChiMap:
         q = np.mod(np.arctan2(y, x) / TWO_PI, 1.0)
         return np.stack([q, p], axis=-1)
 
-
-class KappaMap:
-    """Equal-area concentric map from the closed disc of radius
-    1/sqrt(pi) (centered at 0) onto the unit square.
-
-    Concentric circles go to concentric squares; within each of the four
-    diagonal sectors the angle is reparametrized linearly.  The Jacobian
-    determinant is 1 away from the four diagonal rays, where the map is
-    continuous but not differentiable.
-    """
-
-    def forward(self, pts):
-        pts = _as_points(pts)
-        x, y = pts[..., 0], pts[..., 1]
-        rho = np.hypot(x, y)
-        if np.any(rho > DISC_RADIUS * (1 + 1e-12)):
-            raise DomainError("point outside the closed disc")
-        theta = np.arctan2(y, x)
-        m = rho * math.sqrt(math.pi) / 2.0
-        k = 4.0 / math.pi
-        right = np.abs(theta) <= math.pi / 4
-        top = (theta > math.pi / 4) & (theta <= 3 * math.pi / 4)
-        bottom = (theta < -math.pi / 4) & (theta >= -3 * math.pi / 4)
-        left = ~(right | top | bottom)
-        u = np.where(
-            right, m, np.where(top, m * (2.0 - k * theta), 0.0)
-        )
-        v = np.where(
-            right, m * k * theta, np.where(top, m, 0.0)
-        )
-        # Left sector: angle measured from the negative x-axis.
-        phi_left = np.where(theta > 0, theta - math.pi, theta + math.pi)
-        u = np.where(left, -m, u)
-        v = np.where(left, -m * k * phi_left, v)
-        u = np.where(bottom, m * (2.0 + k * theta), u)
-        v = np.where(bottom, -m, v)
-        return np.stack([u + 0.5, v + 0.5], axis=-1)
-
-    def inverse(self, pts):
-        pts = _as_points(pts)
-        u = pts[..., 0] - 0.5
-        v = pts[..., 1] - 0.5
-        au, av = np.abs(u), np.abs(v)
-        kk = 2.0 / math.sqrt(math.pi)
-        # Branch |u| >= |v|: signed radius u, angle (pi/4)(v/u).
-        safe_u = np.where(u == 0, 1.0, u)
-        safe_v = np.where(v == 0, 1.0, v)
-        phi1 = (math.pi / 4.0) * (v / safe_u)
-        phi2 = math.pi / 2.0 - (math.pi / 4.0) * (u / safe_v)
-        use1 = au >= av
-        r_signed = np.where(use1, u, v)
-        phi = np.where(use1, phi1, phi2)
-        x = kk * r_signed * np.cos(phi)
-        y = kk * r_signed * np.sin(phi)
-        origin = (au == 0) & (av == 0)
-        x = np.where(origin, 0.0, x)
-        y = np.where(origin, 0.0, y)
-        return np.stack([x, y], axis=-1)
-
-    def _jacobian_square_to_disc(self, square_pts):
-        pts = _as_points(square_pts)
-        u = pts[..., 0] - 0.5
-        v = pts[..., 1] - 0.5
-        au, av = np.abs(u), np.abs(v)
-        kk = 2.0 / math.sqrt(math.pi)
-        use1 = au >= av
-        safe_u = np.where(u == 0, 1.0, u)
-        safe_v = np.where(v == 0, 1.0, v)
-        J = np.empty(pts.shape[:-1] + (2, 2))
-        # Branch 1: X = kk*u*cos(phi), Y = kk*u*sin(phi), phi = (pi/4)(v/u).
-        phi = (math.pi / 4.0) * (v / safe_u)
-        cph, sph = np.cos(phi), np.sin(phi)
-        phi_u = -(math.pi / 4.0) * v / safe_u**2
-        phi_v = (math.pi / 4.0) / safe_u
-        J1 = np.empty_like(J)
-        J1[..., 0, 0] = kk * (cph - u * sph * phi_u)
-        J1[..., 0, 1] = -kk * u * sph * phi_v
-        J1[..., 1, 0] = kk * (sph + u * cph * phi_u)
-        J1[..., 1, 1] = kk * u * cph * phi_v
-        # Branch 2: X = kk*v*cos(phi), Y = kk*v*sin(phi), phi = pi/2 - (pi/4)(u/v).
-        phi = math.pi / 2.0 - (math.pi / 4.0) * (u / safe_v)
-        cph, sph = np.cos(phi), np.sin(phi)
-        phi_u = -(math.pi / 4.0) / safe_v
-        phi_v = (math.pi / 4.0) * u / safe_v**2
-        J2 = np.empty_like(J)
-        J2[..., 0, 0] = -kk * v * sph * phi_u
-        J2[..., 0, 1] = kk * (cph - v * sph * phi_v)
-        J2[..., 1, 0] = kk * v * cph * phi_u
-        J2[..., 1, 1] = kk * (sph + v * cph * phi_v)
-        mask = use1[..., None, None]
-        return np.where(mask, J1, J2)
-
     def jacobian(self, pts):
-        # Forward (disc -> square) Jacobian: invert the closed-form
-        # square -> disc Jacobian at the image point.
-        square_pts = self.forward(pts)
-        return np.linalg.inv(self._jacobian_square_to_disc(square_pts))
-
-    def jacobian_inverse(self, pts):
-        """Jacobian of the inverse (square -> disc) map at square points."""
-        return self._jacobian_square_to_disc(pts)
-
-    def singular_distance(self, pts):
-        """Distance from the four diagonal rays (sector boundaries) and 0,
-        where the map is not differentiable."""
+        """[2πρ·(−sin θ, cos θ) | −(cos θ, sin θ)/(2πρ)] at θ = 2πq and
+        ρ = √((1 − p)/π), of determinant 1 (tests/test_certificates.py
+        proves both)."""
         pts = _as_points(pts)
-        x, y = pts[..., 0], pts[..., 1]
-        d_diag = np.minimum(np.abs(x - y), np.abs(x + y)) / math.sqrt(2.0)
-        return np.minimum(d_diag, np.hypot(x, y))
+        theta = TWO_PI * pts[..., 0]
+        w = TWO_PI * np.sqrt((1.0 - pts[..., 1]) / math.pi)
+        cos, sin = np.cos(theta), np.sin(theta)
+        J = np.empty(pts.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -w * sin
+        J[..., 1, 0] = w * cos
+        J[..., 0, 1] = -cos / w
+        J[..., 1, 1] = -sin / w
+        return J
 
 
 # cos and sin of k quarter turns, k = 0, ..., 4 (k = 4 is k = 0 again).
@@ -255,19 +167,48 @@ _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
 _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 
 
-def _square_walk(qp):
-    """m = ½√(1 − p) and the point S(t) of the boundary of [−1, 1]² at
-    t = 8·(q mod 1), as (m, cos, sin, s): t = 2k + s with s ∈ [−1, 1),
-    and S(t) = R_k·(1, s), R_k the turn by k quarters.  So S walks the
-    right edge (1, t) for t ∈ [0, 1) ∪ [7, 8) (as t − 8), the top edge
-    (2 − t, 1) on [1, 3), the left edge (−1, 4 − t) on [3, 5) and the
-    bottom edge (t − 6, −1) on [5, 7).  Every t − 2k is exact."""
+def _square_walk(t):
+    """The point S(t) of the boundary of [−1, 1]² at t ∈ [−1, 8), as
+    (cos, sin, s): t = 2k + s with s ∈ [−1, 1), and S(t) = R_k·(1, s),
+    R_k the turn by k quarters.  So S walks the right edge (1, t) for
+    t ∈ [−1, 1) ∪ [7, 8) (as t − 8), the top edge (2 − t, 1) on [1, 3),
+    the left edge (−1, 4 − t) on [3, 5) and the bottom edge (t − 6, −1)
+    on [5, 7).  Every t − 2k is exact.  λ and κ both walk it: it is the
+    only place the concentric map's sectors are written."""
+    k = np.floor(0.5 * (t + 1.0)).astype(np.intp)
+    return _QUARTER_COS[k], _QUARTER_SIN[k], t - 2.0 * k
+
+
+def _on_square(m, t):
+    """½ + m·S(t), the point at t on the square of half-side m centred
+    at (½, ½)."""
+    cos, sin, s = _square_walk(t)
+    out = np.empty(m.shape + (2,))
+    out[..., 0] = 0.5 + m * (cos - sin * s)
+    out[..., 1] = 0.5 + m * (sin + cos * s)
+    return out
+
+
+def _walk_jacobian(m, t):
+    """[8m·S′(t) | −S(t)/(8m)], the derivative of ½ + m·S(t) in (q, p)
+    when t = 8q and m = ½√(1 − p)."""
+    cos, sin, s = _square_walk(t)
+    J = np.empty(m.shape + (2, 2))
+    J[..., 0, 0] = -8.0 * m * sin
+    J[..., 1, 0] = 8.0 * m * cos
+    w = -1.0 / (8.0 * m)
+    J[..., 0, 1] = (cos - sin * s) * w
+    J[..., 1, 1] = (sin + cos * s) * w
+    return J
+
+
+def _cylinder_walk(qp):
+    """m = ½√(1 − p) and t = 8·(q mod 1) of the cylinder points qp."""
     qp = _as_points(qp)
     q, p = qp[..., 0], qp[..., 1]
     t = q - np.floor(q)
     t *= 8.0
-    k = np.floor(0.5 * (t + 1.0)).astype(np.intp)
-    return 0.5 * np.sqrt(1.0 - p), _QUARTER_COS[k], _QUARTER_SIN[k], t - 2.0 * k
+    return 0.5 * np.sqrt(1.0 - p), t
 
 
 class _Lambda:
@@ -284,24 +225,13 @@ class _Lambda:
     """
 
     def forward(self, qp):
-        m, cos, sin, s = _square_walk(qp)
-        out = np.empty(m.shape + (2,))
-        out[..., 0] = 0.5 + m * (cos - sin * s)
-        out[..., 1] = 0.5 + m * (sin + cos * s)
-        return out
+        return _on_square(*_cylinder_walk(qp))
 
     def inverse(self, ys):
         return square_to_cylinder(ys)
 
     def jacobian(self, qp):
-        m, cos, sin, s = _square_walk(qp)
-        J = np.empty(m.shape + (2, 2))
-        J[..., 0, 0] = -8.0 * m * sin
-        J[..., 1, 0] = 8.0 * m * cos
-        w = -1.0 / (8.0 * m)
-        J[..., 0, 1] = (cos - sin * s) * w
-        J[..., 1, 1] = (sin + cos * s) * w
-        return J
+        return _walk_jacobian(*_cylinder_walk(qp))
 
 
 def make_lambda() -> _Lambda:
@@ -310,10 +240,27 @@ def make_lambda() -> _Lambda:
     return _Lambda()
 
 
+def _square_polar(ys):
+    """(q̄, r) of the square points ys, as `square_to_cylinder` defines
+    them, with q̄ in [−⅛, ⅞] before its reduction mod 1.  At the centre
+    r = 0 and q̄ = 0."""
+    ys = _as_points(ys)
+    u, v = ys[..., 0] - 0.5, ys[..., 1] - 0.5
+    first = np.abs(u) >= np.abs(v)
+    r = np.where(first, u, v)
+    offset = np.where(first, 0.0, 0.25)
+    offset[r < 0] += 0.5
+    # The numerator is 0 wherever r is (only at the centre).
+    q = np.where(first, v, -u)
+    np.divide(q, 8.0 * r, out=q, where=r != 0)
+    q += offset
+    return q, r
+
+
 def square_to_cylinder(ys):
     """λ⁻¹ in closed form, with no trig: the cylinder point (q̄, p) of
-    each point y of the open unit square minus its centre (undefined at
-    the centre).
+    each point y of the open unit square minus its centre (the centre,
+    where λ⁻¹ is undefined, gets height 1, off the cylinder).
 
     λ⁻¹ = χ⁻¹∘κ⁻¹.  Write (u, v) = y − ½ and let r be the coordinate of
     larger magnitude (u where |u| ≥ |v|, else v).  On each of κ's four
@@ -331,18 +278,70 @@ def square_to_cylinder(ys):
     mod 1 is q̄ − floor(q̄).  tests/test_certificates.py proves the
     sector formulas.
     """
-    ys = _as_points(ys)
-    u, v = ys[..., 0] - 0.5, ys[..., 1] - 0.5
-    first = np.abs(u) >= np.abs(v)
-    r = np.where(first, u, v)
-    offset = np.where(first, 0.0, 0.25)
-    offset[r < 0] += 0.5
-    out = np.empty(ys.shape)
-    q = np.divide(np.where(first, v, -u), 8.0 * r, out=out[..., 0])
-    q += offset
-    q -= np.floor(q)
+    q, r = _square_polar(ys)
+    out = np.empty(q.shape + (2,))
+    np.subtract(q, np.floor(q), out=out[..., 0])
     out[..., 1] = 1.0 - 4.0 * (r * r)
     return out
+
+
+def _disc_t(x, y):
+    """t = 8·arg(x, y)/2π of disc points, in [−1, 7): the position on
+    the sector walk of κ's image point."""
+    t = np.arctan2(y, x) * (4.0 / math.pi)
+    return t + 8.0 * (t < -1.0)
+
+
+class KappaMap:
+    """Equal-area concentric map from the closed disc of radius
+    1/sqrt(pi) (centered at 0) onto the unit square.
+
+    κ shares λ's sector walk and differs from λ only in the radial
+    coordinate: κ(x) = ½ + m·S(t) with m = (√π/2)|x| and t = 8·arg x/2π.
+    The Jacobian determinant is 1 away from the four diagonal rays,
+    where the map is continuous but not differentiable.
+    """
+
+    def forward(self, pts):
+        pts = _as_points(pts)
+        x, y = pts[..., 0], pts[..., 1]
+        rho = np.hypot(x, y)
+        if np.any(rho > DISC_RADIUS * (1 + 1e-12)):
+            raise DomainError("point outside the closed disc")
+        return _on_square(rho * _HALF_SQRT_PI, _disc_t(x, y))
+
+    def inverse(self, pts):
+        """(2/√π)·|r|·(cos 2πq̄, sin 2πq̄), so (0, 0) at the centre."""
+        q, r = _square_polar(pts)
+        q *= TWO_PI
+        rho = np.abs(r) / _HALF_SQRT_PI
+        out = np.empty(q.shape + (2,))
+        out[..., 0] = rho * np.cos(q)
+        out[..., 1] = rho * np.sin(q)
+        return out
+
+    def jacobian(self, pts):
+        """Jλ at χ⁻¹(x) times Jχ⁻¹ = [∇q̄; ∇p], the gradients of the
+        angle q̄ = arg x/2π and the height p = 1 − π|x|², read from x:
+        ∇q̄ = (−y, x)/(2π|x|²) and ∇p = −2π·(x, y).  The half-side m is
+        (√π/2)|x|, not ½√(1 − p), which would cancel digits near 0."""
+        pts = _as_points(pts)
+        x, y = pts[..., 0], pts[..., 1]
+        r2 = x * x + y * y
+        grad = np.empty(pts.shape[:-1] + (2, 2))
+        grad[..., 0, 0] = -y / (TWO_PI * r2)
+        grad[..., 0, 1] = x / (TWO_PI * r2)
+        grad[..., 1, 0] = -TWO_PI * x
+        grad[..., 1, 1] = -TWO_PI * y
+        return _walk_jacobian(np.sqrt(r2) * _HALF_SQRT_PI, _disc_t(x, y)) @ grad
+
+    def singular_distance(self, pts):
+        """Distance from the four diagonal rays (sector boundaries) and 0,
+        where the map is not differentiable."""
+        pts = _as_points(pts)
+        x, y = pts[..., 0], pts[..., 1]
+        d_diag = np.minimum(np.abs(x - y), np.abs(x + y)) / math.sqrt(2.0)
+        return np.minimum(d_diag, np.hypot(x, y))
 
 
 @dataclass(frozen=True)
@@ -457,10 +456,11 @@ def shear_wrap(X, c: float):
     """(Qbar1, P1, Q2, Pbar2) of the cube points X: the shear of their
     first four coordinates, with Qbar1 wrapped onto R/Z and Pbar2 onto
     R/cZ."""
-    Y = X[..., :4] @ shear_matrix(c).T
-    return np.stack(
-        [np.mod(Y[..., 0], 1.0), Y[..., 1], Y[..., 2], np.mod(Y[..., 3], c)], axis=-1
-    )
+    out = np.empty(X.shape[:-1] + (4,))
+    np.mod(X[..., 0] - c * X[..., 2], 1.0, out=out[..., 0])
+    out[..., 1:3] = X[..., 1:3]
+    np.mod(c * X[..., 1] + X[..., 3], c, out=out[..., 3])
+    return out
 
 
 def unshear_wrap(qbar1, p1, Q2, p2bar, c: float):
@@ -487,11 +487,13 @@ class PhiMap(PhaseMap):
     (0,1)^2 x (0,1) x (0,c) x (0,1)^{2n-4}.
     """
 
+    # The map of the first cylinder (Qbar1, P1).
+    _first = _Lambda()
+
     def __init__(self, config: EmbeddingConfig):
         self.c = config.c
         self.n = config.n
         self.dim = 2 * config.n
-        self._lam = make_lambda()
         self._lamp = make_lambda_prime(config.c)
 
     def contains(self, X):
@@ -504,7 +506,7 @@ class PhiMap(PhaseMap):
             raise DomainError("input outside the open unit cube")
         W = shear_wrap(X, self.c)
         out = np.empty_like(X)
-        out[..., 0:2] = self._lam.forward(W[..., 0:2])
+        out[..., 0:2] = self._first.forward(W[..., 0:2])
         out[..., 2:4] = self._lamp.forward(W[..., 2:4])
         out[..., 4:] = X[..., 4:]
         return out
@@ -512,7 +514,7 @@ class PhiMap(PhaseMap):
     def jacobian(self, X):
         X = _asX(X, self.dim)
         W = shear_wrap(X, self.c)
-        Jl = self._lam.jacobian(W[..., 0:2])
+        Jl = self._first.jacobian(W[..., 0:2])
         Jp = self._lamp.jacobian(W[..., 2:4])
         J = np.zeros(X.shape[:-1] + (self.dim, self.dim))
         S = shear_matrix(self.c)
@@ -558,7 +560,7 @@ class PhiMap(PhaseMap):
     def inverse(self, Y):
         """Inverse on the image; callers must ensure membership."""
         Y = _asX(Y, self.dim)
-        cyl1 = self._lam.inverse(Y[..., 0:2])
+        cyl1 = self._first.inverse(Y[..., 0:2])
         cyl2 = self._lamp.inverse(Y[..., 2:4])
         X = np.empty_like(Y)
         X[..., 1] = cyl1[..., 1]
@@ -568,6 +570,14 @@ class PhiMap(PhaseMap):
         )
         X[..., 4:] = Y[..., 4:]
         return X
+
+
+class _ChiCube(PhiMap):
+    """φ followed by κ⁻¹ on the first output pair.  κ⁻¹∘λ = χ, so that
+    pair is χ of the wrapped cylinder point (Qbar1, P1), with Jacobian
+    block Jχ."""
+
+    _first = ChiMap()
 
 
 def build_phi(config: EmbeddingConfig) -> PhiMap:
@@ -584,8 +594,9 @@ def psi_config(config: EmbeddingConfig, a: float) -> EmbeddingConfig:
 
 class PsiMap(PhaseMap):
     """The ball embedding: conjugate the cube embedding (with c = 1/a)
-    by the equal-area disc/square map on every input pair and by its
-    inverse on the first output pair.  Embeds the open ball of radius
+    by the equal-area disc/square map κ on every input pair and by its
+    inverse on the first output pair, which makes that pair χ of the
+    wrapped cylinder point (`_ChiCube`).  Embeds the open ball of radius
     1/sqrt(pi) with first factor inside the open disc of the same radius.
     """
 
@@ -595,7 +606,7 @@ class PsiMap(PhaseMap):
         self.c = cube.c
         self.n = config.n
         self.dim = 2 * config.n
-        self._phi = PhiMap(cube)
+        self._phi = _ChiCube(cube)
         self._kappa = KappaMap()
 
     def contains(self, X):
@@ -612,27 +623,16 @@ class PsiMap(PhaseMap):
         X = _asX(X, self.dim)
         if not np.all(self.contains(X)):
             raise DomainError("input outside the open ball")
-        U = self._to_cube(X)
-        W = self._phi.forward(U)
-        out = W.copy()
-        out[..., 0:2] = self._kappa.inverse(W[..., 0:2])
-        return out
+        return self._phi.forward(self._to_cube(X))
 
     def jacobian(self, X):
         X = _asX(X, self.dim)
-        U = self._to_cube(X)
-        W = self._phi.forward(U)
-        J = self._phi.jacobian(U)
-        Jin = np.zeros(X.shape[:-1] + (self.dim, self.dim))
+        J = self._phi.jacobian(self._to_cube(X))
+        # Times the block diagonal of κ's Jacobians, pair by pair.
         for i in range(self.n):
-            Jin[..., 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = self._kappa.jacobian(
-                X[..., 2 * i : 2 * i + 2]
-            )
-        Jout = np.zeros_like(Jin)
-        Jout[..., 0:2, 0:2] = self._kappa.jacobian_inverse(W[..., 0:2])
-        idx = np.arange(2, self.dim)
-        Jout[..., idx, idx] = 1.0
-        return Jout @ J @ Jin
+            pair = slice(2 * i, 2 * i + 2)
+            J[..., pair] = J[..., pair] @ self._kappa.jacobian(X[..., pair])
+        return J
 
     def smooth_mask(self, X, margin: float):
         X = _asX(X, self.dim)
@@ -641,17 +641,12 @@ class PsiMap(PhaseMap):
         for i in range(self.n):
             pair = X[..., 2 * i : 2 * i + 2]
             ok &= self._kappa.singular_distance(pair) > margin
-        ok_idx = np.nonzero(ok)
-        if len(ok_idx[0]):
+        if ok.any():
             U = self._to_cube(X[ok])
-            sub = self._phi.smooth_mask(U, margin)
-            W = self._phi.forward(np.clip(U, 1e-12, 1 - 1e-12))
-            sub &= self._kappa.singular_distance(
-                self._kappa.inverse(W[..., 0:2])
-            ) > margin
-            tmp = np.zeros(ok.shape, dtype=bool)
-            tmp[ok_idx] = sub
-            return tmp
+            first = ChiMap().forward(shear_wrap(U, self.c)[..., 0:2])
+            ok[ok] = self._phi.smooth_mask(U, margin) & (
+                self._kappa.singular_distance(first) > margin
+            )
         return ok
 
     def _raw_samples(self, rng, count):

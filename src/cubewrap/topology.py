@@ -169,11 +169,14 @@ def _slit_cylinder(sd: SectionDescription, steps: int):
 
     Sampled uniformly in the disc radius of χ, where the path is a
     straight ray; uniform height sampling would leave large spatial gaps
-    near the center.
+    near the center.  The radii are the midpoints ρ_k = R·(1 − (k + ½)/
+    steps), R = DISC_RADIUS, so that ½ ± m_k, m_k = ½(1 − (k + ½)/steps)
+    the half-side of λ's square there, is never a cell edge of a raster
+    whose N divides steps: a slit along a diagonal (z1 = ½) does not run
+    through cell corners.
     """
-    rho = np.linspace(DISC_RADIUS, 0.0, steps, endpoint=False)
+    rho = DISC_RADIUS * (1.0 - (np.arange(steps) + 0.5) / steps)
     t = 1.0 - math.pi * rho * rho
-    t = np.clip(t, 1e-12, 1.0 - 1e-12)
     return np.stack([np.full_like(t, sd.slit_angle), t], axis=-1)
 
 
@@ -218,15 +221,12 @@ def _raster_cells(r: Raster, cells, build) -> SectionCells:
     return cells
 
 
-def rasterize_section(
-    z, config: EmbeddingConfig, N: int, keep_slit_open: bool = True, cells=None
-) -> Raster:
+def rasterize_section(z, config: EmbeddingConfig, N: int, cells=None) -> Raster:
     """Rasterize the section at z over [0,1]^2 by cell-center membership.
 
-    With keep_slit_open (the default) the cells along the analytic slit
-    path are freed; the slit has zero width, so plain center sampling
-    would close it at every finite resolution.  `cells`, if given, is
-    `phi_section_cells(N)`.
+    The cells along the analytic slit path are freed; the slit has zero
+    width, so plain center sampling would close it at every finite
+    resolution.  `cells`, if given, is `phi_section_cells(N)`.
     """
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
@@ -236,9 +236,7 @@ def rasterize_section(
         return r
     cells = _raster_cells(r, cells, SectionCells.phi)
     occ = section_membership_many(cells.points, sd, config, cells=cells).reshape(N, N)
-    if keep_slit_open:
-        pts = slit_polyline(sd, steps=8 * N)
-        _stamp_polyline(occ, pts, r.x0, r.y0, r.cell, N)
+    _stamp_polyline(occ, slit_polyline(sd, steps=8 * N), r.x0, r.y0, r.cell, N)
     return Raster(n=N, occupancy=occ)
 
 

@@ -1,15 +1,20 @@
 """λ and λ′ built as compositions of plane maps, the way `cubewrap.maps`
 wrote them before they had closed forms: λ = κ∘χ and λ′ = scale∘κ_√c∘
 χ_c∘swap, with χ_L,H the cylinder (R/LZ) x [0, H) onto the disc of area
-L·H and κ_s the concentric map onto the square of side s.  The tests
-use them as an independent reference for the closed forms, and for the
-distance from the sets where the compositions are not smooth.
+L·H and κ_s the concentric map onto the square of side s.  κ is
+`SectorKappa`, the concentric map written sector by sector with trig:
+its forward through arctan2 and one branch per sector, its inverse with
+one branch per pair of sectors, and its Jacobian as the matrix inverse
+of the inverse's.  It shares no code with `cubewrap.maps.KappaMap`,
+which walks λ's sectors.  The tests use these as an independent
+reference for the closed forms, and for the distance from the sets
+where the compositions are not smooth.
 """
 import math
 
 import numpy as np
 
-from cubewrap.maps import KappaMap, make_lambda
+from cubewrap.maps import DISC_RADIUS, DomainError, _as_points, make_lambda
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +53,116 @@ class Chi:
         return self.H - pts[..., 1]
 
 
+class SectorKappa:
+    """Equal-area concentric map from the closed disc of radius
+    1/sqrt(pi) (centered at 0) onto the unit square.
+
+    Concentric circles go to concentric squares; within each of the four
+    diagonal sectors the angle is reparametrized linearly.  The Jacobian
+    determinant is 1 away from the four diagonal rays, where the map is
+    continuous but not differentiable.
+    """
+
+    def forward(self, pts):
+        pts = _as_points(pts)
+        x, y = pts[..., 0], pts[..., 1]
+        rho = np.hypot(x, y)
+        if np.any(rho > DISC_RADIUS * (1 + 1e-12)):
+            raise DomainError("point outside the closed disc")
+        theta = np.arctan2(y, x)
+        m = rho * math.sqrt(math.pi) / 2.0
+        k = 4.0 / math.pi
+        right = np.abs(theta) <= math.pi / 4
+        top = (theta > math.pi / 4) & (theta <= 3 * math.pi / 4)
+        bottom = (theta < -math.pi / 4) & (theta >= -3 * math.pi / 4)
+        left = ~(right | top | bottom)
+        u = np.where(
+            right, m, np.where(top, m * (2.0 - k * theta), 0.0)
+        )
+        v = np.where(
+            right, m * k * theta, np.where(top, m, 0.0)
+        )
+        # Left sector: angle measured from the negative x-axis.
+        phi_left = np.where(theta > 0, theta - math.pi, theta + math.pi)
+        u = np.where(left, -m, u)
+        v = np.where(left, -m * k * phi_left, v)
+        u = np.where(bottom, m * (2.0 + k * theta), u)
+        v = np.where(bottom, -m, v)
+        return np.stack([u + 0.5, v + 0.5], axis=-1)
+
+    def inverse(self, pts):
+        pts = _as_points(pts)
+        u = pts[..., 0] - 0.5
+        v = pts[..., 1] - 0.5
+        au, av = np.abs(u), np.abs(v)
+        kk = 2.0 / math.sqrt(math.pi)
+        # Branch |u| >= |v|: signed radius u, angle (pi/4)(v/u).
+        safe_u = np.where(u == 0, 1.0, u)
+        safe_v = np.where(v == 0, 1.0, v)
+        phi1 = (math.pi / 4.0) * (v / safe_u)
+        phi2 = math.pi / 2.0 - (math.pi / 4.0) * (u / safe_v)
+        use1 = au >= av
+        r_signed = np.where(use1, u, v)
+        phi = np.where(use1, phi1, phi2)
+        x = kk * r_signed * np.cos(phi)
+        y = kk * r_signed * np.sin(phi)
+        origin = (au == 0) & (av == 0)
+        x = np.where(origin, 0.0, x)
+        y = np.where(origin, 0.0, y)
+        return np.stack([x, y], axis=-1)
+
+    def _jacobian_square_to_disc(self, square_pts):
+        pts = _as_points(square_pts)
+        u = pts[..., 0] - 0.5
+        v = pts[..., 1] - 0.5
+        au, av = np.abs(u), np.abs(v)
+        kk = 2.0 / math.sqrt(math.pi)
+        use1 = au >= av
+        safe_u = np.where(u == 0, 1.0, u)
+        safe_v = np.where(v == 0, 1.0, v)
+        J = np.empty(pts.shape[:-1] + (2, 2))
+        # Branch 1: X = kk*u*cos(phi), Y = kk*u*sin(phi), phi = (pi/4)(v/u).
+        phi = (math.pi / 4.0) * (v / safe_u)
+        cph, sph = np.cos(phi), np.sin(phi)
+        phi_u = -(math.pi / 4.0) * v / safe_u**2
+        phi_v = (math.pi / 4.0) / safe_u
+        J1 = np.empty_like(J)
+        J1[..., 0, 0] = kk * (cph - u * sph * phi_u)
+        J1[..., 0, 1] = -kk * u * sph * phi_v
+        J1[..., 1, 0] = kk * (sph + u * cph * phi_u)
+        J1[..., 1, 1] = kk * u * cph * phi_v
+        # Branch 2: X = kk*v*cos(phi), Y = kk*v*sin(phi), phi = pi/2 - (pi/4)(u/v).
+        phi = math.pi / 2.0 - (math.pi / 4.0) * (u / safe_v)
+        cph, sph = np.cos(phi), np.sin(phi)
+        phi_u = -(math.pi / 4.0) / safe_v
+        phi_v = (math.pi / 4.0) * u / safe_v**2
+        J2 = np.empty_like(J)
+        J2[..., 0, 0] = -kk * v * sph * phi_u
+        J2[..., 0, 1] = kk * (cph - v * sph * phi_v)
+        J2[..., 1, 0] = kk * v * cph * phi_u
+        J2[..., 1, 1] = kk * (sph + v * cph * phi_v)
+        mask = use1[..., None, None]
+        return np.where(mask, J1, J2)
+
+    def jacobian(self, pts):
+        # Forward (disc -> square) Jacobian: invert the closed-form
+        # square -> disc Jacobian at the image point.
+        square_pts = self.forward(pts)
+        return np.linalg.inv(self._jacobian_square_to_disc(square_pts))
+
+    def jacobian_inverse(self, pts):
+        """Jacobian of the inverse (square -> disc) map at square points."""
+        return self._jacobian_square_to_disc(pts)
+
+    def singular_distance(self, pts):
+        """Distance from the four diagonal rays (sector boundaries) and 0,
+        where the map is not differentiable."""
+        pts = _as_points(pts)
+        x, y = pts[..., 0], pts[..., 1]
+        d_diag = np.minimum(np.abs(x - y), np.abs(x + y)) / math.sqrt(2.0)
+        return np.minimum(d_diag, np.hypot(x, y))
+
+
 class ScaledKappa:
     """κ_s(x) = s·κ(x/s), onto the square [0, s]²."""
 
@@ -55,16 +170,16 @@ class ScaledKappa:
         self.side = side
 
     def forward(self, pts):
-        return self.side * KappaMap().forward(pts / self.side)
+        return self.side * SectorKappa().forward(pts / self.side)
 
     def inverse(self, pts):
-        return self.side * KappaMap().inverse(pts / self.side)
+        return self.side * SectorKappa().inverse(pts / self.side)
 
     def jacobian(self, pts):
-        return KappaMap().jacobian(pts / self.side)
+        return SectorKappa().jacobian(pts / self.side)
 
     def singular_distance(self, pts):
-        return self.side * KappaMap().singular_distance(pts / self.side)
+        return self.side * SectorKappa().singular_distance(pts / self.side)
 
 
 class Linear:
@@ -129,6 +244,41 @@ def composed_lambda_prime(c):
 
 def chi_jacobian(qp):
     """The Jacobian of `cubewrap.maps.ChiMap` by the chain rule through
-    χ = κ⁻¹∘λ: Jκ⁻¹ at λ(q, p) times Jλ(q, p)."""
+    χ = κ⁻¹∘λ: the sector Jκ⁻¹ at λ(q, p) times Jλ(q, p)."""
     lam = make_lambda()
-    return KappaMap().jacobian_inverse(lam.forward(qp)) @ lam.jacobian(qp)
+    return SectorKappa().jacobian_inverse(lam.forward(qp)) @ lam.jacobian(qp)
+
+
+class ComposedPsi:
+    """The ball embedding as κ⁻¹∘φ∘κⁿ with the sector κ: κ on every
+    input pair, the cube embedding, κ⁻¹ on the first output pair; its
+    Jacobian by the chain rule."""
+
+    def __init__(self, config, a):
+        from cubewrap.maps import build_phi, psi_config
+
+        self.n = config.n
+        self.phi = build_phi(psi_config(config, a))
+
+    def _to_cube(self, X):
+        return np.concatenate(
+            [SectorKappa().forward(X[..., 2 * i : 2 * i + 2]) for i in range(self.n)], axis=-1
+        )
+
+    def forward(self, X):
+        out = self.phi.forward(self._to_cube(X))
+        out[..., 0:2] = SectorKappa().inverse(out[..., 0:2])
+        return out
+
+    def jacobian(self, X):
+        U = self._to_cube(X)
+        dim = 2 * self.n
+        J_in = np.zeros(X.shape[:-1] + (dim, dim))
+        for i in range(self.n):
+            pair = slice(2 * i, 2 * i + 2)
+            J_in[..., pair, pair] = SectorKappa().jacobian(X[..., pair])
+        J_out = np.zeros_like(J_in)
+        J_out[..., 0:2, 0:2] = SectorKappa().jacobian_inverse(self.phi.forward(U)[..., 0:2])
+        idx = np.arange(2, dim)
+        J_out[..., idx, idx] = 1.0
+        return J_out @ self.phi.jacobian(U) @ J_in

@@ -1,8 +1,9 @@
 """Exact certificates, with sympy, for the closed forms the maps and the
 raster geometry rely on.
 
-On each of the concentric map κ's four sectors, κ⁻¹ is written as in
-`KappaMap.inverse`: with (u, v) = y − ½ and k = 2/√π, the branch
+On each of the concentric map κ's four sectors, κ⁻¹ is written with
+trig, as in the sector-by-sector reference `SectorKappa.inverse`
+(tests/composed_maps.py): with (u, v) = y − ½ and k = 2/√π, the branch
 |u| ≥ |v| sends (u, v) to k·u·(cos φ, sin φ), φ = (π/4)(v/u), and the
 branch |v| > |u| to k·v·(cos φ, sin φ), φ = π/2 − (π/4)(u/v).  A sector
 is parametrised by R > 0 and a real t (|t| ≤ 1 inside the sector; the
@@ -14,8 +15,10 @@ simplification to 0:
 * height: 1 − π|κ⁻¹(u, v)|² = p, the χ⁻¹ height;
 * ball norm: |κ⁻¹(u, v)|² = (4/π)·‖(u, v)‖∞² (`sections._BALL_K`).
 
-where (q̄, p) is `maps.square_to_cylinder`'s closed form.  Numerical
-spot checks tie the symbolic κ⁻¹ and closed form to the code.  Each
+where (q̄, p) is `maps.square_to_cylinder`'s closed form.  `KappaMap`
+shares it: κ⁻¹(y) = k·|r|·(cos 2πq̄, sin 2πq̄), r the coordinate of
+larger magnitude, which the angle certificate makes the sector κ⁻¹.
+Numerical spot checks tie the symbolic κ⁻¹ and closed form to the code.  Each
 certificate is shown to fail on a planted wrong constant and on the
 formula of a neighbouring sector.
 
@@ -38,7 +41,8 @@ On each of κ's sectors, with t = 8q = 2k + s and 1 − p = w > 0, the
 certificates prove:
 
 * forward: ½ + m·R_k·(1, s), m = ½√(1 − p), equals κ∘χ(q, p), κ read
-  from `KappaMap.forward` and χ as radius √((1 − p)/π) at angle 2πq;
+  from the sector reference `SectorKappa.forward` and χ as radius
+  √((1 − p)/π) at angle 2πq;
 * Jacobian: the code's [8m·S′(t) | −S(t)/(8m)] is the derivative of κ∘χ,
   and its determinant is 1;
 * λ′: (h, a) ↦ (y₁, c·y₂), y = λ(−a/c, h), equals scale∘κ_√c∘χ_c∘swap,
@@ -47,6 +51,15 @@ certificates prove:
 Each fails on a planted wrong constant (the 8 of t, the ½ of m, the
 scale of a coordinate of λ′) and on the rotation of a neighbouring
 sector.  Numerical spot checks tie the symbolic forms to the code.
+
+χ's Jacobian is written in closed form (`ChiMap.jacobian`), and ψ's
+first output pair is χ (κ⁻¹∘λ = χ).  With 1 − p = w > 0 the
+certificates prove that the code's [2πρ·(−sin θ, cos θ) |
+−(cos θ, sin θ)/(2πρ)], θ = 2πq and ρ = √((1 − p)/π), is the
+derivative of χ with determinant 1, and that the gradients
+[∇q̄; ∇p] = [(−y, x)/(2π|x|²); −2π·(x, y)] that `KappaMap.jacobian`
+multiplies λ's Jacobian by are its inverse at x = χ(q, p).  Each fails
+on a planted 2π → π and on swapped columns.
 """
 
 import math
@@ -58,6 +71,7 @@ import sympy as sp
 from cubewrap.maps import (
     _QUARTER_COS,
     _QUARTER_SIN,
+    ChiMap,
     KappaMap,
     make_lambda,
     make_lambda_prime,
@@ -233,8 +247,8 @@ QUARTERS = {"right": 0, "top": 1, "left": 2, "bottom": 3}
 
 
 def kappa_forward(sector, rho, theta, side=sp.Integer(1)):
-    """`KappaMap.forward` on the sector, from the polar coordinates of its
-    input point, for the square of the given side."""
+    """`SectorKappa.forward` on the sector, from the polar coordinates of
+    its input point, for the square of the given side."""
     m = rho * sp.sqrt(sp.pi) / 2
     k = 4 / sp.pi
     u, v = {
@@ -358,3 +372,72 @@ def test_lambda_prime_certificate_fails_on_planted_errors(sector):
     assert not certify_lambda_prime(sector, scale_second=sp.sqrt(C_LEN))
     assert not certify_lambda_prime(sector, scale_first=C_LEN)
     assert not certify_lambda_prime(sector, code_sector=NEXT[sector])
+
+
+# χ and the inverse of its Jacobian.
+Q_CHI = sp.Symbol("q", real=True)
+P_CHI = sp.Symbol("p", real=True)
+
+
+def chi_symbolic(q, p):
+    rho = sp.sqrt((1 - p) / sp.pi)
+    return sp.Matrix([rho * sp.cos(2 * sp.pi * q), rho * sp.sin(2 * sp.pi * q)])
+
+
+def closed_chi_jacobian(q, p, two_pi=2 * sp.pi, swap=False):
+    """`ChiMap.jacobian`: columns w·(−sin θ, cos θ) and −(cos θ, sin θ)/w,
+    θ = 2πq and w = 2π·√((1 − p)/π)."""
+    theta = two_pi * q
+    w = two_pi * sp.sqrt((1 - p) / sp.pi)
+    cols = [[-w * sp.sin(theta), w * sp.cos(theta)], [-sp.cos(theta) / w, -sp.sin(theta) / w]]
+    return sp.Matrix(cols[::-1] if swap else cols).T
+
+
+def closed_chi_inverse_gradients(x, y, two_pi=2 * sp.pi, swap=False):
+    """The rows ∇q̄ = (−y, x)/(2π|x|²) and ∇p = −2π·(x, y) of
+    `KappaMap.jacobian`."""
+    r2 = x**2 + y**2
+    rows = [[-y / (two_pi * r2), x / (two_pi * r2)], [-two_pi * x, -two_pi * y]]
+    return sp.Matrix([[a, b][::-1] if swap else [a, b] for a, b in rows])
+
+
+def certify_chi(grad_planted=None, **planted):
+    """Which identities hold: the code's Jχ is χ's derivative, has
+    determinant 1, and the code's [∇q̄; ∇p] at χ(q, p) inverts it."""
+    chi = chi_symbolic(Q_CHI, P_CHI)
+    J = closed_chi_jacobian(Q_CHI, P_CHI, **planted)
+    grad = closed_chi_inverse_gradients(*chi, **(grad_planted or {}))
+    on = {P_CHI: 1 - W1}
+    return {
+        "jacobian": _vanishes(list((J - chi.jacobian([Q_CHI, P_CHI])).subs(on))),
+        "det": _vanishes([J.det().subs(on) - 1]),
+        "inverse": _vanishes(list((grad * J - sp.eye(2)).subs(on))),
+    }
+
+
+def test_chi_jacobian_proved():
+    assert certify_chi() == {"jacobian": True, "det": True, "inverse": True}
+
+
+def test_chi_certificate_fails_on_planted_errors():
+    # 2π → π keeps the determinant (w and 1/w cancel) but not the rest.
+    assert certify_chi(two_pi=sp.pi) == {"jacobian": False, "det": True, "inverse": False}
+    assert certify_chi(swap=True) == {"jacobian": False, "det": False, "inverse": False}
+    assert not certify_chi(grad_planted={"two_pi": sp.pi})["inverse"]
+    assert not certify_chi(grad_planted={"swap": True})["inverse"]
+
+
+def test_chi_symbolic_forms_match_the_code():
+    """The symbolic χ, Jχ and [∇q̄; ∇p] are the ones the code computes;
+    κ's Jacobian is Jλ at χ⁻¹(x) times [∇q̄; ∇p]."""
+    X, Y = sp.symbols("x y", real=True)
+    chi_f = sp.lambdify((Q_CHI, P_CHI), list(chi_symbolic(Q_CHI, P_CHI)), "math")
+    chi_j = sp.lambdify((Q_CHI, P_CHI), closed_chi_jacobian(Q_CHI, P_CHI).tolist(), "math")
+    grad = sp.lambdify((X, Y), closed_chi_inverse_gradients(X, Y).tolist(), "math")
+    rng = np.random.default_rng(11)
+    for qv, pv in zip(rng.uniform(0, 1, 50), rng.uniform(0, 0.999, 50)):
+        assert np.allclose(ChiMap().forward([qv, pv]), chi_f(qv, pv), rtol=0, atol=1e-15)
+        assert np.allclose(ChiMap().jacobian([qv, pv]), chi_j(qv, pv), rtol=1e-14, atol=0)
+        x = ChiMap().forward([qv, pv])
+        Jkappa = make_lambda().jacobian(ChiMap().inverse(x)) @ np.array(grad(*x))
+        assert np.allclose(KappaMap().jacobian(x), Jkappa, rtol=1e-13, atol=1e-15)

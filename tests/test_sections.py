@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from composed_maps import composed_lambda
+from composed_maps import SectorKappa, composed_lambda
 from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda, make_lambda_prime
 from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
@@ -234,8 +234,9 @@ def _section_reference(z, config):
 
 
 def _psi_reference(ys, z, config, a, slit_tol=1e-9):
-    """ψ membership with every step per z and the ball norm through κ⁻¹."""
-    from cubewrap.maps import DISC_RADIUS, KappaMap
+    """ψ membership with every step per z and the ball norm through the
+    sector κ⁻¹."""
+    from cubewrap.maps import DISC_RADIUS
 
     c = 1.0 / a
     cfg = EmbeddingConfig(n=config.n, c=c)
@@ -244,7 +245,7 @@ def _psi_reference(ys, z, config, a, slit_tol=1e-9):
     if sd.status != "generic":
         return out
     inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
-    kappa = KappaMap()
+    kappa = SectorKappa()
     cyl = composed_lambda().inverse(kappa.forward(ys[inside]))
     qbar, p1 = cyl[..., 0], cyl[..., 1]
     ok = (p1 > 0) & (p1 < 1) & sd.W.contains_many(p1)
@@ -313,11 +314,10 @@ class TestBallNorm:
     @example(u=(1.0, 0.5))
     @settings(max_examples=500, deadline=None)
     def test_closed_form_matches_kappa_inverse(self, u):
-        from cubewrap.maps import KappaMap
         from cubewrap.sections import _ball_norm2
 
         u = np.array(u)
-        via_kappa = np.sum(KappaMap().inverse(u) ** 2, -1)
+        via_kappa = np.sum(SectorKappa().inverse(u) ** 2, -1)
         closed = _ball_norm2(u[0], u[1])
         assert closed == pytest.approx(4 / math.pi * np.max(np.abs(u - 0.5)) ** 2, abs=0, rel=1e-15)
         assert abs(via_kappa - closed) <= 4 * np.spacing(closed)
@@ -434,7 +434,6 @@ class TestSectionCells:
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_closed_form_matches_map_round_trip(self, kind):
-        from cubewrap.maps import KappaMap
         from cubewrap.quotient import circle_distance
         from cubewrap.sections import SectionCells
 
@@ -447,7 +446,7 @@ class TestSectionCells:
         else:
             ys = _disc_probe_points(rng)
             cells = SectionCells.psi(ys)
-            ref = composed_lambda().inverse(KappaMap().forward(ys[cells.inside]))
+            ref = composed_lambda().inverse(SectorKappa().forward(ys[cells.inside]))
             qbar_tol, p_tol = PSI_TOL
             qbar_tol += 2.0**-52 / np.hypot(*ys[cells.inside].T)
         assert cells.inside.mean() > 0.99

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubewrap.maps import DISC_RADIUS, EmbeddingConfig
-from cubewrap.sections import SectionCells, section_of_phi
+from cubewrap.sections import SectionCells, section_membership_many, section_of_phi, z_grid
 from cubewrap.topology import (
     AmbiguousHullError,
     Raster,
@@ -20,6 +20,7 @@ from cubewrap.topology import (
     rasterize_psi_section,
     rasterize_section,
     slit_path_witness,
+    slit_polyline,
 )
 
 CFG2 = EmbeddingConfig(n=2, c=2.0)
@@ -156,11 +157,27 @@ class TestRasterizeSection:
             assert err < 10.0 / N
 
     def test_slit_open_vs_closed(self):
-        closed = rasterize_section([0.3, 0.7], CFG2, 256, keep_slit_open=False)
+        # Cell-centre membership alone, with no slit stamp.
+        cells = phi_section_cells(256)
+        occ = section_membership_many(cells.points, [0.3, 0.7], CFG2, cells=cells)
+        closed = Raster(n=256, occupancy=occ.reshape(256, 256))
         opened = rasterize_section([0.3, 0.7], CFG2, 256)
         assert complement_components(closed).count >= 2
         assert complement_components(opened).count == 1
         assert opened.occupancy.sum() <= closed.occupancy.sum()
+
+    def test_slit_samples_avoid_cell_edges(self):
+        # At z1 = ½ and c = 1.5 the slit runs along a diagonal of the
+        # square; samples on cell corners there leave the stamp to
+        # floor()'s rounding.
+        N = 1024
+        cfg = EmbeddingConfig(n=2, c=1.5)
+        zs = z_grid(cfg, (1, 2))[0]
+        assert [z[0] for z in zs] == [0.5, 0.5]
+        for z in zs:
+            # A φ raster has x0 = y0 = 0 and cells of side 1/N.
+            g = slit_polyline(section_of_phi(z, cfg), 8 * N) * N
+            assert not np.any(g == np.floor(g))
 
 
 class TestConnectivity:
