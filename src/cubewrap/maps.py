@@ -48,6 +48,7 @@ __all__ = [
     "KappaMap",
     "make_lambda",
     "square_to_cylinder",
+    "disc_to_cylinder",
     "make_lambda_prime",
     "shear_matrix",
     "shear_wrap",
@@ -141,10 +142,7 @@ class ChiMap:
 
     def inverse(self, pts):
         pts = _as_points(pts)
-        x, y = pts[..., 0], pts[..., 1]
-        p = 1.0 - math.pi * (x * x + y * y)
-        q = np.mod(np.arctan2(y, x) / TWO_PI, 1.0)
-        return np.stack([q, p], axis=-1)
+        return np.stack(disc_to_cylinder(pts[..., 0], pts[..., 1]), axis=-1)
 
     def jacobian(self, pts):
         """[2πρ·(−sin θ, cos θ) | −(cos θ, sin θ)/(2πρ)] at θ = 2πq and
@@ -160,6 +158,18 @@ class ChiMap:
         J[..., 0, 1] = -cos / w
         J[..., 1, 1] = -sin / w
         return J
+
+
+def disc_to_cylinder(x, y):
+    """χ⁻¹ of the disc points with coordinates x and y (arrays that
+    broadcast together), as the pair (q̄, p) of plain polar coordinates:
+    q̄ = arg(x, y)/2π mod 1 and p = 1 − π(x² + y²).  The reduction mod 1
+    is q − floor(q), bit-identical to np.mod(q, 1.0) and cheaper."""
+    p = 1.0 - math.pi * (x * x + y * y)
+    q = np.arctan2(y, x)
+    q /= TWO_PI
+    q -= np.floor(q)
+    return q, p
 
 
 # cos and sin of k quarter turns, k = 0, ..., 4 (k = 4 is k = 0 again).
@@ -528,8 +538,11 @@ class PhiMap(PhaseMap):
 
     def smooth_mask(self, X, margin: float):
         X = _asX(X, self.dim)
+        return self._smooth_wrapped(X, shear_wrap(X, self.c), margin)
+
+    def _smooth_wrapped(self, X, W, margin: float):
+        """`smooth_mask` of the cube points X, given W = shear_wrap(X)."""
         ok = np.all((X > margin) & (X < 1.0 - margin), axis=-1)
-        W = shear_wrap(X, self.c)
         # Stay away from the concentric-map diagonals in both cylinders.
         d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES, 1.0).min(axis=-1)
         a2 = np.mod(-W[..., 3], self.c) / self.c
@@ -643,8 +656,9 @@ class PsiMap(PhaseMap):
             ok &= self._kappa.singular_distance(pair) > margin
         if ok.any():
             U = self._to_cube(X[ok])
-            first = ChiMap().forward(shear_wrap(U, self.c)[..., 0:2])
-            ok[ok] = self._phi.smooth_mask(U, margin) & (
+            W = shear_wrap(U, self.c)
+            first = ChiMap().forward(W[..., 0:2])
+            ok[ok] = self._phi._smooth_wrapped(U, W, margin) & (
                 self._kappa.singular_distance(first) > margin
             )
         return ok

@@ -8,19 +8,24 @@ the square is λ(V × W), an annular band with a radial slit, of area
 exactly 1/c.  `SectionDescription` stores V as its one missing point,
 the slit angle, and W as a `LineIntervalSet`.
 
-So whether a plane point lies in a section depends on z only through the
-slit angle and W.  `SectionCells` holds the cylinder coordinates (q̄, p)
-of a fixed point set, computed once and in closed form.  For the cube
+So whether a plane point lies in a section depends on z only through a
+few scalars.  `SectionCells` holds the cylinder coordinates (q̄, p) of
+a fixed point set, computed once and in closed form.  For the cube
 embedding φ they are λ⁻¹ of square points, `maps.square_to_cylinder`:
 p = 1 − 4‖y − ½‖∞² and a sector-wise rational angle, with no trig.
 For the ball embedding ψ they are λ⁻¹∘κ = χ⁻¹∘κ⁻¹∘κ = χ⁻¹ of disc
 points: plain polar coordinates, q̄ = arg y / 2π and p = 1 − π|y|².
-Per z, `_in_ribbon` tests p ∈ W and q̄ off the slit, and ψ adds its ball
-bound in closed form (`_ball_norm2`).  The membership and raster
-functions take the geometry as an optional `cells=` argument and build
-it when none is passed; a caller that holds N (or the point set) fixed
-builds it once and drops it when it returns.  Nothing caches geometry
-across calls, so a call's memory is released with it.
+
+Both sections are a set of angles at each height.  For φ, `_in_ribbon`
+tests p ∈ W and q̄ off the slit.  For ψ (c = 1/a) the angles at height
+p form one open arc: with p2 = P̄2 − c·p mod c and
+B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point is a member
+iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
+√B centred at ½ − c·Q2 (`psi_section_membership_many`).  The membership
+and raster functions take the geometry as an optional `cells=` argument
+and build it when none is passed; a caller that holds N (or the point
+set) fixed builds it once and drops it when it returns.  Nothing caches
+geometry across calls, so a call's memory is released with it.
 """
 from __future__ import annotations
 
@@ -33,10 +38,10 @@ from .maps import (
     DISC_RADIUS,
     ChiMap,
     EmbeddingConfig,
+    disc_to_cylinder,
     make_lambda_prime,
     psi_config,
     square_to_cylinder,
-    unshear_wrap,
 )
 from .quotient import (
     CircleValue,
@@ -72,11 +77,9 @@ SLIT_TOL = 1e-9
 # set apart from the generic cells.
 Z0_EXCLUSION = 1e-3
 
-# κ sends circles to concentric squares, so |κ⁻¹(u)|² = (4/π)·‖u − ½‖∞².
-_BALL_K = 4.0 / math.pi
-
-# Points per map call when building SectionCells (element-wise maps, so
-# the result does not depend on it).
+# Points per map call when building SectionCells, and per block of the
+# ψ membership kernel (element-wise maps, so the result does not depend
+# on it).
 _CHUNK = 1 << 16
 
 
@@ -193,6 +196,30 @@ class SectionCells:
         inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
         return cls._build(ys, inside, ChiMap().inverse)
 
+    @classmethod
+    def psi_grid(cls, axis) -> "SectionCells":
+        """`psi` of the grid of points (axis[i], axis[j]), in row-major
+        order, built by broadcasting the 1-D axis instead of gathering
+        grid points: χ⁻¹ runs on blocks of whole rows, about _CHUNK
+        points each, and keeps the inside points of each block."""
+        axis = np.asarray(axis, dtype=float)
+        N = len(axis)
+        points = np.empty((N, N, 2))
+        points[..., 0] = axis[:, None]
+        points[..., 1] = axis
+        inside = np.hypot(axis[:, None], axis) < DISC_RADIUS
+        qbar = np.empty(np.count_nonzero(inside))
+        p = np.empty_like(qbar)
+        rows = max(1, _CHUNK // N)
+        k = 0
+        for i in range(0, N, rows):
+            mask = inside[i : i + rows]
+            q_rows, p_rows = disc_to_cylinder(axis[i : i + rows, None], axis)
+            m = np.count_nonzero(mask)
+            qbar[k : k + m], p[k : k + m] = q_rows[mask], p_rows[mask]
+            k += m
+        return cls(points=points.reshape(-1, 2), inside=inside.reshape(-1), qbar=qbar, p=p)
+
     def check_points(self, ys):
         if ys is not self.points and ys.shape != self.points.shape:
             raise ValueError("cells were built for another point set")
@@ -207,12 +234,6 @@ def _in_ribbon(qbar, p, sd: SectionDescription):
     d -= np.floor(d)
     ok &= (d > SLIT_TOL) & (d < 1.0 - SLIT_TOL)
     return ok
-
-
-def _ball_norm2(u1, u2):
-    """|κ⁻¹(u)|² of the square point u = (u1, u2), in closed form."""
-    m = np.maximum(np.abs(u1 - 0.5), np.abs(u2 - 0.5))
-    return _BALL_K * (m * m)
 
 
 def section_membership_many(ys, sd_or_z, config: EmbeddingConfig, cells=None):
@@ -344,18 +365,40 @@ def fubini_check(
     )
 
 
+def _arc_terms(sd: SectionDescription, c: float):
+    """The per-z scalars of ψ's arc predicate: the shift c·Q2 that takes
+    q̄ to q1, |Q2 − ½|, and ¼ less the squared ‖t − ½‖∞ of each
+    trailing coordinate pair t of z."""
+    tail = sd.z[2:]
+    base = 0.25
+    for k in range(0, len(tail), 2):
+        m = max(abs(tail[k] - 0.5), abs(tail[k + 1] - 0.5))
+        base -= m * m
+    return c * sd.Q2, abs(sd.Q2 - 0.5), base
+
+
 def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, cells=None):
     """Vectorized membership of plane points in the z-section of the
-    ball embedding's image (c = 1/a).
+    ball embedding's image (c = 1/a), an arc of angles at each height.
 
-    A point y belongs iff its square image under the concentric map,
-    paired with z, pulls back through the cube embedding to a point of
-    the cube that came from the ball.  With u = κ(y) and (q̄, p1) =
-    λ⁻¹(u), that cube point has (q1, p1) = (q̄ + c·Q2 mod 1, p1) and
-    (Q2, p2) = (Q2, P̄2 − c·p1 mod c); it came from the ball iff the
-    κ⁻¹-norms of its coordinate pairs, trailing pairs of z included,
-    sum below DISC_RADIUS².  `cells`, if given, is `SectionCells.psi`
-    of the same `ys`.
+    A disc point y with (q̄, p) = χ⁻¹(y), paired with z, pulls back to
+    the cube point with (q1, p1) = (q̄ + c·Q2 mod 1, p) and (Q2, p2) =
+    (Q2, P̄2 − c·p mod c); it came from the ball iff the κ⁻¹-norms of
+    its coordinate pairs, trailing pairs of z included, sum below
+    DISC_RADIUS² = 1/π.  |κ⁻¹(u)|² = (4/π)·‖u − ½‖∞², so that is
+    max(|q1 − ½|, |p − ½|)² < B with
+
+        B = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail max(|t − ½|, |t′ − ½|)²,
+
+    that is (p − ½)² < B and (q1 − ½)² < B: at height p, the arc of
+    half-width √B centred at q̄ = ½ − c·Q2.  p2 ∉ (0, 1), that is p ∉ W,
+    makes |p2 − ½| ≥ ½ and B ≤ 0, so no point passes; B ≤ ¼ keeps p and
+    q1 in (0, 1).  B is capped at (½ − SLIT_TOL)², so every arc stays
+    SLIT_TOL clear of the slit q1 = 0.  tests/test_certificates.py
+    proves the equivalence on each branch of the max and the mod.
+
+    The points are taken _CHUNK at a time through preallocated buffers.
+    `cells`, if given, is `SectionCells.psi` of the same `ys`.
     """
     cfg = psi_config(config, a)
     c = cfg.c
@@ -367,16 +410,40 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, cells=
     if cells is None:
         cells = SectionCells.psi(ys)
     cells.check_points(ys)
-    ok = _in_ribbon(cells.qbar, cells.p, sd)
-    # The cube preimage and the ball constraint, on ribbon points only.
-    idx = np.flatnonzero(ok)
-    p1 = cells.p[idx]
-    q1, p2 = unshear_wrap(cells.qbar[idx], p1, sd.Q2, sd.P2bar.representative, c)
-    keep = (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
-    tail = sd.z[2:]
-    tail_norm2 = sum(float(_ball_norm2(tail[k], tail[k + 1])) for k in range(0, len(tail), 2))
-    norm2 = _ball_norm2(q1, p1) + _ball_norm2(sd.Q2, p2) + tail_norm2
-    keep &= norm2 < DISC_RADIUS**2
-    ok[idx] = keep
+    shift, m2, base = _arc_terms(sd, c)
+    P2bar = sd.P2bar.representative
+    cap = (0.5 - SLIT_TOL) ** 2
+    ok = np.empty(len(cells.p), dtype=bool)
+    buf_b, buf_u, buf_v = np.empty((3, min(_CHUNK, len(ok))))
+    buf_f = np.empty(len(buf_b), dtype=bool)
+    for s in range(0, len(ok), _CHUNK):
+        block = slice(s, s + _CHUNK)
+        p, qbar, member = cells.p[block], cells.qbar[block], ok[block]
+        k = len(p)
+        B, u, v, f = buf_b[:k], buf_u[:k], buf_v[:k], buf_f[:k]
+        # p2 = P̄2 − c·p, in (−c, c) for p in (0, 1), reduced into [0, c);
+        # a p outside (0, 1) fails (p − ½)² < B ≤ ¼ whatever p2 is.
+        np.multiply(p, -c, out=u)
+        u += P2bar
+        np.less(u, 0.0, out=f)
+        np.add(u, c, out=u, where=f)
+        # B = ¼ − Σ_tail − max(|Q2 − ½|, |p2 − ½|)².
+        u -= 0.5
+        np.abs(u, out=u)
+        np.maximum(u, m2, out=u)
+        u *= u
+        np.subtract(base, u, out=B)
+        np.minimum(B, cap, out=B)
+        np.subtract(p, 0.5, out=u)
+        u *= u
+        np.less(u, B, out=member)
+        # q1 = q̄ + c·Q2 mod 1, as x − floor(x).
+        np.add(qbar, shift, out=u)
+        np.floor(u, out=v)
+        u -= v
+        u -= 0.5
+        u *= u
+        np.less(u, B, out=f)
+        member &= f
     out[cells.inside] = ok
     return out

@@ -12,11 +12,14 @@ The cylinder coordinates of a raster's cell centres depend only on its
 resolution and box, not on z, and have closed forms (see
 `sections.SectionCells`): λ⁻¹ of the square for φ, polar coordinates of
 the disc for ψ.  `phi_section_cells` and `psi_section_cells` build them
-for one raster; the loops that hold N fixed (`check_hull_bound`, the
-CLI's connectivity sweep) build them once and pass them as `cells=` to
-every z.  `bounded_hull` skips the search for holes when every
-complement component reaches the margin ring, the usual case for a
-slit section.
+for one raster, ψ's by broadcasting the box's 1-D axis; the loops that
+hold N fixed (`check_hull_bound`, the CLI's connectivity sweep) build
+them once and pass them as `cells=` to every z.  Per z, a φ cell is
+occupied when its height lies in W and its angle is off the slit, a ψ
+cell when its angle lies in the arc of its height
+(`sections.psi_section_membership_many`).  `bounded_hull` skips the
+search for holes when every complement component reaches the margin
+ring, the usual case for a slit section.
 """
 from __future__ import annotations
 
@@ -81,8 +84,13 @@ class Raster:
     def cell(self) -> float:
         return self.side / self.n
 
+    def cell_offsets(self):
+        """Offsets of the cell centres from the box corner, along either
+        axis."""
+        return (np.arange(self.n) + 0.5) * self.cell
+
     def cell_centers(self):
-        t = (np.arange(self.n) + 0.5) * self.cell
+        t = self.cell_offsets()
         X, Y = np.meshgrid(self.x0 + t, self.y0 + t, indexing="ij")
         return np.stack([X, Y], axis=-1)
 
@@ -204,15 +212,18 @@ def phi_section_cells(N: int) -> SectionCells:
 
 
 def psi_section_cells(N: int) -> SectionCells:
-    """Cylinder coordinates of the cell centres of a ψ raster at N."""
-    return SectionCells.psi(_psi_blank(N).cell_centers().reshape(-1, 2))
+    """Cylinder coordinates of the cell centres of a ψ raster at N.  Its
+    box is a square centred at 0, so both axes share one 1-D array of
+    cell centres (`SectionCells.psi_grid`)."""
+    r = _psi_blank(N)
+    return SectionCells.psi_grid(r.x0 + r.cell_offsets())
 
 
 def _raster_cells(r: Raster, cells, build) -> SectionCells:
     """`cells` if given, after checking they are r's cell centres, else
-    `build(centres)`."""
+    `build(r.n)`."""
     if cells is None:
-        return build(r.cell_centers().reshape(-1, 2))
+        return build(r.n)
     first = cells.points[:1]
     if cells.points.shape != (r.n * r.n, 2) or not np.array_equal(
         first, [[r.x0 + 0.5 * r.cell, r.y0 + 0.5 * r.cell]]
@@ -234,7 +245,7 @@ def rasterize_section(z, config: EmbeddingConfig, N: int, cells=None) -> Raster:
     r = _phi_blank(N)
     if sd.status != "generic":
         return r
-    cells = _raster_cells(r, cells, SectionCells.phi)
+    cells = _raster_cells(r, cells, phi_section_cells)
     occ = section_membership_many(cells.points, sd, config, cells=cells).reshape(N, N)
     _stamp_polyline(occ, slit_polyline(sd, steps=8 * N), r.x0, r.y0, r.cell, N)
     return Raster(n=N, occupancy=occ)
@@ -264,7 +275,7 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     r = _psi_blank(N)
     if sd.status != "generic":
         return r
-    cells = _raster_cells(r, cells, SectionCells.psi)
+    cells = _raster_cells(r, cells, psi_section_cells)
     occ = psi_section_membership_many(cells.points, sd, cfg, a, cells=cells).reshape(N, N)
     # The disc points are κ⁻¹ of the square ones, and κ⁻¹∘λ = χ.
     chi = ChiMap()

@@ -197,6 +197,7 @@ def test_criterion_07_containment(capsys):
 
 
 def test_criterion_08_bounded_hull(capsys):
+    t0 = time.perf_counter()
     ok = True
     worst = ""
     cfg = EmbeddingConfig(n=2, c=2.0)
@@ -204,10 +205,12 @@ def test_criterion_08_bounded_hull(capsys):
         hr = check_hull_bound(a, cfg, grid=(20, 20), N=1024)
         ok &= hr.all_within_bound and hr.hull_equals_section
         worst += f" a={a}: max hull {hr.max_hull_area:.4f} <= {a}+{hr.tolerance:.4f};"
+    dt = time.perf_counter() - t0
+    ok &= dt < 120.0
     report(
         capsys, 8,
         "hull area <= a + 4*perimeter/N and hull == section on 20x20 grids at N=1024",
-        ok, worst.strip(" ;"),
+        ok, f"{worst.strip(' ;')}, {dt:.0f}s",
     )
 
 

@@ -13,7 +13,8 @@ simplification to 0:
 * angle: κ⁻¹(u, v) = ρ·(cos 2πq̄, sin 2πq̄) with ρ = |κ⁻¹(u, v)| > 0,
   so q̄ is the χ⁻¹ angle of κ⁻¹(u, v), mod 1;
 * height: 1 − π|κ⁻¹(u, v)|² = p, the χ⁻¹ height;
-* ball norm: |κ⁻¹(u, v)|² = (4/π)·‖(u, v)‖∞² (`sections._BALL_K`).
+* ball norm: |κ⁻¹(u, v)|² = (4/π)·‖(u, v)‖∞², so the ball test
+  Σ|κ⁻¹|² < 1/π is Σ‖·‖∞² < ¼, the form ψ's membership kernel tests.
 
 where (q̄, p) is `maps.square_to_cylinder`'s closed form.  `KappaMap`
 shares it: κ⁻¹(y) = k·|r|·(cos 2πq̄, sin 2πq̄), r the coordinate of
@@ -21,6 +22,15 @@ larger magnitude, which the angle certificate makes the sector κ⁻¹.
 Numerical spot checks tie the symbolic κ⁻¹ and closed form to the code.  Each
 certificate is shown to fail on a planted wrong constant and on the
 formula of a neighbouring sector.
+
+ψ's section at z is an arc of angles at each height
+(`sections.psi_section_membership_many`): with q1 = q̄ + c·Q2 mod 1,
+p2 = P̄2 − c·p mod c and B = ¼ − max(|Q2 − ½|, |p2 − ½|)² −
+max(|t1 − ½|, |t2 − ½|)², a cylinder point is a member iff (p − ½)² < B
+and (q1 − ½)² < B.  On each branch of the three maxima and of the mod c,
+the certificates prove that the ball test (4/π)·(m1² + m2² + m3²) < 1/π
+is (4/π) times the binding arc test, and that B ≤ ¼ keeps q1 in (0, 1).
+Each fails on a planted B + 0.01, arc centre ½ + 0.01 and dropped tail.
 
 The heights W of a section, `quotient.preimage_affine_mod(T, c)`, are
 the x in (0, 1) with c·x + t = T (mod c) for some t in (0, 1).  The
@@ -71,14 +81,17 @@ import sympy as sp
 from cubewrap.maps import (
     _QUARTER_COS,
     _QUARTER_SIN,
+    DISC_RADIUS,
     ChiMap,
+    EmbeddingConfig,
     KappaMap,
     make_lambda,
     make_lambda_prime,
+    psi_config,
     square_to_cylinder,
 )
 from cubewrap.quotient import circle_distance, preimage_affine_mod, reduce
-from cubewrap.sections import _BALL_K
+from cubewrap.sections import SectionCells, psi_section_membership_many, section_of_phi
 
 R = sp.Symbol("R", positive=True)
 t = sp.Symbol("t", real=True)
@@ -152,7 +165,11 @@ def test_certificates_fail_on_planted_errors(sector):
 
 
 def test_ball_constant_is_four_over_pi():
-    assert _BALL_K == float(4 / sp.pi)
+    """|κ⁻¹(u)|² = (4/π)·‖u − ½‖∞² (the ball_norm certificate), so the
+    ball test Σ|κ⁻¹|² < DISC_RADIUS² is Σ‖· − ½‖∞² < ¼, the ¼ form that
+    ψ's arc predicate starts B from."""
+    assert sp.simplify(4 / sp.pi * sp.Rational(1, 4) - (1 / sp.sqrt(sp.pi)) ** 2) == 0
+    assert math.isclose(DISC_RADIUS**2 * math.pi / 4, 0.25, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("sector", SECTORS)
@@ -174,7 +191,7 @@ def test_symbolic_forms_match_the_code(sector):
         q_ref, p_ref = closed(Rv, tv)
         assert circle_distance(qbar, q_ref, 1.0) <= 4e-16
         assert p == pytest.approx(p_ref, abs=4e-16, rel=0)
-        assert math.isclose(np.sum(KappaMap().inverse(y) ** 2), _BALL_K * Rv**2, rel_tol=1e-14)
+        assert math.isclose(np.sum(KappaMap().inverse(y) ** 2) * math.pi / 4, Rv**2, rel_tol=1e-14)
 
 
 TARGET = sp.Symbol("T", real=True)
@@ -232,6 +249,99 @@ def test_w_symbolic_pieces_match_the_code():
         got = preimage_affine_mod(reduce(T, c), c).intervals
         assert np.allclose(got, branches[branch](T, c - 1.0, k), rtol=0, atol=1e-15)
     assert seen == {"unwrapped", "wrapped"}
+
+
+# ψ's arc predicate (`sections.psi_section_membership_many`).  A disc
+# point with cylinder coordinates (q̄, p), paired with z = (z1, z2, t1,
+# t2) and (Q2, P̄2) = λ′⁻¹(z1, z2), pulls back to the cube point with
+# pairs (q1, p), (Q2, p2) and (t1, t2), where the kernel reads
+# q1 = q̄ + c·Q2 − j (j its floor) and p2 = P̄2 − c·p, plus c where that
+# is negative.  |κ⁻¹(u)|² = (4/π)·‖u − ½‖∞², so the point came from the
+# ball iff (4/π)·(m1² + m2² + m3²) < DISC_RADIUS² = 1/π, with mi the
+# ‖· − ½‖∞ of pair i.  On each branch of each max the max is one of its
+# terms and the other term is no larger, and on each branch of the mod
+# p2 is one affine form.
+QB, P, Q2, PB2, T1, T2 = sp.symbols("qbar p Q2 Pbar2 t1 t2", real=True)
+J_FLOOR = sp.Symbol("j", integer=True)
+HALF = sp.Rational(1, 2)
+ARC_BRANCHES = [
+    (wrap, m1, m2, m3)
+    for wrap in (0, 1)
+    for m1 in ("q1", "p")
+    for m2 in ("Q2", "p2")
+    for m3 in ("t1", "t2")
+]
+
+
+def certify_arc(wrap, m1, m2, m3, centre=HALF, b_shift=0, drop_tail=False):
+    """On one branch: `congruence`, q1 and p2 are the inverse shear of
+    (q̄, P̄2) mod 1 and mod c; `ball`, the ball test is (4/π) times the
+    arc test that binds on the branch, (q1 − centre)² < B or
+    (p − ½)² < B, so one holds exactly when the other does; `range`,
+    B ≤ ¼ confines the arc's q1 to (0, 1)."""
+    c = C_SCALE
+    q1 = QB + c * Q2 - J_FLOOR
+    p2 = PB2 - c * P + wrap * c
+    term = {"q1": q1 - HALF, "p": P - HALF, "Q2": Q2 - HALF, "p2": p2 - HALF,
+            "t1": T1 - HALF, "t2": T2 - HALF}
+    ball = 4 / sp.pi * (term[m1] ** 2 + term[m2] ** 2 + term[m3] ** 2) - (1 / sp.sqrt(sp.pi)) ** 2
+    B = HALF**2 - term[m2] ** 2 - (0 if drop_tail else term[m3] ** 2) + b_shift
+    arc = {"q1": (q1 - centre) ** 2, "p": (P - HALF) ** 2}[m1] - B
+    x = sp.Symbol("x", real=True)
+    widest = sp.solveset((x - centre) ** 2 < HALF**2 + b_shift, x, sp.S.Reals)
+    return {
+        "congruence": sp.simplify((PB2 - c * P - p2) / c).is_integer is True
+        and sp.simplify(QB + c * Q2 - q1).is_integer is True,
+        "ball": sp.simplify(ball - 4 / sp.pi * arc) == 0,
+        "range": widest.is_subset(sp.Interval.open(0, 1)) is True,
+    }
+
+
+@pytest.mark.parametrize("branch", ARC_BRANCHES, ids=lambda b: "-".join(map(str, b)))
+def test_arc_predicate_proved(branch):
+    assert certify_arc(*branch) == {"congruence": True, "ball": True, "range": True}
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [{"b_shift": sp.Rational(1, 100)}, {"centre": HALF + sp.Rational(1, 100)}, {"drop_tail": True}],
+    ids=["B+0.01", "centre+0.01", "dropped-tail"],
+)
+def test_arc_certificate_fails_on_planted_errors(plant):
+    results = [certify_arc(*branch, **plant) for branch in ARC_BRANCHES]
+    assert all(r["congruence"] for r in results)
+    assert not all(r["ball"] for r in results)
+    if "drop_tail" not in plant:
+        assert not any(r["range"] for r in results)
+
+
+def test_arc_symbolic_predicate_matches_the_code():
+    """The predicate the certificate proves, maxima and mods written out,
+    is the one the kernel computes, at random cylinder points of random
+    n = 3 sections, away from the arc ends."""
+    c = C_SCALE
+    p2 = sp.Mod(PB2 - c * P, c)
+    q1 = sp.Mod(QB + c * Q2, 1)
+    m2 = sp.Max(abs(Q2 - HALF), abs(p2 - HALF))
+    m3 = sp.Max(abs(T1 - HALF), abs(T2 - HALF))
+    B = HALF**2 - m2**2 - m3**2
+    margin = sp.Min(B - (P - HALF) ** 2, B - (q1 - HALF) ** 2)
+    margin_f = sp.lambdify((QB, P, Q2, PB2, T1, T2, D), margin, "numpy")
+    rng = np.random.default_rng(11)
+    cfg = EmbeddingConfig(n=3, c=2.0)
+    ys = DISC_RADIUS * 0.99 * rng.uniform(-0.7, 0.7, (20_000, 2))
+    cells = SectionCells.psi(ys)
+    members = 0
+    for a in (1.0, 0.5, 0.25):
+        for _ in range(4):
+            z = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95) / a, *rng.uniform(0.05, 0.95, 2))
+            sd = section_of_phi(z, psi_config(cfg, a))
+            got = psi_section_membership_many(ys, z, cfg, a, cells=cells)[cells.inside]
+            m = margin_f(cells.qbar, cells.p, sd.Q2, sd.P2bar.representative, z[2], z[3], 1 / a - 1)
+            clear = np.abs(m) > 1e-12
+            assert np.array_equal(got[clear], (m > 0)[clear])
+            members += int(got.sum())
+    assert members > 1000
 
 
 # λ = κ∘χ in closed form.  On the cylinder, t = 8q = 2k + s with s in

@@ -9,6 +9,7 @@ from composed_maps import SectorKappa, composed_lambda
 from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda, make_lambda_prime
 from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
+    _CHUNK,
     _in_ribbon,
     fubini_check,
     psi_section_membership_many,
@@ -209,6 +210,21 @@ class TestPsiSectionMembership:
         with pytest.raises(ValueError):
             psi_section_membership_many(np.zeros((1, 2)), [0.3, 0.7], CFG2, 0.0)
 
+    def test_slit_stays_outside_the_widest_arc(self):
+        """Q2 = ½ and p2 = ½ at p = ½ make B = ¼, an arc of the whole
+        circle but the slit q̄ = −c·Q2 = 0 (mod 1).  B's cap keeps the
+        angles within SLIT_TOL of the slit out, as the φ ribbon does."""
+        from cubewrap.sections import SLIT_TOL, SectionCells, SectionDescription
+
+        c = 2.0
+        sd = SectionDescription(z=(0.5, 0.5), status="generic", Q2=0.5, P2bar=reduce(1.5, c))
+        near, far = 0.1 * SLIT_TOL, 10 * SLIT_TOL
+        qbar = np.array([0.0, near, 1.0 - near, far, 1.0 - far, 0.5])
+        ys = np.zeros((len(qbar), 2))
+        cells = SectionCells(ys, np.ones(len(qbar), dtype=bool), qbar, np.full(len(qbar), 0.5))
+        got = psi_section_membership_many(ys, sd, CFG2, 1 / c, cells=cells)
+        assert got.tolist() == [False, False, False, True, True, True]
+
 
 # ---------------------------------------------------------------------------
 # Batched sections and the shared cylinder geometry
@@ -312,14 +328,15 @@ class TestBallNorm:
     @example(u=(0.0, 0.3))
     @example(u=(0.7, 1.0))
     @example(u=(1.0, 0.5))
+    @example(u=(0.45200498135105904, 0.023065627525636016))
     @settings(max_examples=500, deadline=None)
     def test_closed_form_matches_kappa_inverse(self, u):
-        from cubewrap.sections import _ball_norm2
-
+        """|κ⁻¹(u)|² = (4/π)·‖u − ½‖∞², the closed form behind the ¼ form
+        of ψ's arc predicate: Σ|κ⁻¹|² < 1/π is Σ‖· − ½‖∞² < ¼."""
         u = np.array(u)
         via_kappa = np.sum(SectorKappa().inverse(u) ** 2, -1)
-        closed = _ball_norm2(u[0], u[1])
-        assert closed == pytest.approx(4 / math.pi * np.max(np.abs(u - 0.5)) ** 2, abs=0, rel=1e-15)
+        m = np.max(np.abs(u - 0.5))
+        closed = 4 / math.pi * (m * m)
         assert abs(via_kappa - closed) <= 4 * np.spacing(closed)
 
     def test_ball_test_removes_ribbon_points(self):
@@ -346,17 +363,79 @@ class TestBallNorm:
             (2, (0.3, 2.7), 0.25),
             (3, (0.3, 0.7, 0.2, 0.6), 0.5),
             (3, (0.45, 1.2, 0.5, 0.5), 0.5),
+            # off-centre tails at n = 4
+            (4, (0.62, 1.45, 0.35, 0.6, 0.52, 0.7), 0.5),
+            # a = 1: W's two pieces touch
+            (2, (0.6, 0.35), 1.0),
+            # W wraps into two separate pieces
+            (2, (0.55, 0.2), 0.5),
         ],
     )
     def test_membership_equals_kappa_inverse_reference(self, n, z, a):
-        from cubewrap.maps import DISC_RADIUS
-
         cfg = EmbeddingConfig(n=n, c=2.0)
-        t = (np.arange(400) + 0.5) / 400 * 2.2 * DISC_RADIUS - 1.1 * DISC_RADIUS
-        ys = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        ys = _disc_box_grid(400)
         got = psi_section_membership_many(ys, z, cfg, a)
         assert got.any()
         assert np.array_equal(got, _psi_reference(ys, z, cfg, a))
+
+    def test_reference_cases_cover_both_w_shapes(self):
+        from cubewrap.maps import psi_config
+        from cubewrap.sections import SectionCells
+
+        touching = section_of_phi((0.6, 0.35), psi_config(CFG2, 1.0)).W.intervals
+        assert len(touching) == 2 and touching[0][1] == touching[1][0]
+        sd = section_of_phi((0.55, 0.2), psi_config(CFG2, 0.5))
+        (a0, b0), (a1, b1) = sd.W.intervals
+        assert b0 < a1
+        # and the section has cells at heights in both pieces
+        ys = _disc_box_grid(400)
+        cells = SectionCells.psi(ys)
+        p = cells.p[psi_section_membership_many(ys, sd.z, CFG2, 0.5, cells=cells)[cells.inside]]
+        assert np.any((a0 < p) & (p < b0)) and np.any((a1 < p) & (p < b1))
+
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_kernel_blocks_match_reference(self, count):
+        """Point counts at and around the kernel's block size, every
+        point inside the disc."""
+        from cubewrap.maps import DISC_RADIUS
+
+        rng = np.random.default_rng(count)
+        rho = 0.99 * DISC_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, count))
+        ang = rng.uniform(0.0, 2 * math.pi, count)
+        ys = np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=-1)
+        z, a = (0.55, 0.2), 0.5
+        got = psi_section_membership_many(ys, z, CFG2, a)
+        assert got.shape == (count,)
+        assert np.array_equal(got, _psi_reference(ys, z, CFG2, a))
+        if count > 1000:
+            assert 0.1 < got.mean() < 0.9
+
+    @pytest.mark.parametrize("plant", ["B + 0.01", "centre + 0.01"])
+    def test_planted_arc_error_breaks_the_reference_match(self, plant, monkeypatch):
+        import cubewrap.sections as sec
+
+        ys = _disc_box_grid(400)
+        z, a = (0.3, 0.7), 0.5
+        ref = _psi_reference(ys, z, CFG2, a)
+        assert np.array_equal(psi_section_membership_many(ys, z, CFG2, a), ref)
+        real = sec._arc_terms
+
+        def planted(sd, c):
+            shift, m2, base = real(sd, c)
+            if plant == "B + 0.01":
+                return shift, m2, base + 0.01
+            return shift + 0.01, m2, base
+
+        monkeypatch.setattr(sec, "_arc_terms", planted)
+        assert not np.array_equal(psi_section_membership_many(ys, z, CFG2, a), ref)
+
+
+def _disc_box_grid(n):
+    """Cell centres of an n x n grid over a box 10 % wider than the disc."""
+    from cubewrap.maps import DISC_RADIUS
+
+    t = (np.arange(n) + 0.5) / n * 2.2 * DISC_RADIUS - 1.1 * DISC_RADIUS
+    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _square_probe_points(rng):

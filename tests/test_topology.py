@@ -312,6 +312,20 @@ class TestSharedGeometry:
             assert np.array_equal(shared.occupancy, own.occupancy)
             assert (shared.x0, shared.side) == (own.x0, own.side)
 
+    @pytest.mark.parametrize("N, chunk", [(64, None), (1024, None), (333, 4099), (1000, 4099)])
+    def test_psi_grid_cells_equal_point_cells(self, N, chunk, monkeypatch):
+        """ψ cells built from the raster's 1-D axis, in blocks of whole
+        rows, equal `SectionCells.psi` of its cell centres bit for bit."""
+        import cubewrap.sections as sec
+        from cubewrap.topology import _psi_blank
+
+        ref = SectionCells.psi(_psi_blank(N).cell_centers().reshape(-1, 2))
+        if chunk is not None:
+            monkeypatch.setattr(sec, "_CHUNK", chunk)
+        got = psi_section_cells(N)
+        for name in ("points", "inside", "qbar", "p"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
     def test_cells_of_another_raster_rejected(self):
         with pytest.raises(ValueError):
             rasterize_section([0.3, 0.7], CFG2, 128, cells=phi_section_cells(256))
