@@ -16,7 +16,7 @@ from cubewrap.topology import (
     annulus_fixture,
     annulus_with_slit_fixture,
     complement_components,
-    phi_section_cells,
+    rasterize_section,
 )
 
 config = EmbeddingConfig(n=2, c=2.0)
@@ -41,9 +41,8 @@ for N in (256, 512, 1024):
 # Cell-centre membership with no slit stamp shows what discretization
 # alone would do: at any finite resolution the zero-width slit closes
 # and a hole appears
-cells = phi_section_cells(512)
-occ = section_membership_many(cells.points, z, config, cells=cells)
-r_closed = Raster(n=512, occupancy=occ.reshape(512, 512))
+opened = rasterize_section(z, config, 512)
+r_closed = Raster(n=512, occupancy=section_membership_many(opened.cell_centers(), z, config))
 print(
     f"\nwithout the slit stamp (N = 512): "
     f"{complement_components(r_closed).count} components (hole trapped)"

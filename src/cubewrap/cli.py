@@ -59,7 +59,6 @@ from .topology import (
     check_hull_bound,
     complement_components,
     disk_fixture,
-    phi_section_cells,
     rasterize_section,
     slit_polyline,
 )
@@ -387,9 +386,8 @@ def cmd_topology(args) -> int:
         first_bad = None
         generic_z, _ = z_grid(config, (w, h))
         idx = rng.choice(len(generic_z), size=min(w * h, len(generic_z)), replace=False)
-        cells = phi_section_cells(args.N)
         for i in idx:
-            ok, rep = check_complement_connected(generic_z[i], config, args.N, cells=cells)
+            ok, rep = check_complement_connected(generic_z[i], config, args.N)
             conn_reports.append(asdict(rep))
             if not ok and first_bad is None:
                 first_bad = rep

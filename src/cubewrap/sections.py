@@ -21,11 +21,12 @@ tests p ∈ W and q̄ off the slit.  For ψ (c = 1/a) the angles at height
 p form one open arc: with p2 = P̄2 − c·p mod c and
 B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point is a member
 iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
-√B centred at ½ − c·Q2 (`psi_section_membership_many`).  The membership
-and raster functions take the geometry as an optional `cells=` argument
-and build it when none is passed; a caller that holds N (or the point
-set) fixed builds it once and drops it when it returns.  Nothing caches
-geometry across calls, so a call's memory is released with it.
+√B centred at ½ − c·Q2 (`psi_section_membership_many`).  A φ raster
+needs only heights, read from its 1-D axis, and its stamp carries the
+slit (`topology.rasterize_section`).  ψ functions take the geometry as
+an optional `cells=` argument and build it when none is passed; a caller
+that holds N fixed builds it once.  Nothing caches geometry across
+calls, so a call's memory is released with it.
 """
 from __future__ import annotations
 
@@ -236,18 +237,14 @@ def _in_ribbon(qbar, p, sd: SectionDescription):
     return ok
 
 
-def section_membership_many(ys, sd_or_z, config: EmbeddingConfig, cells=None):
-    """Vectorized membership of square points in the section at z.
-
-    `cells`, if given, is `SectionCells.phi` of the same `ys`."""
+def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
+    """Vectorized membership of square points in the section at z."""
     sd = resolve_section(sd_or_z, config)
     ys = np.asarray(ys, dtype=float)
     out = np.zeros(ys.shape[:-1], dtype=bool)
     if sd.status != "generic":
         return out
-    if cells is None:
-        cells = SectionCells.phi(ys)
-    cells.check_points(ys)
+    cells = SectionCells.phi(ys)
     out[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd)
     return out
 

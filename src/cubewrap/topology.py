@@ -8,15 +8,16 @@ grid by freeing the cells a fine polyline of the slit passes through
 (plus their 8-neighborhood), so that the complement corridor the slit
 provides survives discretization at any resolution.
 
-The cylinder coordinates of a raster's cell centres depend only on its
-resolution and box, not on z, and have closed forms (see
-`sections.SectionCells`): λ⁻¹ of the square for φ, polar coordinates of
-the disc for ψ.  `phi_section_cells` and `psi_section_cells` build them
-for one raster, ψ's by broadcasting the box's 1-D axis; the loops that
-hold N fixed (`check_hull_bound`, the CLI's connectivity sweep) build
-them once and pass them as `cells=` to every z.  Per z, a φ cell is
-occupied when its height lies in W and its angle is off the slit, a ψ
-cell when its angle lies in the arc of its height
+A φ section is every angle but the slit's at the heights in W, so a φ
+raster reads only heights, from its 1-D axis of cell centres: the
+height of cell (i, j) is min(h_i, h_j), h = 1 − 4u² for the offsets u
+of the centres from ½ (`rasterize_section`), and the slit stamp carries
+the slit.  A ψ cell's cylinder coordinates, polar coordinates of the
+disc (see `sections.SectionCells`), depend only on the raster's
+resolution and box, not on z; `psi_section_cells` builds them by
+broadcasting the box's 1-D axis, and `check_hull_bound`, which holds N
+fixed, builds them once and passes them as `cells=` to every z.  Per z,
+a ψ cell is occupied when its angle lies in the arc of its height
 (`sections.psi_section_membership_many`).  `bounded_hull` skips the
 search for holes when every complement component reaches the margin
 ring, the usual case for a slit section.
@@ -42,7 +43,6 @@ from .sections import (
 __all__ = [
     "Raster",
     "RegionLabels",
-    "phi_section_cells",
     "psi_section_cells",
     "rasterize_section",
     "rasterize_psi_section",
@@ -206,11 +206,6 @@ def _psi_blank(N: int) -> Raster:
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
 
 
-def phi_section_cells(N: int) -> SectionCells:
-    """Cylinder coordinates of the cell centres of a φ raster at N."""
-    return SectionCells.phi(_phi_blank(N).cell_centers().reshape(-1, 2))
-
-
 def psi_section_cells(N: int) -> SectionCells:
     """Cylinder coordinates of the cell centres of a ψ raster at N.  Its
     box is a square centred at 0, so both axes share one 1-D array of
@@ -219,25 +214,28 @@ def psi_section_cells(N: int) -> SectionCells:
     return SectionCells.psi_grid(r.x0 + r.cell_offsets())
 
 
-def _raster_cells(r: Raster, cells, build) -> SectionCells:
-    """`cells` if given, after checking they are r's cell centres, else
-    `build(r.n)`."""
-    if cells is None:
-        return build(r.n)
-    first = cells.points[:1]
-    if cells.points.shape != (r.n * r.n, 2) or not np.array_equal(
-        first, [[r.x0 + 0.5 * r.cell, r.y0 + 0.5 * r.cell]]
-    ):
-        raise ValueError("cells were built for another raster")
-    return cells
-
-
-def rasterize_section(z, config: EmbeddingConfig, N: int, cells=None) -> Raster:
+def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     """Rasterize the section at z over [0,1]^2 by cell-center membership.
 
-    The cells along the analytic slit path are freed; the slit has zero
+    The section is λ(V × W): every angle but the slit's, at the heights
+    in W.  So a cell is occupied when its height lies in W, and the
+    cells along the analytic slit path are then freed; the slit has zero
     width, so plain center sampling would close it at every finite
-    resolution.  `cells`, if given, is `phi_section_cells(N)`.
+    resolution.  No angle is computed.
+
+    The height of a cell centre (u, v) + ½ is p = 1 − 4r², r the
+    coordinate of larger magnitude (`maps.square_to_cylinder`), which is
+    min(h(u), h(v)) with h(u) = 1 − 4u² bit for bit, since x ↦ 1 − 4x is
+    monotone in floating point: one 1-D axis of heights gives all N².
+    The odd-N centre cell, the puncture, has height 1 ∉ W.
+
+    Dropping the angle test frees no fewer cells.  A cell centre whose
+    angle is within SLIT_TOL of the slit lies within 8m·SLIT_TOL ≤ 4e-9
+    of the slit ray, m ≤ ½ the half-side of λ's square through it, so
+    the ray crosses that cell.  The slit samples are 1/(16N) apart in m,
+    which is their ‖·‖∞ distance along the ray, and span every m of a
+    cell centre, so one of them lies in that cell or one of its eight
+    neighbours, and the stamp frees the sample's 8-neighbourhood.
     """
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
@@ -245,8 +243,9 @@ def rasterize_section(z, config: EmbeddingConfig, N: int, cells=None) -> Raster:
     r = _phi_blank(N)
     if sd.status != "generic":
         return r
-    cells = _raster_cells(r, cells, phi_section_cells)
-    occ = section_membership_many(cells.points, sd, config, cells=cells).reshape(N, N)
+    u = r.cell_offsets() - 0.5
+    h = 1.0 - 4.0 * (u * u)
+    occ = sd.W.contains_many(np.minimum.outer(h, h))
     _stamp_polyline(occ, slit_polyline(sd, steps=8 * N), r.x0, r.y0, r.cell, N)
     return Raster(n=N, occupancy=occ)
 
@@ -275,7 +274,12 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     r = _psi_blank(N)
     if sd.status != "generic":
         return r
-    cells = _raster_cells(r, cells, psi_section_cells)
+    if cells is None:
+        cells = psi_section_cells(N)
+    elif cells.points.shape != (N * N, 2) or not np.array_equal(
+        cells.points[:1], [[r.x0 + 0.5 * r.cell, r.y0 + 0.5 * r.cell]]
+    ):
+        raise ValueError("cells were built for another raster")
     occ = psi_section_membership_many(cells.points, sd, cfg, a, cells=cells).reshape(N, N)
     # The disc points are κ⁻¹ of the square ones, and κ⁻¹∘λ = χ.
     chi = ChiMap()
@@ -299,14 +303,13 @@ class ConnectivityReport:
     occupied_fraction: float
 
 
-def check_complement_connected(z, config: EmbeddingConfig, N: int, cells=None):
+def check_complement_connected(z, config: EmbeddingConfig, N: int):
     """True iff the complement of the section raster (in the plane) is a
-    single flood-fill component.  Verdicts below N = 256 are advisory.
-    `cells`, if given, is `phi_section_cells(N)`."""
+    single flood-fill component.  Verdicts below N = 256 are advisory."""
     if N < 256:
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
     sd = resolve_section(z, config)
-    r = rasterize_section(sd, config, N, cells=cells)
+    r = rasterize_section(sd, config, N)
     labels = complement_components(r)
     report = ConnectivityReport(
         z=tuple(sd.z),
@@ -417,14 +420,13 @@ def check_hull_bound(
 
 
 def _radial_fixture(N, inner, outer, slit_halfwidth=None):
-    occ = np.zeros((N, N), dtype=bool)
-    t = (np.arange(N) + 0.5) / N
-    X, Y = np.meshgrid(t, t, indexing="ij")
-    rho = np.hypot(X - 0.5, Y - 0.5)
+    """Cells of an N-cell unit raster whose centres lie at distance in
+    (inner, outer) from ½, built from the 1-D axis of centre offsets."""
+    d = (np.arange(N) + 0.5) / N - 0.5
+    rho = np.hypot(d[:, None], d)
     occ = (rho > inner) & (rho < outer)
     if slit_halfwidth is not None:
-        on_ray = (np.abs(Y - 0.5) < slit_halfwidth) & (X > 0.5)
-        occ &= ~on_ray
+        occ &= ~((d > 0.0)[:, None] & (np.abs(d) < slit_halfwidth))
     return Raster(n=N, occupancy=occ)
 
 
@@ -439,7 +441,4 @@ def annulus_with_slit_fixture(N: int = 256, inner: float = 0.2, outer: float = 0
 
 
 def disk_fixture(N: int = 256, radius: float = 0.3) -> Raster:
-    t = (np.arange(N) + 0.5) / N
-    X, Y = np.meshgrid(t, t, indexing="ij")
-    occ = np.hypot(X - 0.5, Y - 0.5) < radius
-    return Raster(n=N, occupancy=occ)
+    return _radial_fixture(N, -math.inf, radius)

@@ -37,7 +37,6 @@ from cubewrap.topology import (
     check_complement_connected,
     check_hull_bound,
     complement_components,
-    phi_section_cells,
     slit_path_witness,
 )
 
@@ -100,9 +99,8 @@ def test_criterion_03_complement_connectivity(capsys):
         generic_z, _ = z_grid(cfg, (10, 10))
         assert len(generic_z) >= 100
         for N in (256, 512, 1024):
-            cells = phi_section_cells(N)
             for z in generic_z[:100]:
-                connected, _ = check_complement_connected(z, cfg, N, cells=cells)
+                connected, _ = check_complement_connected(z, cfg, N)
                 ok &= connected
                 checked += 1
     for N in (256, 512, 1024):

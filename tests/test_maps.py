@@ -81,6 +81,17 @@ class TestWrapProject:
         out = shear_wrap(np.array([0.7, 0.2, 0.3, 2.0]), 2.0)
         assert np.allclose(out, [0.1, 0.2, 0.3, 0.4])
 
+    def test_wrap_mod_1_is_bit_identical_to_np_mod(self):
+        # Normal samples, then points whose sheared first coordinate is
+        # exactly ±0, ±1e-300 or ±1 (X2 = 0 leaves it as X0).
+        X = np.random.default_rng(31).normal(scale=2.0, size=(100_006, 4))
+        X[-6:, 0] = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0]
+        X[-6:, 2] = 0.0
+        c = 1.5
+        ref = np.mod(X[:, 0] - c * X[:, 2], 1.0)
+        got = shear_wrap(X, c)[:, 0]
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_middle_unchanged(self):
         X = RNG.uniform(-5, 5, (100, 4))
         Y = shear_wrap(X, 1.5)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cubewrap.maps import DISC_RADIUS, EmbeddingConfig
+import cubewrap.topology as topology
+from cubewrap.maps import DISC_RADIUS, EmbeddingConfig, make_lambda
 from cubewrap.sections import SectionCells, section_membership_many, section_of_phi, z_grid
 from cubewrap.topology import (
     AmbiguousHullError,
@@ -15,7 +16,6 @@ from cubewrap.topology import (
     check_hull_bound,
     complement_components,
     disk_fixture,
-    phi_section_cells,
     psi_section_cells,
     rasterize_psi_section,
     rasterize_section,
@@ -79,6 +79,17 @@ class TestFixtures:
 
     def test_disk_complement_connected(self):
         assert complement_components(disk_fixture()).count == 1
+
+    @pytest.mark.parametrize("N", [64, 255, 256, 1024])
+    def test_fixtures_equal_meshgrid_reference(self, N):
+        t = (np.arange(N) + 0.5) / N
+        X, Y = np.meshgrid(t, t, indexing="ij")
+        rho = np.hypot(X - 0.5, Y - 0.5)
+        annulus = (rho > 0.2) & (rho < 0.4)
+        on_ray = (np.abs(Y - 0.5) < 1.5 / N) & (X > 0.5)
+        assert np.array_equal(annulus_fixture(N).occupancy, annulus)
+        assert np.array_equal(annulus_with_slit_fixture(N).occupancy, annulus & ~on_ray)
+        assert np.array_equal(disk_fixture(N).occupancy, rho < 0.3)
 
 
 class TestBoundedHull:
@@ -158,10 +169,9 @@ class TestRasterizeSection:
 
     def test_slit_open_vs_closed(self):
         # Cell-centre membership alone, with no slit stamp.
-        cells = phi_section_cells(256)
-        occ = section_membership_many(cells.points, [0.3, 0.7], CFG2, cells=cells)
-        closed = Raster(n=256, occupancy=occ.reshape(256, 256))
         opened = rasterize_section([0.3, 0.7], CFG2, 256)
+        occ = section_membership_many(opened.cell_centers(), [0.3, 0.7], CFG2)
+        closed = Raster(n=256, occupancy=occ)
         assert complement_components(closed).count >= 2
         assert complement_components(opened).count == 1
         assert opened.occupancy.sum() <= closed.occupancy.sum()
@@ -178,6 +188,74 @@ class TestRasterizeSection:
             # A φ raster has x0 = y0 = 0 and cells of side 1/N.
             g = slit_polyline(section_of_phi(z, cfg), 8 * N) * N
             assert not np.any(g == np.floor(g))
+
+
+def _slit_cover(sd, N):
+    """The closed cells of an N-cell φ raster that the open slit segment,
+    from the puncture (½, ½) to the rim point λ(slit angle, 0), meets.
+
+    Worked in grid units, where the segment is N/2 + s·d, s ∈ (0, 1): a
+    cell [i, i+1] × [j, j+1] meets it iff the s-intervals of its two
+    slabs overlap inside (0, 1).  For an axis or diagonal slit, d has
+    entries 0 or ±N/2 and every slab bound is a correctly rounded
+    quotient, so touches at cell edges and corners count."""
+    rim = make_lambda().forward(np.array([[sd.slit_angle, 0.0]]))[0]
+    d = (rim - 0.5) * N
+    k = np.arange(N, dtype=float) - 0.5 * N
+
+    def slab(dk):
+        if dk == 0.0:
+            hit = (k <= 0.0) & (0.0 <= k + 1.0)
+            return np.where(hit, -np.inf, np.inf), np.where(hit, np.inf, -np.inf)
+        a, b = k / dk, (k + 1.0) / dk
+        return np.minimum(a, b), np.maximum(a, b)
+
+    (lo_x, hi_x), (lo_y, hi_y) = slab(d[0]), slab(d[1])
+    lo, hi = np.maximum.outer(lo_x, lo_y), np.minimum.outer(hi_x, hi_y)
+    return (lo <= hi) & (lo < 1.0) & (hi > 0.0)
+
+
+def _slit_cases():
+    """z1 = ½ gives an axis slit at c = 1 and 2 and a diagonal one at
+    c = 1.5; the other z are generic."""
+    for c in (1.0, 1.5, 2.0, math.pi):
+        cfg = EmbeddingConfig(n=2, c=c)
+        for z in [*z_grid(cfg, (1, 2))[0], (0.3, 0.7), (0.8, 0.15 * c)]:
+            yield cfg, section_of_phi(z, cfg)
+
+
+class TestSlitCorridor:
+    def test_cover_of_a_diagonal_slit_counts_corner_touches(self):
+        sd = section_of_phi((0.5, 0.375), EmbeddingConfig(n=2, c=1.5))
+        cover = _slit_cover(sd, 8)
+        # The ray from (4, 4) towards (8, 0) in grid units: the cells it
+        # crosses, plus those it touches at a corner only.
+        crossed = {(4, 3), (5, 2), (6, 1), (7, 0)}
+        corners = {(4, 2), (5, 3), (5, 1), (6, 2), (6, 0), (7, 1)}
+        assert set(zip(*np.nonzero(cover))) == crossed | corners
+
+    @pytest.mark.parametrize("N", [255, 256, 512])
+    def test_every_cell_the_slit_meets_is_free(self, N):
+        for cfg, sd in _slit_cases():
+            r = rasterize_section(sd, cfg, N)
+            cover = _slit_cover(sd, N)
+            assert r.occupancy.any() and cover.any()
+            assert not (r.occupancy & cover).any(), (cfg.c, sd.z, N)
+
+    def test_fails_on_a_stamp_that_frees_only_the_sample_cells(self, monkeypatch):
+        def own_cells(occupancy, pts, x0, y0, cell, n):
+            ii = np.floor((pts[:, 0] - x0) / cell).astype(int)
+            jj = np.floor((pts[:, 1] - y0) / cell).astype(int)
+            occupancy[ii, jj] = False
+
+        monkeypatch.setattr(topology, "_stamp_polyline", own_cells)
+        N = 256
+        left = [
+            sd.slit_angle
+            for cfg, sd in _slit_cases()
+            if (rasterize_section(sd, cfg, N).occupancy & _slit_cover(sd, N)).any()
+        ]
+        assert {0.25, 0.5, 0.875} <= set(left)
 
 
 class TestConnectivity:
@@ -278,21 +356,27 @@ class TestRuns:
 
 class TestSharedGeometry:
     @pytest.mark.parametrize(
-        "n, c, zs",
-        [
-            (2, 1.0, [(0.3, 0.7), (0.8, 0.15)]),
-            (2, math.pi, [(0.3, 0.7), (0.6, 2.9)]),
-            (3, 2.0, [(0.3, 0.7, 0.2, 0.6), (0.45, 1.2, 0.5, 0.5)]),
-        ],
+        "n, c",
+        [(2, 1.0), (2, 1.5), (2, 2.0), (2, math.pi), (2, 7.0), (3, 1.5), (3, 2.0), (3, math.pi)],
     )
-    def test_phi_shared_cells(self, n, c, zs):
+    def test_phi_raster_equals_per_cell_reference(self, n, c):
+        """Occupancy from the 1-D height axis equals the per-cell path, λ⁻¹
+        of every cell centre with the slit-angle test, plus the same
+        stamp, bit for bit.  The z include z1 = ½, whose slit is an axis
+        or diagonal ray at c ∈ {1, 1.5, 2, 7}, and two-piece W."""
         cfg = EmbeddingConfig(n=n, c=c)
-        cells = phi_section_cells(256)
-        for z in zs:
-            shared = rasterize_section(z, cfg, 256, cells=cells)
-            own = rasterize_section(z, cfg, 256)
-            assert own.occupancy.any()
-            assert np.array_equal(shared.occupancy, own.occupancy)
+        zs = np.concatenate([z_grid(cfg, (1, 2))[0], z_grid(cfg, (2, 4))[0]])
+        assert zs[0][0] == 0.5
+        pieces = [len(section_of_phi(z, cfg).W.intervals) for z in zs]
+        assert 2 in pieces
+        for N in (255, 256):
+            for z in zs:
+                got = rasterize_section(z, cfg, N)
+                sd = section_of_phi(z, cfg)
+                ref = section_membership_many(got.cell_centers(), sd, cfg)
+                topology._stamp_polyline(ref, slit_polyline(sd, 8 * N), 0.0, 0.0, 1.0 / N, N)
+                assert ref.any()
+                assert np.array_equal(got.occupancy, ref), (N, z)
 
     @pytest.mark.parametrize(
         "n, a, zs",
@@ -328,10 +412,11 @@ class TestSharedGeometry:
 
     def test_cells_of_another_raster_rejected(self):
         with pytest.raises(ValueError):
-            rasterize_section([0.3, 0.7], CFG2, 128, cells=phi_section_cells(256))
+            rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 128, cells=psi_section_cells(256))
         with pytest.raises(ValueError):
             # same cell count, box of the φ raster
-            other_box = SectionCells.psi(phi_section_cells(256).points)
+            phi_box = rasterize_section([0.3, 0.7], CFG2, 256).cell_centers()
+            other_box = SectionCells.psi(phi_box.reshape(-1, 2))
             rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=other_box)
 
     def test_hull_report_equals_per_z_recomputation(self):
