@@ -18,7 +18,6 @@ from .maps import (
     unshear_wrap,
 )
 from .quotient import (
-    CircleValue,
     LineIntervalSet,
     preimage_affine_mod,
     reduce,
@@ -53,7 +52,6 @@ __all__ = [
     "shear_wrap",
     "square_to_cylinder",
     "unshear_wrap",
-    "CircleValue",
     "LineIntervalSet",
     "preimage_affine_mod",
     "reduce",

@@ -499,6 +499,8 @@ def _raster_svg(r):
 def cmd_plot(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
     spec = _spec_echo(args)
+    if args.z is not None and len(args.z) < 2:
+        raise ValueError(f"--z needs at least two values z1,z2, got {len(args.z)}")
     z = args.z if args.z is not None else (0.3, 0.7 * args.c)
     sd = section_of_phi(pad_z(z, config), config)
     # Rasterized before any file is written, so an --N below the raster

@@ -546,9 +546,9 @@ class PhiMap(PhaseMap):
         """`smooth_mask` of the cube points X, given W = shear_wrap(X)."""
         ok = np.all((X > margin) & (X < 1.0 - margin), axis=-1)
         # Stay away from the concentric-map diagonals in both cylinders.
-        d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES, 1.0).min(axis=-1)
+        d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES).min(axis=-1)
         a2 = np.mod(-W[..., 3], self.c) / self.c
-        d2 = circle_distance(a2[..., None], _DIAGONAL_ANGLES, 1.0).min(axis=-1)
+        d2 = circle_distance(a2[..., None], _DIAGONAL_ANGLES).min(axis=-1)
         return ok & (d1 > margin) & (d2 > margin)
 
     def _raw_samples(self, rng, count):

@@ -1,5 +1,6 @@
-"""Values on circles R/LZ, finite unions of open intervals on the line,
-and the one preimage the sections need: the heights W of a z-section.
+"""Reduction modulo a period, finite unions of open intervals on the
+line, and the one preimage the sections need: the heights W of a
+z-section.
 
 Everything here stores *open* intervals: membership at an endpoint is
 always false.  This matches the open cubes and punctured squares the
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "InvalidPeriodError",
-    "CircleValue",
     "LineIntervalSet",
     "reduce",
     "preimage_affine_mod",
@@ -26,11 +25,10 @@ __all__ = [
 _SNAP_REL = 1e-15
 
 
-class InvalidPeriodError(ValueError):
-    """Raised when a circle is constructed with a non-positive period."""
-
-
-def _reduce_scalar(x: float, period: float) -> float:
+def reduce(x: float, period: float) -> float:
+    """The representative of x on the circle R/(period Z), in [0, period)."""
+    if not period > 0:
+        raise ValueError(f"period must be positive, got {period}")
     r = x - period * math.floor(x / period)
     if r < 0.0:
         # x / period can underflow to -0.0 for denormal x, leaving a
@@ -41,30 +39,13 @@ def _reduce_scalar(x: float, period: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class CircleValue:
-    """A point on the circle R/(period Z), stored by its representative in [0, period)."""
-
-    representative: float
-    period: float
-
-    def __post_init__(self):
-        if not self.period > 0:
-            raise InvalidPeriodError(f"period must be positive, got {self.period}")
-        object.__setattr__(
-            self, "representative", _reduce_scalar(self.representative, self.period)
-        )
-
-
-def reduce(x: float, period: float) -> CircleValue:
-    """Reduce a real number modulo the period, result in [0, period)."""
-    return CircleValue(x, period)
-
-
-def circle_distance(x, y, period):
-    """Shortest distance on R/(period Z) between x and y (numpy-friendly)."""
-    d = np.mod(np.asarray(x) - y, period)
-    return np.minimum(d, period - d)
+def circle_distance(x, y):
+    """Shortest distance on R/Z between x and y (numpy-friendly).  The
+    difference is reduced mod 1 as d − floor(d), bit-identical to
+    np.mod(d, 1.0)."""
+    d = np.asarray(x) - y
+    d -= np.floor(d)
+    return np.minimum(d, 1.0 - d)
 
 
 @dataclass(frozen=True)
@@ -92,7 +73,7 @@ class LineIntervalSet:
 _FRAGMENT_TOL = 1e-15
 
 
-def preimage_affine_mod(target: CircleValue, scale: float) -> LineIntervalSet:
+def preimage_affine_mod(target: float, scale: float) -> LineIntervalSet:
     """Solve {x in (0, 1) : exists t in (0, 1) with scale*x + t = target (mod scale)}.
 
     scale*x must lie in (target - 1, target) mod scale, so x lies on the
@@ -103,9 +84,7 @@ def preimage_affine_mod(target: CircleValue, scale: float) -> LineIntervalSet:
     c = float(scale)
     if not c >= 1:
         raise ValueError(f"scale must be >= 1, got {c}")
-    if target.period != c:
-        raise ValueError("target period must equal the scale")
-    s = _reduce_scalar((float(target.representative) - 1.0) / c, 1.0)
+    s = reduce((float(target) - 1.0) / c, 1.0)
     e = s + 1.0 / c
     if e <= 1.0:
         pieces = [(s, e)]

@@ -9,24 +9,25 @@ exactly 1/c.  `SectionDescription` stores V as its one missing point,
 the slit angle, and W as a `LineIntervalSet`.
 
 So whether a plane point lies in a section depends on z only through a
-few scalars.  `SectionCells` holds the cylinder coordinates (q̄, p) of
-a fixed point set, computed once and in closed form.  For the cube
-embedding φ they are λ⁻¹ of square points, `maps.square_to_cylinder`:
-p = 1 − 4‖y − ½‖∞² and a sector-wise rational angle, with no trig.
-For the ball embedding ψ they are λ⁻¹∘κ = χ⁻¹∘κ⁻¹∘κ = χ⁻¹ of disc
-points: plain polar coordinates, q̄ = arg y / 2π and p = 1 − π|y|².
+few scalars, and on the point only through its cylinder coordinates
+(q̄, p), held as two plain arrays.  For the cube embedding φ they are
+λ⁻¹ of square points, `maps.square_to_cylinder`: p = 1 − 4‖y − ½‖∞²
+and a sector-wise rational angle, with no trig.  For the ball embedding
+ψ they are λ⁻¹∘κ = χ⁻¹ of disc points, `maps.disc_to_cylinder`: plain
+polar coordinates, q̄ = arg y / 2π and p = 1 − π|y|².
 
 Both sections are a set of angles at each height.  For φ, `_in_ribbon`
 tests p ∈ W and q̄ off the slit.  For ψ (c = 1/a) the angles at height
 p form one open arc: with p2 = P̄2 − c·p mod c and
 B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point is a member
 iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
-√B centred at ½ − c·Q2 (`psi_section_membership_many`).  A φ raster
-needs only heights, read from its 1-D axis, and its stamp carries the
-slit (`topology.rasterize_section`).  ψ functions take the geometry as
-an optional `cells=` argument and build it when none is passed; a caller
-that holds N fixed builds it once.  Nothing caches geometry across
-calls, so a call's memory is released with it.
+√B centred at ½ − c·Q2 (`_arc_members`).  The kernel needs no disc
+mask: a point on or beyond the rim has p ≤ 0, so (p − ½)² ≥ ¼ > B.  A φ
+raster needs only heights, read from its 1-D axis, and its stamp
+carries the slit (`topology.rasterize_section`); a ψ raster runs the arc
+kernel on the (q̄, p) of its cells (`topology.psi_section_cells`).
+Nothing caches geometry across calls, so a call's memory is released
+with it.
 """
 from __future__ import annotations
 
@@ -36,8 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (
-    DISC_RADIUS,
-    ChiMap,
     EmbeddingConfig,
     disc_to_cylinder,
     make_lambda_prime,
@@ -45,7 +44,6 @@ from .maps import (
     square_to_cylinder,
 )
 from .quotient import (
-    CircleValue,
     LineIntervalSet,
     preimage_affine_mod,
     reduce as circle_reduce,
@@ -56,7 +54,6 @@ MIN_MC_SAMPLES = 10_000
 
 __all__ = [
     "SectionDescription",
-    "SectionCells",
     "section_of_phi",
     "resolve_section",
     "section_membership",
@@ -78,9 +75,8 @@ SLIT_TOL = 1e-9
 # set apart from the generic cells.
 Z0_EXCLUSION = 1e-3
 
-# Points per map call when building SectionCells, and per block of the
-# ψ membership kernel (element-wise maps, so the result does not depend
-# on it).
+# Points per call of the cylinder maps and per block of the ψ membership
+# kernel (element-wise maps, so the result does not depend on it).
 _CHUNK = 1 << 16
 
 
@@ -92,7 +88,7 @@ class SectionDescription:
     z: tuple
     status: str  # "empty" | "puncture" | "generic"
     Q2: float | None = None
-    P2bar: CircleValue | None = None
+    P2bar: float | None = None
     slit_angle: float | None = None
     W: LineIntervalSet | None = None
     analytic_area: float = 0.0
@@ -138,7 +134,7 @@ def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
         status="generic",
         Q2=Q2,
         P2bar=P2bar,
-        slit_angle=circle_reduce(-c * Q2, 1.0).representative,
+        slit_angle=circle_reduce(-c * Q2, 1.0),
         W=preimage_affine_mod(P2bar, c),
         analytic_area=1.0 / c,
     )
@@ -149,81 +145,6 @@ def resolve_section(sd_or_z, config: EmbeddingConfig) -> SectionDescription:
     if isinstance(sd_or_z, SectionDescription):
         return sd_or_z
     return section_of_phi(sd_or_z, config)
-
-
-@dataclass(frozen=True)
-class SectionCells:
-    """Cylinder coordinates of a fixed set of plane points.
-
-    `inside` marks the points in the domain of the cylinder map (shape
-    `points.shape[:-1]`); `qbar` and `p` are the angle and height of the
-    inside points, in the order of `points[inside]`.  None of it depends
-    on z, so one instance serves every section of a raster.
-    """
-
-    points: np.ndarray
-    inside: np.ndarray
-    qbar: np.ndarray
-    p: np.ndarray
-
-    @classmethod
-    def _build(cls, points, inside, to_cylinder):
-        """(q̄, p) = to_cylinder(points[inside]), mapped _CHUNK points at
-        a time: the maps make about a dozen temporaries per call."""
-        pts, mask = points.reshape(-1, 2), inside.reshape(-1)
-        qbar = np.empty(np.count_nonzero(mask))
-        p = np.empty_like(qbar)
-        k = 0
-        for s in range(0, len(pts), _CHUNK):
-            cyl = to_cylinder(pts[s : s + _CHUNK][mask[s : s + _CHUNK]])
-            qbar[k : k + len(cyl)], p[k : k + len(cyl)] = cyl[:, 0], cyl[:, 1]
-            k += len(cyl)
-        return cls(points=points, inside=inside, qbar=qbar, p=p)
-
-    @classmethod
-    def phi(cls, ys) -> "SectionCells":
-        """λ⁻¹ on the open unit square minus the puncture y0 = (½, ½),
-        in closed form (`square_to_cylinder`)."""
-        ys = np.asarray(ys, dtype=float)
-        inside = np.all((ys > 0.0) & (ys < 1.0), axis=-1)
-        inside &= ~((ys[..., 0] == 0.5) & (ys[..., 1] == 0.5))
-        return cls._build(ys, inside, square_to_cylinder)
-
-    @classmethod
-    def psi(cls, ys) -> "SectionCells":
-        """λ⁻¹∘κ = χ⁻¹ on the open disc of radius DISC_RADIUS: the
-        polar coordinates (arg y / 2π, 1 − π|y|²)."""
-        ys = np.asarray(ys, dtype=float)
-        inside = np.hypot(ys[..., 0], ys[..., 1]) < DISC_RADIUS
-        return cls._build(ys, inside, ChiMap().inverse)
-
-    @classmethod
-    def psi_grid(cls, axis) -> "SectionCells":
-        """`psi` of the grid of points (axis[i], axis[j]), in row-major
-        order, built by broadcasting the 1-D axis instead of gathering
-        grid points: χ⁻¹ runs on blocks of whole rows, about _CHUNK
-        points each, and keeps the inside points of each block."""
-        axis = np.asarray(axis, dtype=float)
-        N = len(axis)
-        points = np.empty((N, N, 2))
-        points[..., 0] = axis[:, None]
-        points[..., 1] = axis
-        inside = np.hypot(axis[:, None], axis) < DISC_RADIUS
-        qbar = np.empty(np.count_nonzero(inside))
-        p = np.empty_like(qbar)
-        rows = max(1, _CHUNK // N)
-        k = 0
-        for i in range(0, N, rows):
-            mask = inside[i : i + rows]
-            q_rows, p_rows = disc_to_cylinder(axis[i : i + rows, None], axis)
-            m = np.count_nonzero(mask)
-            qbar[k : k + m], p[k : k + m] = q_rows[mask], p_rows[mask]
-            k += m
-        return cls(points=points.reshape(-1, 2), inside=inside.reshape(-1), qbar=qbar, p=p)
-
-    def check_points(self, ys):
-        if ys is not self.points and ys.shape != self.points.shape:
-            raise ValueError("cells were built for another point set")
 
 
 def _in_ribbon(qbar, p, sd: SectionDescription):
@@ -244,8 +165,15 @@ def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
     out = np.zeros(ys.shape[:-1], dtype=bool)
     if sd.status != "generic":
         return out
-    cells = SectionCells.phi(ys)
-    out[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd)
+    # λ⁻¹ on the open unit square, _CHUNK points at a time: the map makes
+    # about a dozen temporaries per call.  The puncture y0 = (½, ½) gets
+    # height 1 ∉ W.
+    pts, flat = ys.reshape(-1, 2), out.reshape(-1)
+    inside = np.all((pts > 0.0) & (pts < 1.0), axis=-1)
+    for s in range(0, len(pts), _CHUNK):
+        block, mask = slice(s, s + _CHUNK), inside[s : s + _CHUNK]
+        cyl = square_to_cylinder(pts[block][mask])
+        flat[block][mask] = _in_ribbon(cyl[:, 0], cyl[:, 1], sd)
     return out
 
 
@@ -374,9 +302,23 @@ def _arc_terms(sd: SectionDescription, c: float):
     return c * sd.Q2, abs(sd.Q2 - 0.5), base
 
 
-def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, cells=None):
+def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
     """Vectorized membership of plane points in the z-section of the
-    ball embedding's image (c = 1/a), an arc of angles at each height.
+    ball embedding's image (c = 1/a): `_arc_members` of their polar
+    coordinates (q̄, p) = χ⁻¹(y)."""
+    cfg = psi_config(config, a)
+    sd = resolve_section(z, cfg)
+    ys = np.asarray(ys, dtype=float)
+    if sd.status != "generic":
+        return np.zeros(ys.shape[:-1], dtype=bool)
+    qbar, p = disc_to_cylinder(ys[..., 0], ys[..., 1])
+    return _arc_members(np.ravel(qbar), np.ravel(p), sd, cfg.c).reshape(ys.shape[:-1])
+
+
+def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float):
+    """Membership of the cylinder points (q̄, p), two 1-D arrays, in the
+    generic section `sd` of the ball embedding's image at c = 1/a, an
+    arc of angles at each height.
 
     A disc point y with (q̄, p) = χ⁻¹(y), paired with z, pulls back to
     the cube point with (q1, p1) = (q̄ + c·Q2 mod 1, p) and (Q2, p2) =
@@ -394,34 +336,24 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, cells=
     SLIT_TOL clear of the slit q1 = 0.  tests/test_certificates.py
     proves the equivalence on each branch of the max and the mod.
 
-    The points are taken _CHUNK at a time through preallocated buffers.
-    `cells`, if given, is `SectionCells.psi` of the same `ys`.
+    A point on or beyond the disc's rim has p = 1 − π|y|² ≤ 0, so
+    (p − ½)² ≥ ¼ > B and it is never a member: the points need no disc
+    mask.  They are taken _CHUNK at a time through preallocated buffers.
     """
-    cfg = psi_config(config, a)
-    c = cfg.c
-    sd = resolve_section(z, cfg)
-    ys = np.asarray(ys, dtype=float)
-    out = np.zeros(ys.shape[:-1], dtype=bool)
-    if sd.status != "generic":
-        return out
-    if cells is None:
-        cells = SectionCells.psi(ys)
-    cells.check_points(ys)
     shift, m2, base = _arc_terms(sd, c)
-    P2bar = sd.P2bar.representative
     cap = (0.5 - SLIT_TOL) ** 2
-    ok = np.empty(len(cells.p), dtype=bool)
+    ok = np.empty(len(p_all), dtype=bool)
     buf_b, buf_u, buf_v = np.empty((3, min(_CHUNK, len(ok))))
     buf_f = np.empty(len(buf_b), dtype=bool)
     for s in range(0, len(ok), _CHUNK):
         block = slice(s, s + _CHUNK)
-        p, qbar, member = cells.p[block], cells.qbar[block], ok[block]
+        p, qbar, member = p_all[block], qbar_all[block], ok[block]
         k = len(p)
         B, u, v, f = buf_b[:k], buf_u[:k], buf_v[:k], buf_f[:k]
         # p2 = P̄2 − c·p, in (−c, c) for p in (0, 1), reduced into [0, c);
         # a p outside (0, 1) fails (p − ½)² < B ≤ ¼ whatever p2 is.
         np.multiply(p, -c, out=u)
-        u += P2bar
+        u += sd.P2bar
         np.less(u, 0.0, out=f)
         np.add(u, c, out=u, where=f)
         # B = ¼ − Σ_tail − max(|Q2 − ½|, |p2 − ½|)².
@@ -442,5 +374,4 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float, cells=
         u *= u
         np.less(u, B, out=f)
         member &= f
-    out[cells.inside] = ok
-    return out
+    return ok

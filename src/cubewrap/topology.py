@@ -12,15 +12,16 @@ A φ section is every angle but the slit's at the heights in W, so a φ
 raster reads only heights, from its 1-D axis of cell centres: the
 height of cell (i, j) is min(h_i, h_j), h = 1 − 4u² for the offsets u
 of the centres from ½ (`rasterize_section`), and the slit stamp carries
-the slit.  A ψ cell's cylinder coordinates, polar coordinates of the
-disc (see `sections.SectionCells`), depend only on the raster's
-resolution and box, not on z; `psi_section_cells` builds them by
+the slit.  A ψ cell's cylinder coordinates (q̄, p), the polar
+coordinates of its centre, depend only on the raster's resolution and
+box, not on z; `psi_section_cells` builds them as two plain arrays by
 broadcasting the box's 1-D axis, and `check_hull_bound`, which holds N
 fixed, builds them once and passes them as `cells=` to every z.  Per z,
 a ψ cell is occupied when its angle lies in the arc of its height
-(`sections.psi_section_membership_many`).  `bounded_hull` skips the
-search for holes when every complement component reaches the margin
-ring, the usual case for a slit section.
+(`sections._arc_members`); cells on or beyond the disc's rim have
+p ≤ 0 and fall outside every arc, so no cell is masked out first.
+`bounded_hull` skips the search for holes when every complement
+component reaches the margin ring, the usual case for a slit section.
 """
 from __future__ import annotations
 
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .maps import DISC_RADIUS, ChiMap, EmbeddingConfig, make_lambda, psi_config
+from .maps import DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder, make_lambda, psi_config
 from .sections import (
-    SectionCells,
+    _CHUNK,
     SectionDescription,
-    psi_section_membership_many,
+    _arc_members,
     resolve_section,
     section_membership_many,
     z_grid,
@@ -206,12 +207,18 @@ def _psi_blank(N: int) -> Raster:
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
 
 
-def psi_section_cells(N: int) -> SectionCells:
-    """Cylinder coordinates of the cell centres of a ψ raster at N.  Its
-    box is a square centred at 0, so both axes share one 1-D array of
-    cell centres (`SectionCells.psi_grid`)."""
+def psi_section_cells(N: int):
+    """Cylinder coordinates (q̄, p) of the N² cell centres of a ψ raster,
+    as two 1-D arrays in row-major order.  Its box is a square centred
+    at 0, so both axes share one 1-D array of cell centres, and χ⁻¹ runs
+    on blocks of whole rows, about _CHUNK cells each."""
     r = _psi_blank(N)
-    return SectionCells.psi_grid(r.x0 + r.cell_offsets())
+    axis = r.x0 + r.cell_offsets()
+    qbar, p = np.empty((2, N, N))
+    rows = max(1, _CHUNK // N)
+    for i in range(0, N, rows):
+        qbar[i : i + rows], p[i : i + rows] = disc_to_cylinder(axis[i : i + rows, None], axis)
+    return qbar.reshape(-1), p.reshape(-1)
 
 
 def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
@@ -274,13 +281,10 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     r = _psi_blank(N)
     if sd.status != "generic":
         return r
-    if cells is None:
-        cells = psi_section_cells(N)
-    elif cells.points.shape != (N * N, 2) or not np.array_equal(
-        cells.points[:1], [[r.x0 + 0.5 * r.cell, r.y0 + 0.5 * r.cell]]
-    ):
-        raise ValueError("cells were built for another raster")
-    occ = psi_section_membership_many(cells.points, sd, cfg, a, cells=cells).reshape(N, N)
+    qbar, p = psi_section_cells(N) if cells is None else cells
+    if qbar.shape != (N * N,) or p.shape != (N * N,):
+        raise ValueError(f"cells were built for another raster, not N = {N}")
+    occ = _arc_members(qbar, p, sd, cfg.c).reshape(N, N)
     # The disc points are κ⁻¹ of the square ones, and κ⁻¹∘λ = χ.
     chi = ChiMap()
     _stamp_polyline(occ, chi.forward(_slit_cylinder(sd, 8 * N)), r.x0, r.y0, r.cell, N)
@@ -422,6 +426,8 @@ def check_hull_bound(
 def _radial_fixture(N, inner, outer, slit_halfwidth=None):
     """Cells of an N-cell unit raster whose centres lie at distance in
     (inner, outer) from ½, built from the 1-D axis of centre offsets."""
+    if N < 64:
+        raise ValueError(f"fixture resolution N must be at least 64, got {N}")
     d = (np.arange(N) + 0.5) / N - 0.5
     rho = np.hypot(d[:, None], d)
     occ = (rho > inner) & (rho < outer)

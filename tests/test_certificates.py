@@ -24,7 +24,7 @@ certificate is shown to fail on a planted wrong constant and on the
 formula of a neighbouring sector.
 
 ψ's section at z is an arc of angles at each height
-(`sections.psi_section_membership_many`): with q1 = q̄ + c·Q2 mod 1,
+(`sections._arc_members`): with q1 = q̄ + c·Q2 mod 1,
 p2 = P̄2 − c·p mod c and B = ¼ − max(|Q2 − ½|, |p2 − ½|)² −
 max(|t1 − ½|, |t2 − ½|)², a cylinder point is a member iff (p − ½)² < B
 and (q1 − ½)² < B.  On each branch of the three maxima and of the mod c,
@@ -85,13 +85,14 @@ from cubewrap.maps import (
     ChiMap,
     EmbeddingConfig,
     KappaMap,
+    disc_to_cylinder,
     make_lambda,
     make_lambda_prime,
     psi_config,
     square_to_cylinder,
 )
 from cubewrap.quotient import circle_distance, preimage_affine_mod, reduce
-from cubewrap.sections import SectionCells, psi_section_membership_many, section_of_phi
+from cubewrap.sections import psi_section_membership_many, section_of_phi
 
 R = sp.Symbol("R", positive=True)
 t = sp.Symbol("t", real=True)
@@ -189,7 +190,7 @@ def test_symbolic_forms_match_the_code(sector):
         assert np.allclose(KappaMap().inverse(y), kappa_inv(Rv, tv), rtol=0, atol=1e-15)
         qbar, p = square_to_cylinder(y)
         q_ref, p_ref = closed(Rv, tv)
-        assert circle_distance(qbar, q_ref, 1.0) <= 4e-16
+        assert circle_distance(qbar, q_ref) <= 4e-16
         assert p == pytest.approx(p_ref, abs=4e-16, rel=0)
         assert math.isclose(np.sum(KappaMap().inverse(y) ** 2) * math.pi / 4, Rv**2, rel_tol=1e-14)
 
@@ -251,7 +252,7 @@ def test_w_symbolic_pieces_match_the_code():
     assert seen == {"unwrapped", "wrapped"}
 
 
-# ψ's arc predicate (`sections.psi_section_membership_many`).  A disc
+# ψ's arc predicate (`sections._arc_members`).  A disc
 # point with cylinder coordinates (q̄, p), paired with z = (z1, z2, t1,
 # t2) and (Q2, P̄2) = λ′⁻¹(z1, z2), pulls back to the cube point with
 # pairs (q1, p), (Q2, p2) and (t1, t2), where the kernel reads
@@ -330,14 +331,14 @@ def test_arc_symbolic_predicate_matches_the_code():
     rng = np.random.default_rng(11)
     cfg = EmbeddingConfig(n=3, c=2.0)
     ys = DISC_RADIUS * 0.99 * rng.uniform(-0.7, 0.7, (20_000, 2))
-    cells = SectionCells.psi(ys)
+    qbar, p = disc_to_cylinder(ys[:, 0], ys[:, 1])
     members = 0
     for a in (1.0, 0.5, 0.25):
         for _ in range(4):
             z = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95) / a, *rng.uniform(0.05, 0.95, 2))
             sd = section_of_phi(z, psi_config(cfg, a))
-            got = psi_section_membership_many(ys, z, cfg, a, cells=cells)[cells.inside]
-            m = margin_f(cells.qbar, cells.p, sd.Q2, sd.P2bar.representative, z[2], z[3], 1 / a - 1)
+            got = psi_section_membership_many(ys, z, cfg, a)
+            m = margin_f(qbar, p, sd.Q2, sd.P2bar, z[2], z[3], 1 / a - 1)
             clear = np.abs(m) > 1e-12
             assert np.array_equal(got[clear], (m > 0)[clear])
             members += int(got.sum())

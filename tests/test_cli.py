@@ -381,6 +381,15 @@ class TestTopology:
         assert code == EXIT_USAGE and captured.out == ""
         assert "--a sets the bound of --hull and needs it" in captured.err
 
+    @pytest.mark.parametrize(
+        "fixture, N", [("disk", "-3"), ("annulus", "0"), ("annulus_with_slit", "63")]
+    )
+    def test_usage_error_fixture_below_64(self, capsys, fixture, N):
+        code = main(["topology", "--fixture", fixture, "--N", N])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"fixture resolution N must be at least 64, got {N}" in captured.err
+
     @staticmethod
     def _check(doc, name):
         (entry,) = [c for c in doc["checks"] if c["name"] == name]
@@ -491,6 +500,14 @@ class TestPlot:
         code = main(["plot", "--z", "0.3,0.7", "--N", N, "--out", str(out)])
         assert code == EXIT_USAGE
         assert "raster resolution must be at least 64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_usage_error_one_z_value(self, capsys, tmp_path):
+        # README: --z z1,z2[,...]; one value is not padded with the centre
+        out = tmp_path / "out"
+        code = main(["plot", "--z", "0.3", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--z needs at least two values z1,z2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_z_within_rounding_of_puncture(self, capsys, tmp_path):

@@ -27,7 +27,7 @@ class TestVSet:
 
     def test_removed_point(self):
         sd = section_of_phi([0.3, 0.7], CFG2)
-        assert sd.slit_angle == reduce(-2.0 * sd.Q2, 1.0).representative
+        assert sd.slit_angle == reduce(-2.0 * sd.Q2, 1.0)
         # a height in W: the ribbon drops the slit angle, keeps its neighbour
         p = np.full(2, sum(sd.W.intervals[0]) / 2)
         qbar = np.mod([sd.slit_angle, sd.slit_angle + 0.01], 1.0)
@@ -36,7 +36,7 @@ class TestVSet:
     def test_c1_symmetry(self):
         cfg = EmbeddingConfig(n=2, c=1.0)
         sd = section_of_phi([0.3, 0.7], cfg)
-        assert sd.slit_angle == reduce(-sd.Q2, 1.0).representative
+        assert sd.slit_angle == reduce(-sd.Q2, 1.0)
         # at c = 1, W is all of (0, 1) but one point, and the slit stays out
         assert sd.W.total_length == pytest.approx(1.0, abs=1e-15)
         lam = make_lambda()
@@ -70,15 +70,6 @@ class TestWSet:
         sd = self._section_at(1.5, 2.0)
         assert sd.W == preimage_affine_mod(sd.P2bar, 2.0)
         assert np.allclose(sd.W.intervals, ((0.25, 0.75),), atol=1e-12)
-
-    def test_period_mismatch(self):
-        # P̄2 lives on R/cZ: W cannot be taken against another period
-        sd = self._section_at(0.5, 2.0)
-        assert sd.P2bar.period == 2.0
-        with pytest.raises(ValueError):
-            preimage_affine_mod(sd.P2bar, 3.0)
-        with pytest.raises(ValueError):
-            preimage_affine_mod(reduce(0.5, 1.0), 2.0)
 
     def test_interval_count_and_length(self):
         rng = np.random.default_rng(0)
@@ -214,16 +205,36 @@ class TestPsiSectionMembership:
         """Q2 = ½ and p2 = ½ at p = ½ make B = ¼, an arc of the whole
         circle but the slit q̄ = −c·Q2 = 0 (mod 1).  B's cap keeps the
         angles within SLIT_TOL of the slit out, as the φ ribbon does."""
-        from cubewrap.sections import SLIT_TOL, SectionCells, SectionDescription
+        from cubewrap.sections import SLIT_TOL, SectionDescription, _arc_members
 
         c = 2.0
         sd = SectionDescription(z=(0.5, 0.5), status="generic", Q2=0.5, P2bar=reduce(1.5, c))
         near, far = 0.1 * SLIT_TOL, 10 * SLIT_TOL
         qbar = np.array([0.0, near, 1.0 - near, far, 1.0 - far, 0.5])
-        ys = np.zeros((len(qbar), 2))
-        cells = SectionCells(ys, np.ones(len(qbar), dtype=bool), qbar, np.full(len(qbar), 0.5))
-        got = psi_section_membership_many(ys, sd, CFG2, 1 / c, cells=cells)
+        got = _arc_members(qbar, np.full(len(qbar), 0.5), sd, c)
         assert got.tolist() == [False, False, False, True, True, True]
+
+    @pytest.mark.parametrize("scale", [1 - 2.0**-52, 1.0, 1 + 2.0**-52, 1.01, 2.0, 10.0])
+    def test_rim_and_beyond_are_never_members(self, scale):
+        """The kernel has no disc mask.  Q2 = ½ and P̄2 = ½ with no tail
+        make p2 = ½ − c·p (mod c), so B reaches its cap as p → 0, at the
+        rim, and stays near it just beyond.  Points at |y| = scale·R have
+        p = 1 − π|y|² ≤ 0 up to rounding, and only (p − ½)² ≥ ¼ > B keeps
+        them out."""
+        from cubewrap.maps import DISC_RADIUS, disc_to_cylinder
+        from cubewrap.sections import SectionDescription, _arc_members
+
+        c = 2.0
+        sd = SectionDescription(z=(0.5, 0.5), status="generic", Q2=0.5, P2bar=0.5)
+        ang = np.linspace(0.0, 2 * math.pi, 97)[:-1] + 0.05
+        ys = scale * DISC_RADIUS * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        qbar, p = disc_to_cylinder(ys[:, 0], ys[:, 1])
+        assert np.all(p < 1e-15)
+        assert not _arc_members(qbar, p, sd, c).any()
+        assert not psi_section_membership_many(ys, sd, CFG2, 1 / c).any()
+        # the same angles at 0.99 R are members: the arc there is nearly
+        # the whole circle
+        assert _arc_members(*disc_to_cylinder(*(0.99 / scale * ys).T), sd, c).all()
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,7 @@ def _section_reference(z, config):
     Q2, P2bar = float(cyl[0]), reduce(float(cyl[1]), c)
     return SectionDescription(
         z=z, status="generic", Q2=Q2, P2bar=P2bar,
-        slit_angle=reduce(-c * Q2, 1.0).representative,
+        slit_angle=reduce(-c * Q2, 1.0),
         W=preimage_affine_mod(P2bar, c), analytic_area=1.0 / c,
     )
 
@@ -268,7 +279,7 @@ def _psi_reference(ys, z, config, a, slit_tol=1e-9):
     d = np.mod(qbar - sd.slit_angle, 1.0)
     ok &= (d > slit_tol) & (d < 1.0 - slit_tol)
     q1 = np.mod(qbar + c * sd.Q2, 1.0)
-    p2 = np.mod(sd.P2bar.representative - c * p1, c)
+    p2 = np.mod(sd.P2bar - c * p1, c)
     ok &= (q1 > 0) & (q1 < 1) & (p2 > 0) & (p2 < 1)
     b1 = kappa.inverse(np.stack([q1, p1], axis=-1))
     b2 = kappa.inverse(np.stack([np.full_like(q1, sd.Q2), p2], axis=-1))
@@ -340,17 +351,14 @@ class TestBallNorm:
         assert abs(via_kappa - closed) <= 4 * np.spacing(closed)
 
     def test_ball_test_removes_ribbon_points(self):
-        from cubewrap.maps import DISC_RADIUS, psi_config
-        from cubewrap.sections import SectionCells
+        from cubewrap.maps import DISC_RADIUS, disc_to_cylinder, psi_config
 
         t = np.linspace(-DISC_RADIUS, DISC_RADIUS, 301)
         ys = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
         a, z = 0.5, (0.3, 0.7)
         sd = section_of_phi(z, psi_config(CFG2, a))
-        cells = SectionCells.psi(ys)
-        ribbon = np.zeros(len(ys), dtype=bool)
-        ribbon[cells.inside] = _in_ribbon(cells.qbar, cells.p, sd)
-        psi = psi_section_membership_many(ys, z, CFG2, a, cells=cells)
+        ribbon = _in_ribbon(*disc_to_cylinder(ys[:, 0], ys[:, 1]), sd)
+        psi = psi_section_membership_many(ys, z, CFG2, a)
         assert not np.any(psi & ~ribbon)
         assert psi.sum() < ribbon.sum()
 
@@ -379,8 +387,7 @@ class TestBallNorm:
         assert np.array_equal(got, _psi_reference(ys, z, cfg, a))
 
     def test_reference_cases_cover_both_w_shapes(self):
-        from cubewrap.maps import psi_config
-        from cubewrap.sections import SectionCells
+        from cubewrap.maps import disc_to_cylinder, psi_config
 
         touching = section_of_phi((0.6, 0.35), psi_config(CFG2, 1.0)).W.intervals
         assert len(touching) == 2 and touching[0][1] == touching[1][0]
@@ -389,8 +396,7 @@ class TestBallNorm:
         assert b0 < a1
         # and the section has cells at heights in both pieces
         ys = _disc_box_grid(400)
-        cells = SectionCells.psi(ys)
-        p = cells.p[psi_section_membership_many(ys, sd.z, CFG2, 0.5, cells=cells)[cells.inside]]
+        p = disc_to_cylinder(ys[:, 0], ys[:, 1])[1][psi_section_membership_many(ys, sd.z, CFG2, 0.5)]
         assert np.any((a0 < p) & (p < b0)) and np.any((a1 < p) & (p < b1))
 
     @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
@@ -488,47 +494,50 @@ PSI_TOL = (2e-14, 2e-15)
 
 
 class TestSectionCells:
+    """The cylinder coordinates (q̄, p) that membership reads, built with
+    no geometry object: `square_to_cylinder` for φ, `disc_to_cylinder`
+    for ψ."""
+
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_chunked_build_equals_one_pass(self, kind, monkeypatch):
+        """Membership mapped and tested in blocks of 4099 points equals
+        one pass over all of them."""
         import cubewrap.sections as sec
-        from cubewrap.maps import ChiMap, square_to_cylinder
 
         rng = np.random.default_rng(8)
         if kind == "phi":
-            ys = rng.uniform(0.0, 1.0, (30_000, 2))
+            ys = rng.uniform(-0.1, 1.1, (30_000, 2))
             ys[17] = 0.5  # the puncture is left out
-            inside = np.ones(len(ys), dtype=bool)
-            inside[17] = False
-            cyl = square_to_cylinder(ys[inside])
-            build = lambda: sec.SectionCells.phi(ys)  # noqa: E731
+            member = lambda: sec.section_membership_many(ys, (0.3, 0.7), CFG2)  # noqa: E731
         else:
             ys = rng.uniform(-0.6, 0.6, (30_000, 2))
-            inside = np.hypot(ys[:, 0], ys[:, 1]) < sec.DISC_RADIUS
-            cyl = ChiMap().inverse(ys[inside])
-            build = lambda: sec.SectionCells.psi(ys)  # noqa: E731
+            ys[17] = 0.0  # the centre, height 1
+            member = lambda: sec.psi_section_membership_many(ys, (0.3, 0.7), CFG2, 0.5)  # noqa: E731
+        monkeypatch.setattr(sec, "_CHUNK", len(ys))
+        one_pass = member()
         monkeypatch.setattr(sec, "_CHUNK", 4099)
-        cells = build()
-        assert np.array_equal(cells.inside, inside)
-        assert np.array_equal(cells.qbar, cyl[:, 0]) and np.array_equal(cells.p, cyl[:, 1])
+        assert np.array_equal(member(), one_pass)
+        assert 0.05 < one_pass.mean() < 0.95 and not one_pass[17]
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_closed_form_matches_map_round_trip(self, kind):
+        from cubewrap.maps import disc_to_cylinder, square_to_cylinder
         from cubewrap.quotient import circle_distance
-        from cubewrap.sections import SectionCells
 
         rng = np.random.default_rng(21)
         if kind == "phi":
             ys = _square_probe_points(rng)
-            cells = SectionCells.phi(ys)
-            ref = composed_lambda().inverse(ys[cells.inside])
+            inside = np.all((ys > 0.0) & (ys < 1.0), axis=-1) & np.any(ys != 0.5, axis=-1)
+            assert inside.mean() > 0.99
+            qbar, p = square_to_cylinder(ys[inside]).T
+            ref = composed_lambda().inverse(ys[inside])
             qbar_tol, p_tol = PHI_TOL
         else:
             ys = _disc_probe_points(rng)
-            cells = SectionCells.psi(ys)
-            ref = composed_lambda().inverse(SectorKappa().forward(ys[cells.inside]))
+            qbar, p = disc_to_cylinder(ys[:, 0], ys[:, 1])
+            ref = composed_lambda().inverse(SectorKappa().forward(ys))
             qbar_tol, p_tol = PSI_TOL
-            qbar_tol += 2.0**-52 / np.hypot(*ys[cells.inside].T)
-        assert cells.inside.mean() > 0.99
-        assert np.all((cells.qbar >= 0.0) & (cells.qbar < 1.0))
-        assert np.all(circle_distance(cells.qbar, ref[:, 0], 1.0) <= qbar_tol)
-        assert np.abs(cells.p - ref[:, 1]).max() <= p_tol
+            qbar_tol += 2.0**-52 / np.hypot(*ys.T)
+        assert np.all((qbar >= 0.0) & (qbar < 1.0))
+        assert np.all(circle_distance(qbar, ref[:, 0]) <= qbar_tol)
+        assert np.abs(p - ref[:, 1]).max() <= p_tol

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import cubewrap.topology as topology
-from cubewrap.maps import DISC_RADIUS, EmbeddingConfig, make_lambda
-from cubewrap.sections import SectionCells, section_membership_many, section_of_phi, z_grid
+from cubewrap.maps import DISC_RADIUS, EmbeddingConfig, disc_to_cylinder, make_lambda
+from cubewrap.sections import section_membership_many, section_of_phi, z_grid
 from cubewrap.topology import (
     AmbiguousHullError,
     Raster,
@@ -399,25 +399,25 @@ class TestSharedGeometry:
     @pytest.mark.parametrize("N, chunk", [(64, None), (1024, None), (333, 4099), (1000, 4099)])
     def test_psi_grid_cells_equal_point_cells(self, N, chunk, monkeypatch):
         """ψ cells built from the raster's 1-D axis, in blocks of whole
-        rows, equal `SectionCells.psi` of its cell centres bit for bit."""
-        import cubewrap.sections as sec
+        rows, equal χ⁻¹ of its N² cell centres bit for bit, in row-major
+        order; cells outside the disc included."""
         from cubewrap.topology import _psi_blank
 
-        ref = SectionCells.psi(_psi_blank(N).cell_centers().reshape(-1, 2))
+        centres = _psi_blank(N).cell_centers().reshape(-1, 2)
+        ref = disc_to_cylinder(centres[:, 0], centres[:, 1])
         if chunk is not None:
-            monkeypatch.setattr(sec, "_CHUNK", chunk)
+            monkeypatch.setattr(topology, "_CHUNK", chunk)
         got = psi_section_cells(N)
-        for name in ("points", "inside", "qbar", "p"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert len(got) == 2
+        for g, r in zip(got, ref):
+            assert g.shape == (N * N,)
+            assert np.array_equal(g.view(np.int64), r.view(np.int64))
 
     def test_cells_of_another_raster_rejected(self):
-        with pytest.raises(ValueError):
-            rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 128, cells=psi_section_cells(256))
-        with pytest.raises(ValueError):
-            # same cell count, box of the φ raster
-            phi_box = rasterize_section([0.3, 0.7], CFG2, 256).cell_centers()
-            other_box = SectionCells.psi(phi_box.reshape(-1, 2))
-            rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=other_box)
+        qbar, p = psi_section_cells(256)
+        for cells in [psi_section_cells(128), (qbar, p[:-1]), (qbar[:-1], p)]:
+            with pytest.raises(ValueError, match="N = 256"):
+                rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=cells)
 
     def test_hull_report_equals_per_z_recomputation(self):
         a, N = 0.5, 256
