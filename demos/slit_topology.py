@@ -38,13 +38,13 @@ for N in (256, 512, 1024):
         f"occupied fraction {rep.occupied_fraction:.3f}"
     )
 
-# Cell-centre membership with no slit stamp shows what discretization
+# Cell-centre membership with no slit corridor shows what discretization
 # alone would do: at any finite resolution the zero-width slit closes
 # and a hole appears
 opened = rasterize_section(z, config, 512)
 r_closed = Raster(n=512, occupancy=section_membership_many(opened.cell_centers(), z, config))
 print(
-    f"\nwithout the slit stamp (N = 512): "
+    f"\nwithout the slit corridor (N = 512): "
     f"{complement_components(r_closed).count} components (hole trapped)"
 )
 

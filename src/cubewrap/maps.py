@@ -95,7 +95,7 @@ class DomainError(ValueError):
 class EmbeddingConfig:
     """Parameters of the cube-into-polydisc embedding.
 
-    n is the half-dimension (the cube is 2n-dimensional), c >= 1 the
+    n is the half-dimension (the cube is 2n-dimensional), c in [1, ∞) the
     length of the last polydisc factor.  The punctures y0 and z0 are
     where the cylinder-to-square maps degenerate; they sit at the
     centers of the square and of the (0,1) x (0,c) rectangle.
@@ -107,8 +107,8 @@ class EmbeddingConfig:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
-        if not self.c >= 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
+        if not (self.c >= 1 and math.isfinite(self.c)):
+            raise ValueError(f"c must be finite and >= 1, got {self.c}")
 
     @property
     def z0(self):

@@ -23,9 +23,9 @@ B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point
 iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
 √B centred at ½ − c·Q2 (`_arc_members`).  The kernel needs no disc
 mask: a point on or beyond the rim has p ≤ 0, so (p − ½)² ≥ ¼ > B.  A φ
-raster needs only heights, read from its 1-D axis, and its stamp
-carries the slit (`topology.rasterize_section`); a ψ raster runs the arc
-kernel on the (q̄, p) of its cells (`topology.psi_section_cells`).
+raster needs only heights, read from its 1-D axis, and frees the closed
+cells its slit meets (`topology.rasterize_section`); a ψ raster runs the
+arc kernel on the (q̄, p) of its cells (`topology.psi_section_cells`).
 Nothing caches geometry across calls, so a call's memory is released
 with it.
 """

@@ -3,16 +3,16 @@ bounded hulls.
 
 The complement of a section is taken in the whole plane, so every raster
 carries an explicit free margin ring around its box.  Occupancy uses
-cell-center membership; the zero-width radial slit is kept open on the
-grid by freeing the cells a fine polyline of the slit passes through
-(plus their 8-neighborhood), so that the complement corridor the slit
-provides survives discretization at any resolution.
+cell-center membership; the zero-width radial slit, and a ψ section's
+touching-height circle, are kept open by freeing every closed cell they
+meet.  That cover is 4-connected, so the complement corridor survives
+discretization at any resolution, and nothing is sampled.
 
 A φ section is every angle but the slit's at the heights in W, so a φ
 raster reads only heights, from its 1-D axis of cell centres: the
 height of cell (i, j) is min(h_i, h_j), h = 1 − 4u² for the offsets u
-of the centres from ½ (`rasterize_section`), and the slit stamp carries
-the slit.  A ψ cell's cylinder coordinates (q̄, p), the polar
+of the centres from ½ (`rasterize_section`), and the slit's cover
+carries the slit.  A ψ cell's cylinder coordinates (q̄, p), the polar
 coordinates of its centre, depend only on the raster's resolution and
 box, not on z; `psi_section_cells` builds them as two plain arrays by
 broadcasting the box's 1-D axis, and `check_hull_bound`, which holds N
@@ -63,7 +63,8 @@ _FOUR_CONN = ndimage.generate_binary_structure(2, 1)
 # each side.
 _PSI_MARGIN_CELLS = 2
 
-# Two intervals of W closer than this share an endpoint.
+# Two intervals of W closer than this share an endpoint, and a cell
+# within this many cell widths of a freed segment is freed too.
 _TOUCH_TOL = 1e-9
 
 
@@ -156,43 +157,47 @@ def complement_components(r: Raster) -> RegionLabels:
     return RegionLabels(labels=labels, count=int(count), boundary_touching=touching)
 
 
-def _stamp_polyline(occupancy: np.ndarray, pts, x0, y0, cell, n):
-    """Free every cell a polyline passes through, plus its 8-neighborhood,
-    so the corridor it cuts is at least one 4-connected cell wide."""
-    ii = np.floor((pts[:, 0] - x0) / cell).astype(int)
-    jj = np.floor((pts[:, 1] - y0) / cell).astype(int)
-    mask = np.zeros_like(occupancy, dtype=bool)
-    keep = (ii >= -1) & (ii <= n) & (jj >= -1) & (jj <= n)
-    ii, jj = ii[keep], jj[keep]
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            a = np.clip(ii + di, 0, n - 1)
-            b = np.clip(jj + dj, 0, n - 1)
-            mask[a, b] = True
-    occupancy &= ~mask
+def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
+    """Free every closed cell, of a grid with corner (x0, x0) and cells
+    of side `cell`, that the segment from `start` to `end` meets.  In
+    grid units, strips one cell wide step along the major axis; y at each
+    strip edge is computed once, and each strip frees rows
+    ceil(y_min − 1 − tol) … floor(y_max + tol), so neighbouring strips
+    share a row and a pass within rounding of an edge frees both sides."""
+    n = occupancy.shape[0]
+    g0, g1 = ((np.asarray(pt, dtype=float) - x0) / cell for pt in (start, end))
+    k = int(abs(g1[1] - g0[1]) > abs(g1[0] - g0[0]))
+    (a, ya), (b, yb) = sorted([(g0[k], g0[1 - k]), (g1[k], g1[1 - k])])
+    lo, hi = max(math.ceil(a - 1.0 - _TOUCH_TOL), 0), min(math.floor(b + _TOUCH_TOL), n - 1)
+    x = np.clip(np.arange(lo, hi + 2, dtype=float), a, b)
+    y = ya + (x - a) * ((yb - ya) / (b - a))
+    first = np.clip(np.ceil(np.minimum(y[:-1], y[1:]) - 1.0 - _TOUCH_TOL), 0, n).astype(np.intp)
+    last = np.clip(np.floor(np.maximum(y[:-1], y[1:]) + _TOUCH_TOL), -1, n - 1).astype(np.intp)
+    count = last - first + 1
+    rows = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    cols = np.repeat(np.arange(lo, hi + 1), count)
+    occupancy[(cols, rows) if k == 0 else (rows, cols)] = False
 
 
-def _slit_cylinder(sd: SectionDescription, steps: int):
-    """Cylinder points (slit angle, t) of the removed angle, from the rim
-    (t -> 0) to the puncture (t -> 1).
-
-    Sampled uniformly in the disc radius of χ, where the path is a
-    straight ray; uniform height sampling would leave large spatial gaps
-    near the center.  The radii are the midpoints ρ_k = R·(1 − (k + ½)/
-    steps), R = DISC_RADIUS, so that ½ ± m_k, m_k = ½(1 − (k + ½)/steps)
-    the half-side of λ's square there, is never a cell edge of a raster
-    whose N divides steps: a slit along a diagonal (z1 = ½) does not run
-    through cell corners.
-    """
-    rho = DISC_RADIUS * (1.0 - (np.arange(steps) + 0.5) / steps)
-    t = 1.0 - math.pi * rho * rho
-    return np.stack([np.full_like(t, sd.slit_angle), t], axis=-1)
+def _free_ring(occupancy: np.ndarray, r: Raster, radius: float):
+    """Free every closed cell of the raster r (box centred at 0) that the
+    circle of the given radius about 0 meets, from the nearest and
+    farthest offsets of each cell from 0 along the 1-D axis of cell
+    edges, compared as 1-D vectors: no N² float array is built."""
+    e = r.x0 + np.arange(r.n + 1) * r.cell
+    lo, hi = np.abs(e[:-1]), np.abs(e[1:])
+    near2 = np.where((e[:-1] <= 0.0) & (e[1:] >= 0.0), 0.0, np.minimum(lo, hi)) ** 2
+    far2, r2 = np.maximum(lo, hi) ** 2, radius * radius
+    occupancy &= ~((near2[:, None] <= r2 - near2) & (far2[:, None] >= r2 - far2))
 
 
 def slit_polyline(sd: SectionDescription, steps: int):
     """Points of the slit path: the image of the removed angle under λ,
-    from the square boundary to the puncture."""
-    return make_lambda().forward(_slit_cylinder(sd, steps))
+    from the square boundary to the puncture, at the midpoint disc radii
+    ρ_k = R·(1 − (k + ½)/steps) of χ, where the path is a straight ray."""
+    rho = DISC_RADIUS * (1.0 - (np.arange(steps) + 0.5) / steps)
+    t = 1.0 - math.pi * rho * rho
+    return make_lambda().forward(np.stack([np.full_like(t, sd.slit_angle), t], axis=-1))
 
 
 def _phi_blank(N: int) -> Raster:
@@ -226,7 +231,7 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
 
     The section is λ(V × W): every angle but the slit's, at the heights
     in W.  So a cell is occupied when its height lies in W, and the
-    cells along the analytic slit path are then freed; the slit has zero
+    closed cells the slit segment meets are then freed; the slit has zero
     width, so plain center sampling would close it at every finite
     resolution.  No angle is computed.
 
@@ -236,13 +241,10 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     monotone in floating point: one 1-D axis of heights gives all N².
     The odd-N centre cell, the puncture, has height 1 ∉ W.
 
-    Dropping the angle test frees no fewer cells.  A cell centre whose
-    angle is within SLIT_TOL of the slit lies within 8m·SLIT_TOL ≤ 4e-9
-    of the slit ray, m ≤ ½ the half-side of λ's square through it, so
-    the ray crosses that cell.  The slit samples are 1/(16N) apart in m,
-    which is their ‖·‖∞ distance along the ray, and span every m of a
-    cell centre, so one of them lies in that cell or one of its eight
-    neighbours, and the stamp frees the sample's 8-neighbourhood.
+    Dropping the angle test frees no fewer cells: a cell centre within
+    SLIT_TOL of the slit angle lies within 8m·SLIT_TOL ≤ 4e-9 of the slit
+    ray (m ≤ ½), so the ray meets that cell and `_free_segment` frees it.
+    The closed cover of a segment is 4-connected, so the corridor stays open.
     """
     if N < 64:
         raise ValueError("raster resolution must be at least 64")
@@ -253,7 +255,7 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     u = r.cell_offsets() - 0.5
     h = 1.0 - 4.0 * (u * u)
     occ = sd.W.contains_many(np.minimum.outer(h, h))
-    _stamp_polyline(occ, slit_polyline(sd, steps=8 * N), r.x0, r.y0, r.cell, N)
+    _free_segment(occ, (0.5, 0.5), make_lambda().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
     return Raster(n=N, occupancy=occ)
 
 
@@ -285,16 +287,12 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     if qbar.shape != (N * N,) or p.shape != (N * N,):
         raise ValueError(f"cells were built for another raster, not N = {N}")
     occ = _arc_members(qbar, p, sd, cfg.c).reshape(N, N)
-    # The disc points are κ⁻¹ of the square ones, and κ⁻¹∘λ = χ.
-    chi = ChiMap()
-    _stamp_polyline(occ, chi.forward(_slit_cylinder(sd, 8 * N)), r.x0, r.y0, r.cell, N)
-    # A shared endpoint of touching height intervals is a zero-width
-    # free loop around the band; the ball constraint widens it into
-    # visible pockets in places, so keep the whole loop open too.
+    # κ⁻¹∘λ = χ, so the slit is the ray from 0 to the rim point χ(slit angle, 0).
+    _free_segment(occ, (0.0, 0.0), ChiMap().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
+    # A touching height is a zero-width free loop, χ's circle there, which
+    # the ball constraint widens into pockets in places; keep it open.
     for v in _touching_heights(sd.W):
-        ang = np.mod(sd.slit_angle + (np.arange(8 * N) + 0.5) / (8 * N), 1.0)
-        loop = chi.forward(np.stack([ang, np.full_like(ang, v)], axis=-1))
-        _stamp_polyline(occ, loop, r.x0, r.y0, r.cell, N)
+        _free_ring(occ, r, math.sqrt((1.0 - v) / math.pi))
     return Raster(n=N, occupancy=occ, x0=r.x0, y0=r.y0, side=r.side)
 
 

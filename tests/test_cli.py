@@ -108,6 +108,25 @@ class TestExitCodes:
         code, _ = run_main(["verify", "--c", "0.5", "--samples", "20000"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--c", "inf", "--samples", "20000"],
+            ["sections", "--c", "1e309", "--grid", "10x20", "--mc-spots", "2"],
+            ["topology", "--c", "inf", "--N", "256", "--grid", "1x2"],
+            ["topology", "--hull", "--a", "5e-324", "--N", "256", "--grid", "1x2"],
+            ["plot", "--c", "1e309"],
+        ],
+        ids=lambda argv: "".join(argv[:3]),
+    )
+    def test_usage_error_c_not_finite(self, capsys, tmp_path, argv):
+        # 1e309 parses to inf, and --a 5e-324 makes the ball's c = 1/a inf.
+        code = main(argv + ["--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "c must be finite and >= 1, got inf" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_check_failure_exit_code(self, capsys, monkeypatch):
         # sabotage the sharpness check by monkeypatching the analytic area
         import cubewrap.cli as climod

@@ -18,6 +18,7 @@ from cubewrap.maps import (
     finite_difference_jacobian,
     make_lambda,
     make_lambda_prime,
+    psi_config,
     shear_matrix,
     shear_wrap,
     symplectic_defect,
@@ -49,8 +50,12 @@ class TestConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(n=1, c=2.0)
-        with pytest.raises(ValueError):
-            EmbeddingConfig(n=2, c=0.5)
+        for c in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c must be finite and >= 1"):
+                EmbeddingConfig(n=2, c=c)
+        # 1/a overflows to inf below a ≈ 5.6e-309.
+        with pytest.raises(ValueError, match="c must be finite and >= 1, got inf"):
+            psi_config(EmbeddingConfig(n=2, c=2.0), 5e-324)
 
 
 class TestShear:

@@ -1,10 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import cubewrap.topology as topology
-from cubewrap.maps import DISC_RADIUS, EmbeddingConfig, disc_to_cylinder, make_lambda
+from cubewrap.maps import (
+    DISC_RADIUS,
+    ChiMap,
+    EmbeddingConfig,
+    disc_to_cylinder,
+    make_lambda,
+    psi_config,
+)
 from cubewrap.sections import section_membership_many, section_of_phi, z_grid
 from cubewrap.topology import (
     AmbiguousHullError,
@@ -20,7 +29,6 @@ from cubewrap.topology import (
     rasterize_psi_section,
     rasterize_section,
     slit_path_witness,
-    slit_polyline,
 )
 
 CFG2 = EmbeddingConfig(n=2, c=2.0)
@@ -168,7 +176,7 @@ class TestRasterizeSection:
             assert err < 10.0 / N
 
     def test_slit_open_vs_closed(self):
-        # Cell-centre membership alone, with no slit stamp.
+        # Cell-centre membership alone, with no slit corridor.
         opened = rasterize_section([0.3, 0.7], CFG2, 256)
         occ = section_membership_many(opened.cell_centers(), [0.3, 0.7], CFG2)
         closed = Raster(n=256, occupancy=occ)
@@ -176,43 +184,41 @@ class TestRasterizeSection:
         assert complement_components(opened).count == 1
         assert opened.occupancy.sum() <= closed.occupancy.sum()
 
-    def test_slit_samples_avoid_cell_edges(self):
-        # At z1 = ½ and c = 1.5 the slit runs along a diagonal of the
-        # square; samples on cell corners there leave the stamp to
-        # floor()'s rounding.
-        N = 1024
-        cfg = EmbeddingConfig(n=2, c=1.5)
-        zs = z_grid(cfg, (1, 2))[0]
-        assert [z[0] for z in zs] == [0.5, 0.5]
-        for z in zs:
-            # A φ raster has x0 = y0 = 0 and cells of side 1/N.
-            g = slit_polyline(section_of_phi(z, cfg), 8 * N) * N
-            assert not np.any(g == np.floor(g))
+
+def _segment_cover(start, end, x0, side, N, tol=Fraction(0)):
+    """The cells of an N-cell raster over [x0, x0 + side]² whose closed
+    square, widened by tol cells on every side, meets the closed segment
+    from `start` to `end`, in exact rational arithmetic on the given
+    floats.
+
+    In grid units g = (point − x0)·N/side, cell (i, j) is [i, i + 1] ×
+    [j, j + 1].  The part of the segment over the column
+    [i − tol, i + 1 + tol] is a sub-segment whose y range is [lo, hi],
+    and the widened cell meets it iff j − tol ≤ hi and j + 1 + tol ≥ lo."""
+    x0, scale = Fraction(x0), N / Fraction(side)
+    (sx, sy), (ex, ey) = sorted(
+        tuple((Fraction(float(v)) - x0) * scale for v in pt) for pt in (start, end)
+    )
+    cover = np.zeros((N, N), dtype=bool)
+    for i in range(N):
+        xa, xb = max(sx, i - tol), min(ex, i + 1 + tol)
+        if xa > xb:
+            continue
+        ya, yb = (sy, ey) if sx == ex else (sy + (x - sx) * (ey - sy) / (ex - sx) for x in (xa, xb))
+        lo, hi = min(ya, yb), max(ya, yb)
+        cover[i, max(math.ceil(lo - 1 - tol), 0) : math.floor(hi + tol) + 1] = True
+    return cover
 
 
-def _slit_cover(sd, N):
-    """The closed cells of an N-cell φ raster that the open slit segment,
-    from the puncture (½, ½) to the rim point λ(slit angle, 0), meets.
+def _phi_rim(sd):
+    """The rim end λ(slit angle, 0) of the φ slit segment."""
+    return make_lambda().forward((sd.slit_angle, 0.0))
 
-    Worked in grid units, where the segment is N/2 + s·d, s ∈ (0, 1): a
-    cell [i, i+1] × [j, j+1] meets it iff the s-intervals of its two
-    slabs overlap inside (0, 1).  For an axis or diagonal slit, d has
-    entries 0 or ±N/2 and every slab bound is a correctly rounded
-    quotient, so touches at cell edges and corners count."""
-    rim = make_lambda().forward(np.array([[sd.slit_angle, 0.0]]))[0]
-    d = (rim - 0.5) * N
-    k = np.arange(N, dtype=float) - 0.5 * N
 
-    def slab(dk):
-        if dk == 0.0:
-            hit = (k <= 0.0) & (0.0 <= k + 1.0)
-            return np.where(hit, -np.inf, np.inf), np.where(hit, np.inf, -np.inf)
-        a, b = k / dk, (k + 1.0) / dk
-        return np.minimum(a, b), np.maximum(a, b)
-
-    (lo_x, hi_x), (lo_y, hi_y) = slab(d[0]), slab(d[1])
-    lo, hi = np.maximum.outer(lo_x, lo_y), np.minimum.outer(hi_x, hi_y)
-    return (lo <= hi) & (lo < 1.0) & (hi > 0.0)
+def _slit_cover(sd, N, tol=Fraction(0)):
+    """The closed cells of an N-cell φ raster that the slit segment, from
+    the puncture (½, ½) to its rim point, meets (`_segment_cover`)."""
+    return _segment_cover((0.5, 0.5), _phi_rim(sd), 0.0, 1.0, N, tol)
 
 
 def _slit_cases():
@@ -224,15 +230,26 @@ def _slit_cases():
             yield cfg, section_of_phi(z, cfg)
 
 
+def _sample_cells_only(occupancy, start, end, x0, cell):
+    """A faulty corridor: frees only the cells that hold one of 8N
+    samples of the segment."""
+    s = (np.arange(8 * len(occupancy)) + 0.5) / (8 * len(occupancy))
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    ij = np.floor((start + s[:, None] * (end - start) - x0) / cell).astype(int)
+    occupancy[ij[:, 0], ij[:, 1]] = False
+
+
 class TestSlitCorridor:
     def test_cover_of_a_diagonal_slit_counts_corner_touches(self):
         sd = section_of_phi((0.5, 0.375), EmbeddingConfig(n=2, c=1.5))
         cover = _slit_cover(sd, 8)
-        # The ray from (4, 4) towards (8, 0) in grid units: the cells it
-        # crosses, plus those it touches at a corner only.
+        # The segment from (4, 4) to (8, 0) in grid units: the cells it
+        # crosses, those it touches at a corner only, and the three more
+        # around its end at the puncture.
         crossed = {(4, 3), (5, 2), (6, 1), (7, 0)}
         corners = {(4, 2), (5, 3), (5, 1), (6, 2), (6, 0), (7, 1)}
-        assert set(zip(*np.nonzero(cover))) == crossed | corners
+        puncture = {(3, 3), (3, 4), (4, 4)}
+        assert set(zip(*np.nonzero(cover))) == crossed | corners | puncture
 
     @pytest.mark.parametrize("N", [255, 256, 512])
     def test_every_cell_the_slit_meets_is_free(self, N):
@@ -242,13 +259,36 @@ class TestSlitCorridor:
             assert r.occupancy.any() and cover.any()
             assert not (r.occupancy & cover).any(), (cfg.c, sd.z, N)
 
-    def test_fails_on_a_stamp_that_frees_only_the_sample_cells(self, monkeypatch):
-        def own_cells(occupancy, pts, x0, y0, cell, n):
-            ii = np.floor((pts[:, 0] - x0) / cell).astype(int)
-            jj = np.floor((pts[:, 1] - y0) / cell).astype(int)
-            occupancy[ii, jj] = False
+    @pytest.mark.parametrize("N", [64, 255, 256, 1024])
+    def test_corridor_is_the_exact_cover_within_tol(self, N):
+        """The freed cells contain the exact closed cover, every extra
+        cell lies within _TOUCH_TOL cells of the segment, and they are
+        4-connected."""
+        tol = Fraction(topology._TOUCH_TOL)
+        for cfg, sd in _slit_cases():
+            occ = np.ones((N, N), dtype=bool)
+            topology._free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+            exact = _slit_cover(sd, N)
+            assert not (exact & occ).any(), (cfg.c, sd.z, N)
+            extra = ~occ & ~exact
+            assert not (extra & ~_slit_cover(sd, N, tol)).any(), (cfg.c, sd.z, N)
+            assert ndimage.label(~occ, structure=topology._FOUR_CONN)[1] == 1
 
-        monkeypatch.setattr(topology, "_stamp_polyline", own_cells)
+    def test_passes_within_rounding_of_corners_free_both_sides(self):
+        # At z = (0.3, 0.7) and c = 2 the segment from (128, 128) to
+        # (56.32, 256) in grid units passes within 1e-13 cells of the
+        # corners (114, 153), (100, 178) and (58, 253), so the four
+        # cells around each are freed whichever side it passes on.
+        N = 256
+        sd = section_of_phi((0.3, 0.7), CFG2)
+        occ = np.ones((N, N), dtype=bool)
+        topology._free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+        for i, j in [(114, 153), (100, 178), (58, 253)]:
+            assert not occ[i - 1 : i + 1, j - 1 : j + 1].any(), (i, j)
+            assert _slit_cover(sd, N)[i - 1 : i + 1, j - 1 : j + 1].sum() == 3
+
+    def test_fails_on_a_stamp_that_frees_only_the_sample_cells(self, monkeypatch):
+        monkeypatch.setattr(topology, "_free_segment", _sample_cells_only)
         N = 256
         left = [
             sd.slit_angle
@@ -256,6 +296,70 @@ class TestSlitCorridor:
             if (rasterize_section(sd, cfg, N).occupancy & _slit_cover(sd, N)).any()
         ]
         assert {0.25, 0.5, 0.875} <= set(left)
+
+
+def _psi_cases():
+    """ψ rasters at a ∈ {1, ½, ¼}: z1 = ½ gives an axis slit at every a
+    and a diagonal one at a = ½; at a = 1 every W has a touching height."""
+    for a in (1.0, 0.5, 0.25):
+        cfg = psi_config(CFG2, a)
+        for z in [*z_grid(cfg, (1, 2))[0], *z_grid(cfg, (1, 4))[0], (0.3, 0.7), (0.025, 0.375)]:
+            yield a, section_of_phi(z, cfg)
+
+
+def _ring_cover(r, radius):
+    """The cells of the raster r that the circle of the given radius about
+    0 meets, per cell: np.hypot at its nearest and farthest points."""
+    edges = r.x0 + np.arange(r.n + 1) * r.cell
+    lo = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
+    hi = np.meshgrid(edges[1:], edges[1:], indexing="ij")
+    near = [np.clip(0.0, l, h) for l, h in zip(lo, hi)]
+    far = [np.maximum(np.abs(l), np.abs(h)) for l, h in zip(lo, hi)]
+    return (np.hypot(*near) <= radius) & (radius <= np.hypot(*far))
+
+
+def _psi_left_on_curves(N):
+    """(a, z, curve) of every ψ raster at resolution N that leaves an
+    occupied cell meeting its slit ray (`_segment_cover`) or a touching
+    circle (`_ring_cover`)."""
+    left = []
+    for a, sd in _psi_cases():
+        r = rasterize_psi_section(sd, CFG2, a, N)
+        if not r.occupancy.any():
+            continue  # the ball empties (0.5, 0.75) at a = ½, (0.5, 1.5) at a = ¼
+        rim = ChiMap().forward((sd.slit_angle, 0.0))
+        if (r.occupancy & _segment_cover((0.0, 0.0), rim, r.x0, r.side, N)).any():
+            left.append((a, sd.z, "slit"))
+        for v in topology._touching_heights(sd.W):
+            if (r.occupancy & _ring_cover(r, math.sqrt((1.0 - v) / math.pi))).any():
+                left.append((a, sd.z, "ring"))
+    return left
+
+
+class TestPsiCorridor:
+    @pytest.mark.parametrize("N", [255, 256])
+    def test_no_occupied_cell_meets_the_slit_or_touching_circle(self, N):
+        touching = [a for a, sd in _psi_cases() if topology._touching_heights(sd.W)]
+        assert set(touching) == {1.0}
+        assert _psi_left_on_curves(N) == []
+
+    @pytest.mark.parametrize("N", [64, 255, 256, 1024])
+    def test_ring_frees_exactly_the_cells_the_circle_meets(self, N):
+        r = topology._psi_blank(N)
+        for radius in DISC_RADIUS * np.array([0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0]):
+            occ = np.ones((N, N), dtype=bool)
+            topology._free_ring(occ, r, radius)
+            assert np.array_equal(~occ, _ring_cover(r, radius)), (N, radius)
+
+    def test_fails_on_a_ring_omission(self, monkeypatch):
+        monkeypatch.setattr(topology, "_free_ring", lambda occupancy, r, radius: None)
+        left = _psi_left_on_curves(256)
+        assert left and {curve for _, _, curve in left} == {"ring"}
+
+    def test_fails_on_a_corridor_that_frees_only_the_sample_cells(self, monkeypatch):
+        monkeypatch.setattr(topology, "_free_segment", _sample_cells_only)
+        left = _psi_left_on_curves(256)
+        assert left and {curve for _, _, curve in left} == {"slit"}
 
 
 class TestConnectivity:
@@ -361,9 +465,9 @@ class TestSharedGeometry:
     )
     def test_phi_raster_equals_per_cell_reference(self, n, c):
         """Occupancy from the 1-D height axis equals the per-cell path, λ⁻¹
-        of every cell centre with the slit-angle test, plus the same
-        stamp, bit for bit.  The z include z1 = ½, whose slit is an axis
-        or diagonal ray at c ∈ {1, 1.5, 2, 7}, and two-piece W."""
+        of every cell centre with the slit-angle test, plus the same slit
+        corridor, bit for bit.  The z include z1 = ½, whose slit is an
+        axis or diagonal ray at c ∈ {1, 1.5, 2, 7}, and two-piece W."""
         cfg = EmbeddingConfig(n=n, c=c)
         zs = np.concatenate([z_grid(cfg, (1, 2))[0], z_grid(cfg, (2, 4))[0]])
         assert zs[0][0] == 0.5
@@ -374,7 +478,7 @@ class TestSharedGeometry:
                 got = rasterize_section(z, cfg, N)
                 sd = section_of_phi(z, cfg)
                 ref = section_membership_many(got.cell_centers(), sd, cfg)
-                topology._stamp_polyline(ref, slit_polyline(sd, 8 * N), 0.0, 0.0, 1.0 / N, N)
+                topology._free_segment(ref, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
                 assert ref.any()
                 assert np.array_equal(got.occupancy, ref), (N, z)
 
