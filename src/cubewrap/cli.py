@@ -10,9 +10,12 @@ Each subcommand takes only the flags it reads; the defaults are the
 argparse defaults, and nothing else (no environment variable) sets them:
 
   verify    --n --c --seed --samples --out
-  sections  --n --c --seed --samples --grid --mc-spots --out
-  topology  --n --c --seed --N --grid --hull --a --fixture --out
-  plot      --n --c --z --N --out
+  sections  --c --seed --samples --grid --mc-spots --out
+  topology  --c --seed --N --grid --hull --a --fixture --out
+  plot      --c --z --N --out
+
+Only verify takes --n: at any n the library's z grids put the trailing
+2n-4 coordinates of z at the cube centre, where no section changes.
 
 Reports are JSON (schema "1") and byte-identical for identical spec and
 seed; the spec keeps every key of the schema, null ([] for grid, false
@@ -48,7 +51,6 @@ from .maps import (
 from .sections import (
     MIN_MC_SAMPLES,
     fubini_check,
-    pad_z,
     section_of_phi,
     z_grid,
 )
@@ -60,7 +62,6 @@ from .topology import (
     complement_components,
     disk_fixture,
     rasterize_section,
-    slit_polyline,
 )
 
 SCHEMA = "1"
@@ -260,7 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    config = EmbeddingConfig(n=args.n, c=args.c)
+    config = EmbeddingConfig(c=args.c)
     checks = []
     spec = _spec_echo(args)
     w, h = args.grid
@@ -307,7 +308,7 @@ def cmd_sections(args) -> int:
             )
         )
     # Puncture section, tested separately from the generic grid.
-    sd0 = section_of_phi(pad_z(config.z0, config), config)
+    sd0 = section_of_phi(config.z0, config)
     checks.append(_check("puncture_section_empty", sd0.status == "puncture", sd0.status))
 
     if args.out:
@@ -338,7 +339,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    config = EmbeddingConfig(n=args.n, c=args.c)
+    config = EmbeddingConfig(c=args.c)
     checks = []
     spec = _spec_echo(args)
     if args.a is not None and not args.hull:
@@ -400,7 +401,7 @@ def cmd_topology(args) -> int:
     checks.append(
         _check("complement_connected", first_bad is None, len(conn_reports), **extra)
     )
-    neg = complement_components(annulus_fixture(max(args.N, 256)))
+    neg = complement_components(annulus_fixture())
     checks.append(_check("annulus_negative_control", neg.count == 2, neg.count, 2))
     report = _report(spec, checks)
     report["connectivity"] = conn_reports
@@ -466,7 +467,7 @@ def _section_svg(sd):
             ring = np.concatenate([outer, inner[::-1]])
             pts = [(x * size, (1 - y) * size) for x, y in ring]
             out.append(_polygon(pts, "#d94141", "0.85"))
-        slit = slit_polyline(sd, steps=256)
+        slit = [lam.forward((vp, 0.0)), (0.5, 0.5)]
         out.append(
             _polyline([(x * size, (1 - y) * size) for x, y in slit], "#2b4c9b", "1.5")
         )
@@ -497,12 +498,12 @@ def _raster_svg(r):
 
 
 def cmd_plot(args) -> int:
-    config = EmbeddingConfig(n=args.n, c=args.c)
+    config = EmbeddingConfig(c=args.c)
     spec = _spec_echo(args)
-    if args.z is not None and len(args.z) < 2:
-        raise ValueError(f"--z needs at least two values z1,z2, got {len(args.z)}")
+    if args.z is not None and len(args.z) != 2:
+        raise ValueError(f"--z takes exactly two values z1,z2, got {len(args.z)}")
     z = args.z if args.z is not None else (0.3, 0.7 * args.c)
-    sd = section_of_phi(pad_z(z, config), config)
+    sd = section_of_phi(z, config)
     # Rasterized before any file is written, so an --N below the raster
     # minimum writes nothing.
     r = rasterize_section(sd, config, args.N)
@@ -539,7 +540,7 @@ def _spec_echo(args):
     ([] for grid, false for hull)."""
     return {
         "command": args.command,
-        "n": args.n,
+        "n": getattr(args, "n", None),
         "c": args.c,
         "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
@@ -592,13 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     def subcommand(name, func, help):
         """A subparser with the flags every subcommand reads."""
         sp = sub.add_parser(name, help=help)
-        sp.add_argument("--n", type=int, default=2)
         sp.add_argument("--c", type=float, default=2.0)
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=func)
         return sp
 
     sp = subcommand("verify", cmd_verify, "symplecticity, injectivity, containment")
+    sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=_count_arg, default=1_000_000)
 

@@ -34,7 +34,6 @@ from scipy import ndimage
 from .maps import DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder, make_lambda, psi_config
 from .sections import (
     _CHUNK,
-    SectionDescription,
     _arc_members,
     resolve_section,
     section_membership_many,
@@ -57,8 +56,6 @@ __all__ = [
     "disk_fixture",
 ]
 
-_FOUR_CONN = ndimage.generate_binary_structure(2, 1)
-
 # Free cells between the disc of a ψ raster and the edge of its box, on
 # each side.
 _PSI_MARGIN_CELLS = 2
@@ -73,13 +70,12 @@ class Raster:
     """A binary occupancy grid over the square box [x0, x0+side]^2.
 
     occupancy[i, j] covers the cell with center
-    (x0 + (i+0.5)*side/n, y0 + (j+0.5)*side/n).
+    (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n).
     """
 
     n: int
     occupancy: np.ndarray
     x0: float = 0.0
-    y0: float = 0.0
     side: float = 1.0
 
     @property
@@ -92,8 +88,8 @@ class Raster:
         return (np.arange(self.n) + 0.5) * self.cell
 
     def cell_centers(self):
-        t = self.cell_offsets()
-        X, Y = np.meshgrid(self.x0 + t, self.y0 + t, indexing="ij")
+        t = self.x0 + self.cell_offsets()
+        X, Y = np.meshgrid(t, t, indexing="ij")
         return np.stack([X, Y], axis=-1)
 
     def area(self) -> float:
@@ -146,10 +142,10 @@ class RegionLabels:
 
 
 def complement_components(r: Raster) -> RegionLabels:
-    """Label the free cells, including a one-cell free ring outside the
-    box (the complement is taken in the plane)."""
+    """Label the free cells 4-connected (`ndimage.label`'s default), with
+    a one-cell free ring outside the box: the complement is in the plane."""
     padded_occ = np.pad(r.occupancy.astype(bool), 1, constant_values=False)
-    labels, count = ndimage.label(~padded_occ, structure=_FOUR_CONN)
+    labels, count = ndimage.label(~padded_occ)
     ring = np.concatenate(
         [labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]
     )
@@ -191,15 +187,6 @@ def _free_ring(occupancy: np.ndarray, r: Raster, radius: float):
     occupancy &= ~((near2[:, None] <= r2 - near2) & (far2[:, None] >= r2 - far2))
 
 
-def slit_polyline(sd: SectionDescription, steps: int):
-    """Points of the slit path: the image of the removed angle under λ,
-    from the square boundary to the puncture, at the midpoint disc radii
-    ρ_k = R·(1 − (k + ½)/steps) of χ, where the path is a straight ray."""
-    rho = DISC_RADIUS * (1.0 - (np.arange(steps) + 0.5) / steps)
-    t = 1.0 - math.pi * rho * rho
-    return make_lambda().forward(np.stack([np.full_like(t, sd.slit_angle), t], axis=-1))
-
-
 def _phi_blank(N: int) -> Raster:
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool))
 
@@ -209,7 +196,7 @@ def _psi_blank(N: int) -> Raster:
     radius 1/sqrt(pi)."""
     side = 2 * DISC_RADIUS * (1.0 + 2.0 * _PSI_MARGIN_CELLS / N)
     x0 = -side / 2.0
-    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, y0=x0, side=side)
+    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, side=side)
 
 
 def psi_section_cells(N: int):
@@ -293,7 +280,7 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     # the ball constraint widens into pockets in places; keep it open.
     for v in _touching_heights(sd.W):
         _free_ring(occ, r, math.sqrt((1.0 - v) / math.pi))
-    return Raster(n=N, occupancy=occ, x0=r.x0, y0=r.y0, side=r.side)
+    return Raster(n=N, occupancy=occ, x0=r.x0, side=r.side)
 
 
 @dataclass(frozen=True)
@@ -307,11 +294,17 @@ class ConnectivityReport:
 
 def check_complement_connected(z, config: EmbeddingConfig, N: int):
     """True iff the complement of the section raster (in the plane) is a
-    single flood-fill component.  Verdicts below N = 256 are advisory."""
+    single flood-fill component.  Verdicts below N = 256 are advisory.
+    A generic φ section has area 1/c > 0, so an empty raster is an error."""
     if N < 256:
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
     sd = resolve_section(z, config)
     r = rasterize_section(sd, config, N)
+    if sd.status == "generic" and not r.occupancy.any():
+        raise ValueError(
+            f"the section at z = {sd.z} (c = {config.c}) is thinner than a cell "
+            f"of the N = {N} raster; raise --N"
+        )
     labels = complement_components(r)
     report = ConnectivityReport(
         z=tuple(sd.z),
@@ -354,10 +347,10 @@ def bounded_hull(r: Raster) -> Raster:
         raise AmbiguousHullError("occupancy touches the raster margin")
     labels = complement_components(r)
     if len(labels.boundary_touching) == labels.count:
-        return Raster(n=r.n, occupancy=occ, x0=r.x0, y0=r.y0, side=r.side)
+        return Raster(n=r.n, occupancy=occ, x0=r.x0, side=r.side)
     bounded = np.isin(labels.interior_labels, labels.boundary_touching, invert=True)
     hull = occ | (bounded & (labels.interior_labels > 0))
-    return Raster(n=r.n, occupancy=hull, x0=r.x0, y0=r.y0, side=r.side)
+    return Raster(n=r.n, occupancy=hull, x0=r.x0, side=r.side)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,9 @@ class TestExitCodes:
             ["plot", "--samples", "20000"],
             ["plot", "--grid", "3x3"],
             ["plot", "--seed", "9"],
+            ["sections", "--n", "3"],
+            ["topology", "--n", "3"],
+            ["plot", "--n", "3"],
         ],
         ids=lambda argv: "".join(argv[:2]),
     )
@@ -365,6 +368,45 @@ class TestTopology:
         (check,) = json.loads(out)["checks"]
         assert check["value"] == 1
 
+    def test_negative_control_fails_on_a_planted_disk(self, capsys, monkeypatch):
+        import cubewrap.cli as climod
+        from cubewrap.topology import disk_fixture
+
+        monkeypatch.setattr(climod, "annulus_fixture", disk_fixture)
+        code, out = run_main(FAST_TOPOLOGY, capsys)
+        assert code == EXIT_CHECK_FAILED
+        check = self._check(json.loads(out), "annulus_negative_control")
+        assert not check["passed"] and check["value"] == 1
+
+    def test_negative_control_is_the_same_at_every_N(self, capsys, monkeypatch):
+        import cubewrap.cli as climod
+
+        sizes, real = [], climod.annulus_fixture
+
+        def recording(*args):
+            r = real(*args)
+            sizes.append(r.n)
+            return r
+
+        monkeypatch.setattr(climod, "annulus_fixture", recording)
+        entries = set()
+        for N in ("256", "512", "1024"):
+            _, out = run_main(["topology", "--grid", "1x2", "--N", N], capsys)
+            check = self._check(json.loads(out), "annulus_negative_control")
+            entries.add(json.dumps(check, sort_keys=True))
+        assert entries == {
+            '{"name": "annulus_negative_control", "passed": true, "tolerance": 2, "value": 2}'
+        }
+        assert sizes == [256, 256, 256]
+
+    def test_usage_error_section_thinner_than_a_cell(self, capsys, tmp_path):
+        argv = ["topology", "--c", "600", "--N", "256", "--grid", "1x2"]
+        code = main(argv + ["--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "z = (0.5, 150.0) (c = 600.0)" in captured.err and "raise --N" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_hull(self, capsys):
         code, out = run_main(
             ["topology", "--hull", "--a", "0.5", "--grid", "2x2", "--N", "256"], capsys
@@ -471,29 +513,6 @@ class TestTopology:
         assert check["worst_hull_area"] == planted_entry[0][2] > check["tolerance"]
 
 
-class TestHalfDimensionThree:
-    """sections and topology build z with 2n-2 coordinates at n = 3."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sections", "--n", "3", "--grid", "4x4", "--mc-spots", "1", "--samples", "20000"],
-            ["topology", "--n", "3", "--grid", "1x2", "--N", "256"],
-            ["topology", "--hull", "--n", "3", "--a", "0.5", "--grid", "2x2", "--N", "256"],
-        ],
-    )
-    def test_every_check_passes(self, capsys, argv):
-        code, out = run_main(argv, capsys)
-        doc = json.loads(out)
-        assert code == EXIT_OK, [c["name"] for c in doc["checks"] if not c["passed"]]
-        assert doc["checks"] and all(c["passed"] for c in doc["checks"])
-
-    def test_connectivity_z_has_trailing_centre(self, capsys):
-        _, out = run_main(["topology", "--n", "3", "--grid", "1x2", "--N", "256"], capsys)
-        for rep in json.loads(out)["connectivity"]:
-            assert len(rep["z"]) == 4 and rep["z"][2:] == [0.5, 0.5]
-
-
 class TestPlot:
     def test_artifacts(self, capsys, tmp_path):
         code, out = run_main(
@@ -522,12 +541,14 @@ class TestPlot:
         assert not out.exists()
 
     def test_usage_error_one_z_value(self, capsys, tmp_path):
-        # README: --z z1,z2[,...]; one value is not padded with the centre
+        # README: --z z1,z2; one value is not padded with the centre, and
+        # a third is not a tail coordinate
         out = tmp_path / "out"
-        code = main(["plot", "--z", "0.3", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert "--z needs at least two values z1,z2, got 1" in capsys.readouterr().err
-        assert not out.exists()
+        for z, count in [("0.3", 1), ("0.3,0.7,0.5", 3)]:
+            code = main(["plot", "--z", z, "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert f"--z takes exactly two values z1,z2, got {count}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_usage_error_z_within_rounding_of_puncture(self, capsys, tmp_path):
         # not z0 = (0.5, 1.0), but the inverse rectangle map rounds its

@@ -14,7 +14,13 @@ from cubewrap.maps import (
     make_lambda,
     psi_config,
 )
-from cubewrap.sections import section_membership_many, section_of_phi, z_grid
+from cubewrap.sections import (
+    fubini_check,
+    psi_section_membership_many,
+    section_membership_many,
+    section_of_phi,
+    z_grid,
+)
 from cubewrap.topology import (
     AmbiguousHullError,
     Raster,
@@ -36,11 +42,12 @@ CFG2 = EmbeddingConfig(n=2, c=2.0)
 
 class TestRaster:
     def test_cell_geometry(self):
-        r = Raster(n=4, occupancy=np.zeros((4, 4), dtype=bool), x0=1.0, y0=2.0, side=2.0)
+        r = Raster(n=4, occupancy=np.zeros((4, 4), dtype=bool), x0=1.0, side=2.0)
         assert r.cell == 0.5
         cc = r.cell_centers()
-        assert cc[0, 0].tolist() == [1.25, 2.25]
-        assert cc[3, 3].tolist() == [2.75, 3.75]
+        assert cc[0, 0].tolist() == [1.25, 1.25]
+        assert cc[0, 3].tolist() == [1.25, 2.75]
+        assert cc[3, 3].tolist() == [2.75, 2.75]
 
     def test_area(self):
         occ = np.zeros((8, 8), dtype=bool)
@@ -87,6 +94,16 @@ class TestFixtures:
 
     def test_disk_complement_connected(self):
         assert complement_components(disk_fixture()).count == 1
+
+    def test_regions_meeting_only_at_corners_stay_apart(self):
+        # a diamond ring of occupied cells: the free cells inside and
+        # outside it touch only at cell corners, so 4-connectivity counts
+        # two components where 8-connectivity would merge them
+        i, j = np.indices((64, 64))
+        occ = np.abs(i - 32) + np.abs(j - 32) == 10
+        labels = complement_components(Raster(n=64, occupancy=occ))
+        assert labels.count == 2 and len(labels.boundary_touching) == 1
+        assert ndimage.label(~np.pad(occ, 1), structure=np.ones((3, 3)))[1] == 1
 
     @pytest.mark.parametrize("N", [64, 255, 256, 1024])
     def test_fixtures_equal_meshgrid_reference(self, N):
@@ -272,7 +289,7 @@ class TestSlitCorridor:
             assert not (exact & occ).any(), (cfg.c, sd.z, N)
             extra = ~occ & ~exact
             assert not (extra & ~_slit_cover(sd, N, tol)).any(), (cfg.c, sd.z, N)
-            assert ndimage.label(~occ, structure=topology._FOUR_CONN)[1] == 1
+            assert ndimage.label(~occ)[1] == 1
 
     def test_passes_within_rounding_of_corners_free_both_sides(self):
         # At z = (0.3, 0.7) and c = 2 the segment from (128, 128) to
@@ -380,6 +397,15 @@ class TestConnectivity:
         assert ok
         assert report.N == 256 and report.connected and 0 < report.occupied_fraction < 1
 
+    @pytest.mark.parametrize("c", [600.0, 1e4])
+    def test_section_thinner_than_a_cell_is_an_error(self, c):
+        # the section has area 1/c > 0, yet no cell centre of the raster
+        # lies in it: an empty raster would pass on nothing
+        z, cfg = (0.5, c / 4), EmbeddingConfig(c=c)
+        assert not rasterize_section(z, cfg, 256).occupancy.any()
+        with pytest.raises(ValueError, match=rf"z = \({z[0]}, {z[1]}\) \(c = {c}\).*N = 256.*--N"):
+            check_complement_connected(z, cfg, 256)
+
 
 class TestSlitWitness:
     def test_all_samples_outside(self):
@@ -427,6 +453,22 @@ class TestPsiSections:
     def test_empty_section_near_puncture_skipped(self):
         report = check_hull_bound(0.5, CFG2, grid=(2, 2), N=256)
         assert all(len(e) == 4 for e in report.entries)
+
+    def test_empty_raster_of_an_empty_generic_section_passes(self):
+        # At a = 1/2, z = (0.5, 0.75): Q2 = 0.9375, so the ball allows
+        # only |p - 1/2| < sqrt(1/4 - 0.4375^2) ~ 0.242, while W =
+        # (0, 1/4) u (3/4, 1) has |p - 1/2| > 1/4 throughout.  The section
+        # is empty, not unresolved, so its empty raster is no error.
+        z = (0.5, 0.75)
+        sd = section_of_phi(z, psi_config(CFG2, 0.5))
+        assert sd.status == "generic" and sd.Q2 == 0.9375
+        assert sd.W.intervals == ((0.0, 0.25), (0.75, 1.0))
+        assert 0.25**2 > 0.25 - (sd.Q2 - 0.5) ** 2
+        ys = np.random.default_rng(0).uniform(-DISC_RADIUS, DISC_RADIUS, size=(2_000_000, 2))
+        assert not psi_section_membership_many(ys, z, CFG2, 0.5).any()
+        assert not rasterize_psi_section(z, CFG2, a=0.5, N=1024).occupancy.any()
+        report = check_hull_bound(0.5, CFG2, grid=(1, 4), N=256)
+        assert report.all_within_bound and (*z, 0.0, 0.0) in report.entries
 
 
 def _runs_reference(occ):
@@ -539,3 +581,37 @@ class TestSharedGeometry:
         assert report.entries == tuple(entries)
         assert report.tolerance == max(tols)
         assert report.max_hull_area == max(e[2] for e in entries)
+
+
+class TestHalfDimensionThree:
+    """At n = 3 the z grids put the trailing pair at the cube centre,
+    where no section changes: every section check equals its n = 2 value,
+    which is why only the CLI's `verify` takes --n."""
+
+    CFG3 = EmbeddingConfig(n=3, c=2.0)
+
+    def test_fubini_check_equals_n2(self):
+        kw = dict(grid=(4, 4), mc_spots=1, samples_per_spot=20_000, seed=0)
+        fr = fubini_check(self.CFG3, **kw)
+        assert fr == fubini_check(CFG2, **kw)
+        assert fr.max_area == fr.min_generic_area == 0.5 and fr.mc_spots
+        assert section_of_phi((0.5, 1.0, 0.5, 0.5), self.CFG3).status == "puncture"
+
+    def test_connectivity_equals_n2(self):
+        zs3, zs2 = z_grid(self.CFG3, (1, 2))[0], z_grid(CFG2, (1, 2))[0]
+        assert len(zs3) == len(zs2) == 2
+        for z3, z2 in zip(zs3, zs2):
+            ok3, rep3 = check_complement_connected(z3, self.CFG3, 256)
+            ok2, rep2 = check_complement_connected(z2, CFG2, 256)
+            assert ok3 and ok2 and rep3.z[:2] == rep2.z
+            assert {**rep3.__dict__, "z": rep2.z} == rep2.__dict__
+
+    def test_connectivity_z_has_trailing_centre(self):
+        for z in z_grid(self.CFG3, (1, 2))[0]:
+            _, rep = check_complement_connected(z, self.CFG3, 256)
+            assert len(rep.z) == 4 and rep.z[2:] == (0.5, 0.5)
+
+    def test_hull_bound_equals_n2(self):
+        hr = check_hull_bound(0.5, self.CFG3, grid=(2, 2), N=256)
+        assert hr == check_hull_bound(0.5, CFG2, grid=(2, 2), N=256)
+        assert hr.all_within_bound and hr.hull_equals_section
