@@ -4,7 +4,7 @@ The section is an annular band, and a closed annulus would trap a
 bounded complement component inside it.  The band, however, carries a
 zero-width radial slit (the image of the one removed angle), and a path
 can sneak through it from the enclosed region to infinity.  This demo
-flood-fills rasters of a real section and of two synthetic controls, and
+counts the complement components of rasters of a real section and of two synthetic controls, and
 checks the analytic slit path point by point.
 
 Run:  python3 demos/slit_topology.py
@@ -22,13 +22,12 @@ from cubewrap.topology import (
 config = EmbeddingConfig(n=2, c=2.0)
 z = (0.3, 0.7)
 
-print("synthetic controls (flood fill, 4-connectivity, complement in the plane):")
+print("synthetic controls (4-connectivity, complement in the plane):")
 for name, r in [
     ("closed annulus", annulus_fixture(256)),
     ("annulus with slit", annulus_with_slit_fixture(256)),
 ]:
-    labels = complement_components(r)
-    print(f"  {name:20s}: {labels.count} complement component(s)")
+    print(f"  {name:20s}: {complement_components(r)} complement component(s)")
 
 print(f"\nreal section at z = {z}:")
 for N in (256, 512, 1024):
@@ -45,7 +44,7 @@ opened = rasterize_section(z, config, 512)
 r_closed = Raster(n=512, occupancy=section_membership_many(opened.cell_centers(), z, config))
 print(
     f"\nwithout the slit corridor (N = 512): "
-    f"{complement_components(r_closed).count} components (hole trapped)"
+    f"{complement_components(r_closed)} components (hole trapped)"
 )
 
 pts, outside = slit_path_witness(z, config, steps=1000)

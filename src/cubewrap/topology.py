@@ -20,8 +20,8 @@ fixed, builds them once and passes them as `cells=` to every z.  Per z,
 a ψ cell is occupied when its angle lies in the arc of its height
 (`sections._arc_members`); cells on or beyond the disc's rim have
 p ≤ 0 and fall outside every arc, so no cell is masked out first.
-`bounded_hull` skips the search for holes when every complement
-component reaches the margin ring, the usual case for a slit section.
+Complement components join overlapping free row runs of adjacent rows;
+`bounded_hull` adds the runs not joined to the free margin ring.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .maps import DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder, make_lambda, psi_config
 from .sections import (
@@ -42,7 +41,6 @@ from .sections import (
 
 __all__ = [
     "Raster",
-    "RegionLabels",
     "psi_section_cells",
     "rasterize_section",
     "rasterize_psi_section",
@@ -119,38 +117,52 @@ class Raster:
     def runs(self) -> np.ndarray:
         """Row-wise runs of occupied cells: an (m, 3) array of
         (row, start, length), in row-major order."""
-        pad = np.zeros((self.n, self.n + 2), dtype=np.int8)
-        pad[:, 1:-1] = self.occupancy.astype(bool)
-        step = np.diff(pad, axis=1)
-        rows, starts = np.nonzero(step == 1)
-        _, ends = np.nonzero(step == -1)
+        rows, starts, ends = _runs(self.occupancy)
         return np.stack([rows, starts, ends - starts], axis=1)
 
 
-@dataclass(frozen=True)
-class RegionLabels:
-    """Flood-fill labels (4-connectivity) of the complement cells of a
-    raster, computed with one free margin ring around the box."""
-
-    labels: np.ndarray  # padded shape (n+2, n+2); 0 on occupied cells
-    count: int
-    boundary_touching: tuple
-
-    @property
-    def interior_labels(self):
-        return self.labels[1:-1, 1:-1]
+def _runs(mask: np.ndarray):
+    """Row-major runs of the nonzero cells of a 2-D array, as (rows, starts,
+    ends), ends exclusive: where each row, framed with False, changes."""
+    framed = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=bool)
+    framed[:, 1:-1] = mask
+    rows, cols = np.divmod(np.flatnonzero(framed[:, 1:] != framed[:, :-1]), mask.shape[1] + 1)
+    return rows[0::2], cols[0::2], cols[1::2]
 
 
-def complement_components(r: Raster) -> RegionLabels:
-    """Label the free cells 4-connected (`ndimage.label`'s default), with
-    a one-cell free ring outside the box: the complement is in the plane."""
-    padded_occ = np.pad(r.occupancy.astype(bool), 1, constant_values=False)
-    labels, count = ndimage.label(~padded_occ)
-    ring = np.concatenate(
-        [labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]
-    )
-    touching = tuple(np.unique(ring[ring > 0]).tolist())
-    return RegionLabels(labels=labels, count=int(count), boundary_touching=touching)
+def _ranges(first, count):
+    """first[k], …, first[k] + count[k] − 1 for every k, concatenated."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def _free_runs(r: Raster):
+    """The runs of r's free cells framed by a free ring, and the root of
+    each: the least run index of its 4-connected component.  Run a of row i
+    meets the runs of row i + 1 from the first ending after a starts to the
+    last starting before a ends.  Hook each root to the least root joined
+    to it, jump pointers, and repeat until joined runs share a root."""
+    free = np.ones((r.n + 2, r.n + 2), dtype=bool)
+    np.logical_not(r.occupancy, out=free[1:-1, 1:-1])
+    rows, starts, ends = _runs(free)
+    w = r.n + 3  # above every column, so row·w + column orders runs row-major
+    first = np.searchsorted(rows * w + ends, (rows + 1) * w + starts, side="right")
+    count = np.searchsorted(rows * w + starts, (rows + 1) * w + ends) - first
+    a, b = np.repeat(np.arange(len(rows)), count), _ranges(first, count)
+    root = np.arange(len(rows))
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return rows, starts, ends, root
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+
+
+def complement_components(r: Raster) -> int:
+    """The number of 4-connected components of r's complement in the plane."""
+    root = _free_runs(r)[3]
+    return int(np.count_nonzero(root == np.arange(len(root))))
 
 
 def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
@@ -170,8 +182,7 @@ def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
     first = np.clip(np.ceil(np.minimum(y[:-1], y[1:]) - 1.0 - _TOUCH_TOL), 0, n).astype(np.intp)
     last = np.clip(np.floor(np.maximum(y[:-1], y[1:]) + _TOUCH_TOL), -1, n - 1).astype(np.intp)
     count = last - first + 1
-    rows = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-    cols = np.repeat(np.arange(lo, hi + 1), count)
+    rows, cols = _ranges(first, count), np.repeat(np.arange(lo, hi + 1), count)
     occupancy[(cols, rows) if k == 0 else (rows, cols)] = False
 
 
@@ -294,7 +305,7 @@ class ConnectivityReport:
 
 def check_complement_connected(z, config: EmbeddingConfig, N: int):
     """True iff the complement of the section raster (in the plane) is a
-    single flood-fill component.  Verdicts below N = 256 are advisory.
+    single 4-connected component.  Verdicts below N = 256 are advisory.
     A generic φ section has area 1/c > 0, so an empty raster is an error."""
     if N < 256:
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
@@ -305,12 +316,12 @@ def check_complement_connected(z, config: EmbeddingConfig, N: int):
             f"the section at z = {sd.z} (c = {config.c}) is thinner than a cell "
             f"of the N = {N} raster; raise --N"
         )
-    labels = complement_components(r)
+    components = complement_components(r)
     report = ConnectivityReport(
         z=tuple(sd.z),
         N=N,
-        components=labels.count,
-        connected=labels.count == 1,
+        components=components,
+        connected=components == 1,
         occupied_fraction=float(r.occupancy.mean()),
     )
     return report.connected, report
@@ -338,18 +349,17 @@ class AmbiguousHullError(ValueError):
 
 
 def bounded_hull(r: Raster) -> Raster:
-    """Union of the occupancy with every complement component that does
-    not touch the free margin ring (the bounded components).  When every
-    component touches the ring there is no hole, and the hull is the
-    occupancy."""
-    occ = r.occupancy.astype(bool)
-    if occ[0, :].any() or occ[-1, :].any() or occ[:, 0].any() or occ[:, -1].any():
+    """Union of the occupancy with every bounded complement component:
+    the free margin ring is connected, so the one unbounded component is
+    root 0's, run 0 being the ring's top row."""
+    hull = r.occupancy.astype(bool)
+    if hull[0, :].any() or hull[-1, :].any() or hull[:, 0].any() or hull[:, -1].any():
         raise AmbiguousHullError("occupancy touches the raster margin")
-    labels = complement_components(r)
-    if len(labels.boundary_touching) == labels.count:
-        return Raster(n=r.n, occupancy=occ, x0=r.x0, side=r.side)
-    bounded = np.isin(labels.interior_labels, labels.boundary_touching, invert=True)
-    hull = occ | (bounded & (labels.interior_labels > 0))
+    rows, starts, ends, root = _free_runs(r)
+    hole = root != 0
+    # Padded cell (i, j) is cell (i − 1, j − 1) of the box.
+    count = (ends - starts)[hole]
+    hull[np.repeat(rows[hole] - 1, count), _ranges(starts[hole] - 1, count)] = True
     return Raster(n=r.n, occupancy=hull, x0=r.x0, side=r.side)
 
 

@@ -104,7 +104,7 @@ def test_criterion_03_complement_connectivity(capsys):
                 ok &= connected
                 checked += 1
     for N in (256, 512, 1024):
-        ok &= complement_components(annulus_fixture(N)).count == 2
+        ok &= complement_components(annulus_fixture(N)) == 2
     dt = time.perf_counter() - t0
     ok &= dt < 300.0
     report(

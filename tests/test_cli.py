@@ -1,6 +1,9 @@
+import gc
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cubewrap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _image_collisions, main
+from cubewrap.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    _image_collisions,
+    build_parser,
+    main,
+)
 
 FAST_VERIFY = ["verify", "--samples", "20000"]
 FAST_SECTIONS = ["sections", "--grid", "10x20", "--mc-spots", "2", "--samples", "20000"]
@@ -344,6 +354,25 @@ class TestSections:
         report_path = tmp_path / "sections_report.json"
         assert json.loads(report_path.read_text()) == doc
 
+    def test_passing_mc_check_names_no_spot(self, capsys):
+        _, out = run_main(FAST_SECTIONS, capsys)
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "mc_areas_within_3_sigma"]
+        assert set(check) == {"name", "passed", "value"}
+
+    def test_failing_mc_check_names_worst_spot(self, capsys):
+        # seed 707 draws one spot at c = π whose estimate lies 3.12σ from 1/π
+        argv = ["sections", "--c", repr(math.pi), "--grid", "50x100", "--mc-spots", "1",
+                "--samples", "200000", "--seed", "707"]
+        code, out = run_main(argv, capsys)
+        assert code == EXIT_CHECK_FAILED
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "mc_areas_within_3_sigma"]
+        assert not check["passed"] and check["value"] == 1
+        assert check["worst_z"] == [0.31, 2.340486526924396]
+        assert check["worst_mc_area"] == 0.321565
+        assert check["worst_stderr"] == pytest.approx(0.0010444, rel=1e-4)
+        pull = abs(check["worst_mc_area"] - 1 / math.pi) / check["worst_stderr"]
+        assert check["worst_pull"] == pull == pytest.approx(3.1167, abs=1e-4)
+
 
 class TestTopology:
     def test_connectivity(self, capsys):
@@ -511,6 +540,46 @@ class TestTopology:
         assert check["worst_z"] == list(target)
         planted_entry = [e for e in doc["hull"]["entries"] if tuple(e[:2]) == target]
         assert check["worst_hull_area"] == planted_entry[0][2] > check["tolerance"]
+
+
+class TestProcess:
+    def test_parser_is_built_once(self, capsys):
+        argv = ["topology", "--fixture", "disk", "--N", "64"]
+        run_main(argv, capsys)
+        assert build_parser() is build_parser()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_main(argv, capsys)
+            gc.collect()
+            leaked = {type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == set()
+
+    def test_runs_without_scipy(self, tmp_path):
+        # An isolated interpreter with only this checkout's src added.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+import cubewrap, cubewrap.cli
+codes = []
+for argv in (["topology", "--N", "256", "--grid", "1x2"],
+             ["topology", "--hull", "--N", "256", "--grid", "1x2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cubewrap.cli.main(argv))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({{"codes": codes, "scipy": scipy, "file": cubewrap.__file__}}))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script], capture_output=True, cwd=tmp_path, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        result = json.loads(proc.stdout)
+        assert result == {"codes": [EXIT_OK, EXIT_OK], "scipy": [], "file": result["file"]}
+        assert Path(result["file"]).resolve().parents[1] == Path(src)
 
 
 class TestPlot:

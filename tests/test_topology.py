@@ -40,6 +40,20 @@ from cubewrap.topology import (
 CFG2 = EmbeddingConfig(n=2, c=2.0)
 
 
+def _labels_reference(occ):
+    """`ndimage.label`'s 4-connected labels and count of the free cells,
+    with a one-cell free ring around the box."""
+    return ndimage.label(~np.pad(occ.astype(bool), 1))
+
+
+def _hull_reference(occ):
+    """The occupancy plus every labelled free cell not in the ring's
+    component."""
+    labels = _labels_reference(occ)[0]
+    inner = labels[1:-1, 1:-1]
+    return occ | ((inner != labels[0, 0]) & (inner > 0))
+
+
 class TestRaster:
     def test_cell_geometry(self):
         r = Raster(n=4, occupancy=np.zeros((4, 4), dtype=bool), x0=1.0, side=2.0)
@@ -84,16 +98,16 @@ class TestRaster:
 
 class TestFixtures:
     def test_annulus_complement_has_two_components(self):
-        labels = complement_components(annulus_fixture())
-        assert labels.count == 2
-        assert len(labels.boundary_touching) == 1
+        r = annulus_fixture()
+        assert complement_components(r) == 2
+        # one of them is unbounded: the hull adds only the hole
+        assert bounded_hull(r).occupancy.sum() > r.occupancy.sum()
 
     def test_slit_annulus_complement_connected(self):
-        labels = complement_components(annulus_with_slit_fixture())
-        assert labels.count == 1
+        assert complement_components(annulus_with_slit_fixture()) == 1
 
     def test_disk_complement_connected(self):
-        assert complement_components(disk_fixture()).count == 1
+        assert complement_components(disk_fixture()) == 1
 
     def test_regions_meeting_only_at_corners_stay_apart(self):
         # a diamond ring of occupied cells: the free cells inside and
@@ -101,8 +115,9 @@ class TestFixtures:
         # two components where 8-connectivity would merge them
         i, j = np.indices((64, 64))
         occ = np.abs(i - 32) + np.abs(j - 32) == 10
-        labels = complement_components(Raster(n=64, occupancy=occ))
-        assert labels.count == 2 and len(labels.boundary_touching) == 1
+        r = Raster(n=64, occupancy=occ)
+        assert complement_components(r) == 2
+        assert np.array_equal(bounded_hull(r).occupancy, np.abs(i - 32) + np.abs(j - 32) <= 10)
         assert ndimage.label(~np.pad(occ, 1), structure=np.ones((3, 3)))[1] == 1
 
     @pytest.mark.parametrize("N", [64, 255, 256, 1024])
@@ -145,29 +160,22 @@ class TestBoundedHull:
             hb = bounded_hull(big).occupancy
             assert not np.any(hs & ~hb)
 
-    def test_matches_isin_reference_with_and_without_holes(self):
-        def reference(r):
-            labels = complement_components(r)
-            inner = labels.interior_labels
-            bounded = ~np.isin(inner, labels.boundary_touching) & (inner > 0)
-            return r.occupancy | bounded
-
+    def test_matches_ndimage_reference_with_and_without_holes(self):
         rng = np.random.default_rng(4)
         rasters = [disk_fixture(), annulus_with_slit_fixture(), annulus_fixture()]
         for density in (0.05, 0.3, 0.55, 0.7):
-            occ = rng.uniform(size=(48, 48)) < density
-            occ[[0, -1], :] = occ[:, [0, -1]] = False
-            rasters.append(Raster(n=48, occupancy=occ))
+            for n in (48, 97):
+                occ = rng.uniform(size=(n, n)) < density
+                occ[[0, -1], :] = occ[:, [0, -1]] = False
+                rasters.append(Raster(n=n, occupancy=occ))
         holes = []
         for r in rasters:
-            labels = complement_components(r)
             hull = bounded_hull(r)
-            assert np.array_equal(hull.occupancy, reference(r))
+            assert np.array_equal(hull.occupancy, _hull_reference(r.occupancy))
             assert hull.occupancy is not r.occupancy
-            holes.append(len(labels.boundary_touching) < labels.count)
-            if not holes[-1]:
-                assert np.array_equal(hull.occupancy, r.occupancy)
+            holes.append(not np.array_equal(hull.occupancy, r.occupancy))
         assert holes[:3] == [False, False, True] and True in holes[3:]
+        assert False in holes[3:]
 
     def test_margin_contact_is_ambiguous(self):
         occ = np.zeros((64, 64), dtype=bool)
@@ -197,8 +205,8 @@ class TestRasterizeSection:
         opened = rasterize_section([0.3, 0.7], CFG2, 256)
         occ = section_membership_many(opened.cell_centers(), [0.3, 0.7], CFG2)
         closed = Raster(n=256, occupancy=occ)
-        assert complement_components(closed).count >= 2
-        assert complement_components(opened).count == 1
+        assert complement_components(closed) >= 2
+        assert complement_components(opened) == 1
         assert opened.occupancy.sum() <= closed.occupancy.sum()
 
 
@@ -498,6 +506,47 @@ class TestRuns:
     def test_fixture_runs(self):
         r = annulus_with_slit_fixture(128)
         assert r.runs().tolist() == _runs_reference(r.occupancy)
+
+
+class TestRunLabels:
+    """The run labeller against `ndimage.label` as the reference."""
+
+    @staticmethod
+    def _same_count(r):
+        assert complement_components(r) == _labels_reference(r.occupancy)[1]
+
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi])
+    @pytest.mark.parametrize("N", [256, 512, 1024])
+    def test_criterion_3_phi_rasters(self, c, N):
+        cfg = EmbeddingConfig(n=2, c=c)
+        for z in z_grid(cfg, (10, 10))[0][:100:10]:
+            self._same_count(rasterize_section(z, cfg, N))
+
+    @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+    def test_psi_rasters_and_hulls(self, a):
+        N = 1024
+        cells = psi_section_cells(N)
+        for z in z_grid(psi_config(CFG2, a), (20, 20))[0][::50]:
+            r = rasterize_psi_section(z, CFG2, a, N, cells=cells)
+            self._same_count(r)
+            assert np.array_equal(bounded_hull(r).occupancy, _hull_reference(r.occupancy))
+
+    @pytest.mark.parametrize("N", [64, 256, 1024])
+    def test_fixtures(self, N):
+        for fixture in (annulus_fixture, annulus_with_slit_fixture, disk_fixture):
+            self._same_count(fixture(N))
+
+    def test_random_rasters(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n = int(rng.integers(1, 160))
+            occ = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.9)
+            self._same_count(Raster(n=n, occupancy=occ))
+
+    def test_full_and_empty(self):
+        for n in (1, 2, 64):
+            assert complement_components(Raster(n=n, occupancy=np.ones((n, n), dtype=bool))) == 1
+            assert complement_components(Raster(n=n, occupancy=np.zeros((n, n), dtype=bool))) == 1
 
 
 class TestSharedGeometry:
