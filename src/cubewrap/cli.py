@@ -26,7 +26,6 @@ check failure, 2 usage/config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -261,6 +260,21 @@ def cmd_verify(args) -> int:
     return _finish(report, args)
 
 
+def _write_sections_csv(path, generic_z, area, mc_spots):
+    """One CSV row per generic z: z1, z2, the analytic area and, at the
+    Monte Carlo spots, the estimate and its standard error.  Every value
+    reads as `_fmt` writes it ('%.17g' is format's '.17g'), and all rows
+    are formatted in one call."""
+    mc = {(z1, z2): f"{_fmt(est)},{_fmt(se)}" for z1, z2, est, se in mc_spots}
+    z1, z2 = generic_z[:, 0].tolist(), generic_z[:, 1].tolist()
+    cells = [_fmt(area)] * (4 * len(z1))
+    cells[0::4], cells[1::4] = z1, z2
+    cells[3::4] = [mc.get(key, ",") for key in zip(z1, z2)]
+    with open(path, "w", newline="") as fh:
+        fh.write("z1,z2,analytic_area,mc_area,mc_stderr\r\n")
+        fh.write("%.17g,%.17g,%s,%s\r\n" * len(z1) % tuple(cells))
+
+
 def cmd_sections(args) -> int:
     config = EmbeddingConfig(c=args.c)
     checks = []
@@ -320,23 +334,7 @@ def cmd_sections(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, "sections.csv")
-        with open(csv_path, "w", newline="") as fh:
-            wtr = csv.writer(fh)
-            wtr.writerow(["z1", "z2", "analytic_area", "mc_area", "mc_stderr"])
-            mc_by_z = {(z1, z2): (est, se) for z1, z2, est, se in fr.mc_spots}
-            generic_z, _ = z_grid(config, (w, h))
-            for z in generic_z:
-                key = (float(z[0]), float(z[1]))
-                est, se = mc_by_z.get(key, ("", ""))
-                wtr.writerow(
-                    [
-                        _fmt(z[0]),
-                        _fmt(z[1]),
-                        _fmt(1.0 / args.c),
-                        _fmt(est) if est != "" else "",
-                        _fmt(se) if se != "" else "",
-                    ]
-                )
+        _write_sections_csv(csv_path, z_grid(config, (w, h))[0], 1.0 / args.c, fr.mc_spots)
         artifacts.append(csv_path)
 
     report = _report(spec, checks, artifacts)

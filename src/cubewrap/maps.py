@@ -117,7 +117,7 @@ class EmbeddingConfig:
 
 def _as_points(pts):
     pts = np.asarray(pts, dtype=float)
-    if pts.shape[-1] != 2:
+    if pts.shape[-1:] != (2,):
         raise ValueError("expected points of shape (..., 2)")
     return pts
 

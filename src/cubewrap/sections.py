@@ -28,6 +28,26 @@ cells its slit meets (`topology.rasterize_section`); a ψ raster runs the
 arc kernel on the (q̄, p) of its cells (`topology.psi_section_cells`).
 Nothing caches geometry across calls, so a call's memory is released
 with it.
+
+The slit-ray bound.  φ membership computes an angle only beside the
+slit ray, the ray from ½ through d + ½, d = λ(slit angle, 0) − ½.  Let θ
+be the Euclidean angle of (u, v) = y − ½.  On each of κ's four sectors,
+centred at θ_k = kπ/2, `square_to_cylinder` reads
+q̄ = tan(θ − θ_k)/8 + k/4, so dq̄/dθ = sec²(θ − θ_k)/8 ≥ 1/8, and q̄ runs
+monotonically round the circle.  So a point's circle distance from the
+slit in q̄ is at least 1/8 of its angle from the ray in θ:
+
+* u·d₀ + v·d₁ ≤ 0 puts it π/2 or more from the ray, π/16 in q̄;
+* |u·d₁ − v·d₀| > τ·(|u| + |v|)·(|d₀| + |d₁|) gives |sin Δθ| > τ,
+  since ‖y‖₁‖d‖₁ ≥ ‖y‖₂‖d‖₂, so |Δθ| > τ and q̄ is more than
+  τ/8 = 1.25e-7 from the slit.
+
+τ = `SLIT_RAY_TOL` = 1e-6 makes τ/8 over 100 times SLIT_TOL, while the
+rounding of d, of the two products and of q̄ is about 1e-16.  Only the
+points inside the wedge, a share of order τ of the square, go through
+`square_to_cylinder` and `_in_ribbon`; every other point is a member iff
+its height is in W.  tests/test_certificates.py proves the sector
+identity, the norm inequality and τ/8 > SLIT_TOL.
 """
 from __future__ import annotations
 
@@ -38,7 +58,9 @@ import numpy as np
 
 from .maps import (
     EmbeddingConfig,
+    _as_points,
     disc_to_cylinder,
+    make_lambda,
     make_lambda_prime,
     psi_config,
     square_to_cylinder,
@@ -71,12 +93,18 @@ __all__ = [
 # robustly excluded under floating-point round trips.
 SLIT_TOL = 1e-9
 
+# τ of the slit-ray bound (module docstring).  A point y − ½ = (u, v) off
+# the wedge |u·d₁ − v·d₀| ≤ τ·‖(u, v)‖₁‖d‖₁ around the slit ray d lies
+# more than τ radians from the ray, and dq̄/dθ ≥ 1/8 puts it more than
+# τ/8 = 1.25e-7 from the slit in q̄: over 100 times SLIT_TOL.
+SLIT_RAY_TOL = 1e-6
+
 # z grid cells whose centre lies closer than this to the puncture z0 are
 # set apart from the generic cells.
 Z0_EXCLUSION = 1e-3
 
-# Points per call of the cylinder maps and per block of the ψ membership
-# kernel (element-wise maps, so the result does not depend on it).
+# Points per block of the φ and ψ membership kernels (element-wise, so
+# the result does not depend on it).
 _CHUNK = 1 << 16
 
 
@@ -159,21 +187,32 @@ def _in_ribbon(qbar, p, sd: SectionDescription):
 
 
 def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
-    """Vectorized membership of square points in the section at z."""
+    """Vectorized membership of square points in the section at z: a
+    point of the open square is a member iff its height p is in W and,
+    only inside the wedge of the slit-ray bound (module docstring), its
+    angle is off the slit."""
     sd = resolve_section(sd_or_z, config)
-    ys = np.asarray(ys, dtype=float)
+    ys = _as_points(ys)
     out = np.zeros(ys.shape[:-1], dtype=bool)
     if sd.status != "generic":
         return out
-    # λ⁻¹ on the open unit square, _CHUNK points at a time: the map makes
-    # about a dozen temporaries per call.  The puncture y0 = (½, ½) gets
-    # height 1 ∉ W.
+    d0, d1 = make_lambda().forward((sd.slit_angle, 0.0)) - 0.5
+    wedge = SLIT_RAY_TOL * (abs(d0) + abs(d1))
     pts, flat = ys.reshape(-1, 2), out.reshape(-1)
-    inside = np.all((pts > 0.0) & (pts < 1.0), axis=-1)
     for s in range(0, len(pts), _CHUNK):
-        block, mask = slice(s, s + _CHUNK), inside[s : s + _CHUNK]
-        cyl = square_to_cylinder(pts[block][mask])
-        flat[block][mask] = _in_ribbon(cyl[:, 0], cyl[:, 1], sd)
+        block, member = pts[s : s + _CHUNK], flat[s : s + _CHUNK]
+        u, v = block[:, 0] - 0.5, block[:, 1] - 0.5
+        # p = 1 − 4·max(u², v²) is square_to_cylinder's 1 − 4r² bit for
+        # bit, since |u| ≥ |v| iff u·u ≥ v·v in floating point.  The
+        # puncture y0 = (½, ½) gets height 1 ∉ W.
+        np.all((block > 0.0) & (block < 1.0), axis=-1, out=member)
+        member &= sd.W.contains_many(1.0 - 4.0 * np.maximum(u * u, v * v))
+        near = member & (u * d0 + v * d1 > 0.0)
+        near &= np.abs(u * d1 - v * d0) <= wedge * (np.abs(u) + np.abs(v))
+        idx = np.flatnonzero(near)
+        if len(idx):
+            cyl = square_to_cylinder(block[idx])
+            member[idx] = _in_ribbon(cyl[:, 0], cyl[:, 1], sd)
     return out
 
 
@@ -308,7 +347,7 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
     coordinates (q̄, p) = χ⁻¹(y)."""
     cfg = psi_config(config, a)
     sd = resolve_section(z, cfg)
-    ys = np.asarray(ys, dtype=float)
+    ys = _as_points(ys)
     if sd.status != "generic":
         return np.zeros(ys.shape[:-1], dtype=bool)
     qbar, p = disc_to_cylinder(ys[..., 0], ys[..., 1])

@@ -239,10 +239,13 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     monotone in floating point: one 1-D axis of heights gives all N².
     The odd-N centre cell, the puncture, has height 1 ∉ W.
 
-    Dropping the angle test frees no fewer cells: a cell centre within
-    SLIT_TOL of the slit angle lies within 8m·SLIT_TOL ≤ 4e-9 of the slit
-    ray (m ≤ ½), so the ray meets that cell and `_free_segment` frees it.
-    The closed cover of a segment is 4-connected, so the corridor stays open.
+    Dropping the angle test frees no fewer cells.  By the slit-ray bound
+    (`sections` module docstring), q̄ moves at least 1/8 as fast as the
+    Euclidean angle, so a cell centre y within SLIT_TOL of the slit angle
+    is within 8·SLIT_TOL of the ray's direction and so within
+    8·SLIT_TOL·|y − ½| < 6e-9 of the slit ray.  The ray meets that cell
+    and `_free_segment` frees it.  The closed cover of a segment is
+    4-connected, so the corridor stays open.
     """
     if N < 64:
         raise ValueError("raster resolution must be at least 64")

@@ -70,6 +70,21 @@ derivative of χ with determinant 1, and that the gradients
 [∇q̄; ∇p] = [(−y, x)/(2π|x|²); −2π·(x, y)] that `KappaMap.jacobian`
 multiplies λ's Jacobian by are its inverse at x = χ(q, p).  Each fails
 on a planted 2π → π and on swapped columns.
+
+φ membership computes an angle only beside the slit ray (the slit-ray
+bound, `sections` module docstring).  With (u, v) = ρ(cos θ, sin θ) and
+θ = kπ/2 + α on sector k, the certificates prove:
+
+* tan form: the closed form's q̄ is tan(α)/8 + k/4, and the pieces join
+  at the sector boundaries α = ±π/4 (mod 1);
+* slope: dq̄/dα = (1 + tan²α)/8 ≥ 1/8;
+* norms: ‖y‖₁‖d‖₁ ≥ ‖y‖₂‖d‖₂, and (u·d₁ − v·d₀)² + (u·d₀ + v·d₁)² =
+  ‖y‖₂²‖d‖₂², so the cross product over ‖y‖₂‖d‖₂ is |sin Δθ|;
+* margin: SLIT_RAY_TOL/8 > 100·SLIT_TOL, exactly in the floats' values.
+
+Each fails on a planted slope bound of 1/4, on the formula of a
+neighbouring sector, on the norm inequality turned round and on a
+planted τ of 1e-8.
 """
 
 import math
@@ -92,7 +107,12 @@ from cubewrap.maps import (
     square_to_cylinder,
 )
 from cubewrap.quotient import circle_distance, preimage_affine_mod, reduce
-from cubewrap.sections import psi_section_membership_many, section_of_phi
+from cubewrap.sections import (
+    SLIT_RAY_TOL,
+    SLIT_TOL,
+    psi_section_membership_many,
+    section_of_phi,
+)
 
 R = sp.Symbol("R", positive=True)
 t = sp.Symbol("t", real=True)
@@ -552,3 +572,81 @@ def test_chi_symbolic_forms_match_the_code():
         x = ChiMap().forward([qv, pv])
         Jkappa = make_lambda().jacobian(ChiMap().inverse(x)) @ np.array(grad(*x))
         assert np.allclose(KappaMap().jacobian(x), Jkappa, rtol=1e-13, atol=1e-15)
+
+
+# The slit-ray bound: q̄ against the Euclidean angle θ = kπ/2 + α of
+# (u, v) = y − ½ on sector k, |α| ≤ π/4.
+ALPHA = sp.Symbol("alpha", real=True)
+RHO = sp.Symbol("rho", positive=True)
+TAN_ALPHA = sp.Symbol("T", real=True)
+SECTOR_INDEX = {"right": 0, "top": 1, "left": 2, "bottom": 3}
+
+
+def sector_qbar(sector, formula_sector=None):
+    """`closed_form`'s q̄ of the point at angle kπ/2 + α on `sector`."""
+    theta = SECTOR_INDEX[sector] * sp.pi / 2 + ALPHA
+    u, v = RHO * sp.cos(theta), RHO * sp.sin(theta)
+    return closed_form(formula_sector or sector, u, v)[0]
+
+
+def certify_slit_ray(sector, formula_sector=None, bound=sp.Rational(1, 8)):
+    """Whether q̄ = tan(α)/8 + k/4 on `sector`, and whether dq̄/dα is
+    (1 + tan²α)/8 and at least `bound` for every real tan α."""
+    qbar = sector_qbar(sector, formula_sector)
+    offset = sp.Rational(SECTOR_INDEX[sector], 4)
+    slope = (1 + TAN_ALPHA**2) / 8
+    return {
+        "tan_form": sp.simplify(qbar - sp.tan(ALPHA) / 8 - offset) == 0,
+        "slope": sp.simplify(sp.diff(qbar, ALPHA) - slope.subs(TAN_ALPHA, sp.tan(ALPHA))) == 0
+        and sp.factor(slope - bound).is_nonnegative is True,
+    }
+
+
+def certify_norms(turned=False):
+    """‖y‖₁‖d‖₁ ≥ ‖y‖₂‖d‖₂ (or, turned round, ≤), squared, in |u|, |v|,
+    |d₀|, |d₁|; and the cross and dot products' Lagrange identity."""
+    a, b, c, d = sp.symbols("a b c d", nonnegative=True)
+    gap = sp.expand((a + b) ** 2 * (c + d) ** 2 - (a**2 + b**2) * (c**2 + d**2))
+    u, v, d0, d1 = sp.symbols("u v d0 d1", real=True)
+    lagrange = (u * d1 - v * d0) ** 2 + (u * d0 + v * d1) ** 2 - (u**2 + v**2) * (d0**2 + d1**2)
+    return {
+        "l1_bounds_l2": (-gap if turned else gap).is_nonnegative is True,
+        "lagrange": sp.expand(lagrange) == 0,
+    }
+
+
+def slit_ray_margin(tau=SLIT_RAY_TOL):
+    """τ/8, the least q̄ distance from the slit off the wedge, over 100
+    SLIT_TOL, in the floats' exact values."""
+    return sp.Rational(tau) / 8 > 100 * sp.Rational(SLIT_TOL)
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_slit_ray_slope_proved(sector):
+    assert certify_slit_ray(sector) == {"tan_form": True, "slope": True}
+
+
+def test_slit_ray_sectors_join():
+    """q̄ at the end α = π/4 of each sector is q̄ at the start α = −π/4 of
+    the next, mod 1, so q̄ runs once round the circle, monotonically."""
+    for sector, nxt in NEXT.items():
+        end = sector_qbar(sector).subs(ALPHA, sp.pi / 4)
+        start = sector_qbar(nxt).subs(ALPHA, -sp.pi / 4)
+        assert sp.simplify(end - start).is_integer
+
+
+def test_slit_ray_norms_and_margin_proved():
+    assert certify_norms() == {"l1_bounds_l2": True, "lagrange": True}
+    assert slit_ray_margin()
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_slit_ray_certificate_fails_on_planted_errors(sector):
+    assert not certify_slit_ray(sector, bound=sp.Rational(1, 4))["slope"]
+    swapped = certify_slit_ray(sector, formula_sector=NEXT[sector])
+    assert not swapped["tan_form"] and not swapped["slope"]
+
+
+def test_slit_ray_norm_and_margin_certificates_fail_when_planted():
+    assert not certify_norms(turned=True)["l1_bounds_l2"]
+    assert not slit_ray_margin(tau=1e-8)

@@ -354,6 +354,33 @@ class TestSections:
         report_path = tmp_path / "sections_report.json"
         assert json.loads(report_path.read_text()) == doc
 
+    def test_csv_bytes_equal_the_per_value_writer(self, capsys, tmp_path):
+        """The bulk CSV writer gives the bytes of csv.writer fed one
+        format(x, '.17g') per value, at c = π with three Monte Carlo
+        spots."""
+        import csv
+
+        from cubewrap.maps import EmbeddingConfig
+        from cubewrap.sections import z_grid
+
+        c = math.pi
+        argv = ["sections", "--c", repr(c), "--grid", "50x100", "--mc-spots", "3",
+                "--samples", "20000", "--seed", "4", "--out", str(tmp_path / "bulk")]
+        _, out = run_main(argv, capsys)
+        spots = json.loads(out)["fubini"]["mc_spots"]
+        mc_by_z = {(z1, z2): (est, se) for z1, z2, est, se in spots}
+        ref = tmp_path / "reference.csv"
+        with open(ref, "w", newline="") as fh:
+            wtr = csv.writer(fh)
+            wtr.writerow(["z1", "z2", "analytic_area", "mc_area", "mc_stderr"])
+            for z in z_grid(EmbeddingConfig(c=c), (50, 100))[0]:
+                est, se = mc_by_z.get((float(z[0]), float(z[1])), ("", ""))
+                row = [z[0], z[1], 1.0 / c, est, se]
+                wtr.writerow([format(float(x), ".17g") if x != "" else "" for x in row])
+        got = (tmp_path / "bulk" / "sections.csv").read_bytes()
+        assert got == ref.read_bytes()
+        assert len(spots) == 3 and got.count(b"\r\n") == 5001
+
     def test_passing_mc_check_names_no_spot(self, capsys):
         _, out = run_main(FAST_SECTIONS, capsys)
         (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "mc_areas_within_3_sigma"]

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from composed_maps import SectorKappa, composed_lambda
-from cubewrap.maps import EmbeddingConfig, build_phi, make_lambda, make_lambda_prime
+from cubewrap.maps import (
+    EmbeddingConfig,
+    build_phi,
+    make_lambda,
+    make_lambda_prime,
+    square_to_cylinder,
+)
 from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
     _CHUNK,
@@ -167,6 +173,134 @@ class TestSectionAreaMC:
         assert a1 == a2
 
 
+def _full_angle_reference(ys, sd):
+    """φ membership with the angle of every point: λ⁻¹ on each point of
+    the open square, then `_in_ribbon`."""
+    ys = np.asarray(ys, dtype=float)
+    out = np.zeros(ys.shape[:-1], dtype=bool)
+    pts, flat = ys.reshape(-1, 2), out.reshape(-1)
+    inside = np.all((pts > 0.0) & (pts < 1.0), axis=-1)
+    cyl = square_to_cylinder(pts[inside])
+    flat[inside] = _in_ribbon(cyl[:, 0], cyl[:, 1], sd)
+    return out
+
+
+def _counting_square_to_cylinder(monkeypatch):
+    """Replace `sections.square_to_cylinder` by a wrapper; returns the
+    list of point counts it was called with."""
+    import cubewrap.sections as sec
+
+    seen = []
+
+    def counted(ys):
+        seen.append(len(ys))
+        return square_to_cylinder(ys)
+
+    monkeypatch.setattr(sec, "square_to_cylinder", counted)
+    return seen
+
+
+# c of the exactness tests, from the smallest to a section far thinner
+# than any raster cell; and each c's z, off the puncture.
+EXACT_C = [1.0, 1.5, 2.0, math.pi, 600.0, 1e6]
+EXACT_Z = [(0.31, 0.7), (0.5, 0.25), (0.9, 0.93), (0.05, 0.5)]
+# q̄ offsets from the slit: inside, at and beyond SLIT_TOL, and the
+# opposite ray.
+SLIT_OFFSETS = [0.0, 0.5] + [s * x for x in (1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7)
+                             for s in (1.0, -1.0)]
+
+
+def _slit_probe(sd, rng, per_height=8):
+    """Square points at the SLIT_OFFSETS from the slit angle, at heights
+    spread over W, beside W's ends and outside W; returns (points,
+    offset of each point)."""
+    ends = np.array(sd.W.intervals).ravel()
+    inside_w = np.concatenate([rng.uniform(a, b, per_height) for a, b in sd.W.intervals])
+    beside = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    p = np.concatenate([inside_w, beside, rng.uniform(0.0, 1.0, per_height)])
+    p = p[(p > 0.0) & (p < 1.0)]
+    q = np.add.outer(np.array(SLIT_OFFSETS), np.full(len(p), sd.slit_angle))
+    q -= np.floor(q)
+    qp = np.stack([q, np.broadcast_to(p, q.shape)], axis=-1)
+    offsets = np.broadcast_to(np.array(SLIT_OFFSETS)[:, None], q.shape)
+    return make_lambda().forward(qp.reshape(-1, 2)), offsets.ravel()
+
+
+class TestAngleFreeMembership:
+    """`section_membership_many` reads only heights off the wedge around
+    the slit ray (the slit-ray bound in the `sections` docstring) and
+    equals the full-angle path bit for bit."""
+
+    @pytest.mark.parametrize("c", EXACT_C)
+    def test_uniform_points_match_the_full_angle_path(self, c):
+        cfg = EmbeddingConfig(n=2, c=c)
+        ys = np.random.default_rng(41).uniform(0.0, 1.0, (1_000_000, 2))
+        for z, pts in zip(EXACT_Z, (ys, ys[1::4], ys[2::4], ys[3::4])):
+            sd = section_of_phi((z[0], z[1] * c), cfg)
+            got = section_membership_many(pts, sd, cfg)
+            assert np.array_equal(got, _full_angle_reference(pts, sd))
+            assert abs(got.mean() - 1.0 / c) < 0.01
+
+    @pytest.mark.parametrize("c", EXACT_C)
+    def test_points_beside_the_slit_match_the_full_angle_path(self, c, monkeypatch):
+        """At every offset from the slit, heights in and beside W.  Points
+        on the slit ray reach the angle path; points on the opposite ray,
+        which are as close to the ray's line, do not."""
+        cfg = EmbeddingConfig(n=2, c=c)
+        rng = np.random.default_rng(43)
+        seen = _counting_square_to_cylinder(monkeypatch)
+        for z in EXACT_Z:
+            sd = section_of_phi((z[0], z[1] * c), cfg)
+            ys, offset = _slit_probe(sd, rng)
+            ref = _full_angle_reference(ys, sd)
+            seen.clear()
+            got = section_membership_many(ys, sd, cfg)
+            assert np.array_equal(got, ref)
+            p = square_to_cylinder(ys)[:, 1]
+            in_w = sd.W.contains_many(p)
+            # Members beyond SLIT_TOL and non-members within it: the
+            # probe straddles the slit test.  (Near the centre, rounding
+            # y moves its angle by more than the offsets.)
+            away = in_w & (p < 0.999)
+            assert got[away & (np.abs(offset) >= 2e-9)].all()
+            assert not got[away & (np.abs(offset) <= 5e-10)].any()
+            on_ray = in_w & (offset == 0.0)
+            assert on_ray.any() and sum(seen) >= on_ray.sum()
+            opposite = in_w & (offset == 0.5)
+            seen.clear()
+            section_membership_many(ys[opposite], sd, cfg)
+            assert opposite.any() and sum(seen) == 0
+
+    @pytest.mark.parametrize("c", EXACT_C)
+    def test_centre_edges_and_cell_grid_match(self, c):
+        cfg = EmbeddingConfig(n=2, c=c)
+        sd = section_of_phi((0.31, 0.7 * c), cfg)
+        t = np.random.default_rng(47).uniform(0.0, 1.0, 2_000)
+        tiny, below_one = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        edges = [np.stack([np.full_like(t, e), t], -1) for e in (0.0, 1.0, tiny, below_one)]
+        edges += [e[:, ::-1] for e in edges]
+        ys = np.concatenate(edges + [np.array([[0.5, 0.5]])])
+        assert np.array_equal(section_membership_many(ys, sd, cfg), _full_angle_reference(ys, sd))
+        for N in (511, 512):
+            x = (np.arange(N) + 0.5) / N
+            cells = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+            got = section_membership_many(cells, sd, cfg)
+            assert got.shape == (N, N)
+            assert np.array_equal(got, _full_angle_reference(cells, sd))
+
+    def test_monte_carlo_area_runs_almost_no_angles(self, monkeypatch):
+        """One 2·10⁵-point `section_area_mc` at c = 2 sends at most
+        0.01 % of its points through λ⁻¹."""
+        seen = _counting_square_to_cylinder(monkeypatch)
+        samples = 200_000
+        section_area_mc([0.3, 0.7], samples=samples, seed=5, config=CFG2)
+        assert sum(seen) <= samples // 10_000
+
+    def test_rejects_points_without_two_coordinates(self):
+        with pytest.raises(ValueError, match=r"expected points of shape \(\.\.\., 2\)"):
+            section_membership_many(np.full((10, 4), 0.3), [0.3, 0.7], CFG2)
+
+
 class TestFubini:
     def test_analytic_integral_exact(self):
         fr = fubini_check(CFG2, grid=(20, 40))
@@ -200,6 +334,10 @@ class TestPsiSectionMembership:
     def test_invalid_a(self):
         with pytest.raises(ValueError):
             psi_section_membership_many(np.zeros((1, 2)), [0.3, 0.7], CFG2, 0.0)
+
+    def test_rejects_points_without_two_coordinates(self):
+        with pytest.raises(ValueError, match=r"expected points of shape \(\.\.\., 2\)"):
+            psi_section_membership_many(np.full((10, 3), 0.1), [0.3, 0.7], CFG2, 0.5)
 
     def test_slit_stays_outside_the_widest_arc(self):
         """Q2 = ½ and p2 = ½ at p = ½ make B = ¼, an arc of the whole
