@@ -16,6 +16,9 @@ argparse defaults, and nothing else (no environment variable) sets them:
 
 Only verify takes --n: at any n the library's z grids put the trailing
 2n-4 coordinates of z at the cube centre, where no section changes.
+verify maps one uniform cube sample of --samples points through φ, and
+its containment, injectivity and (n >= 3) trailing-identity checks all
+read that one sample.
 
 Reports are JSON (schema "1") and byte-identical for identical spec and
 seed; the spec keeps every key of the schema, null ([] for grid, false
@@ -45,8 +48,8 @@ from .maps import (
     build_psi,
     check_symplectic,
     finite_difference_jacobian,
+    jacobian_defect,
     make_lambda,
-    symplectic_matrix,
 )
 from .sections import (
     MIN_MC_SAMPLES,
@@ -70,6 +73,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# --c, the length of the last factor, when a subcommand is not given it.
+DEFAULT_C = 2.0
 
 # verify's injectivity witness: images closer than IMAGE_TOL whose
 # preimages are at least PREIMAGE_MIN apart count as a collision.
@@ -167,25 +173,22 @@ def _worst_pair(X, pairs, dists):
     return {"preimages": [X[a].tolist(), X[b].tolist()], "image_distance": float(dists[j])}
 
 
-def _injectivity_sample(phi, samples, seed):
-    X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, phi.dim))
-    return X, phi.forward(X)
-
-
 def _injectivity_check(phi, samples, seed):
-    """Collision scan of phi on `samples` uniform points of the cube: the
-    number of image pairs closer than IMAGE_TOL (strictly) whose
-    preimages are at least PREIMAGE_MIN apart, and the `_worst_pair` of
-    them (None when there is none).
+    """Collision scan of phi on `samples` uniform points X of the cube:
+    the number of image pairs closer than IMAGE_TOL (strictly) whose
+    preimages are at least PREIMAGE_MIN apart, their `_worst_pair` (None
+    when there is none), and X with its images Y = phi(X).
 
     One sorted sweep on the first image coordinate (`_image_collisions`)
     compares each image only with the successors that lie within
     IMAGE_TOL of it in that coordinate.  Any pair closer than IMAGE_TOL
     is among them, so every close pair is tested, and tested once.
     """
-    X, Y = _injectivity_sample(phi, samples, seed)
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, phi.dim))
+    Y = phi.forward(X)
     pairs, dists = _image_collisions(X, Y, IMAGE_TOL, PREIMAGE_MIN)
-    return len(pairs), _worst_pair(X, pairs, dists) if len(pairs) else None
+    worst = _worst_pair(X, pairs, dists) if len(pairs) else None
+    return len(pairs), worst, X, Y
 
 
 def _symplectic_check(name, rep):
@@ -206,27 +209,21 @@ def cmd_verify(args) -> int:
     with _Phase("symplecticity"):
         rep = check_symplectic(phi, samples=10_000, tol=SYMPLECTIC_TOL, seed=args.seed)
         checks.append(_symplectic_check("phi_symplectic_analytic", rep))
-        rng = np.random.default_rng(args.seed + 1)
-        Xs = phi.sample_domain(rng, 1000, margin=SMOOTH_MARGIN)
-        Jfd = finite_difference_jacobian(phi.forward, Xs)
-        Om = symplectic_matrix(config.n)
-        dev_fd = float(np.abs(np.swapaxes(Jfd, -1, -2) @ Om @ Jfd - Om).max())
+        Xs = phi.sample_domain(np.random.default_rng(args.seed + 1), 1000, margin=SMOOTH_MARGIN)
+        dev_fd = float(jacobian_defect(finite_difference_jacobian(phi.forward, Xs)).max())
         checks.append(_check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4))
         psi = build_psi(config, a=1.0 / args.c)
         rep_psi = check_symplectic(psi, samples=10_000, tol=SYMPLECTIC_TOL, seed=args.seed)
         checks.append(_symplectic_check("psi_symplectic_analytic", rep_psi))
 
+    # One uniform cube sample X, with Y = phi(X), serves containment,
+    # injectivity and (n >= 3) the trailing identity.
+    with _Phase("injectivity"):
+        collisions, worst, X, Y = _injectivity_check(phi, args.samples, args.seed + 4)
+
     with _Phase("containment"):
-        rng = np.random.default_rng(args.seed + 2)
-        X = rng.uniform(0.0, 1.0, size=(args.samples, phi.dim))
-        Y = phi.forward(X)
-        open01 = (Y > 0.0) & (Y < 1.0)
-        ok = np.all(open01[:, :3], axis=1) & (Y[:, 3] > 0) & (Y[:, 3] < args.c)
-        if phi.dim > 4:
-            ok &= np.all(open01[:, 4:], axis=1)
-        checks.append(
-            _check("phi_containment", bool(ok.all()), int(ok.sum()), args.samples)
-        )
+        ok = phi.in_target_box(Y)
+        checks.append(_check("phi_containment", bool(ok.all()), int(ok.sum()), args.samples))
         Xb = psi.sample_domain(np.random.default_rng(args.seed + 3), args.samples)
         Yb = psi.forward(Xb)
         in_disc = np.hypot(Yb[:, 0], Yb[:, 1]) < DISC_RADIUS
@@ -234,30 +231,20 @@ def cmd_verify(args) -> int:
             _check("psi_first_factor_in_disc", bool(in_disc.all()), int(in_disc.sum()), args.samples)
         )
 
-    with _Phase("injectivity"):
-        collisions, worst = _injectivity_check(phi, args.samples, args.seed + 4)
-        extra = {"worst_pair": worst} if collisions else {}
-        checks.append(
-            _check("phi_injectivity_collisions", collisions == 0, collisions, 0, **extra)
-        )
+    extra = {"worst_pair": worst} if collisions else {}
+    checks.append(_check("phi_injectivity_collisions", collisions == 0, collisions, 0, **extra))
 
     with _Phase("image volume"):
-        rng = np.random.default_rng(args.seed + 5)
-        pts = rng.uniform(0.0, 1.0, size=(args.samples, phi.dim))
+        pts = np.random.default_rng(args.seed + 5).uniform(0.0, 1.0, size=(args.samples, phi.dim))
         pts[:, 3] *= args.c
-        frac = float(phi.image_contains(pts).mean())
-        vol = frac * args.c
+        vol = float(phi.image_contains(pts).mean()) * args.c
         checks.append(_check("phi_image_volume_mc", abs(vol - 1.0) < 0.02, vol, 0.02))
 
     if args.n >= 3:
-        rng = np.random.default_rng(args.seed + 6)
-        X = rng.uniform(0.0, 1.0, size=(1000, phi.dim))
-        Y = phi.forward(X)
         tail_id = bool(np.array_equal(Y[:, 4:], X[:, 4:]))
         checks.append(_check("trailing_coordinates_identity", tail_id, tail_id))
 
-    report = _report(spec, checks)
-    return _finish(report, args)
+    return _finish(_report(spec, checks), args)
 
 
 def _write_sections_csv(path, generic_z, area, mc_spots):
@@ -343,11 +330,14 @@ def cmd_sections(args) -> int:
 
 
 def cmd_topology(args) -> int:
+    if args.a is not None and not args.hull:
+        raise ValueError("--a sets the bound of --hull and needs it")
+    if args.a is not None and args.c is not None:
+        raise ValueError("--hull --a sets c = 1/a; --c contradicts it")
+    args.c = DEFAULT_C if args.c is None else args.c
     config = EmbeddingConfig(c=args.c)
     checks = []
     spec = _spec_echo(args)
-    if args.a is not None and not args.hull:
-        raise ValueError("--a sets the bound of --hull and needs it")
 
     if args.fixture:
         count = complement_components(_FIXTURES[args.fixture](args.N))
@@ -592,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     def subcommand(name, help):
         """A subparser with the flags every subcommand reads."""
         sp = sub.add_parser(name, help=help)
-        sp.add_argument("--c", type=float, default=2.0)
+        sp.add_argument("--c", type=float, default=DEFAULT_C)
         sp.add_argument("--out", default=None)
         return sp
 
@@ -615,6 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--hull", action="store_true")
     mode.add_argument("--fixture", choices=sorted(_FIXTURES), default=None)
     sp.add_argument("--a", type=float, default=None)
+    # None until cmd_topology tells a given --c from the default: --hull
+    # --a fixes ψ's c = 1/a, so a --c beside it is a usage error.
+    sp.set_defaults(c=None)
 
     sp = subcommand("plot", "SVG figures of ribbon, section, raster")
     sp.add_argument("--z", type=_z_arg, default=None)

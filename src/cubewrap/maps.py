@@ -61,6 +61,7 @@ __all__ = [
     "psi_config",
     "symplectic_matrix",
     "symplectic_defect",
+    "jacobian_defect",
     "finite_difference_jacobian",
     "check_symplectic",
     "SymplecticReport",
@@ -507,6 +508,8 @@ class PhiMap(PhaseMap):
         self.n = config.n
         self.dim = 2 * config.n
         self._lamp = make_lambda_prime(config.c)
+        self._box_top = np.ones(self.dim)
+        self._box_top[3] = config.c
 
     def contains(self, X):
         X = _asX(X, self.dim)
@@ -539,29 +542,33 @@ class PhiMap(PhaseMap):
         return J
 
     def smooth_mask(self, X, margin: float):
+        """Off the cube margin and off the diagonals of λ and λ′."""
         X = _asX(X, self.dim)
-        return self._smooth_wrapped(X, shear_wrap(X, self.c), margin)
+        W = shear_wrap(X, self.c)
+        d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES).min(axis=-1)
+        return self._smooth_wrapped(X, W, margin) & (d1 > margin)
 
     def _smooth_wrapped(self, X, W, margin: float):
-        """`smooth_mask` of the cube points X, given W = shear_wrap(X)."""
+        """X, with W = shear_wrap(X), off the cube margin and λ′'s
+        diagonals: all of ψ's mask on the cube, as ψ's first pair is χ."""
         ok = np.all((X > margin) & (X < 1.0 - margin), axis=-1)
-        # Stay away from the concentric-map diagonals in both cylinders.
-        d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES).min(axis=-1)
         a2 = np.mod(-W[..., 3], self.c) / self.c
         d2 = circle_distance(a2[..., None], _DIAGONAL_ANGLES).min(axis=-1)
-        return ok & (d1 > margin) & (d2 > margin)
+        return ok & (d2 > margin)
 
     def _raw_samples(self, rng, count):
         return rng.uniform(0.0, 1.0, size=(count, self.dim))
+
+    def in_target_box(self, Y):
+        """Inside the open box (0,1)³ x (0,c) x (0,1)^{2n-4} of the target."""
+        Y = _asX(Y, self.dim)
+        return np.all((Y > 0.0) & (Y < self._box_top), axis=-1)
 
     def image_contains(self, Y):
         """Membership test for the image: inside the punctured target
         box, with its inverse inside the open cube."""
         Y = _asX(Y, self.dim)
-        in_box = np.all((Y[..., :3] > 0) & (Y[..., :3] < 1), axis=-1)
-        in_box &= (Y[..., 3] > 0) & (Y[..., 3] < self.c)
-        if self.dim > 4:
-            in_box &= np.all((Y[..., 4:] > 0) & (Y[..., 4:] < 1), axis=-1)
+        in_box = self.in_target_box(Y)
         # Punctured targets.
         in_box &= ~((Y[..., 0] == 0.5) & (Y[..., 1] == 0.5))
         in_box &= ~((Y[..., 2] == 0.5) & (Y[..., 3] == self.c / 2))
@@ -658,11 +665,7 @@ class PsiMap(PhaseMap):
             ok &= self._kappa.singular_distance(pair) > margin
         if ok.any():
             U = self._to_cube(X[ok])
-            W = shear_wrap(U, self.c)
-            first = ChiMap().forward(W[..., 0:2])
-            ok[ok] = self._phi._smooth_wrapped(U, W, margin) & (
-                self._kappa.singular_distance(first) > margin
-            )
+            ok[ok] = self._phi._smooth_wrapped(U, shear_wrap(U, self.c), margin)
         return ok
 
     def _raw_samples(self, rng, count):
@@ -681,14 +684,15 @@ def build_psi(config: EmbeddingConfig, a: float) -> PsiMap:
 # Verification helpers
 
 
+def jacobian_defect(J):
+    """Max-norm of JᵀΩJ − Ω at each point, J of shape (..., 2n, 2n)."""
+    Om = symplectic_matrix(J.shape[-1] // 2)
+    return np.abs(np.swapaxes(J, -1, -2) @ Om @ J - Om).max(axis=(-1, -2))
+
+
 def symplectic_defect(pm: PhaseMap, X):
-    """Max-norm of J^T Omega J - Omega at each point."""
-    X = np.asarray(X, dtype=float)
-    n = pm.dim // 2
-    Om = symplectic_matrix(n)
-    J = pm.jacobian(X)
-    D = np.swapaxes(J, -1, -2) @ Om @ J - Om
-    return np.abs(D).max(axis=(-1, -2))
+    """`jacobian_defect` of pm's analytic Jacobian at the points X."""
+    return jacobian_defect(pm.jacobian(np.asarray(X, dtype=float)))
 
 
 def finite_difference_jacobian(forward, X, step: float = FD_STEP):

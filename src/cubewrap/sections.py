@@ -122,20 +122,6 @@ class SectionDescription:
     analytic_area: float = 0.0
 
 
-def _inside_generic(zs, config: EmbeddingConfig):
-    """Masks over the rows z of `zs` (shape (m, 2n-2)): inside, z in
-    (0,1) x (0,c) x (0,1)^{2n-4}; generic, inside and off the rectangle
-    puncture z0."""
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != 2 * config.n - 2:
-        raise ValueError(f"z must have {2 * config.n - 2} coordinates")
-    z1, z2, tail = zs[:, 0], zs[:, 1], zs[:, 2:]
-    inside = (0 < z1) & (z1 < 1) & (0 < z2) & (z2 < config.c)
-    inside &= np.all((tail > 0) & (tail < 1), axis=1)
-    generic = inside & ~((z1 == config.z0[0]) & (z2 == config.z0[1]))
-    return inside, generic
-
-
 def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
     """Describe the section at z in R^{2n-2}.
 
@@ -144,13 +130,15 @@ def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
     with (Q2, P2) = λ′⁻¹(z1, z2), the slit sits at angle -c·Q2 mod 1 and
     W is `preimage_affine_mod(P2 mod c, c)`.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=float))[None]
-    inside, generic = _inside_generic(zs, config)
-    z = tuple(zs[0].tolist())
-    if not generic[0]:
-        return SectionDescription(z=z, status="puncture" if inside[0] else "empty")
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if zs.shape != (2 * config.n - 2,):
+        raise ValueError(f"z must have {2 * config.n - 2} coordinates")
+    z = tuple(zs.tolist())
+    inside = 0 < z[0] < 1 and 0 < z[1] < config.c and all(0 < t < 1 for t in z[2:])
+    if not inside or z[:2] == config.z0:
+        return SectionDescription(z=z, status="puncture" if inside else "empty")
     c = config.c
-    Q2, P2 = make_lambda_prime(c).inverse(zs[:, :2])[0].tolist()
+    Q2, P2 = make_lambda_prime(c).inverse(zs[:2]).tolist()
     if not 0 < Q2 < 1:
         raise ValueError(
             f"z = {z} lies within rounding of the puncture z0 = {config.z0} or of "
@@ -264,9 +252,11 @@ def pad_z(z, config: EmbeddingConfig):
 def z_grid(config: EmbeddingConfig, shape=(50, 100)):
     """Cell-center grid over (0,1) x (0,c), in z1-major order, as z of
     2n-2 coordinates (`pad_z`); cells within Z0_EXCLUSION of the
-    rectangle puncture are reported separately.  A grid with no cell
-    left outside that radius is an error."""
+    rectangle puncture are reported separately.  A size below 1, or a
+    grid with no cell left outside that radius, is an error."""
     w, h = shape
+    if w < 1 or h < 1:
+        raise ValueError(f"grid sizes must be positive, got {w}x{h}")
     c = config.c
     z1 = (np.arange(w) + 0.5) / w
     z2 = (np.arange(h) + 0.5) / h * c
@@ -292,18 +282,16 @@ def fubini_check(
     """Check that section areas integrate to the cube volume 1 and that
     the maximal area attains the sharp bound 1/c.
 
-    Every generic section has area 1/c (see `section_of_phi`), so the
-    areas of the whole grid come from one inside/generic mask."""
+    Every generic section has area 1/c (see `section_of_phi`).  The
+    integral is the mean over the generic cells only: the cells near the
+    puncture, a region of measure zero in the grid limit, are counted in
+    `special_cells` and left out."""
     if mc_spots < 0:
         raise ValueError(f"mc_spots must be non-negative, got {mc_spots}")
     generic_z, special_z = z_grid(config, grid)
     c = config.c
-    # Cells at or near the puncture contribute area 0 over a measure-zero
-    # (in the grid limit) region; include them at their analytic value.
-    _, generic = _inside_generic(np.concatenate([generic_z, special_z]), config)
-    all_areas = np.where(generic, 1.0 / c, 0.0)
-    areas = all_areas[: len(generic_z)]
-    integral = float(all_areas.mean() * c)
+    areas = np.full(len(generic_z), 1.0 / c)
+    integral = float(areas.mean() * c)
     spots = []
     mc_integral = None
     if mc_spots > 0:
@@ -321,7 +309,7 @@ def fubini_check(
         seed=seed,
         generic_cells=len(generic_z),
         special_cells=len(special_z),
-        max_area=float(all_areas.max()),
+        max_area=float(areas.max()),
         min_generic_area=float(areas.min()),
         analytic_integral=integral,
         mc_spots=tuple(spots),

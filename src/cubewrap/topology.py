@@ -314,7 +314,8 @@ def check_complement_connected(z, config: EmbeddingConfig, N: int):
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
     sd = resolve_section(z, config)
     r = rasterize_section(sd, config, N)
-    if sd.status == "generic" and not r.occupancy.any():
+    occupied = np.count_nonzero(r.occupancy)
+    if sd.status == "generic" and not occupied:
         raise ValueError(
             f"the section at z = {sd.z} (c = {config.c}) is thinner than a cell "
             f"of the N = {N} raster; raise --N"
@@ -325,7 +326,7 @@ def check_complement_connected(z, config: EmbeddingConfig, N: int):
         N=N,
         components=components,
         connected=components == 1,
-        occupied_fraction=float(r.occupancy.mean()),
+        occupied_fraction=float(occupied / r.occupancy.size),
     )
     return report.connected, report
 
@@ -394,29 +395,28 @@ def check_hull_bound(
     entries = []
     worst_tol = 0.0
     worst, worst_excess = (), -math.inf
-    all_ok = True
     hull_eq = True
     for z in zs:
         r = rasterize_psi_section(z, cfg, a, N, cells=cells)
         hull = bounded_hull(r)
         tol = 4.0 * r.perimeter_estimate() / N
         worst_tol = max(worst_tol, tol)
-        area = hull.area()
+        area, section_area = hull.area(), r.area()
         zi, zj = float(z[0]), float(z[1])
-        entries.append((zi, zj, area, r.area()))
+        entries.append((zi, zj, area, section_area))
         if area - (a + tol) > worst_excess:
             worst, worst_excess = (zi, zj, area), area - (a + tol)
-        if area > a + tol:
-            all_ok = False
-        if not np.array_equal(hull.occupancy, r.occupancy):
-            hull_eq = False
+        # bounded_hull only adds cells, and both areas are a cell count
+        # times one cell area, so equal areas mean equal cell sets.
+        hull_eq &= area == section_area
     return HullReport(
         a=a,
         N=N,
         grid=tuple(grid),
         max_hull_area=float(max(e[2] for e in entries)),
         tolerance=float(worst_tol),
-        all_within_bound=all_ok,
+        # x − y > 0 iff x > y in floating point (gradual underflow).
+        all_within_bound=bool(worst_excess <= 0.0),
         hull_equals_section=hull_eq,
         entries=tuple(entries),
         worst=worst,

@@ -163,7 +163,7 @@ def test_criterion_06_injectivity(capsys):
     phi = build_phi(EmbeddingConfig(n=2, c=2.0))
     # the criterion's witness: the check's image and preimage distances
     assert (IMAGE_TOL, PREIMAGE_MIN) == (1e-7, 1e-3)
-    collisions, worst = _injectivity_check(phi, 1_000_000, seed=3)
+    collisions, worst, _, _ = _injectivity_check(phi, 1_000_000, seed=3)
     report(
         capsys, 6,
         "no image pair within 1e-7 among 10^6 samples with preimages >= 1e-3 apart",

@@ -68,18 +68,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sections", "--grid", "0x5"],
+            ["sections", "--c", "3", "--grid", "1x1"],
             ["sections", "--grid", "1x1"],
             ["topology", "--hull", "--grid", "1x1"],
             ["topology", "--grid", "1x1"],
-            ["topology", "--grid", "0x1"],
+            ["topology", "--hull", "--a", "0.25", "--grid", "1x1"],
         ],
     )
     def test_usage_error_grid_without_generic_cell(self, capsys, argv):
-        # at 1x1 the only cell centre is the puncture z0
+        # at 1x1 the only cell centre is the puncture z0, at any c
         code = main(argv)
         assert code == EXIT_USAGE
         assert f"z grid {argv[-1]} has no generic cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0x5", "-1x5", "5x0"])
+    @pytest.mark.parametrize(
+        "argv", [["sections"], ["topology"], ["topology", "--hull"]], ids="".join
+    )
+    def test_usage_error_grid_not_positive(self, capsys, argv, grid):
+        code = main(argv + [f"--grid={grid}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"grid sizes must be positive, got {grid}" in captured.err
 
     def test_usage_error_negative_mc_spots(self, capsys):
         code = main(["sections", "--grid", "5x10", "--mc-spots", "-3", "--samples", "20000"])
@@ -217,35 +227,52 @@ class TestVerify:
         for name in ("phi_symplectic_fd", "phi_image_volume_mc"):
             assert "worst_point" not in failing[name]
 
+    def test_cube_sample_is_mapped_once(self, capsys, monkeypatch):
+        # Containment, injectivity and the trailing identity share one
+        # sample; the only other φ calls are the FD check's ± shifts of
+        # its 1000 points along each of the 2n = 6 axes.
+        from cubewrap.maps import PhiMap
+
+        real, rows = PhiMap.forward, []
+
+        def counted(self, X):
+            if type(self) is PhiMap:
+                rows.append(len(X))
+            return real(self, X)
+
+        monkeypatch.setattr(PhiMap, "forward", counted)
+        code, _ = run_main(["verify", "--n", "3", "--samples", "20000"], capsys)
+        assert code == EXIT_OK
+        assert sorted(rows) == [1000] * 6 * 2 + [20000]
+
     @staticmethod
     def _plant_collisions(monkeypatch):
-        """Make the injectivity sample's images 1 and 2 land 4e-8 and
-        9e-8 from image 0; returns the drawing function's call log."""
-        import cubewrap.cli as climod
+        """Make images 1 and 2 of verify's cube sample land 4e-8 and 9e-8
+        from image 0; returns the log of the cube samples mapped."""
+        from cubewrap.maps import PhiMap
 
-        real, drawn = climod._injectivity_sample, []
+        real, drawn = PhiMap.forward, []
 
-        def planted(phi, samples, seed):
-            drawn.append(seed)
-            X, Y = real(phi, samples, seed)
-            Y[1:3] = Y[0]
-            Y[1:3, 0] += [4e-8, 9e-8]
-            return X, Y
+        def planted(self, X):
+            Y = real(self, X)
+            if type(self) is PhiMap and len(X) == 20000:
+                drawn.append(X.copy())
+                Y[1:3] = Y[0]
+                Y[1:3, 0] += [4e-8, 9e-8]
+            return Y
 
-        monkeypatch.setattr(climod, "_injectivity_sample", planted)
+        monkeypatch.setattr(PhiMap, "forward", planted)
         return drawn
 
     def test_collision_names_worst_pair(self, capsys, monkeypatch):
-        import cubewrap.cli as climod
-
-        real = climod._injectivity_sample
         drawn = self._plant_collisions(monkeypatch)
         code, out = run_main(FAST_VERIFY, capsys)
-        assert drawn == [4]
+        # The one cube sample is drawn at seed + 4.
+        (X,) = drawn
+        assert np.array_equal(X, np.random.default_rng(4).uniform(0.0, 1.0, size=(20000, 4)))
         assert code == EXIT_CHECK_FAILED
         (inj,) = [c for c in json.loads(out)["checks"] if c["name"] == "phi_injectivity_collisions"]
         assert not inj["passed"] and inj["value"] == 3
-        X, _ = real(climod.build_phi(climod.EmbeddingConfig(n=2, c=2.0)), 20000, 4)
         worst = inj["worst_pair"]
         assert worst["preimages"] == [X[0].tolist(), X[1].tolist()]
         assert worst["image_distance"] == pytest.approx(4e-8, rel=1e-6)
@@ -342,6 +369,19 @@ class TestImageCollisions:
 
 
 class TestSections:
+    @pytest.mark.parametrize("grid", ["3x3", "5x5", "51x101"])
+    @pytest.mark.parametrize("c", ["1", "2", repr(math.pi)])
+    def test_odd_grid_passes_the_analytic_fubini_gate(self, capsys, c, grid):
+        # The centre cell of an odd grid is the puncture z0: it counts in
+        # special_cells and stays out of the integral.
+        code, out = run_main(["sections", "--c", c, "--grid", grid, "--mc-spots", "0"], capsys)
+        doc = json.loads(out)
+        assert code == EXIT_OK, [e for e in doc["checks"] if not e["passed"]]
+        assert abs(doc["fubini"]["analytic_integral"] - 1.0) < 1e-12
+        w, h = map(int, grid.split("x"))
+        assert doc["fubini"]["special_cells"] == 1
+        assert doc["fubini"]["generic_cells"] == w * h - 1
+
     def test_sharpness_and_csv(self, capsys, tmp_path):
         code, out = run_main(FAST_SECTIONS + ["--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
@@ -497,6 +537,18 @@ class TestTopology:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert "--a sets the bound of --hull and needs it" in captured.err
+
+    def test_usage_error_c_with_hull_a(self, capsys):
+        # ψ's c is 1/a, so a --c beside --hull --a contradicts it.
+        code = main(["topology", "--hull", "--a", "0.5", "--c", "3", "--grid", "1x2", "--N", "256"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "--hull --a sets c = 1/a; --c contradicts it" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--a", "0.5"], []], ids=["a", "no_a"])
+    def test_hull_without_c_echoes_default_c(self, capsys, argv):
+        code, out = run_main(["topology", "--hull", "--grid", "1x2", "--N", "256"] + argv, capsys)
+        assert code == EXIT_OK and json.loads(out)["spec"]["c"] == 2.0
 
     @pytest.mark.parametrize(
         "fixture, N", [("disk", "-3"), ("annulus", "0"), ("annulus_with_slit", "63")]

@@ -25,6 +25,7 @@ from cubewrap.maps import (
     symplectic_matrix,
     unshear_wrap,
 )
+from cubewrap.quotient import circle_distance
 from composed_maps import (
     ComposedPsi,
     SectorKappa,
@@ -450,6 +451,49 @@ class TestPsi:
         assert np.abs(psi.forward(X) - ref.forward(X)).max() < 1e-14
         J, Jref = psi.jacobian(X), ref.jacobian(X)
         assert np.abs((J - Jref) / np.maximum(np.abs(Jref), 1)).max() < 1e-12
+
+
+class TestPsiSmoothMask:
+    """ψ's first output pair is χ, smooth off the centre, so its mask
+    rejects κ's diagonals and λ′'s, but not λ's."""
+
+    PSI = build_psi(EmbeddingConfig(n=2, c=2.0), 0.5)
+
+    def _lambda_diagonal_distance(self, X):
+        W = shear_wrap(self.PSI._to_cube(X), self.PSI.c)
+        angles = np.array([0.125, 0.375, 0.625, 0.875])
+        return circle_distance(W[:, 0:1], angles).min(axis=-1)
+
+    def test_admits_points_beside_lambda_diagonals(self):
+        psi = self.PSI
+        X = psi._raw_samples(np.random.default_rng(34), 200_000)
+        d1 = self._lambda_diagonal_distance(X)
+        ok = psi.smooth_mask(X, SMOOTH_MARGIN)
+        # Within the margin itself, where a mask borrowing λ's kinks
+        # rejects everything, the other tests reject only a few points.
+        on = d1 <= SMOOTH_MARGIN
+        assert on.sum() > 100 and ok[on].mean() > 0.95
+        near = X[ok & (d1 < 1e-3)]
+        assert len(near) > 1000
+        J = psi.jacobian(near)
+        Jfd = finite_difference_jacobian(psi.forward, near, 1e-6)
+        assert np.abs(J - Jfd).max() < 1e-6
+        assert symplectic_defect(psi, near).max() < 1e-12
+
+    def test_rejects_kappa_input_diagonal(self):
+        r = 0.3
+        for angle, admitted in [(math.pi / 4, False), (math.pi / 4 + 0.01, True)]:
+            X = np.array([[r * math.cos(angle), r * math.sin(angle), 0.05, -0.1]])
+            assert self.PSI.smooth_mask(X, SMOOTH_MARGIN)[0] == admitted
+
+    def test_rejects_lambda_prime_diagonal(self):
+        # U = κ(X) with c·P1 + Q2 = 0.75, so λ′ reads the angle
+        # −0.75/c mod 1 = 0.625, a diagonal; Q2 = 0.17 moves it off.
+        kappa = KappaMap()
+        for q2, admitted in [(0.15, False), (0.17, True)]:
+            U = np.array([[0.5, 0.3], [0.5, q2]])
+            X = kappa.inverse(U).reshape(1, 4)
+            assert self.PSI.smooth_mask(X, SMOOTH_MARGIN)[0] == admitted
 
 
 class _LinearPhaseMap(PhaseMap):

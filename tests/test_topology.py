@@ -404,6 +404,8 @@ class TestConnectivity:
         ok, report = check_complement_connected([0.3, 0.7], CFG2, 256)
         assert ok
         assert report.N == 256 and report.connected and 0 < report.occupied_fraction < 1
+        occupancy = rasterize_section([0.3, 0.7], CFG2, 256).occupancy
+        assert report.occupied_fraction == float(occupancy.mean())
 
     @pytest.mark.parametrize("c", [600.0, 1e4])
     def test_section_thinner_than_a_cell_is_an_error(self, c):
@@ -444,6 +446,18 @@ class TestPsiSections:
         assert report.max_hull_area <= 0.5 + report.tolerance
         # the 3x3 grid center lands on the puncture and is skipped
         assert len(report.entries) == 8
+
+    def test_hull_with_an_added_cell_differs_from_section(self, monkeypatch):
+        real = topology.bounded_hull
+
+        def grown(r):
+            hull = real(r)
+            free = np.argwhere(~hull.occupancy[1:-1, 1:-1])[0] + 1
+            hull.occupancy[tuple(free)] = True
+            return hull
+
+        monkeypatch.setattr(topology, "bounded_hull", grown)
+        assert not check_hull_bound(0.5, CFG2, grid=(1, 2), N=256).hull_equals_section
 
     def test_invalid_a(self):
         with pytest.raises(ValueError):
