@@ -11,20 +11,14 @@ Run:  python3 demos/ball_hull.py
 """
 import numpy as np
 
-from cubewrap import (
-    SYMPLECTIC_TOL,
-    EmbeddingConfig,
-    build_psi,
-    check_hull_bound,
-    check_symplectic,
-)
+from cubewrap import EmbeddingConfig, build_psi, check_hull_bound, check_symplectic
 from cubewrap.topology import bounded_hull, rasterize_psi_section
 
 config = EmbeddingConfig(n=2, c=2.0)
 a = 0.5
 
 psi = build_psi(config, a=a)
-rep = check_symplectic(psi, samples=2000, tol=SYMPLECTIC_TOL, seed=0)
+rep = check_symplectic(psi, samples=2000, seed=0)
 print(f"ball embedding, a = {a} (c = {1 / a})")
 print(f"  max symplectic defect: {rep.max_deviation:.2e}")
 

@@ -26,7 +26,6 @@ from .sections import (
     SectionDescription,
     fubini_check,
     section_area_mc,
-    section_membership,
     section_of_phi,
 )
 from .topology import (
@@ -58,7 +57,6 @@ __all__ = [
     "SectionDescription",
     "fubini_check",
     "section_area_mc",
-    "section_membership",
     "section_of_phi",
     "Raster",
     "bounded_hull",

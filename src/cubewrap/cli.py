@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -195,7 +196,7 @@ def _symplectic_check(name, rep):
     """The check entry of a SymplecticReport; a failing one names the
     sampled point of largest defect."""
     extra = {} if rep.passed else {"worst_point": list(rep.worst_point)}
-    return _check(name, rep.passed, rep.max_deviation, rep.tol, **extra)
+    return _check(name, rep.passed, rep.max_deviation, SYMPLECTIC_TOL, **extra)
 
 
 def cmd_verify(args) -> int:
@@ -207,13 +208,13 @@ def cmd_verify(args) -> int:
     spec = _spec_echo(args)
 
     with _Phase("symplecticity"):
-        rep = check_symplectic(phi, samples=10_000, tol=SYMPLECTIC_TOL, seed=args.seed)
+        rep = check_symplectic(phi, samples=10_000, seed=args.seed)
         checks.append(_symplectic_check("phi_symplectic_analytic", rep))
         Xs = phi.sample_domain(np.random.default_rng(args.seed + 1), 1000, margin=SMOOTH_MARGIN)
         dev_fd = float(jacobian_defect(finite_difference_jacobian(phi.forward, Xs)).max())
         checks.append(_check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4))
         psi = build_psi(config, a=1.0 / args.c)
-        rep_psi = check_symplectic(psi, samples=10_000, tol=SYMPLECTIC_TOL, seed=args.seed)
+        rep_psi = check_symplectic(psi, samples=10_000, seed=args.seed)
         checks.append(_symplectic_check("psi_symplectic_analytic", rep_psi))
 
     # One uniform cube sample X, with Y = phi(X), serves containment,
@@ -567,7 +568,11 @@ def _z_arg(s):
 
 
 def _count_arg(s):
-    return int(float(s))
+    """A count such as 1e5; a non-finite one is a usage error (exit 2)."""
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"count must be finite, got {s}")
+    return int(x)
 
 
 @functools.cache

@@ -78,7 +78,6 @@ __all__ = [
     "SectionDescription",
     "section_of_phi",
     "resolve_section",
-    "section_membership",
     "section_membership_many",
     "section_area_mc",
     "fubini_check",
@@ -202,11 +201,6 @@ def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
             cyl = square_to_cylinder(block[idx])
             member[idx] = _in_ribbon(cyl[:, 0], cyl[:, 1], sd)
     return out
-
-
-def section_membership(y, sd_or_z, config: EmbeddingConfig) -> bool:
-    """Is the square point y in the section at z?"""
-    return bool(section_membership_many(np.asarray(y, dtype=float), sd_or_z, config))
 
 
 def section_area_mc(z, samples: int, seed: int, config: EmbeddingConfig):

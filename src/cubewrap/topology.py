@@ -236,8 +236,9 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     The height of a cell centre (u, v) + ½ is p = 1 − 4r², r the
     coordinate of larger magnitude (`maps.square_to_cylinder`), which is
     min(h(u), h(v)) with h(u) = 1 − 4u² bit for bit, since x ↦ 1 − 4x is
-    monotone in floating point: one 1-D axis of heights gives all N².
-    The odd-N centre cell, the puncture, has height 1 ∉ W.
+    monotone in floating point: one 1-D axis of heights gives all N², and
+    W is decided once per axis height.  The odd-N centre cell, the
+    puncture, has height 1 ∉ W.
 
     Dropping the angle test frees no fewer cells.  By the slit-ray bound
     (`sections` module docstring), q̄ moves at least 1/8 as fast as the
@@ -255,7 +256,8 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
         return r
     u = r.cell_offsets() - 0.5
     h = 1.0 - 4.0 * (u * u)
-    occ = sd.W.contains_many(np.minimum.outer(h, h))
+    w = sd.W.contains_many(h)
+    occ = np.where(h[:, None] <= h, w[:, None], w)
     _free_segment(occ, (0.5, 0.5), make_lambda().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
     return Raster(n=N, occupancy=occ)
 

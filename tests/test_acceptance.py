@@ -142,7 +142,7 @@ def test_criterion_05_symplecticity(capsys):
         build_psi(EmbeddingConfig(n=2, c=2.0), a=0.5),
     ]
     for pm in cases:
-        rep = check_symplectic(pm, samples=10_000, tol=1e-8, seed=0)
+        rep = check_symplectic(pm, samples=10_000, seed=0)
         worst_analytic = max(worst_analytic, rep.max_deviation)
         ok &= rep.passed
         rng = np.random.default_rng(1)

@@ -65,6 +65,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--samples must be at least 10000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize("command", ["verify", "sections"])
+    def test_usage_error_non_finite_samples(self, cli_env, command, samples):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubewrap.cli", command, "--samples", samples],
+            capture_output=True,
+            env=cli_env,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert b"Traceback" not in proc.stderr
+        assert b"argument --samples" in proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -202,11 +214,13 @@ class TestVerify:
 
     def test_failing_symplectic_check_names_worst_point(self, capsys, monkeypatch):
         import cubewrap.cli as climod
-        from cubewrap.maps import symplectic_defect
+        import cubewrap.maps as mapsmod
 
         _, out = run_main(FAST_VERIFY, capsys)
         passing = {c["name"]: c for c in json.loads(out)["checks"]}
-        # A tolerance of 0 fails both analytic checks: no sampled defect is exactly 0.
+        # A tolerance of 0 fails both analytic checks: no sampled defect is
+        # exactly 0.  check_symplectic gates at it, and the report echoes it.
+        monkeypatch.setattr(mapsmod, "SYMPLECTIC_TOL", 0.0)
         monkeypatch.setattr(climod, "SYMPLECTIC_TOL", 0.0)
         code, out = run_main(FAST_VERIFY, capsys)
         assert code == EXIT_CHECK_FAILED
@@ -221,7 +235,7 @@ class TestVerify:
             assert not entry["passed"] and entry["tolerance"] == 0.0
             assert "worst_point" not in passing[name]
             assert len(entry["worst_point"]) == 4
-            defect = symplectic_defect(pm, np.array([entry["worst_point"]]))[0]
+            defect = mapsmod.jacobian_defect(pm.jacobian(np.array([entry["worst_point"]])))[0]
             assert entry["value"] == passing[name]["value"]
             assert defect == pytest.approx(entry["value"], rel=1e-9, abs=0)
         for name in ("phi_symplectic_fd", "phi_image_volume_mc"):

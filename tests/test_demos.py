@@ -1,12 +1,15 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Smoke test: every narrative script in demos/ and README's quickstart
+run to completion."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -29,3 +32,10 @@ def test_demo_exits_zero(script, cli_env, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
     assert proc.stdout
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

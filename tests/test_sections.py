@@ -20,7 +20,6 @@ from cubewrap.sections import (
     fubini_check,
     psi_section_membership_many,
     section_area_mc,
-    section_membership,
     section_membership_many,
     section_of_phi,
 )
@@ -45,10 +44,11 @@ class TestVSet:
         assert sd.slit_angle == reduce(-sd.Q2, 1.0)
         # at c = 1, W is all of (0, 1) but one point, and the slit stays out
         assert sd.W.total_length == pytest.approx(1.0, abs=1e-15)
-        lam = make_lambda()
-        for t in (0.1, 0.45, 0.8):
-            assert not section_membership(lam.forward(np.array([sd.slit_angle, t])), sd, cfg)
-            assert section_membership(lam.forward(np.array([sd.slit_angle + 0.1, t])), sd, cfg)
+        t = np.array([0.1, 0.45, 0.8])
+        on_slit = make_lambda().forward(np.stack([np.full(3, sd.slit_angle), t], axis=-1))
+        beside = make_lambda().forward(np.stack([np.full(3, sd.slit_angle + 0.1), t], axis=-1))
+        assert not section_membership_many(on_slit, sd, cfg).any()
+        assert section_membership_many(beside, sd, cfg).all()
 
     def test_domain(self):
         # z within rounding of the puncture: λ′⁻¹ returns the height 1
@@ -125,17 +125,16 @@ class TestSectionOfPhi:
 
 class TestMembership:
     def test_puncture_point_excluded(self):
-        assert not section_membership((0.5, 0.5), [0.3, 0.7], CFG2)
+        assert not section_membership_many((0.5, 0.5), [0.3, 0.7], CFG2)
 
     def test_outside_square(self):
-        assert not section_membership([1.5, 0.5], [0.3, 0.7], CFG2)
+        assert not section_membership_many([1.5, 0.5], [0.3, 0.7], CFG2)
 
     def test_slit_excluded(self):
-        lam = make_lambda()
         sd = section_of_phi([0.3, 0.7], CFG2)
-        for t in (0.1, 0.45, 0.8):
-            y = lam.forward(np.array([sd.slit_angle, t]))
-            assert not section_membership(y, sd, CFG2)
+        t = np.array([0.1, 0.45, 0.8])
+        y = make_lambda().forward(np.stack([np.full(3, sd.slit_angle), t], axis=-1))
+        assert not section_membership_many(y, sd, CFG2).any()
 
     def test_forward_consistency(self):
         # phi(x) decomposes into a square point and a z with membership true.
@@ -144,7 +143,7 @@ class TestMembership:
         X = rng.uniform(0, 1, (300, 4))
         Y = phi.forward(X)
         for row in Y:
-            assert section_membership(row[:2], row[2:], CFG2)
+            assert section_membership_many(row[:2], row[2:], CFG2)
 
     @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi])
     def test_mc_area_matches_analytic(self, c):

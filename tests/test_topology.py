@@ -587,6 +587,21 @@ class TestSharedGeometry:
                 assert ref.any()
                 assert np.array_equal(got.occupancy, ref), (N, z)
 
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi, 600.0])
+    def test_phi_heights_decided_once_per_axis_cell(self, c, monkeypatch):
+        """W tested on the 1-D height axis and spread by the lower of each
+        cell's two heights equals W tested at every cell's height
+        min(h_i, h_j), bit for bit, before the slit corridor."""
+        monkeypatch.setattr(topology, "_free_segment", lambda *args: None)
+        cfg = EmbeddingConfig(n=2, c=c)
+        for N in (64, 255, 256, 1023, 1024):
+            u = Raster(n=N, occupancy=np.zeros((N, N), dtype=bool)).cell_offsets() - 0.5
+            h = 1.0 - 4.0 * (u * u)
+            for z in z_grid(cfg, (7, 9))[0]:
+                sd = section_of_phi(z, cfg)
+                ref = sd.W.contains_many(np.minimum.outer(h, h))
+                assert np.array_equal(rasterize_section(sd, cfg, N).occupancy, ref), (N, z)
+
     @pytest.mark.parametrize(
         "n, a, zs",
         [
