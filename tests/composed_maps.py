@@ -91,25 +91,31 @@ class SectorKappa:
         return np.stack([u + 0.5, v + 0.5], axis=-1)
 
     def inverse(self, pts):
+        # Evaluated in long double and rounded to float64 once, so each
+        # coordinate is within about half an ulp of the map at the float64
+        # offsets u, v: float64 throughout stacks up to ~2 ulps per
+        # coordinate, and |κ⁻¹|² then misses its closed form
+        # (4/π)·max(u², v²) by up to 6 ulps instead of at most 4.
         pts = _as_points(pts)
-        u = pts[..., 0] - 0.5
-        v = pts[..., 1] - 0.5
+        u = (pts[..., 0] - 0.5).astype(np.longdouble)
+        v = (pts[..., 1] - 0.5).astype(np.longdouble)
         au, av = np.abs(u), np.abs(v)
-        kk = 2.0 / math.sqrt(math.pi)
+        pi = 4 * np.arctan(np.longdouble(1))
+        kk = 2 / np.sqrt(pi)
         # Branch |u| >= |v|: signed radius u, angle (pi/4)(v/u).
-        safe_u = np.where(u == 0, 1.0, u)
-        safe_v = np.where(v == 0, 1.0, v)
-        phi1 = (math.pi / 4.0) * (v / safe_u)
-        phi2 = math.pi / 2.0 - (math.pi / 4.0) * (u / safe_v)
+        safe_u = np.where(u == 0, 1, u)
+        safe_v = np.where(v == 0, 1, v)
+        phi1 = (pi / 4) * (v / safe_u)
+        phi2 = pi / 2 - (pi / 4) * (u / safe_v)
         use1 = au >= av
         r_signed = np.where(use1, u, v)
         phi = np.where(use1, phi1, phi2)
         x = kk * r_signed * np.cos(phi)
         y = kk * r_signed * np.sin(phi)
         origin = (au == 0) & (av == 0)
-        x = np.where(origin, 0.0, x)
-        y = np.where(origin, 0.0, y)
-        return np.stack([x, y], axis=-1)
+        x = np.where(origin, 0, x)
+        y = np.where(origin, 0, y)
+        return np.stack([x, y], axis=-1).astype(np.float64)
 
     def _jacobian_square_to_disc(self, square_pts):
         pts = _as_points(square_pts)

@@ -473,6 +473,7 @@ class TestBallNorm:
     @example(u=(0.7, 1.0))
     @example(u=(1.0, 0.5))
     @example(u=(0.45200498135105904, 0.023065627525636016))
+    @example(u=(0.42359116658589613, 0.4498209409490631))
     @settings(max_examples=500, deadline=None)
     def test_closed_form_matches_kappa_inverse(self, u):
         """|κ⁻¹(u)|² = (4/π)·‖u − ½‖∞², the closed form behind the ¼ form
