@@ -207,27 +207,31 @@ def cmd_verify(args) -> int:
     checks = []
     spec = _spec_echo(args)
 
-    with _Phase("symplecticity"):
+    with _Phase("phi smooth samples"):
         rep = check_symplectic(phi, samples=10_000, seed=args.seed)
         checks.append(_symplectic_check("phi_symplectic_analytic", rep))
         Xs = phi.sample_domain(np.random.default_rng(args.seed + 1), 1000, margin=SMOOTH_MARGIN)
         dev_fd = float(jacobian_defect(finite_difference_jacobian(phi.forward, Xs)).max())
         checks.append(_check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4))
+
+    with _Phase("psi smooth sample"):
         psi = build_psi(config, a=1.0 / args.c)
         rep_psi = check_symplectic(psi, samples=10_000, seed=args.seed)
         checks.append(_symplectic_check("psi_symplectic_analytic", rep_psi))
 
-    # One uniform cube sample X, with Y = phi(X), serves containment,
-    # injectivity and (n >= 3) the trailing identity.
-    with _Phase("injectivity"):
+    # Each sample lives only through its phase.  One uniform cube sample X,
+    # with Y = phi(X), serves containment, injectivity and the tail check.
+    with _Phase("phi cube sample"):
         collisions, worst, X, Y = _injectivity_check(phi, args.samples, args.seed + 4)
-
-    with _Phase("containment"):
         ok = phi.in_target_box(Y)
         checks.append(_check("phi_containment", bool(ok.all()), int(ok.sum()), args.samples))
-        Xb = psi.sample_domain(np.random.default_rng(args.seed + 3), args.samples)
-        Yb = psi.forward(Xb)
+        tail_id = bool(np.array_equal(Y[:, 4:], X[:, 4:]))
+        del X, Y, ok
+
+    with _Phase("psi ball sample"):
+        Yb = psi.forward(psi.sample_domain(np.random.default_rng(args.seed + 3), args.samples))
         in_disc = np.hypot(Yb[:, 0], Yb[:, 1]) < DISC_RADIUS
+        del Yb
         checks.append(
             _check("psi_first_factor_in_disc", bool(in_disc.all()), int(in_disc.sum()), args.samples)
         )
@@ -242,7 +246,6 @@ def cmd_verify(args) -> int:
         checks.append(_check("phi_image_volume_mc", abs(vol - 1.0) < 0.02, vol, 0.02))
 
     if args.n >= 3:
-        tail_id = bool(np.array_equal(Y[:, 4:], X[:, 4:]))
         checks.append(_check("trailing_coordinates_identity", tail_id, tail_id))
 
     return _finish(_report(spec, checks), args)

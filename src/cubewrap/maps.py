@@ -85,6 +85,9 @@ SMOOTH_MARGIN = 1e-4
 # Batches of raw samples `sample_domain` draws before it gives up.
 _MAX_TRIES = 200
 
+# Elements per row block of `_by_blocks`: a block's temporaries stay near cache size.
+_BLOCK_ELEMENTS = 65_536
+
 
 class DomainError(ValueError):
     """Raised when a map is evaluated outside its domain."""
@@ -119,6 +122,21 @@ def _as_points(pts, dim=2):
     if pts.shape[-1:] != (dim,):
         raise ValueError(f"expected points of shape (..., {dim})")
     return pts
+
+
+def _by_blocks(f, X, width=None):
+    """f(X) for rowwise f, applied to blocks of max(1, _BLOCK_ELEMENTS //
+    width) rows of X (width defaults to X's row length) and written into
+    one output array.  Inputs that are not 2-D pass through whole."""
+    rows = max(1, _BLOCK_ELEMENTS // (width or X.shape[-1]))
+    if X.ndim != 2 or len(X) <= rows:
+        return f(X)
+    first = f(X[:rows])
+    out = np.empty((len(X),) + first.shape[1:], first.dtype)
+    out[:rows] = first
+    for i in range(rows, len(X), rows):
+        out[i : i + rows] = f(X[i : i + rows])
+    return out
 
 
 class ChiMap:
@@ -432,7 +450,9 @@ class PhaseMap:
         out = np.empty((0, self.dim))
         for _ in range(_MAX_TRIES):
             X = self._raw_samples(rng, count)
-            ok = self.smooth_mask(X, margin) if margin > 0 else self.contains(X)
+            ok = self.smooth_mask(X, margin) if margin > 0 else _by_blocks(self.contains, X)
+            if not len(out) and ok.all():
+                return X
             out = np.concatenate([out, X[ok]])
             if len(out) >= count:
                 return out[:count]
@@ -495,7 +515,9 @@ class PhiMap(PhaseMap):
         return np.all((X > 0.0) & (X < 1.0), axis=-1)
 
     def forward(self, X):
-        X = _as_points(X, self.dim)
+        return _by_blocks(self._forward, _as_points(X, self.dim))
+
+    def _forward(self, X):
         if not np.all(self.contains(X)):
             raise DomainError("input outside the open unit cube")
         W = shear_wrap(X, self.c)
@@ -547,7 +569,9 @@ class PhiMap(PhaseMap):
         """Membership test for the image: inside the target box, with its
         inverse inside the open cube.  The inverse sends the punctures y0
         and z0 to heights P1 = 1 and Q2 = 1, off the open cube."""
-        Y = _as_points(Y, self.dim)
+        return _by_blocks(self._image_contains, _as_points(Y, self.dim))
+
+    def _image_contains(self, Y):
         in_box = self.in_target_box(Y)
         out = np.zeros(Y.shape[:-1], dtype=bool)
         if not np.any(in_box):
@@ -619,7 +643,9 @@ class PsiMap(PhaseMap):
         return U
 
     def forward(self, X):
-        X = _as_points(X, self.dim)
+        return _by_blocks(self._forward, _as_points(X, self.dim))
+
+    def _forward(self, X):
         if not np.all(self.contains(X)):
             raise DomainError("input outside the open ball")
         return self._phi.forward(self._to_cube(X))
@@ -648,8 +674,8 @@ class PsiMap(PhaseMap):
     def _raw_samples(self, rng, count):
         X = rng.normal(size=(count, self.dim))
         X /= np.linalg.norm(X, axis=-1, keepdims=True)
-        radii = DISC_RADIUS * rng.uniform(size=(count, 1)) ** (1.0 / self.dim)
-        return X * radii
+        X *= DISC_RADIUS * rng.uniform(size=(count, 1)) ** (1.0 / self.dim)
+        return X
 
 
 def build_psi(config: EmbeddingConfig, a: float) -> PsiMap:
@@ -690,12 +716,12 @@ class SymplecticReport:
 def check_symplectic(pm: PhaseMap, samples: int, seed: int = 0) -> SymplecticReport:
     """Sample the domain away from singular loci and report the maximal
     symplectic defect of the analytic Jacobian, which passes below
-    SYMPLECTIC_TOL."""
+    SYMPLECTIC_TOL.  The dense 2n x 2n Jacobians are built a block at a time."""
     if samples <= 0:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     X = pm.sample_domain(rng, samples, margin=SMOOTH_MARGIN)
-    dev = jacobian_defect(pm.jacobian(X))
+    dev = _by_blocks(lambda B: jacobian_defect(pm.jacobian(B)), X, width=pm.dim**2)
     worst = int(np.argmax(dev))
     return SymplecticReport(
         samples=samples,

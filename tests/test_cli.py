@@ -303,6 +303,92 @@ class TestVerify:
         assert code == EXIT_CHECK_FAILED and len(sweeps) == 1
 
 
+    def test_phases_time_what_they_name(self, capsys, monkeypatch):
+        """Each stderr phase draws and checks one sample: the calls that
+        draw or map it run inside the phase that names it."""
+        import cubewrap.cli as climod
+        from cubewrap.maps import PhaseMap, PhiMap
+
+        active, log = [], []
+
+        class Phase(climod._Phase):
+            def __enter__(self):
+                active.append(self.name)
+                return super().__enter__()
+
+            def __exit__(self, *exc):
+                active.pop()
+                return super().__exit__(*exc)
+
+        def spy(owner, name, label):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                log.append((active[-1] if active else None, label(*args, **kwargs)))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        monkeypatch.setattr(climod, "_Phase", Phase)
+        spy(PhaseMap, "sample_domain", lambda pm, rng, count, margin=0.0: (type(pm).__name__, count))
+        spy(climod, "_injectivity_check", lambda phi, samples, seed: ("cube", samples))
+        spy(PhiMap, "image_contains", lambda pm, Y: ("volume", len(Y)))
+        code = main(FAST_VERIFY)
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        assert log == [
+            ("phi smooth samples", ("PhiMap", 10_000)),
+            ("phi smooth samples", ("PhiMap", 1000)),
+            ("psi smooth sample", ("PsiMap", 10_000)),
+            ("phi cube sample", ("cube", 20_000)),
+            ("psi ball sample", ("PsiMap", 20_000)),
+            ("image volume", ("volume", 20_000)),
+        ]
+        phases = [line.split("] ")[1].rsplit(":", 1)[0] for line in err.splitlines()]
+        assert phases == list(dict.fromkeys(phase for phase, _ in log))
+
+
+class TestVerifyMemory:
+    """verify's peak follows its cube sample, not the phase maps'
+    temporaries: the maps work in row blocks, and each sample is freed
+    at the end of its phase."""
+
+    @pytest.mark.parametrize("n, samples", [(2, 200_000), (3, 200_000), (8, 10_000)])
+    def test_peak_is_bounded_by_the_cube_sample(self, n, samples, capsys, monkeypatch):
+        import tracemalloc
+
+        import cubewrap.cli as climod
+
+        real, seen = climod._image_collisions, []
+
+        def sweep(X, Y, *args):
+            seen.append((X.nbytes, Y.nbytes, len(Y)))
+            return real(X, Y, *args)
+
+        monkeypatch.setattr(climod, "_image_collisions", sweep)
+        gc.collect()
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            code = main(["verify", "--n", str(n), "--samples", str(samples)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert code == EXIT_OK
+        # The sweep must hold X, Y = φ(X) and its sort order, sort key and
+        # index (one float or index per point) at once.  The bound leaves
+        # room for one more cube sample of temporaries and 4 MiB of fixed
+        # cost (the smooth samples, the parser, the report).
+        ((x_bytes, y_bytes, rows),) = seen
+        live = x_bytes + y_bytes + rows * (2 * np.dtype(np.intp).itemsize + 8)
+        bound = 4 * x_bytes + 4 * 2**20
+        assert live + x_bytes <= 4 * x_bytes
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
+
+
 def _brute_force_collisions(X, Y, image_tol, preimage_min):
     pairs = set()
     for a in range(len(Y) - 1):

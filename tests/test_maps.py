@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cubewrap import maps
 from cubewrap.maps import (
     DISC_RADIUS,
     SMOOTH_MARGIN,
@@ -612,3 +613,91 @@ class TestCheckSymplectic:
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
             check_symplectic(build_phi(EmbeddingConfig(n=2, c=2.0)), 0)
+
+
+class TestBlocks:
+    """The phase maps' row blocks are invisible: every block size gives
+    the same bits, and the domain check still covers every row."""
+
+    B = 7
+
+    @staticmethod
+    def _rows(monkeypatch, rows, width):
+        """Blocks of `rows` rows for inputs of row length `width`."""
+        monkeypatch.setattr(maps, "_BLOCK_ELEMENTS", max(rows, 1) * width)
+
+    def _inputs(self, n, m):
+        cfg = EmbeddingConfig(n=n, c=2.0)
+        phi, psi = build_phi(cfg), build_psi(cfg, 0.5)
+        rng = np.random.default_rng(100 * n + m)
+        X = rng.uniform(0.0, 1.0, (m, 2 * n))
+        # Box points, about half of them in φ's image.
+        Y = rng.uniform(0.0, 1.0, (m, 2 * n))
+        Y[:, 3] *= 2.0
+        return phi, psi, X, Y, psi._raw_samples(rng, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("m", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_phase_maps_equal_at_any_block_size(self, n, m, monkeypatch):
+        phi, psi, X, Y, Xb = self._inputs(n, m)
+        out = []
+        for rows in (self.B, m):
+            self._rows(monkeypatch, rows, 2 * n)
+            out.append((phi.forward(X), phi.image_contains(Y), psi.forward(Xb)))
+        # At B rows, φ's body sees one slice of X per block.
+        real, calls = PhiMap._forward, []
+        monkeypatch.setattr(PhiMap, "_forward", lambda pm, X: calls.append(len(X)) or real(pm, X))
+        self._rows(monkeypatch, self.B, 2 * n)
+        phi.forward(X)
+        assert calls == [len(X[i : i + self.B]) for i in range(0, max(m, 1), self.B)]
+        for blocked, whole in zip(*out):
+            assert blocked.dtype == whole.dtype and np.array_equal(blocked, whole)
+        assert out[0][0].shape == (m, 2 * n) and out[0][1].shape == (m,)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_check_symplectic_equal_at_any_block_size(self, n, samples, monkeypatch):
+        cfg = EmbeddingConfig(n=n, c=2.0)
+        for pm in (build_phi(cfg), build_psi(cfg, 0.5)):
+            reports = []
+            for rows in (self.B, samples):
+                self._rows(monkeypatch, rows, (2 * n) ** 2)
+                reports.append(check_symplectic(pm, samples, seed=samples))
+            blocked, whole = reports
+            assert blocked.max_deviation == whole.max_deviation
+            assert blocked.worst_point == whole.worst_point
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_domain_error_in_the_last_block(self, n, monkeypatch):
+        self._rows(monkeypatch, self.B, 2 * n)
+        phi, psi, X, _, Xb = self._inputs(n, 2 * self.B + 1)
+        X[-1, -1] = 1.0
+        with pytest.raises(DomainError, match="open unit cube"):
+            phi.forward(X)
+        Xb[-1] *= 1.01 * DISC_RADIUS / np.linalg.norm(Xb[-1])
+        with pytest.raises(DomainError, match="open ball"):
+            psi.forward(Xb)
+
+    # At n = 8 a 1-D point has more coordinates than a block has rows.
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_one_and_three_dimensional_inputs(self, n, monkeypatch):
+        self._rows(monkeypatch, self.B, 2 * n)
+        phi, psi, X, Y, Xb = self._inputs(n, 2 * self.B + 2)
+        for f, A in ((phi.forward, X), (phi.image_contains, Y), (psi.forward, Xb)):
+            whole = f(A)
+            assert np.array_equal(f(A[3]), whole[3])
+            stacked = f(A.reshape(2, self.B + 1, 2 * n))
+            assert np.array_equal(stacked, whole.reshape(stacked.shape))
+
+    def test_sample_domain_draws_are_unchanged(self):
+        """A draw the mask accepts whole is returned as drawn; otherwise
+        the accepted rows of successive draws are concatenated."""
+        cfg = EmbeddingConfig(n=3, c=2.0)
+        for pm in (build_phi(cfg), build_psi(cfg, 0.5)):
+            got = pm.sample_domain(np.random.default_rng(8), 1000)
+            assert np.array_equal(got, pm._raw_samples(np.random.default_rng(8), 1000))
+        half = _LinearPhaseMap(np.eye(4))
+        half.contains = lambda X: X[:, 0] > 0.0
+        rng = np.random.default_rng(9)
+        kept = np.concatenate([X[X[:, 0] > 0] for X in (half._raw_samples(rng, 1000) for _ in range(3))])
+        assert np.array_equal(half.sample_domain(np.random.default_rng(9), 1000), kept[:1000])
