@@ -16,9 +16,22 @@ argparse defaults, and nothing else (no environment variable) sets them:
 
 Only verify takes --n: at any n the library's z grids put the trailing
 2n-4 coordinates of z at the cube centre, where no section changes.
-verify maps one uniform cube sample of --samples points through φ, and
-its containment, injectivity and (n >= 3) trailing-identity checks all
-read that one sample.
+--seed is a non-negative integer.
+
+verify draws one sample per map, and each check reads it or a prefix:
+
+  cube sample   --samples uniform points (seed + 4), mapped through φ
+                once: containment, injectivity and (n >= 3) the trailing
+                identity read all of it; φ's analytic symplectic check
+                the smooth points among its first SYMPLECTIC_ROWS, and
+                φ's finite-difference check the first FD_ROWS of those
+  ball sample   --samples points (seed + 3), mapped through ψ once for
+                psi_first_factor_in_disc; ψ's analytic symplectic check
+                reads the smooth points among its first SYMPLECTIC_ROWS
+  image volume  --samples uniform points of the target box (seed + 5)
+
+Each of the three is one phase on stderr, and each sample is freed at
+the end of its phase.
 
 Reports are JSON (schema "1") and byte-identical for identical spec and
 seed; the spec keeps every key of the schema, null ([] for grid, false
@@ -82,6 +95,12 @@ DEFAULT_C = 2.0
 # preimages are at least PREIMAGE_MIN apart count as a collision.
 IMAGE_TOL = 1e-7
 PREIMAGE_MIN = 1e-3
+
+# Leading rows of each map's sample that its analytic symplectic check
+# reads (the smooth ones), and smooth rows of the cube sample that φ's
+# finite-difference check reads.
+SYMPLECTIC_ROWS = 10_000
+FD_ROWS = 1000
 
 # Pixel sizes of the figures, and the arcs per band outline of section.svg.
 _FIGURE_SIZE = 400
@@ -147,10 +166,11 @@ def _image_collisions(X, Y, image_tol, preimage_min):
     once the gap in that coordinate reaches image_tol.  A pair closer
     than image_tol is closer than that in every coordinate, and every
     point sorted between its two members is too, so no close pair is
-    missed, and each pair is tested at exactly one offset.  The cost is
+    missed, and each pair is tested at exactly one offset.  That holds
+    for any order of tied keys, so the sort need not be stable.  The cost is
     O(n log n + P), P the pairs within image_tol in the first coordinate.
     """
-    order = np.argsort(Y[:, 0], kind="stable")
+    order = np.argsort(Y[:, 0])
     key = Y[order, 0]
     i = np.arange(len(key))
     pairs, dists = [np.empty((0, 2), dtype=np.intp)], [np.empty(0)]
@@ -204,40 +224,42 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--samples must be at least {MIN_MC_SAMPLES}, got {args.samples}")
     config = EmbeddingConfig(n=args.n, c=args.c)
     phi = build_phi(config)
-    checks = []
+    psi = build_psi(config, a=1.0 / args.c)
     spec = _spec_echo(args)
 
-    with _Phase("phi smooth samples"):
-        rep = check_symplectic(phi, samples=10_000, seed=args.seed)
-        checks.append(_symplectic_check("phi_symplectic_analytic", rep))
-        Xs = phi.sample_domain(np.random.default_rng(args.seed + 1), 1000, margin=SMOOTH_MARGIN)
-        dev_fd = float(jacobian_defect(finite_difference_jacobian(phi.forward, Xs)).max())
-        checks.append(_check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4))
-
-    with _Phase("psi smooth sample"):
-        psi = build_psi(config, a=1.0 / args.c)
-        rep_psi = check_symplectic(psi, samples=10_000, seed=args.seed)
-        checks.append(_symplectic_check("psi_symplectic_analytic", rep_psi))
-
-    # Each sample lives only through its phase.  One uniform cube sample X,
-    # with Y = phi(X), serves containment, injectivity and the tail check.
+    # One sample per map, each living only through its phase.  The cube
+    # sample X, with Y = phi(X), serves containment, injectivity and the
+    # tail check, and its first rows the symplectic checks.
     with _Phase("phi cube sample"):
         collisions, worst, X, Y = _injectivity_check(phi, args.samples, args.seed + 4)
+        first = X[:SYMPLECTIC_ROWS]
+        phi_analytic = _symplectic_check("phi_symplectic_analytic", check_symplectic(phi, first))
+        Xs = first[phi.smooth_mask(first, SMOOTH_MARGIN)][:FD_ROWS]
+        dev_fd = float(jacobian_defect(finite_difference_jacobian(phi.forward, Xs)).max())
         ok = phi.in_target_box(Y)
-        checks.append(_check("phi_containment", bool(ok.all()), int(ok.sum()), args.samples))
+        contained = _check("phi_containment", bool(ok.all()), int(ok.sum()), args.samples)
         tail_id = bool(np.array_equal(Y[:, 4:], X[:, 4:]))
-        del X, Y, ok
+        del X, Y, ok, first, Xs
 
     with _Phase("psi ball sample"):
-        Yb = psi.forward(psi.sample_domain(np.random.default_rng(args.seed + 3), args.samples))
+        Xb = psi.sample_domain(np.random.default_rng(args.seed + 3), args.samples)
+        psi_analytic = _symplectic_check(
+            "psi_symplectic_analytic", check_symplectic(psi, Xb[:SYMPLECTIC_ROWS])
+        )
+        Yb = psi.forward(Xb)
+        del Xb
         in_disc = np.hypot(Yb[:, 0], Yb[:, 1]) < DISC_RADIUS
         del Yb
-        checks.append(
-            _check("psi_first_factor_in_disc", bool(in_disc.all()), int(in_disc.sum()), args.samples)
-        )
 
     extra = {"worst_pair": worst} if collisions else {}
-    checks.append(_check("phi_injectivity_collisions", collisions == 0, collisions, 0, **extra))
+    checks = [
+        phi_analytic,
+        _check("phi_symplectic_fd", dev_fd < 1e-4, dev_fd, 1e-4),
+        psi_analytic,
+        contained,
+        _check("psi_first_factor_in_disc", bool(in_disc.all()), int(in_disc.sum()), args.samples),
+        _check("phi_injectivity_collisions", collisions == 0, collisions, 0, **extra),
+    ]
 
     with _Phase("image volume"):
         pts = np.random.default_rng(args.seed + 5).uniform(0.0, 1.0, size=(args.samples, phi.dim))
@@ -570,6 +592,18 @@ def _z_arg(s):
     return tuple(float(v) for v in s.split(","))
 
 
+def _seed_arg(s):
+    """A seed: a non-negative integer; anything else is a usage error
+    (exit 2) that names --seed."""
+    try:
+        seed = int(s)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {s!r}")
+    return seed
+
+
 def _count_arg(s):
     """A count such as 1e5; a non-finite one is a usage error (exit 2)."""
     x = float(s)
@@ -596,17 +630,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("verify", "symplecticity, injectivity, containment")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed_arg, default=0)
     sp.add_argument("--samples", type=_count_arg, default=1_000_000)
 
     sp = subcommand("sections", "section areas, sharpness, Fubini")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed_arg, default=0)
     sp.add_argument("--samples", type=_count_arg, default=1_000_000)
     sp.add_argument("--grid", type=_grid_arg, default=(50, 100))
     sp.add_argument("--mc-spots", type=int, default=20)
 
     sp = subcommand("topology", "complement connectivity, bounded hulls")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed_arg, default=0)
     sp.add_argument("--N", type=int, default=512)
     sp.add_argument("--grid", type=_grid_arg, default=(10, 10))
     mode = sp.add_mutually_exclusive_group()

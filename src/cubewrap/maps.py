@@ -60,6 +60,7 @@ __all__ = [
     "psi_config",
     "symplectic_matrix",
     "jacobian_defect",
+    "block_defect",
     "finite_difference_jacobian",
     "check_symplectic",
     "SymplecticReport",
@@ -139,6 +140,31 @@ def _by_blocks(f, X, width=None):
     return out
 
 
+def _in_box(X, low, high):
+    """low < X[..., k] < high[k] for every column k (high a float or one
+    bound per column): np.all over the last axis, tested column by
+    column with no per-row reduction."""
+    high = np.broadcast_to(high, X.shape[-1:])
+    ok = X[..., 0] > low
+    for k in range(X.shape[-1]):
+        if k:
+            ok &= X[..., k] > low
+        ok &= X[..., k] < high[k]
+    return ok
+
+
+def _sum_of_squares(X):
+    """np.sum(X * X, axis=-1) bit for bit, column by column.  numpy adds
+    fewer than 8 terms in order; from 8 on it sums pairwise, so longer
+    rows take np.sum itself."""
+    if X.shape[-1] >= 8:
+        return np.sum(X * X, axis=-1)
+    s = X[..., 0] * X[..., 0]
+    for k in range(1, X.shape[-1]):
+        s += X[..., k] * X[..., k]
+    return s
+
+
 class ChiMap:
     """Area-preserving map from the cylinder (R/Z) x [0, 1) onto the
     punctured closed disc of unit area.
@@ -206,20 +232,20 @@ def _square_walk(t):
     return _QUARTER_COS[k], _QUARTER_SIN[k], t - 2.0 * k
 
 
-def _on_square(m, t):
+def _on_square(m, walk):
     """½ + m·S(t), the point at t on the square of half-side m centred
-    at (½, ½)."""
-    cos, sin, s = _square_walk(t)
+    at (½, ½), for walk = `_square_walk(t)`."""
+    cos, sin, s = walk
     out = np.empty(m.shape + (2,))
     out[..., 0] = 0.5 + m * (cos - sin * s)
     out[..., 1] = 0.5 + m * (sin + cos * s)
     return out
 
 
-def _walk_jacobian(m, t):
+def _walk_jacobian(m, walk):
     """[8m·S′(t) | −S(t)/(8m)], the derivative of ½ + m·S(t) in (q, p)
-    when t = 8q and m = ½√(1 − p)."""
-    cos, sin, s = _square_walk(t)
+    when t = 8q and m = ½√(1 − p), for walk = `_square_walk(t)`."""
+    cos, sin, s = walk
     J = np.empty(m.shape + (2, 2))
     J[..., 0, 0] = -8.0 * m * sin
     J[..., 1, 0] = 8.0 * m * cos
@@ -230,12 +256,13 @@ def _walk_jacobian(m, t):
 
 
 def _cylinder_walk(qp):
-    """m = ½√(1 − p) and t = 8·(q mod 1) of the cylinder points qp."""
+    """m = ½√(1 − p) and the walk at t = 8·(q mod 1) of the cylinder
+    points qp."""
     qp = _as_points(qp)
     q, p = qp[..., 0], qp[..., 1]
     t = q - np.floor(q)
     t *= 8.0
-    return 0.5 * np.sqrt(1.0 - p), t
+    return 0.5 * np.sqrt(1.0 - p), _square_walk(t)
 
 
 class _Lambda:
@@ -312,11 +339,26 @@ def square_to_cylinder(ys):
     return out
 
 
-def _disc_t(x, y):
-    """t = 8·arg(x, y)/2π of disc points, in [−1, 7): the position on
-    the sector walk of κ's image point."""
+def _disc_walk(x, y):
+    """The walk at t = 8·arg(x, y)/2π ∈ [−1, 7) of disc points: the
+    position on the sector walk of κ's image point."""
     t = np.arctan2(y, x) * (4.0 / math.pi)
-    return t + 8.0 * (t < -1.0)
+    return _square_walk(t + 8.0 * (t < -1.0))
+
+
+def _kappa_jacobian(x, y, walk):
+    """Jκ at (x, y), walk = `_disc_walk(x, y)`: Jλ at χ⁻¹(x) times Jχ⁻¹
+    = [∇q̄; ∇p], the gradients of the angle q̄ = arg x/2π and the height
+    p = 1 − π|x|², read from x: ∇q̄ = (−y, x)/(2π|x|²) and ∇p =
+    −2π·(x, y).  The half-side m is (√π/2)|x|, not ½√(1 − p), which
+    would cancel digits near 0."""
+    r2 = x * x + y * y
+    grad = np.empty(x.shape + (2, 2))
+    grad[..., 0, 0] = -y / (TWO_PI * r2)
+    grad[..., 0, 1] = x / (TWO_PI * r2)
+    grad[..., 1, 0] = -TWO_PI * x
+    grad[..., 1, 1] = -TWO_PI * y
+    return _walk_jacobian(np.sqrt(r2) * _HALF_SQRT_PI, walk) @ grad
 
 
 class KappaMap:
@@ -335,7 +377,7 @@ class KappaMap:
         rho = np.hypot(x, y)
         if np.any(rho > DISC_RADIUS * (1 + 1e-12)):
             raise DomainError("point outside the closed disc")
-        return _on_square(rho * _HALF_SQRT_PI, _disc_t(x, y))
+        return _on_square(rho * _HALF_SQRT_PI, _disc_walk(x, y))
 
     def inverse(self, pts):
         """(2/√π)·|r|·(cos 2πq̄, sin 2πq̄), so (0, 0) at the centre."""
@@ -348,19 +390,9 @@ class KappaMap:
         return out
 
     def jacobian(self, pts):
-        """Jλ at χ⁻¹(x) times Jχ⁻¹ = [∇q̄; ∇p], the gradients of the
-        angle q̄ = arg x/2π and the height p = 1 − π|x|², read from x:
-        ∇q̄ = (−y, x)/(2π|x|²) and ∇p = −2π·(x, y).  The half-side m is
-        (√π/2)|x|, not ½√(1 − p), which would cancel digits near 0."""
         pts = _as_points(pts)
         x, y = pts[..., 0], pts[..., 1]
-        r2 = x * x + y * y
-        grad = np.empty(pts.shape[:-1] + (2, 2))
-        grad[..., 0, 0] = -y / (TWO_PI * r2)
-        grad[..., 0, 1] = x / (TWO_PI * r2)
-        grad[..., 1, 0] = -TWO_PI * x
-        grad[..., 1, 1] = -TWO_PI * y
-        return _walk_jacobian(np.sqrt(r2) * _HALF_SQRT_PI, _disc_t(x, y)) @ grad
+        return _kappa_jacobian(x, y, _disc_walk(x, y))
 
     def singular_distance(self, pts):
         """Distance from the four diagonal rays (sector boundaries) and 0,
@@ -404,8 +436,13 @@ class _LambdaPrime:
         return np.stack([cyl[..., 1], np.mod(-self.c * cyl[..., 0], self.c)], axis=-1)
 
     def jacobian(self, ha):
+        """diag(1, c)·Jλ·[[0, −1/c], [1, 0]], entry by entry."""
         J = _Lambda().jacobian(self._lambda_point(ha))
-        return np.diag([1.0, self.c]) @ J @ np.array([[0.0, -1.0 / self.c], [1.0, 0.0]])
+        J[..., 1, :] *= self.c
+        out = np.empty_like(J)
+        out[..., :, 0] = J[..., :, 1]
+        np.multiply(J[..., :, 0], -1.0 / self.c, out=out[..., :, 1])
+        return out
 
 
 def make_lambda_prime(c: float) -> _LambdaPrime:
@@ -439,6 +476,19 @@ class PhaseMap:
     def jacobian(self, X):
         raise NotImplementedError
 
+    def jacobian_blocks(self, X):
+        """The Jacobian at X as (C, B), J = diag(C, B₁, …): a core C of
+        shape (..., k, k) and 2 × 2 blocks B of shape (..., m, 2, 2).  A
+        map without that structure is all core."""
+        J = self.jacobian(X)
+        return J, np.empty(J.shape[:-2] + (0, 2, 2))
+
+    def smooth_blocks(self, X, margin: float):
+        """(ok, C, B): `smooth_mask(X, margin)` and the Jacobian blocks
+        at the rows it keeps."""
+        ok = self.smooth_mask(X, margin)
+        return (ok, *self.jacobian_blocks(X[ok]))
+
     def contains(self, X):
         raise NotImplementedError
 
@@ -460,6 +510,18 @@ class PhaseMap:
 
     def _raw_samples(self, rng, count):
         raise NotImplementedError
+
+
+def _assemble(C, B):
+    """The dense Jacobian diag(C, B₁, …) of the core C and the 2 × 2
+    blocks B."""
+    k = C.shape[-1]
+    dim = k + 2 * B.shape[-3]
+    J = np.zeros(C.shape[:-2] + (dim, dim))
+    J[..., :k, :k] = C
+    for i in range(k, dim, 2):
+        J[..., i : i + 2, i : i + 2] = B[..., (i - k) // 2, :, :]
+    return J
 
 
 def shear_wrap(X, c: float):
@@ -487,7 +549,16 @@ def unshear_wrap(qbar1, p1, Q2, p2bar, c: float):
 
 # Cylinder angles at which the concentric disc/square map is singular
 # (its diagonal rays sit at angles 45 + 90k degrees).
-_DIAGONAL_ANGLES = np.array([0.125, 0.375, 0.625, 0.875])
+_DIAGONAL_ANGLES = (0.125, 0.375, 0.625, 0.875)
+
+
+def _off_diagonals(q, margin: float):
+    """Cylinder angles q farther than margin from every diagonal angle,
+    tested angle by angle."""
+    ok = circle_distance(q, _DIAGONAL_ANGLES[0]) > margin
+    for angle in _DIAGONAL_ANGLES[1:]:
+        ok &= circle_distance(q, angle) > margin
+    return ok
 
 
 class PhiMap(PhaseMap):
@@ -512,7 +583,7 @@ class PhiMap(PhaseMap):
 
     def contains(self, X):
         X = _as_points(X, self.dim)
-        return np.all((X > 0.0) & (X < 1.0), axis=-1)
+        return _in_box(X, 0.0, 1.0)
 
     def forward(self, X):
         return _by_blocks(self._forward, _as_points(X, self.dim))
@@ -528,34 +599,46 @@ class PhiMap(PhaseMap):
         return out
 
     def jacobian(self, X):
-        """diag(J₁, Jλ′, I)·S, J₁ the Jacobian of the first pair's map and
-        S the shear of `shear_wrap`, column by column: S adds −c times
-        column 0 to column 2 and c times column 3 to column 1."""
+        """The dense 2n × 2n Jacobian, assembled from `jacobian_blocks`."""
+        return _assemble(*self.jacobian_blocks(X))
+
+    def jacobian_blocks(self, X):
+        """The 4 × 4 core of diag(J₁, Jλ′)·S and identity blocks on the
+        trailing pairs, which φ passes through."""
         X = _as_points(X, self.dim)
-        W = shear_wrap(X, self.c)
-        J = np.zeros(X.shape[:-1] + (self.dim, self.dim))
-        J[..., 0:2, 0:2] = self._first.jacobian(W[..., 0:2])
-        J[..., 2:4, 2:4] = self._lamp.jacobian(W[..., 2:4])
-        J[..., 0:2, 2] = -self.c * J[..., 0:2, 0]
-        J[..., 2:4, 1] = self.c * J[..., 2:4, 3]
-        idx = np.arange(4, self.dim)
-        J[..., idx, idx] = 1.0
-        return J
+        return self._blocks(shear_wrap(X, self.c))
+
+    def _blocks(self, W):
+        """The blocks at the cube points whose `shear_wrap` is W: J₁, the
+        Jacobian of the first pair's map, and Jλ′ times the shear S,
+        column by column: S adds −c times column 0 to column 2 and c
+        times column 3 to column 1."""
+        C = np.zeros(W.shape[:-1] + (4, 4))
+        C[..., 0:2, 0:2] = self._first.jacobian(W[..., 0:2])
+        C[..., 2:4, 2:4] = self._lamp.jacobian(W[..., 2:4])
+        C[..., 0:2, 2] = -self.c * C[..., 0:2, 0]
+        C[..., 2:4, 1] = self.c * C[..., 2:4, 3]
+        return C, np.broadcast_to(np.eye(2), W.shape[:-1] + (self.n - 2, 2, 2))
 
     def smooth_mask(self, X, margin: float):
         """Off the cube margin and off the diagonals of λ and λ′."""
         X = _as_points(X, self.dim)
+        return self._smooth(X, shear_wrap(X, self.c), margin)
+
+    def smooth_blocks(self, X, margin: float):
+        X = _as_points(X, self.dim)
         W = shear_wrap(X, self.c)
-        d1 = circle_distance(W[..., 0:1], _DIAGONAL_ANGLES).min(axis=-1)
-        return self._smooth_wrapped(X, W, margin) & (d1 > margin)
+        ok = self._smooth(X, W, margin)
+        return (ok, *self._blocks(W[ok]))
+
+    def _smooth(self, X, W, margin: float):
+        return self._smooth_wrapped(X, W, margin) & _off_diagonals(W[..., 0], margin)
 
     def _smooth_wrapped(self, X, W, margin: float):
         """X, with W = shear_wrap(X), off the cube margin and λ′'s
         diagonals: all of ψ's mask on the cube, as ψ's first pair is χ."""
-        ok = np.all((X > margin) & (X < 1.0 - margin), axis=-1)
-        a2 = np.mod(-W[..., 3], self.c) / self.c
-        d2 = circle_distance(a2[..., None], _DIAGONAL_ANGLES).min(axis=-1)
-        return ok & (d2 > margin)
+        ok = _in_box(X, margin, 1.0 - margin)
+        return ok & _off_diagonals(np.mod(-W[..., 3], self.c) / self.c, margin)
 
     def _raw_samples(self, rng, count):
         return rng.uniform(0.0, 1.0, size=(count, self.dim))
@@ -563,7 +646,7 @@ class PhiMap(PhaseMap):
     def in_target_box(self, Y):
         """Inside the open box (0,1)³ x (0,c) x (0,1)^{2n-4} of the target."""
         Y = _as_points(Y, self.dim)
-        return np.all((Y > 0.0) & (Y < self._box_top), axis=-1)
+        return _in_box(Y, 0.0, self._box_top)
 
     def image_contains(self, Y):
         """Membership test for the image: inside the target box, with its
@@ -577,7 +660,7 @@ class PhiMap(PhaseMap):
         if not np.any(in_box):
             return out
         X = self.inverse(Y[in_box])[..., :4]
-        out[in_box] = np.all((X > 0) & (X < 1), axis=-1)
+        out[in_box] = _in_box(X, 0.0, 1.0)
         return out
 
     def inverse(self, Y):
@@ -634,7 +717,7 @@ class PsiMap(PhaseMap):
 
     def contains(self, X):
         X = _as_points(X, self.dim)
-        return np.sum(X * X, axis=-1) < DISC_RADIUS**2
+        return _sum_of_squares(X) < DISC_RADIUS**2
 
     def _to_cube(self, X):
         U = np.empty_like(X)
@@ -651,29 +734,66 @@ class PsiMap(PhaseMap):
         return self._phi.forward(self._to_cube(X))
 
     def jacobian(self, X):
+        """The dense 2n × 2n Jacobian, assembled from `jacobian_blocks`."""
+        return _assemble(*self.jacobian_blocks(X))
+
+    def jacobian_blocks(self, X):
+        """The core of Jφ′ at U = κ(X) times diag(Jκ₁, Jκ₂), φ′ the cube
+        embedding with χ on its first output pair, and the trailing
+        pairs' Jκ, which φ′ passes through."""
         X = _as_points(X, self.dim)
-        J = self._phi.jacobian(self._to_cube(X))
-        # Times the block diagonal of κ's Jacobians, pair by pair.
+        U, K = self._kappa_pairs(X)
+        return self._blocks(shear_wrap(U, self.c), K)
+
+    def smooth_blocks(self, X, margin: float):
+        """The mask and the blocks from one κ walk per pair of each row
+        off κ's kinks."""
+        X = _as_points(X, self.dim)
+        ok = self._off_kinks(X, margin)
+        U, K = self._kappa_pairs(X[ok])
+        W = shear_wrap(U, self.c)
+        smooth = self._phi._smooth_wrapped(U, W, margin)
+        ok[ok] = smooth
+        return (ok, *self._blocks(W[smooth], K[smooth]))
+
+    def _kappa_pairs(self, X):
+        """U = κ(X) and the Jacobians Jκ of its n pairs, shape (..., n,
+        2, 2), each pair walked once."""
+        U = np.empty_like(X)
+        K = np.empty(X.shape[:-1] + (self.n, 2, 2))
         for i in range(self.n):
-            pair = slice(2 * i, 2 * i + 2)
-            J[..., pair] = J[..., pair] @ self._kappa.jacobian(X[..., pair])
-        return J
+            x, y = X[..., 2 * i], X[..., 2 * i + 1]
+            walk = _disc_walk(x, y)
+            U[..., 2 * i : 2 * i + 2] = _on_square(np.hypot(x, y) * _HALF_SQRT_PI, walk)
+            K[..., i, :, :] = _kappa_jacobian(x, y, walk)
+        return U, K
+
+    def _blocks(self, W, K):
+        """The blocks at the ball points whose κ-images wrap to W =
+        shear_wrap(U) and whose pairs have Jacobians K."""
+        C, _ = self._phi._blocks(W)
+        C[..., :, 0:2] = C[..., :, 0:2] @ K[..., 0, :, :]
+        C[..., :, 2:4] = C[..., :, 2:4] @ K[..., 1, :, :]
+        return C, K[..., 2:, :, :]
 
     def smooth_mask(self, X, margin: float):
         X = _as_points(X, self.dim)
-        norm2 = np.sum(X * X, axis=-1)
-        ok = norm2 < (DISC_RADIUS - margin) ** 2
-        for i in range(self.n):
-            pair = X[..., 2 * i : 2 * i + 2]
-            ok &= self._kappa.singular_distance(pair) > margin
+        ok = self._off_kinks(X, margin)
         if ok.any():
             U = self._to_cube(X[ok])
             ok[ok] = self._phi._smooth_wrapped(U, shear_wrap(U, self.c), margin)
         return ok
 
+    def _off_kinks(self, X, margin: float):
+        """Inside the ball by the margin and off κ's kinks on every pair."""
+        ok = _sum_of_squares(X) < (DISC_RADIUS - margin) ** 2
+        for i in range(self.n):
+            ok &= self._kappa.singular_distance(X[..., 2 * i : 2 * i + 2]) > margin
+        return ok
+
     def _raw_samples(self, rng, count):
         X = rng.normal(size=(count, self.dim))
-        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        X /= np.sqrt(_sum_of_squares(X))[:, None]
         X *= DISC_RADIUS * rng.uniform(size=(count, 1)) ** (1.0 / self.dim)
         return X
 
@@ -688,9 +808,25 @@ def build_psi(config: EmbeddingConfig, a: float) -> PsiMap:
 
 
 def jacobian_defect(J):
-    """Max-norm of JᵀΩJ − Ω at each point, J of shape (..., 2n, 2n)."""
-    Om = symplectic_matrix(J.shape[-1] // 2)
-    return np.abs(np.swapaxes(J, -1, -2) @ Om @ J - Om).max(axis=(-1, -2))
+    """Max-norm of JᵀΩJ − Ω at each point, J of shape (..., 2n, 2n).
+
+    Entry (i, j) of JᵀΩJ is Σₖ (J[2k, i]·J[2k+1, j] − J[2k+1, i]·J[2k, j]),
+    summed over k in order; the entries below the diagonal are the
+    negated ones above it, bit for bit, and the diagonal is 0.  Every
+    step is elementwise, so a point's defect does not depend on the
+    points beside it, and the zero entries of a block-diagonal J add
+    exact zeros: `block_defect` of its blocks gives the same bits."""
+    k = J.shape[-1]
+    dev = np.zeros(J.shape[:-2])
+    for i in range(k):
+        for j in range(i + 1, k):
+            m = J[..., 0, i] * J[..., 1, j] - J[..., 1, i] * J[..., 0, j]
+            for r in range(2, k, 2):
+                m += J[..., r, i] * J[..., r + 1, j] - J[..., r + 1, i] * J[..., r, j]
+            if j == i + 1 and i % 2 == 0:
+                m -= 1.0
+            np.maximum(dev, np.abs(m), out=dev)
+    return dev
 
 
 def finite_difference_jacobian(forward, X, step: float = FD_STEP):
@@ -713,15 +849,37 @@ class SymplecticReport:
     passed: bool
 
 
-def check_symplectic(pm: PhaseMap, samples: int, seed: int = 0) -> SymplecticReport:
-    """Sample the domain away from singular loci and report the maximal
-    symplectic defect of the analytic Jacobian, which passes below
-    SYMPLECTIC_TOL.  The dense 2n x 2n Jacobians are built a block at a time."""
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    X = pm.sample_domain(rng, samples, margin=SMOOTH_MARGIN)
-    dev = _by_blocks(lambda B: jacobian_defect(pm.jacobian(B)), X, width=pm.dim**2)
+def block_defect(C, B):
+    """max|JᵀΩJ − Ω| at each point of J = diag(C, B₁, …), from its
+    blocks: JᵀΩJ − Ω = diag(CᵀΩC − Ω, (det B₁ − 1)·Ω₂, …)
+    (tests/test_certificates.py proves it)."""
+    dev = jacobian_defect(C)
+    for i in range(B.shape[-3]):
+        det = B[..., i, 0, 0] * B[..., i, 1, 1] - B[..., i, 1, 0] * B[..., i, 0, 1]
+        np.maximum(dev, np.abs(det - 1.0), out=dev)
+    return dev
+
+
+def _smooth_defect(pm: PhaseMap, X):
+    """`block_defect` at the rows of X that lie SMOOTH_MARGIN off pm's
+    singular loci, −inf at the others."""
+    ok, C, B = pm.smooth_blocks(X, SMOOTH_MARGIN)
+    dev = np.full(X.shape[:-1], -np.inf)
+    dev[ok] = block_defect(C, B)
+    return dev
+
+
+def check_symplectic(pm: PhaseMap, X) -> SymplecticReport:
+    """The largest symplectic defect of pm's analytic Jacobian over the
+    rows of X that lie SMOOTH_MARGIN off its singular loci (`samples` of
+    them), which passes below SYMPLECTIC_TOL.  The Jacobian blocks are
+    built a row block at a time."""
+    X = _as_points(X, pm.dim).reshape(-1, pm.dim)
+    # A row block holds about 8 floats per coordinate: X, κ(X), the blocks.
+    dev = _by_blocks(lambda rows: _smooth_defect(pm, rows), X, width=8 * pm.dim)
+    samples = int(np.count_nonzero(dev > -np.inf))
+    if not samples:
+        raise ValueError("no point to check off the singular loci")
     worst = int(np.argmax(dev))
     return SymplecticReport(
         samples=samples,

@@ -85,6 +85,21 @@ bound, `sections` module docstring).  With (u, v) = ρ(cos θ, sin θ) and
 Each fails on a planted slope bound of 1/4, on the formula of a
 neighbouring sector, on the norm inequality turned round and on a
 planted τ of 1e-8.
+
+`maps.block_defect` reads the symplectic defect from a 4 × 4 core and
+2 × 2 trailing blocks.  The certificates prove:
+
+* block lemma: J = diag(A, B₁, B₂) has JᵀΩJ − Ω = diag(AᵀΩA − Ω,
+  (det B₁ − 1)·Ω, (det B₂ − 1)·Ω), for generic A and Bᵢ;
+* φ at n = 3, on each sector and wrap branch: J = diag(core, I), and
+  coreᵀΩcore = Ω;
+* ψ at n = 3, for any plane map κ: J = diag(core′·diag(Jκ₁, Jκ₂), Jκ₃),
+  core′ the core of the cube map with χ on its first pair, at κ(x).
+
+Each fails on a planted coupling entry off the blocks and on a planted
+wrong determinant (a wrong det formula in the lemma, a trailing pair
+scaled in φ and ψ); the core fails on a flipped sign of the shear's q2
+term.
 """
 
 import math
@@ -650,3 +665,118 @@ def test_slit_ray_certificate_fails_on_planted_errors(sector):
 def test_slit_ray_norm_and_margin_certificates_fail_when_planted():
     assert not certify_norms(turned=True)["l1_bounds_l2"]
     assert not slit_ray_margin(tau=1e-8)
+
+
+# The block lemma behind `maps.block_defect`.  With Ωₖ the standard
+# symplectic matrix on k pairs, a block-diagonal J = diag(A, B₁, …)
+# has JᵀΩJ − Ω = diag(AᵀΩ₂A − Ω₂, (det B₁ − 1)·Ω₁, …), since BᵀΩ₁B =
+# det(B)·Ω₁ for a 2 × 2 block.  At n = 3, φ's Jacobian is diag(core,
+# I) on every branch of its sectors and wraps, and ψ's is diag(core′·
+# diag(Jκ₁, Jκ₂), Jκ₃), core′ the core of the cube map with χ on its
+# first output pair at U = κ(x).  So the defect is read from a 4 × 4
+# core and the trailing 2 × 2 determinants.
+PAIR_OMEGA = sp.Matrix([[0, 1], [-1, 0]])
+Q3 = sp.symbols("q1 p1 q2 p2 q3 p3", real=True)
+
+
+def omega(pairs):
+    return sp.diag(*[PAIR_OMEGA] * pairs)
+
+
+def symbol_matrix(name, size):
+    return sp.Matrix(size, size, lambda i, j: sp.Symbol(f"{name}{i}{j}", real=True))
+
+
+def certify_block_lemma(coupling=0, det=lambda B: B.det()):
+    """JᵀΩJ − Ω = diag(AᵀΩA − Ω, (det B₁ − 1)·Ω₁, (det B₂ − 1)·Ω₁) for
+    J = diag(A, B₁, B₂), A generic 4 × 4 and Bᵢ generic 2 × 2, with an
+    optional entry `coupling` planted at J[0, 4]."""
+    A, blocks = symbol_matrix("a", 4), [symbol_matrix(f"b{i}_", 2) for i in (1, 2)]
+    J = sp.diag(A, *blocks)
+    J[0, 4] += coupling
+    lhs = J.T * omega(4) * J - omega(4)
+    rhs = sp.diag(A.T * omega(2) * A - omega(2), *[(det(B) - 1) * PAIR_OMEGA for B in blocks])
+    return (lhs - rhs).expand() == sp.zeros(8, 8)
+
+
+def test_block_lemma_proved():
+    assert certify_block_lemma()
+
+
+def test_block_lemma_fails_on_planted_errors():
+    assert not certify_block_lemma(coupling=sp.Symbol("e"))
+    assert not certify_block_lemma(det=lambda B: B[0, 0] * B[1, 1] + B[0, 1] * B[1, 0])
+
+
+def cube_map(sector, first="lambda", coupling=0, tail_scale=1, shear=1):
+    """φ at n = 3 on one branch: the shear with wrap offsets k₁ (mod 1)
+    and k₂·c (mod c), λ (or χ) on the first pair and λ′ on the second
+    on `sector`, the trailing pair passed through.  Planted: `coupling`
+    times q1 added to q3's image, the trailing pair scaled, and the sign
+    of the shear's q2 term."""
+    q1, p1, q2, p2, q3, p3 = Q3
+    k1, k2 = sp.symbols("k1 k2", integer=True)
+    W = (q1 - shear * C_LEN * q2 + k1, p1, q2, C_LEN * p1 + p2 + k2 * C_LEN)
+    if first == "lambda":
+        head = closed_lambda(sector, W[0], W[1])
+    else:
+        head = tuple(chi_symbolic(W[0], W[1]))
+    y = closed_lambda(sector, -W[3] / C_LEN, W[2])
+    tail = (tail_scale * (q3 + coupling * q1), tail_scale * p3)
+    return sp.Matrix([*head, y[0], C_LEN * y[1], *tail])
+
+
+def certify_phi_blocks(sector, **planted):
+    """Which hold for φ at n = 3 (λ and λ′ on `sector`, heights 1 − w):
+    J = diag(core, I); JᵀΩJ − Ω = diag(coreᵀΩcore − Ω, 0), the block
+    lemma's form; and coreᵀΩcore = Ω, so φ is symplectic."""
+    J = cube_map(sector, **planted).jacobian(Q3)
+    core = J[:4, :4]
+    blocks = J - sp.diag(core, sp.eye(2)) == sp.zeros(6, 6)
+    core_defect = core.T * omega(2) * core - omega(2)
+    defect = (J.T * omega(3) * J - omega(3)) - sp.diag(core_defect, sp.zeros(2))
+    on = {Q3[1]: 1 - W1}
+    return {
+        "blocks": blocks,
+        "lemma": _vanishes(list(defect)),
+        "core": _vanishes(list(core_defect.subs(on))),
+    }
+
+
+@pytest.mark.parametrize("sector", QUARTERS)
+def test_phi_jacobian_blocks_proved(sector):
+    assert certify_phi_blocks(sector) == {"blocks": True, "lemma": True, "core": True}
+
+
+def test_phi_block_certificate_fails_on_planted_errors():
+    coupled = certify_phi_blocks("right", coupling=sp.Symbol("e"))
+    assert coupled == {"blocks": False, "lemma": False, "core": True}
+    # det 4 on the trailing pair: still block diagonal, but not symplectic.
+    scaled = certify_phi_blocks("right", tail_scale=2)
+    assert scaled == {"blocks": False, "lemma": False, "core": True}
+    assert not certify_phi_blocks("right", shear=-1)["core"]
+
+
+def certify_psi_blocks(coupling=0, tail_scale=1):
+    """ψ = φ′∘(κ × κ × κ) at n = 3, κ any map of the plane and φ′ the
+    cube map with χ on its first pair: Jψ = diag(core′(U)·diag(Jκ₁,
+    Jκ₂), Jκ₃) with U = κ(x)."""
+    xs = sp.symbols("x1 y1 x2 y2 x3 y3", real=True)
+    kappa = [sp.Function("kappa_u"), sp.Function("kappa_v")]
+    U = [f(xs[2 * i], xs[2 * i + 1]) for i in range(3) for f in kappa]
+    phi = cube_map("right", first="chi", coupling=coupling, tail_scale=tail_scale)
+    at_U = dict(zip(Q3, U))
+    psi = phi.subs(at_U, simultaneous=True)
+    Jk = [sp.Matrix(U[2 * i : 2 * i + 2]).jacobian(xs[2 * i : 2 * i + 2]) for i in range(3)]
+    core = cube_map("right", first="chi").jacobian(Q3)[:4, :4].subs(at_U, simultaneous=True)
+    claim = sp.diag(core * sp.diag(Jk[0], Jk[1]), Jk[2])
+    return (psi.jacobian(xs) - claim).expand() == sp.zeros(6, 6)
+
+
+def test_psi_jacobian_blocks_proved():
+    assert certify_psi_blocks()
+
+
+def test_psi_block_certificate_fails_on_planted_errors():
+    assert not certify_psi_blocks(coupling=sp.Symbol("e"))
+    assert not certify_psi_blocks(tail_scale=1 + sp.Rational(1, 10**6))

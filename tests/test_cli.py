@@ -77,6 +77,17 @@ class TestExitCodes:
         assert b"Traceback" not in proc.stderr
         assert b"argument --samples" in proc.stderr
 
+    @pytest.mark.parametrize("seed", ["-1", "-2", "x"])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["sections"], ["topology"], ["topology", "--hull"]], ids="".join
+    )
+    def test_usage_error_seed_not_a_non_negative_integer(self, capsys, argv, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -241,23 +252,88 @@ class TestVerify:
         for name in ("phi_symplectic_fd", "phi_image_volume_mc"):
             assert "worst_point" not in failing[name]
 
+    def test_scaled_trailing_kappa_block_fails_psi_check(self, capsys, monkeypatch):
+        """ψ's check reads the trailing blocks: Jκ of the third pair scaled
+        by 1 + 1e-6 (determinant off by 2e-6) fails it, and only it."""
+        from cubewrap.maps import PsiMap
+
+        real = PsiMap._kappa_pairs
+
+        def scaled(pm, X):
+            U, K = real(pm, X)
+            K[..., 2, :, :] *= 1 + 1e-6
+            return U, K
+
+        monkeypatch.setattr(PsiMap, "_kappa_pairs", scaled)
+        code, out = run_main(["verify", "--n", "3", "--samples", "20000"], capsys)
+        assert code == EXIT_CHECK_FAILED
+        failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["passed"]}
+        assert list(failed) == ["psi_symplectic_analytic"]
+        assert failed["psi_symplectic_analytic"]["value"] == pytest.approx(2e-6, rel=1e-3)
+
     def test_cube_sample_is_mapped_once(self, capsys, monkeypatch):
         # Containment, injectivity and the trailing identity share one
         # sample; the only other φ calls are the FD check's ± shifts of
-        # its 1000 points along each of the 2n = 6 axes.
-        from cubewrap.maps import PhiMap
+        # the first 1000 smooth points of that sample along each of the
+        # 2n = 6 axes.
+        from cubewrap.maps import SMOOTH_MARGIN, EmbeddingConfig, PhiMap
 
-        real, rows = PhiMap.forward, []
+        real, calls = PhiMap.forward, []
 
         def counted(self, X):
             if type(self) is PhiMap:
-                rows.append(len(X))
+                calls.append(X.copy())
             return real(self, X)
 
         monkeypatch.setattr(PhiMap, "forward", counted)
         code, _ = run_main(["verify", "--n", "3", "--samples", "20000"], capsys)
         assert code == EXIT_OK
-        assert sorted(rows) == [1000] * 6 * 2 + [20000]
+        assert sorted(len(X) for X in calls) == [1000] * 6 * 2 + [20000]
+        X = calls[0][:10_000]
+        smooth = X[PhiMap(EmbeddingConfig(n=3, c=2.0)).smooth_mask(X, SMOOTH_MARGIN)][:1000]
+        plus = calls[1]
+        assert np.array_equal(plus[:, 1:], smooth[:, 1:])
+        assert np.allclose(plus[:, 0], smooth[:, 0] + 1e-6, rtol=0, atol=1e-15)
+
+    def test_one_sample_per_map(self, capsys, monkeypatch):
+        """verify draws through `sample_domain` once, the ψ ball sample
+        at margin 0, and its symplectic checks read the first 10⁴ points
+        of the cube and ball samples."""
+        import cubewrap.cli as climod
+        from cubewrap.maps import PhaseMap
+
+        draws, checked, cube = [], [], []
+        real_draw, real_check, real_inj = (
+            PhaseMap.sample_domain, climod.check_symplectic, climod._injectivity_check,
+        )
+
+        def draw(pm, rng, count, margin=0.0):
+            X = real_draw(pm, rng, count, margin)
+            draws.append((type(pm).__name__, count, margin, X))
+            return X
+
+        def check(pm, X):
+            checked.append((type(pm).__name__, X.copy()))
+            return real_check(pm, X)
+
+        def inj(phi, samples, seed):
+            out = real_inj(phi, samples, seed)
+            cube.append(out[2].copy())
+            return out
+
+        monkeypatch.setattr(PhaseMap, "sample_domain", draw)
+        monkeypatch.setattr(climod, "check_symplectic", check)
+        monkeypatch.setattr(climod, "_injectivity_check", inj)
+        for n in (2, 3):
+            for log in (draws, checked, cube):
+                log.clear()
+            assert main(["verify", "--n", str(n), "--samples", "20000"]) == EXIT_OK
+            ((name, count, margin, Xb),) = draws
+            assert (name, count, margin) == ("PsiMap", 20000, 0.0)
+            assert [name for name, _ in checked] == ["PhiMap", "PsiMap"]
+            assert np.array_equal(checked[0][1], cube[0][:10_000])
+            assert np.array_equal(checked[1][1], Xb[:10_000])
+        capsys.readouterr()
 
     @staticmethod
     def _plant_collisions(monkeypatch):
@@ -332,16 +408,16 @@ class TestVerify:
         monkeypatch.setattr(climod, "_Phase", Phase)
         spy(PhaseMap, "sample_domain", lambda pm, rng, count, margin=0.0: (type(pm).__name__, count))
         spy(climod, "_injectivity_check", lambda phi, samples, seed: ("cube", samples))
+        spy(climod, "check_symplectic", lambda pm, X: ("check", type(pm).__name__, len(X)))
         spy(PhiMap, "image_contains", lambda pm, Y: ("volume", len(Y)))
         code = main(FAST_VERIFY)
         err = capsys.readouterr().err
         assert code == EXIT_OK
         assert log == [
-            ("phi smooth samples", ("PhiMap", 10_000)),
-            ("phi smooth samples", ("PhiMap", 1000)),
-            ("psi smooth sample", ("PsiMap", 10_000)),
             ("phi cube sample", ("cube", 20_000)),
+            ("phi cube sample", ("check", "PhiMap", 10_000)),
             ("psi ball sample", ("PsiMap", 20_000)),
+            ("psi ball sample", ("check", "PsiMap", 10_000)),
             ("image volume", ("volume", 20_000)),
         ]
         phases = [line.split("] ")[1].rsplit(":", 1)[0] for line in err.splitlines()]
@@ -440,6 +516,20 @@ class TestImageCollisions:
         Y[1] += 1e-9
         X = np.array([[0.1] * 4, [0.9] * 4])
         assert self.count(X, Y) == 1
+
+    def test_tied_keys_match_brute_force(self):
+        """Images that share their first coordinate, so the sort may put
+        them in any order: every close pair is still found once."""
+        rng = np.random.default_rng(17)
+        Y = rng.uniform(0.0, 1.0, (400, 4))
+        Y[:, 0] = rng.choice([0.25, 0.5, 0.5 + 5e-8, 0.75], size=400)
+        Y[::7, 1:] = Y[0, 1:] + rng.uniform(-3e-8, 3e-8, (len(Y[::7]), 3))
+        X = rng.uniform(0.0, 1.0, (400, 4))
+        pairs, dists = _image_collisions(X, Y, self.TOL, self.PMIN)
+        got = {tuple(p) for p in pairs.tolist()}
+        expected = _brute_force_collisions(X, Y, self.TOL, self.PMIN)
+        assert len(got) == len(pairs) and got == expected and len(expected) > 50
+        assert np.array_equal(dists, np.linalg.norm(Y[pairs[:, 0]] - Y[pairs[:, 1]], axis=1))
 
     def test_empty_and_single(self):
         assert self.count(np.empty((0, 4)), np.empty((0, 4))) == 0

@@ -13,6 +13,8 @@ from cubewrap.maps import (
     KappaMap,
     PhaseMap,
     PhiMap,
+    PsiMap,
+    block_defect,
     build_phi,
     build_psi,
     check_symplectic,
@@ -44,6 +46,11 @@ def shear(c, n=2):
     S[0, 2] = -c
     S[3, 1] = c
     return S
+
+
+def smooth_sample(pm, count, seed):
+    """`count` points of pm's domain SMOOTH_MARGIN off its singular loci."""
+    return pm.sample_domain(np.random.default_rng(seed), count, margin=SMOOTH_MARGIN)
 
 
 def random_disc_points(n, radius=DISC_RADIUS, rng=RNG):
@@ -379,7 +386,7 @@ class TestPhi:
 
     def test_symplectic(self):
         phi = build_phi(EmbeddingConfig(n=2, c=1.5))
-        rep = check_symplectic(phi, 2000, seed=0)
+        rep = check_symplectic(phi, smooth_sample(phi, 2000, seed=0))
         assert rep.passed and rep.max_deviation < 1e-8
 
     def test_jacobian_vs_finite_differences(self):
@@ -437,7 +444,7 @@ class TestPsi:
 
     def test_symplectic(self):
         psi = build_psi(EmbeddingConfig(n=2, c=2.0), 0.5)
-        rep = check_symplectic(psi, 2000, seed=1)
+        rep = check_symplectic(psi, smooth_sample(psi, 2000, seed=1))
         assert rep.passed
 
     def test_domain_error(self):
@@ -503,6 +510,96 @@ class TestJacobianBlocks:
         X = phi.sample_domain(np.random.default_rng(42), 100, margin=SMOOTH_MARGIN)
         wrong = _block_product(make_lambda(), X, 2.0, shear(-2.0))
         assert np.abs(phi.jacobian(X) - wrong).max() > 1.0
+
+
+class TestColumnMasks:
+    """The box and ball masks test column by column, with the bits of
+    the row reductions they replace."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 7, 8, 10, 16, 48])
+    def test_sum_of_squares_is_np_sum(self, d):
+        X = np.random.default_rng(d).normal(size=(20_000, d))
+        assert np.array_equal(maps._sum_of_squares(X), np.sum(X * X, axis=-1))
+        assert np.array_equal(np.sqrt(maps._sum_of_squares(X)), np.linalg.norm(X, axis=-1))
+
+    @pytest.mark.parametrize("d", [4, 6, 16])
+    def test_in_box_is_np_all(self, d):
+        X = np.random.default_rng(d).uniform(-0.001, 1.001, (20_000, d))
+        X[:5, -1] = [0.0, 1.0, 0.5, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+        top = np.random.default_rng(0).uniform(0.999, 1.001, d)
+        assert np.array_equal(maps._in_box(X, 0.0, 1.0), np.all((X > 0.0) & (X < 1.0), axis=-1))
+        assert np.array_equal(maps._in_box(X, 0.0, top), np.all((X > 0.0) & (X < top), axis=-1))
+        assert np.array_equal(maps._in_box(X[3], 1e-4, 1 - 1e-4), np.all((X[3] > 1e-4) & (X[3] < 1 - 1e-4)))
+
+
+class TestBlockDefect:
+    """The defect from the Jacobian blocks, max(|CᵀΩ₄C − Ω₄|, |det Bᵢ − 1|),
+    is the dense defect of the same Jacobian to the bit (a bound of 0
+    ulps): `jacobian_defect` sums each entry pair by pair, so the zero
+    entries of the dense matrix add exact zeros.  The dense matrix is
+    assembled from the blocks, and the blocks are the Jacobians the
+    composition names."""
+
+    CASES = [(n, c) for n in (2, 3, 8) for c in (1.0, 2.0, math.pi)]
+
+    @staticmethod
+    def maps(n, c):
+        cfg = EmbeddingConfig(n=n, c=c)
+        return build_phi(cfg), build_psi(cfg, 1.0 / c)
+
+    @pytest.mark.parametrize("n, c", CASES)
+    def test_equals_the_dense_defect(self, n, c):
+        for pm in self.maps(n, c):
+            X = smooth_sample(pm, 2000, seed=n)
+            C, B = pm.jacobian_blocks(X)
+            assert C.shape == (2000, 4, 4) and B.shape == (2000, n - 2, 2, 2)
+            dense = jacobian_defect(pm.jacobian(X))
+            assert np.array_equal(block_defect(C, B), dense)
+            assert dense.max() < 1e-12
+
+    @pytest.mark.parametrize("n, c", CASES)
+    def test_blocks_are_identity_and_kappa_jacobians(self, n, c):
+        phi, psi = self.maps(n, c)
+        X = smooth_sample(phi, 500, seed=1)
+        _, B = phi.jacobian_blocks(X)
+        assert np.array_equal(B, np.broadcast_to(np.eye(2), B.shape))
+        Xb = smooth_sample(psi, 500, seed=2)
+        _, B = psi.jacobian_blocks(Xb)
+        for i in range(2, n):
+            assert np.array_equal(B[:, i - 2], KappaMap().jacobian(Xb[:, 2 * i : 2 * i + 2]))
+
+    @pytest.mark.parametrize("n, c", CASES)
+    def test_smooth_blocks_walk_kappa_once(self, n, c, monkeypatch):
+        """ψ's smooth mask and blocks share one κ walk per pair, and
+        agree with `smooth_mask` and `jacobian_blocks`."""
+        _, psi = self.maps(n, c)
+        X = psi._raw_samples(np.random.default_rng(5), 3000)
+        X[:10, 0] = X[:10, 1]  # on κ's diagonal
+        ok_ref = psi.smooth_mask(X, SMOOTH_MARGIN)
+        C_ref, B_ref = psi.jacobian_blocks(X[ok_ref])
+        walks = []
+        real = maps._disc_walk
+        monkeypatch.setattr(maps, "_disc_walk", lambda x, y: walks.append(len(x)) or real(x, y))
+        monkeypatch.setattr(KappaMap, "forward", None)
+        ok, C, B = psi.smooth_blocks(X, SMOOTH_MARGIN)
+        assert np.array_equal(ok, ok_ref) and not ok[:10].any()
+        assert np.array_equal(C, C_ref) and np.array_equal(B, B_ref)
+        assert len(walks) == n and sum(walks) == n * int(psi._off_kinks(X, SMOOTH_MARGIN).sum())
+
+    def test_det_defect_sees_a_scaled_trailing_block(self, monkeypatch):
+        _, psi = self.maps(3, 2.0)
+        X = smooth_sample(psi, 1000, seed=6)
+        real = PsiMap._kappa_pairs
+
+        def scaled(pm, X):
+            U, K = real(pm, X)
+            K[..., 2, :, :] *= 1 + 1e-6
+            return U, K
+
+        monkeypatch.setattr(PsiMap, "_kappa_pairs", scaled)
+        dev = block_defect(*psi.jacobian_blocks(X))
+        assert np.abs(dev / 2e-6 - 1).max() < 1e-3
+        assert not check_symplectic(psi, X).passed
 
 
 class TestPunctures:
@@ -602,17 +699,35 @@ class TestCheckSymplectic:
         assert jacobian_defect(pm.jacobian(RNG.uniform(0, 1, (100, 4)))).max() == 0.0
 
     def test_shear_exact(self):
-        rep = check_symplectic(_LinearPhaseMap(shear(2.0)), 100, seed=2)
+        pm = _LinearPhaseMap(shear(2.0))
+        rep = check_symplectic(pm, smooth_sample(pm, 100, seed=2))
         assert rep.max_deviation < 1e-12
 
     def test_report_fields(self):
-        rep = check_symplectic(build_phi(EmbeddingConfig(n=2, c=2.0)), 10, seed=3)
+        phi = build_phi(EmbeddingConfig(n=2, c=2.0))
+        rep = check_symplectic(phi, smooth_sample(phi, 10, seed=3))
         assert rep.samples == 10 and rep.passed and rep.max_deviation < 1e-12
         assert len(rep.worst_point) == 4
 
     def test_invalid_samples(self):
+        phi = build_phi(EmbeddingConfig(n=2, c=2.0))
         with pytest.raises(ValueError):
-            check_symplectic(build_phi(EmbeddingConfig(n=2, c=2.0)), 0)
+            check_symplectic(phi, np.empty((0, 4)))
+        # Every point on the cube's margin: none is left to check.
+        with pytest.raises(ValueError, match="no point to check"):
+            check_symplectic(phi, np.full((5, 4), SMOOTH_MARGIN / 2))
+
+    def test_reads_only_the_smooth_points(self):
+        """Points within SMOOTH_MARGIN of a singular locus are skipped and
+        not counted; the others are checked as given."""
+        cfg = EmbeddingConfig(n=3, c=2.0)
+        for pm in (build_phi(cfg), build_psi(cfg, 0.5)):
+            X = smooth_sample(pm, 50, seed=4)
+            rough = X.copy()
+            rough[::5, 0:2] = 0.0  # off the cube for φ, κ's centre for ψ
+            rep, ref = check_symplectic(pm, rough), check_symplectic(pm, np.delete(X, np.s_[::5], 0))
+            assert rep.samples == ref.samples == 40
+            assert (rep.max_deviation, rep.worst_point) == (ref.max_deviation, ref.worst_point)
 
 
 class TestBlocks:
@@ -657,15 +772,28 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 1])
     def test_check_symplectic_equal_at_any_block_size(self, n, samples, monkeypatch):
+        """Same defects, worst point and count at B rows per block and in
+        one block, with a point off the smooth set in the last block."""
         cfg = EmbeddingConfig(n=n, c=2.0)
         for pm in (build_phi(cfg), build_psi(cfg, 0.5)):
-            reports = []
-            for rows in (self.B, samples):
-                self._rows(monkeypatch, rows, (2 * n) ** 2)
-                reports.append(check_symplectic(pm, samples, seed=samples))
+            X = smooth_sample(pm, samples + 1, seed=samples)
+            X[-1, 0:2] = 0.0  # off the cube for φ, κ's centre for ψ
+            reports, blocks = [], []
+            real = type(pm).smooth_blocks
+            monkeypatch.setattr(
+                type(pm), "smooth_blocks", lambda pm, X, m: blocks.append(len(X)) or real(pm, X, m)
+            )
+            for rows in (self.B, samples + 1):
+                # check_symplectic's row blocks hold 8 floats per coordinate.
+                self._rows(monkeypatch, rows, 8 * 2 * n)
+                reports.append(check_symplectic(pm, X))
+            monkeypatch.undo()
             blocked, whole = reports
             assert blocked.max_deviation == whole.max_deviation
             assert blocked.worst_point == whole.worst_point
+            assert blocked.samples == whole.samples == samples
+            sizes = [len(X[i : i + self.B]) for i in range(0, samples + 1, self.B)]
+            assert blocks == sizes + [samples + 1]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_domain_error_in_the_last_block(self, n, monkeypatch):
