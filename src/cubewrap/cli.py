@@ -426,10 +426,14 @@ def cmd_topology(args) -> int:
 # SVG output
 
 
-def _svg_header(w, h):
+def _svg(size, background, body):
+    """A size × size SVG figure: the background, the body's elements in
+    order, and a border on top."""
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" fill="{background}"/>\n'
+        + "".join(body)
+        + f'<rect width="{size}" height="{size}" fill="none" stroke="#222"/>\n</svg>\n'
     )
 
 
@@ -450,28 +454,23 @@ def _ribbon_svg(sd):
     """The product set on the unrolled cylinder: angle horizontal, height
     vertical, with the removed angle drawn as a slit line."""
     size = _FIGURE_SIZE
-    out = [_svg_header(size, size)]
-    out.append(f'<rect width="{size}" height="{size}" fill="#dde9f5"/>\n')
-    vp = sd.slit_angle
+    body = []
     for a, b in sd.W.intervals:
         y0, y1 = size * (1 - b), size * (1 - a)
-        out.append(
+        body.append(
             f'<rect x="0" y="{y0:.3f}" width="{size}" height="{y1 - y0:.3f}" '
             f'fill="#d94141" fill-opacity="0.85"/>\n'
         )
-    x = vp * size
-    out.append(_polyline([(x, 0), (x, size)], "#2b4c9b", "2"))
-    out.append(f'<rect width="{size}" height="{size}" fill="none" stroke="#222"/>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+    x = sd.slit_angle * size
+    body.append(_polyline([(x, 0), (x, size)], "#2b4c9b", "2"))
+    return _svg(size, "#dde9f5", body)
 
 
 def _section_svg(sd):
     """The section in the square: annular band(s) with the radial slit."""
     size, arcs = _FIGURE_SIZE, _BAND_ARCS
     lam = make_lambda()
-    out = [_svg_header(size, size)]
-    out.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
+    body = []
     if sd.status == "generic":
         vp = sd.slit_angle
         for a, b in sd.W.intervals:
@@ -480,35 +479,29 @@ def _section_svg(sd):
             inner = lam.forward(np.stack([qs, np.full_like(qs, b - 1e-9)], axis=-1))
             ring = np.concatenate([outer, inner[::-1]])
             pts = [(x * size, (1 - y) * size) for x, y in ring]
-            out.append(_polygon(pts, "#d94141", "0.85"))
+            body.append(_polygon(pts, "#d94141", "0.85"))
         slit = [lam.forward((vp, 0.0)), (0.5, 0.5)]
-        out.append(
+        body.append(
             _polyline([(x * size, (1 - y) * size) for x, y in slit], "#2b4c9b", "1.5")
         )
     else:
-        out.append(
+        body.append(
             f'<text x="{size / 2:.0f}" y="{size / 2:.0f}" text-anchor="middle" '
             f'font-family="sans-serif">empty section</text>\n'
         )
-    out.append(f'<rect width="{size}" height="{size}" fill="none" stroke="#222"/>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+    return _svg(size, "#ffffff", body)
 
 
 def _raster_svg(r):
     """Run-length rectangles of the occupancy grid."""
     size = _RASTER_FIGURE_SIZE
-    out = [_svg_header(size, size)]
-    out.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
     s = size / r.n
-    for i, j, length in r.runs().tolist():
-        out.append(
-            f'<rect x="{i * s:.3f}" y="{(r.n - j - length) * s:.3f}" '
-            f'width="{s:.3f}" height="{length * s:.3f}" fill="#d94141"/>\n'
-        )
-    out.append(f'<rect width="{size}" height="{size}" fill="none" stroke="#222"/>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+    body = [
+        f'<rect x="{i * s:.3f}" y="{(r.n - j - length) * s:.3f}" '
+        f'width="{s:.3f}" height="{length * s:.3f}" fill="#d94141"/>\n'
+        for i, j, length in r.runs().tolist()
+    ]
+    return _svg(size, "#ffffff", body)
 
 
 def cmd_plot(args) -> int:
@@ -589,7 +582,11 @@ def _grid_arg(s):
 
 
 def _z_arg(s):
-    return tuple(float(v) for v in s.split(","))
+    """z1,z2; a non-finite value is a usage error (exit 2): JSON cannot echo it."""
+    z = tuple(float(v) for v in s.split(","))
+    if not all(map(math.isfinite, z)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {s!r}")
+    return z
 
 
 def _seed_arg(s):

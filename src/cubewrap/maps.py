@@ -777,12 +777,9 @@ class PsiMap(PhaseMap):
         return C, K[..., 2:, :, :]
 
     def smooth_mask(self, X, margin: float):
-        X = _as_points(X, self.dim)
-        ok = self._off_kinks(X, margin)
-        if ok.any():
-            U = self._to_cube(X[ok])
-            ok[ok] = self._phi._smooth_wrapped(U, shear_wrap(U, self.c), margin)
-        return ok
+        """The mask of `smooth_blocks`, whose one κ walk per pair also
+        builds the Jacobian blocks."""
+        return self.smooth_blocks(X, margin)[0]
 
     def _off_kinks(self, X, margin: float):
         """Inside the ball by the margin and off κ's kinks on every pair."""

@@ -16,9 +16,10 @@ and a sector-wise rational angle, with no trig.  For the ball embedding
 ψ they are λ⁻¹∘κ = χ⁻¹ of disc points, `maps.disc_to_cylinder`: plain
 polar coordinates, q̄ = arg y / 2π and p = 1 − π|y|².
 
-Both sections are a set of angles at each height.  For φ, `_in_ribbon`
-tests p ∈ W and q̄ off the slit.  For ψ (c = 1/a) the angles at height
-p form one open arc: with p2 = P̄2 − c·p mod c and
+Both sections are a set of angles at each height.  For φ, a point is a
+member iff p ∈ W and q̄ is off the slit (`section_membership_many`).
+For ψ (c = 1/a) the angles at height p form one open arc: with
+p2 = P̄2 − c·p mod c and
 B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point is a member
 iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
 √B centred at ½ − c·Q2 (`_arc_members`).  The kernel needs no disc
@@ -45,8 +46,11 @@ slit in q̄ is at least 1/8 of its angle from the ray in θ:
 τ = `SLIT_RAY_TOL` = 1e-6 makes τ/8 over 100 times SLIT_TOL, while the
 rounding of d, of the two products and of q̄ is about 1e-16.  Only the
 points inside the wedge, a share of order τ of the square, go through
-`square_to_cylinder` and `_in_ribbon`; every other point is a member iff
-its height is in W.  tests/test_certificates.py proves the sector
+`square_to_cylinder`, and of those only the angle is tested, since their
+height has already passed p ∈ W; every other point is a member iff its
+height is in W.  Membership runs on blocks of `maps._BLOCK_ELEMENTS`
+points (`maps._by_blocks`), and the ψ kernel on blocks of as many
+cylinder points.  tests/test_certificates.py proves the sector
 identity, the norm inequality and τ/8 > SLIT_TOL.
 """
 from __future__ import annotations
@@ -57,8 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (
+    _BLOCK_ELEMENTS,
     EmbeddingConfig,
     _as_points,
+    _by_blocks,
+    _in_box,
     disc_to_cylinder,
     make_lambda,
     make_lambda_prime,
@@ -101,10 +108,6 @@ SLIT_RAY_TOL = 1e-6
 # z grid cells whose centre lies closer than this to the puncture z0 are
 # set apart from the generic cells.
 Z0_EXCLUSION = 1e-3
-
-# Points per block of the φ and ψ membership kernels (element-wise, so
-# the result does not depend on it).
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,45 +165,39 @@ def resolve_section(sd_or_z, config: EmbeddingConfig) -> SectionDescription:
     return section_of_phi(sd_or_z, config)
 
 
-def _in_ribbon(qbar, p, sd: SectionDescription):
-    """Cylinder points of the ribbon V × W: p ∈ W and the angle q̄ at
-    circle distance more than SLIT_TOL from the slit.  The angle is
-    reduced mod 1 as d − floor(d), bit-identical to np.mod(d, 1.0)."""
-    ok = sd.W.contains_many(p)
-    d = qbar - sd.slit_angle
-    d -= np.floor(d)
-    ok &= (d > SLIT_TOL) & (d < 1.0 - SLIT_TOL)
-    return ok
-
-
 def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
     """Vectorized membership of square points in the section at z: a
     point of the open square is a member iff its height p is in W and,
     only inside the wedge of the slit-ray bound (module docstring), its
-    angle is off the slit."""
+    angle q̄ is at circle distance more than SLIT_TOL from the slit."""
     sd = resolve_section(sd_or_z, config)
     ys = _as_points(ys)
-    out = np.zeros(ys.shape[:-1], dtype=bool)
     if sd.status != "generic":
-        return out
+        return np.zeros(ys.shape[:-1], dtype=bool)
     d0, d1 = make_lambda().forward((sd.slit_angle, 0.0)) - 0.5
     wedge = SLIT_RAY_TOL * (abs(d0) + abs(d1))
-    pts, flat = ys.reshape(-1, 2), out.reshape(-1)
-    for s in range(0, len(pts), _CHUNK):
-        block, member = pts[s : s + _CHUNK], flat[s : s + _CHUNK]
+
+    def members(block):
         u, v = block[:, 0] - 0.5, block[:, 1] - 0.5
         # p = 1 − 4·max(u², v²) is square_to_cylinder's 1 − 4r² bit for
-        # bit, since |u| ≥ |v| iff u·u ≥ v·v in floating point.  The
-        # puncture y0 = (½, ½) gets height 1 ∉ W.
-        np.all((block > 0.0) & (block < 1.0), axis=-1, out=member)
+        # bit, since |u| ≥ |v| iff u·u ≥ v·v in floating point, so a
+        # point in the wedge has already passed p ∈ W.  The puncture
+        # y0 = (½, ½) gets height 1 ∉ W.
+        member = _in_box(block, 0.0, 1.0)
         member &= sd.W.contains_many(1.0 - 4.0 * np.maximum(u * u, v * v))
         near = member & (u * d0 + v * d1 > 0.0)
         near &= np.abs(u * d1 - v * d0) <= wedge * (np.abs(u) + np.abs(v))
         idx = np.flatnonzero(near)
         if len(idx):
-            cyl = square_to_cylinder(block[idx])
-            member[idx] = _in_ribbon(cyl[:, 0], cyl[:, 1], sd)
-    return out
+            # The angle off the slit, reduced mod 1 as d − floor(d),
+            # bit-identical to np.mod(d, 1.0).
+            d = square_to_cylinder(block[idx])[:, 0] - sd.slit_angle
+            d -= np.floor(d)
+            member[idx] = (d > SLIT_TOL) & (d < 1.0 - SLIT_TOL)
+        return member
+
+    # width=1: blocks of _BLOCK_ELEMENTS points, as the ψ kernel takes.
+    return _by_blocks(members, ys.reshape(-1, 2), width=1).reshape(ys.shape[:-1])
 
 
 def section_area_mc(z, samples: int, seed: int, config: EmbeddingConfig):
@@ -359,15 +356,16 @@ def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float):
 
     A point on or beyond the disc's rim has p = 1 − π|y|² ≤ 0, so
     (p − ½)² ≥ ¼ > B and it is never a member: the points need no disc
-    mask.  They are taken _CHUNK at a time through preallocated buffers.
+    mask.  They are taken _BLOCK_ELEMENTS at a time through preallocated
+    buffers.
     """
     shift, m2, base = _arc_terms(sd, c)
     cap = (0.5 - SLIT_TOL) ** 2
     ok = np.empty(len(p_all), dtype=bool)
-    buf_b, buf_u, buf_v = np.empty((3, min(_CHUNK, len(ok))))
+    buf_b, buf_u, buf_v = np.empty((3, min(_BLOCK_ELEMENTS, len(ok))))
     buf_f = np.empty(len(buf_b), dtype=bool)
-    for s in range(0, len(ok), _CHUNK):
-        block = slice(s, s + _CHUNK)
+    for s in range(0, len(ok), _BLOCK_ELEMENTS):
+        block = slice(s, s + _BLOCK_ELEMENTS)
         p, qbar, member = p_all[block], qbar_all[block], ok[block]
         k = len(p)
         B, u, v, f = buf_b[:k], buf_u[:k], buf_v[:k], buf_f[:k]

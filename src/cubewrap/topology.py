@@ -15,29 +15,26 @@ of the centres from ½ (`rasterize_section`), and the slit's cover
 carries the slit.  A ψ cell's cylinder coordinates (q̄, p), the polar
 coordinates of its centre, depend only on the raster's resolution and
 box, not on z; `psi_section_cells` builds them as two plain arrays by
-broadcasting the box's 1-D axis, and `check_hull_bound`, which holds N
+broadcasting the box's 1-D axis, in blocks of whole rows of about
+`maps._BLOCK_ELEMENTS` cells, and `check_hull_bound`, which holds N
 fixed, builds them once and passes them as `cells=` to every z.  Per z,
 a ψ cell is occupied when its angle lies in the arc of its height
 (`sections._arc_members`); cells on or beyond the disc's rim have
 p ≤ 0 and fall outside every arc, so no cell is masked out first.
 Complement components join overlapping free row runs of adjacent rows;
 `bounded_hull` adds the runs not joined to the free margin ring.
+Every section raster starts from `_phi_blank`, which rejects N < 64.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .maps import DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder, make_lambda, psi_config
-from .sections import (
-    _CHUNK,
-    _arc_members,
-    resolve_section,
-    section_membership_many,
-    z_grid,
-)
+from .maps import _BLOCK_ELEMENTS, DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder
+from .maps import make_lambda, psi_config
+from .sections import _arc_members, resolve_section, section_membership_many, z_grid
 
 __all__ = [
     "Raster",
@@ -199,26 +196,29 @@ def _free_ring(occupancy: np.ndarray, r: Raster, radius: float):
 
 
 def _phi_blank(N: int) -> Raster:
+    """An empty raster over the unit square, of resolution N ≥ 64."""
+    if N < 64:
+        raise ValueError(f"raster resolution must be at least 64, got {N}")
     return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool))
 
 
 def _psi_blank(N: int) -> Raster:
     """An empty raster over a box slightly larger than the disc of
     radius 1/sqrt(pi)."""
+    r = _phi_blank(N)
     side = 2 * DISC_RADIUS * (1.0 + 2.0 * _PSI_MARGIN_CELLS / N)
-    x0 = -side / 2.0
-    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=x0, side=side)
+    return replace(r, x0=-side / 2.0, side=side)
 
 
 def psi_section_cells(N: int):
     """Cylinder coordinates (q̄, p) of the N² cell centres of a ψ raster,
     as two 1-D arrays in row-major order.  Its box is a square centred
     at 0, so both axes share one 1-D array of cell centres, and χ⁻¹ runs
-    on blocks of whole rows, about _CHUNK cells each."""
+    on blocks of whole rows, about _BLOCK_ELEMENTS cells each."""
     r = _psi_blank(N)
     axis = r.x0 + r.cell_offsets()
     qbar, p = np.empty((2, N, N))
-    rows = max(1, _CHUNK // N)
+    rows = max(1, _BLOCK_ELEMENTS // N)
     for i in range(0, N, rows):
         qbar[i : i + rows], p[i : i + rows] = disc_to_cylinder(axis[i : i + rows, None], axis)
     return qbar.reshape(-1), p.reshape(-1)
@@ -248,8 +248,6 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     and `_free_segment` frees it.  The closed cover of a segment is
     4-connected, so the corridor stays open.
     """
-    if N < 64:
-        raise ValueError("raster resolution must be at least 64")
     sd = resolve_section(z, config)
     r = _phi_blank(N)
     if sd.status != "generic":
@@ -279,8 +277,6 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     """Rasterize the z-section of the ball embedding's image over a box
     slightly larger than the disc of radius 1/sqrt(pi).  `cells`, if
     given, is `psi_section_cells(N)`."""
-    if N < 64:
-        raise ValueError("raster resolution must be at least 64")
     cfg = psi_config(config, a)
     sd = resolve_section(z, cfg)
     r = _psi_blank(N)

@@ -740,6 +740,14 @@ class TestTopology:
         code, out = run_main(["topology", "--hull", "--grid", "1x2", "--N", "256"] + argv, capsys)
         assert code == EXIT_OK and json.loads(out)["spec"]["c"] == 2.0
 
+    @pytest.mark.parametrize("N", ["0", "-4", "63"])
+    def test_usage_error_hull_raster_below_64(self, capsys, N):
+        # Checked where the ψ raster's blank is built, before any division by N.
+        code = main(["topology", "--hull", "--grid", "1x2", "--N", N])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"raster resolution must be at least 64, got {N}" in captured.err
+
     @pytest.mark.parametrize(
         "fixture, N", [("disk", "-3"), ("annulus", "0"), ("annulus_with_slit", "63")]
     )
@@ -875,7 +883,18 @@ class TestPlot:
         out = tmp_path / "out"
         code = main(["plot", "--z", "0.3,0.7", "--N", N, "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "raster resolution must be at least 64" in capsys.readouterr().err
+        assert f"raster resolution must be at least 64, got {N}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("z", ["nan,0.5", "0.3,inf", "0.3,-inf"])
+    def test_usage_error_z_not_finite(self, capsys, tmp_path, z):
+        # JSON has no NaN or Infinity, so the spec could not echo it.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--z", z, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert f"argument --z: must be finite, got '{z}'" in captured.err
         assert not out.exists()
 
     def test_usage_error_one_z_value(self, capsys, tmp_path):

@@ -568,21 +568,35 @@ class TestBlockDefect:
         for i in range(2, n):
             assert np.array_equal(B[:, i - 2], KappaMap().jacobian(Xb[:, 2 * i : 2 * i + 2]))
 
+    @staticmethod
+    def _two_walk_mask(psi, X, margin):
+        """ψ's smooth mask with a second κ walk: off κ's kinks, then
+        `KappaMap.forward` of every pair and φ′'s mask of the cube point."""
+        ok = psi._off_kinks(X, margin)
+        U = np.empty_like(X[ok])
+        for i in range(psi.n):
+            U[:, 2 * i : 2 * i + 2] = KappaMap().forward(X[ok][:, 2 * i : 2 * i + 2])
+        ok[ok] = psi._phi._smooth_wrapped(U, shear_wrap(U, psi.c), margin)
+        return ok
+
     @pytest.mark.parametrize("n, c", CASES)
     def test_smooth_blocks_walk_kappa_once(self, n, c, monkeypatch):
-        """ψ's smooth mask and blocks share one κ walk per pair, and
-        agree with `smooth_mask` and `jacobian_blocks`."""
+        """ψ's smooth mask and blocks share one κ walk per pair; the mask
+        equals the two-walk reference and the blocks `jacobian_blocks`."""
         _, psi = self.maps(n, c)
         X = psi._raw_samples(np.random.default_rng(5), 3000)
         X[:10, 0] = X[:10, 1]  # on κ's diagonal
-        ok_ref = psi.smooth_mask(X, SMOOTH_MARGIN)
+        X[10:20, -2] = -X[10:20, -1]  # on the last pair's anti-diagonal
+        ok_ref = self._two_walk_mask(psi, X, SMOOTH_MARGIN)
+        assert not ok_ref[:20].any() and ok_ref.mean() > 0.5
+        assert np.array_equal(psi.smooth_mask(X, SMOOTH_MARGIN), ok_ref)
         C_ref, B_ref = psi.jacobian_blocks(X[ok_ref])
         walks = []
         real = maps._disc_walk
         monkeypatch.setattr(maps, "_disc_walk", lambda x, y: walks.append(len(x)) or real(x, y))
         monkeypatch.setattr(KappaMap, "forward", None)
         ok, C, B = psi.smooth_blocks(X, SMOOTH_MARGIN)
-        assert np.array_equal(ok, ok_ref) and not ok[:10].any()
+        assert np.array_equal(ok, ok_ref)
         assert np.array_equal(C, C_ref) and np.array_equal(B, B_ref)
         assert len(walks) == n and sum(walks) == n * int(psi._off_kinks(X, SMOOTH_MARGIN).sum())
 

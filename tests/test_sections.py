@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from composed_maps import SectorKappa, composed_lambda
 from cubewrap.maps import (
+    _BLOCK_ELEMENTS,
     EmbeddingConfig,
     build_phi,
     make_lambda,
@@ -15,8 +16,7 @@ from cubewrap.maps import (
 )
 from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.sections import (
-    _CHUNK,
-    _in_ribbon,
+    SLIT_TOL,
     fubini_check,
     psi_section_membership_many,
     section_area_mc,
@@ -25,6 +25,16 @@ from cubewrap.sections import (
 )
 
 CFG2 = EmbeddingConfig(n=2, c=2.0)
+
+
+def _in_ribbon(qbar, p, sd):
+    """Cylinder points of the ribbon V × W: p ∈ W and the angle q̄ at
+    circle distance more than SLIT_TOL from the slit.  The full-angle
+    reference of `section_membership_many`."""
+    ok = sd.W.contains_many(p)
+    d = np.mod(qbar - sd.slit_angle, 1.0)
+    ok &= (d > SLIT_TOL) & (d < 1.0 - SLIT_TOL)
+    return ok
 
 
 class TestVSet:
@@ -287,6 +297,28 @@ class TestAngleFreeMembership:
             assert got.shape == (N, N)
             assert np.array_equal(got, _full_angle_reference(cells, sd))
 
+    @pytest.mark.parametrize("shift", [1e-8, -1e-8])
+    def test_fails_on_a_wrong_slit_angle_in_the_wedge(self, shift, monkeypatch):
+        """The wedge's angle test alone keeps the slit out: planted to
+        compare q̄ with the slit angle + shift (λ⁻¹'s q̄ moved by −shift),
+        it admits points on the slit ray and breaks the full-angle
+        match."""
+        import cubewrap.sections as sec
+
+        sd = section_of_phi((0.31, 0.7), CFG2)
+        ys, offset = _slit_probe(sd, np.random.default_rng(43))
+        ref = _full_angle_reference(ys, sd)
+        assert np.array_equal(section_membership_many(ys, sd, CFG2), ref)
+
+        def wrong_slit(pts):
+            out = square_to_cylinder(pts)
+            out[:, 0] -= shift
+            return out
+
+        monkeypatch.setattr(sec, "square_to_cylinder", wrong_slit)
+        got = section_membership_many(ys, sd, CFG2)
+        assert got[(offset == 0.0) & ~ref].any()
+
     def test_monte_carlo_area_runs_almost_no_angles(self, monkeypatch):
         """One 2·10⁵-point `section_area_mc` at c = 2 sends at most
         0.01 % of its points through λ⁻¹."""
@@ -533,7 +565,9 @@ class TestBallNorm:
         p = disc_to_cylinder(ys[:, 0], ys[:, 1])[1][psi_section_membership_many(ys, sd.z, CFG2, 0.5)]
         assert np.any((a0 < p) & (p < b0)) and np.any((a1 < p) & (p < b1))
 
-    @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "count", [0, 1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1]
+    )
     def test_kernel_blocks_match_reference(self, count):
         """Point counts at and around the kernel's block size, every
         point inside the disc."""
@@ -635,22 +669,51 @@ class TestSectionCells:
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_chunked_build_equals_one_pass(self, kind, monkeypatch):
         """Membership mapped and tested in blocks of 4099 points equals
-        one pass over all of them."""
+        one pass over all of them.  φ's kernel runs through
+        `maps._by_blocks`, whose block size is `maps._BLOCK_ELEMENTS`, and
+        is counted by its box test; ψ's reads the same constant as
+        `sections._BLOCK_ELEMENTS`, and is counted by the slices it takes
+        of its heights."""
+        import cubewrap.maps as maps
         import cubewrap.sections as sec
+        from cubewrap.maps import disc_to_cylinder, psi_config
 
         rng = np.random.default_rng(8)
+        blocks = []
         if kind == "phi":
+            owner = maps
             ys = rng.uniform(-0.1, 1.1, (30_000, 2))
             ys[17] = 0.5  # the puncture is left out
+            in_box = sec._in_box
+            monkeypatch.setattr(
+                sec, "_in_box", lambda X, lo, hi: blocks.append(len(X)) or in_box(X, lo, hi)
+            )
             member = lambda: sec.section_membership_many(ys, (0.3, 0.7), CFG2)  # noqa: E731
         else:
+            owner = sec
             ys = rng.uniform(-0.6, 0.6, (30_000, 2))
             ys[17] = 0.0  # the centre, height 1
-            member = lambda: sec.psi_section_membership_many(ys, (0.3, 0.7), CFG2, 0.5)  # noqa: E731
-        monkeypatch.setattr(sec, "_CHUNK", len(ys))
+            cfg = psi_config(CFG2, 0.5)
+            sd = section_of_phi((0.3, 0.7), cfg)
+            qbar, p = disc_to_cylinder(ys[:, 0], ys[:, 1])
+
+            class Counted(np.ndarray):
+                def __getitem__(self, key):
+                    blocks.append(key)
+                    return np.asarray(self)[key]
+
+            member = lambda: sec._arc_members(qbar, p.view(Counted), sd, cfg.c)  # noqa: E731
+            assert np.array_equal(
+                member(), sec.psi_section_membership_many(ys, (0.3, 0.7), CFG2, 0.5)
+            )
+        monkeypatch.setattr(owner, "_BLOCK_ELEMENTS", len(ys))
+        blocks.clear()
         one_pass = member()
-        monkeypatch.setattr(sec, "_CHUNK", 4099)
+        assert len(blocks) == 1
+        monkeypatch.setattr(owner, "_BLOCK_ELEMENTS", 4099)
+        blocks.clear()
         assert np.array_equal(member(), one_pass)
+        assert len(blocks) == -(-len(ys) // 4099) > 1
         assert 0.05 < one_pass.mean() < 0.95 and not one_pass[17]
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])

@@ -623,15 +623,22 @@ class TestSharedGeometry:
     @pytest.mark.parametrize("N, chunk", [(64, None), (1024, None), (333, 4099), (1000, 4099)])
     def test_psi_grid_cells_equal_point_cells(self, N, chunk, monkeypatch):
         """ψ cells built from the raster's 1-D axis, in blocks of whole
-        rows, equal χ⁻¹ of its N² cell centres bit for bit, in row-major
-        order; cells outside the disc included."""
+        rows (`_BLOCK_ELEMENTS // N` of them, counted by the χ⁻¹ calls),
+        equal χ⁻¹ of its N² cell centres bit for bit, in row-major order;
+        cells outside the disc included."""
         from cubewrap.topology import _psi_blank
 
         centres = _psi_blank(N).cell_centers().reshape(-1, 2)
         ref = disc_to_cylinder(centres[:, 0], centres[:, 1])
         if chunk is not None:
-            monkeypatch.setattr(topology, "_CHUNK", chunk)
+            monkeypatch.setattr(topology, "_BLOCK_ELEMENTS", chunk)
+        rows = []
+        monkeypatch.setattr(
+            topology, "disc_to_cylinder", lambda x, y: rows.append(len(x)) or disc_to_cylinder(x, y)
+        )
         got = psi_section_cells(N)
+        assert sum(rows) == N and max(rows) == min(N, topology._BLOCK_ELEMENTS // N)
+        assert len(rows) > 1 or N == 64
         assert len(got) == 2
         for g, r in zip(got, ref):
             assert g.shape == (N * N,)
