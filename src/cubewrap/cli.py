@@ -577,13 +577,22 @@ def _finish(report, args) -> int:
 
 
 def _grid_arg(s):
-    w, h = s.lower().split("x")
-    return int(w), int(h)
+    """WxH, two integers; anything else is a usage error (exit 2) that
+    names the flag and its form."""
+    try:
+        w, h = s.lower().split("x")
+        return int(w), int(h)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be WxH with integer W and H, got {s!r}") from None
 
 
 def _z_arg(s):
-    """z1,z2; a non-finite value is a usage error (exit 2): JSON cannot echo it."""
-    z = tuple(float(v) for v in s.split(","))
+    """z1,z2 as numbers; anything else, or a non-finite value, is a usage
+    error (exit 2): JSON cannot echo a non-finite one."""
+    try:
+        z = tuple(float(v) for v in s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be numbers z1,z2, got {s!r}") from None
     if not all(map(math.isfinite, z)):
         raise argparse.ArgumentTypeError(f"must be finite, got {s!r}")
     return z
@@ -602,10 +611,14 @@ def _seed_arg(s):
 
 
 def _count_arg(s):
-    """A count such as 1e5; a non-finite one is a usage error (exit 2)."""
-    x = float(s)
+    """A count such as 1e5; anything else, or a non-finite one, is a
+    usage error (exit 2)."""
+    try:
+        x = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number such as 1e5, got {s!r}") from None
     if not math.isfinite(x):
-        raise ValueError(f"count must be finite, got {s}")
+        raise argparse.ArgumentTypeError(f"must be finite, got {s!r}")
     return int(x)
 
 

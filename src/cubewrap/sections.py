@@ -23,12 +23,15 @@ p2 = P̄2 − c·p mod c and
 B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point is a member
 iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
 √B centred at ½ − c·Q2 (`_arc_members`).  The kernel needs no disc
-mask: a point on or beyond the rim has p ≤ 0, so (p − ½)² ≥ ¼ > B.  A φ
-raster needs only heights, read from its 1-D axis, and frees the closed
-cells its slit meets (`topology.rasterize_section`); a ψ raster runs the
-arc kernel on the (q̄, p) of its cells (`topology.psi_section_cells`).
-Nothing caches geometry across calls, so a call's memory is released
-with it.
+mask: a point on or beyond the rim has p ≤ 0, so (p − ½)² ≥ ¼ > B.  A
+member's height lies in W and within √B_max of ½, B_max the bound B
+reaches at |p2 − ½| ≤ |Q2 − ½|; `_arc_heights` gives those heights,
+widened past every rounding.  A φ raster needs only heights, read from
+its 1-D axis, and frees the closed cells its slit meets
+(`topology.rasterize_section`); a ψ raster runs the arc kernel only on
+the cells (`topology.psi_section_cells`) of the annuli those heights
+map to.  Nothing caches geometry across calls, so a call's memory is
+released with it.
 
 The slit-ray bound.  φ membership computes an angle only beside the
 slit ray, the ray from ½ through d + ½, d = λ(slit angle, 0) − ½.  Let θ
@@ -49,8 +52,8 @@ points inside the wedge, a share of order τ of the square, go through
 `square_to_cylinder`, and of those only the angle is tested, since their
 height has already passed p ∈ W; every other point is a member iff its
 height is in W.  Membership runs on blocks of `maps._BLOCK_ELEMENTS`
-points (`maps._by_blocks`), and the ψ kernel on blocks of as many
-cylinder points.  tests/test_certificates.py proves the sector
+points (`maps._by_blocks`), and the ψ kernel on blocks of whole rows of
+about as many cylinder points.  tests/test_certificates.py proves the sector
 identity, the norm inequality and τ/8 > SLIT_TOL.
 """
 from __future__ import annotations
@@ -104,6 +107,13 @@ SLIT_TOL = 1e-9
 # more than τ radians from the ray, and dq̄/dθ ≥ 1/8 puts it more than
 # τ/8 = 1.25e-7 from the slit in q̄: over 100 times SLIT_TOL.
 SLIT_RAY_TOL = 1e-6
+
+# The cap on ψ's arc bound B: every arc stays SLIT_TOL clear of the slit.
+_ARC_CAP = (0.5 - SLIT_TOL) ** 2
+
+# Widening of each end of `_arc_heights`' intervals: far above the
+# rounding of the kernel's p2 (3·2⁻⁵³ in p) and of a cell's height.
+_HEIGHT_SLACK = 1e-9
 
 # z grid cells whose centre lies closer than this to the puncture z0 are
 # set apart from the generic cells.
@@ -333,10 +343,10 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
     return _arc_members(np.ravel(qbar), np.ravel(p), sd, cfg.c).reshape(ys.shape[:-1])
 
 
-def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float):
-    """Membership of the cylinder points (q̄, p), two 1-D arrays, in the
-    generic section `sd` of the ball embedding's image at c = 1/a, an
-    arc of angles at each height.
+def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float, out=None):
+    """Membership of the cylinder points (q̄, p), two arrays of one shape,
+    in the generic section `sd` of the ball embedding's image at c = 1/a,
+    an arc of angles at each height; written into `out` if given.
 
     A disc point y with (q̄, p) = χ⁻¹(y), paired with z, pulls back to
     the cube point with (q1, p1) = (q̄ + c·Q2 mod 1, p) and (Q2, p2) =
@@ -355,17 +365,18 @@ def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float):
     proves the equivalence on each branch of the max and the mod.
 
     A point on or beyond the disc's rim has p = 1 − π|y|² ≤ 0, so
-    (p − ½)² ≥ ¼ > B and it is never a member: the points need no disc
-    mask.  They are taken _BLOCK_ELEMENTS at a time through preallocated
-    buffers.
+    (p − ½)² ≥ ¼ > B and it is never a member.  The points are taken in
+    blocks of whole rows (along the first axis) of about _BLOCK_ELEMENTS
+    points, through preallocated buffers; `_arc_heights` bounds the
+    heights that can pass.
     """
     shift, m2, base = _arc_terms(sd, c)
-    cap = (0.5 - SLIT_TOL) ** 2
-    ok = np.empty(len(p_all), dtype=bool)
-    buf_b, buf_u, buf_v = np.empty((3, min(_BLOCK_ELEMENTS, len(ok))))
-    buf_f = np.empty(len(buf_b), dtype=bool)
-    for s in range(0, len(ok), _BLOCK_ELEMENTS):
-        block = slice(s, s + _BLOCK_ELEMENTS)
+    ok = np.empty(p_all.shape, dtype=bool) if out is None else out
+    rows = max(1, _BLOCK_ELEMENTS // math.prod(ok.shape[1:]))
+    buf_b, buf_u, buf_v = np.empty((3, min(rows, len(ok))) + ok.shape[1:])
+    buf_f = np.empty(buf_b.shape, dtype=bool)
+    for s in range(0, len(ok), rows):
+        block = slice(s, s + rows)
         p, qbar, member = p_all[block], qbar_all[block], ok[block]
         k = len(p)
         B, u, v, f = buf_b[:k], buf_u[:k], buf_v[:k], buf_f[:k]
@@ -381,7 +392,7 @@ def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float):
         np.maximum(u, m2, out=u)
         u *= u
         np.subtract(base, u, out=B)
-        np.minimum(B, cap, out=B)
+        np.minimum(B, _ARC_CAP, out=B)
         np.subtract(p, 0.5, out=u)
         u *= u
         np.less(u, B, out=member)
@@ -394,3 +405,40 @@ def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float):
         np.less(u, B, out=f)
         member &= f
     return ok
+
+
+def _arc_heights(sd: SectionDescription, c: float):
+    """Disjoint open height intervals, sorted, at most two, that hold the
+    height p of every point `_arc_members` passes in the generic section
+    `sd`: p ∈ (0, 1) with P̄2 − c·p mod c in (0, 1), that is p in one of
+    ((P̄2 − 1)/c + j, P̄2/c + j) for j = 0, 1 (W before `quotient` drops
+    its fragments), and |p − ½| < √B_max, each end widened by
+    _HEIGHT_SLACK.  An empty list means an empty section.
+
+    Why this holds bit for bit.  B_max = min(¼ − Σ_tail − |Q2 − ½|², cap)
+    bounds the kernel's B, since each float step of B is monotone in
+    max(|Q2 − ½|, |p2 − ½|) ≥ |Q2 − ½|; a member has fl((p − ½)²) <
+    B ≤ B_max, so |p − ½| < √B_max to within an ulp, and B_max ≤ 0
+    leaves no member.  B > 0 needs the kernel's p2 in (0, 1) as a float.
+    That p2 is P̄2 − c·p (plus c) rounded in three steps of at most
+    2⁻⁵³·c each, so the exact P̄2 − c·p mod c lies within 3·2⁻⁵³·c of
+    (0, 1), and p within 3·2⁻⁵³ of a piece above, at every c ≥ 1.  The
+    ends here are rounded by about 2⁻⁵², and a raster's cell heights
+    1 − π|y|² by about 2⁻⁵⁰.  _HEIGHT_SLACK dwarfs all of them, so a
+    cell whose centre lies outside the widened pieces by any rounding
+    fails the kernel.
+    """
+    m2, base = _arc_terms(sd, c)[1:]
+    b_max = min(base - m2 * m2, _ARC_CAP)
+    if not b_max > 0.0:
+        return []
+    half = math.sqrt(b_max) + _HEIGHT_SLACK
+    pieces = []
+    for j in (0.0, 1.0):
+        lo = max((sd.P2bar - 1.0) / c + j - _HEIGHT_SLACK, 0.5 - half)
+        hi = min(sd.P2bar / c + j + _HEIGHT_SLACK, 0.5 + half)
+        if pieces and lo <= pieces[-1][1]:
+            pieces[-1] = (pieces[-1][0], hi)
+        elif lo < hi:
+            pieces.append((lo, hi))
+    return pieces

@@ -3,10 +3,12 @@ bounded hulls.
 
 The complement of a section is taken in the whole plane, so every raster
 carries an explicit free margin ring around its box.  Occupancy uses
-cell-center membership; the zero-width radial slit, and a ψ section's
-touching-height circle, are kept open by freeing every closed cell they
-meet.  That cover is 4-connected, so the complement corridor survives
-discretization at any resolution, and nothing is sampled.
+cell-center membership; the zero-width radial slit, and every annulus
+of heights between two intervals of a ψ section's W that is thinner
+than two cells (a touching height is one of width 0), are kept open by
+freeing every closed cell they meet.  That cover is 4-connected, so the
+complement corridor survives discretization at any resolution, and
+nothing is sampled.
 
 A φ section is every angle but the slit's at the heights in W, so a φ
 raster reads only heights, from its 1-D axis of cell centres: the
@@ -19,8 +21,11 @@ broadcasting the box's 1-D axis, in blocks of whole rows of about
 `maps._BLOCK_ELEMENTS` cells, and `check_hull_bound`, which holds N
 fixed, builds them once and passes them as `cells=` to every z.  Per z,
 a ψ cell is occupied when its angle lies in the arc of its height
-(`sections._arc_members`); cells on or beyond the disc's rim have
-p ≤ 0 and fall outside every arc, so no cell is masked out first.
+(`sections._arc_members`).  Only heights in `sections._arc_heights` can
+pass, an annulus or two through p = 1 − π|y|², so the kernel runs only
+on boxes of whole row blocks, one or two column ranges each, taken from
+the annulus on the sorted 1-D axis (`_annulus_boxes`); cells outside
+them, the disc's rim and beyond included, stay free.
 Complement components join overlapping free row runs of adjacent rows;
 `bounded_hull` adds the runs not joined to the free margin ring.
 Every section raster starts from `_phi_blank`, which rejects N < 64.
@@ -34,7 +39,7 @@ import numpy as np
 
 from .maps import _BLOCK_ELEMENTS, DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder
 from .maps import make_lambda, psi_config
-from .sections import _arc_members, resolve_section, section_membership_many, z_grid
+from .sections import _arc_heights, _arc_members, resolve_section, section_membership_many, z_grid
 
 __all__ = [
     "Raster",
@@ -55,8 +60,13 @@ __all__ = [
 # each side.
 _PSI_MARGIN_CELLS = 2
 
-# Two intervals of W closer than this share an endpoint, and a cell
-# within this many cell widths of a freed segment is freed too.
+# A gap of W whose radial width is under this many cells is freed as a
+# band.  The centres inside a band hold a 4-connected ring only from
+# about √2 cells wide, where it runs diagonally; 2 leaves room for its
+# curvature.
+_THIN_GAP_CELLS = 2.0
+
+# A cell within this many cell widths of a freed segment is freed too.
 _TOUCH_TOL = 1e-9
 
 
@@ -88,7 +98,7 @@ class Raster:
         return np.stack([X, Y], axis=-1)
 
     def area(self) -> float:
-        return float(self.occupancy.sum()) * self.cell**2
+        return float(np.count_nonzero(self.occupancy)) * self.cell**2
 
     def perimeter_estimate(self) -> float:
         """Total length of occupied/free cell edges (8-connectivity is
@@ -183,16 +193,18 @@ def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
     occupancy[(cols, rows) if k == 0 else (rows, cols)] = False
 
 
-def _free_ring(occupancy: np.ndarray, r: Raster, radius: float):
+def _free_band(occupancy: np.ndarray, r: Raster, r_in: float, r_out: float):
     """Free every closed cell of the raster r (box centred at 0) that the
-    circle of the given radius about 0 meets, from the nearest and
-    farthest offsets of each cell from 0 along the 1-D axis of cell
-    edges, compared as 1-D vectors: no N² float array is built."""
+    closed annulus r_in ≤ |y| ≤ r_out about 0 meets: a cell's distances
+    from 0 fill the range from its nearest to its farthest point, so it
+    meets the annulus iff near ≤ r_out and far ≥ r_in.  Both offsets come
+    from the 1-D axis of cell edges and are compared as 1-D vectors: no
+    N² float array is built.  r_in = r_out is a circle."""
     e = r.x0 + np.arange(r.n + 1) * r.cell
     lo, hi = np.abs(e[:-1]), np.abs(e[1:])
     near2 = np.where((e[:-1] <= 0.0) & (e[1:] >= 0.0), 0.0, np.minimum(lo, hi)) ** 2
-    far2, r2 = np.maximum(lo, hi) ** 2, radius * radius
-    occupancy &= ~((near2[:, None] <= r2 - near2) & (far2[:, None] >= r2 - far2))
+    far2 = np.maximum(lo, hi) ** 2
+    occupancy &= ~((near2[:, None] <= r_out * r_out - near2) & (far2[:, None] >= r_in * r_in - far2))
 
 
 def _phi_blank(N: int) -> Raster:
@@ -260,39 +272,74 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     return Raster(n=N, occupancy=occ)
 
 
-def _touching_heights(W):
-    """Heights where two open intervals of W share an endpoint.
-
-    The shared endpoint is excluded from the open union, so it is a
-    zero-width free curve inside the occupied band."""
-    iv = W.intervals
-    return [
-        0.5 * (iv[k][1] + iv[k + 1][0])
-        for k in range(len(iv) - 1)
-        if iv[k + 1][0] - iv[k][1] < _TOUCH_TOL
-    ]
+def _annulus_boxes(r: Raster, rr_in: float, rr_out: float):
+    """(rows, columns) slices of boxes of r's cells that hold every cell
+    whose centre y has rr_in < |y|² < rr_out: for each block of
+    _BLOCK_ELEMENTS // N rows that the outer circle meets, the columns
+    within the outer circle at the block's row nearest 0, less those
+    within the inner circle at its row farthest from 0, found by
+    `np.searchsorted` on the sorted 1-D axis of centres.  That is one
+    column range, or two where the hole spans the block.  Callers widen
+    the annulus far beyond rounding, so whether an end is kept does not
+    matter."""
+    axis = r.x0 + r.cell_offsets()
+    edge = math.sqrt(rr_out)
+    first, last = np.searchsorted(axis, (-edge, edge)).tolist()
+    step = max(1, _BLOCK_ELEMENTS // r.n)
+    for i in range(first, last, step):
+        rows = slice(i, min(i + step, last))
+        ends = axis[[rows.start, rows.stop - 1]]
+        near = 0.0 if ends[0] <= 0.0 <= ends[1] else float(np.min(ends * ends))
+        far = float(np.max(ends * ends))
+        out = math.sqrt(max(rr_out - near, 0.0))
+        hole = math.sqrt(max(rr_in - far, 0.0))
+        lo, hole_lo, hole_hi, hi = np.searchsorted(axis, (-out, -hole, hole, out)).tolist()
+        for cols in (slice(lo, hole_lo), slice(hole_hi, hi)) if hole_lo < hole_hi else (slice(lo, hi),):
+            if cols.start < cols.stop:
+                yield rows, cols
 
 
 def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells=None) -> Raster:
     """Rasterize the z-section of the ball embedding's image over a box
     slightly larger than the disc of radius 1/sqrt(pi).  `cells`, if
-    given, is `psi_section_cells(N)`."""
+    given, is `psi_section_cells(N)`.
+
+    Only cells whose height can pass are tested: `sections._arc_heights`
+    bounds the heights of every member, each piece is an annulus through
+    p = 1 − π|y|², and the arc kernel runs on the boxes of
+    `_annulus_boxes`, writing into a zeroed occupancy.  A section with
+    no piece skips the kernel.
+
+    The slit, and every gap between two intervals of W that is under
+    _THIN_GAP_CELLS cells wide radially, are free in the section but too
+    thin for cell centres to keep open, so the closed cells they meet
+    are freed: such a gap would otherwise close into pockets of enclosed
+    cells.  A touching height, where two intervals of W share an
+    endpoint, is a gap of zero width.
+    """
     cfg = psi_config(config, a)
     sd = resolve_section(z, cfg)
     r = _psi_blank(N)
     if sd.status != "generic":
         return r
-    qbar, p = psi_section_cells(N) if cells is None else cells
-    if qbar.shape != (N * N,) or p.shape != (N * N,):
+    if cells is not None and (cells[0].shape != (N * N,) or cells[1].shape != (N * N,)):
         raise ValueError(f"cells were built for another raster, not N = {N}")
-    occ = _arc_members(qbar, p, sd, cfg.c).reshape(N, N)
+    heights = _arc_heights(sd, cfg.c)
+    if not heights:
+        return r
+    qbar, p = psi_section_cells(N) if cells is None else cells
+    qbar, p, occ = qbar.reshape(N, N), p.reshape(N, N), r.occupancy
+    for lo, hi in heights:
+        for box in _annulus_boxes(r, (1.0 - hi) / math.pi, (1.0 - lo) / math.pi):
+            _arc_members(qbar[box], p[box], sd, cfg.c, out=occ[box])
     # κ⁻¹∘λ = χ, so the slit is the ray from 0 to the rim point χ(slit angle, 0).
     _free_segment(occ, (0.0, 0.0), ChiMap().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
-    # A touching height is a zero-width free loop, χ's circle there, which
-    # the ball constraint widens into pockets in places; keep it open.
-    for v in _touching_heights(sd.W):
-        _free_ring(occ, r, math.sqrt((1.0 - v) / math.pi))
-    return Raster(n=N, occupancy=occ, x0=r.x0, side=r.side)
+    iv = sd.W.intervals
+    for (_, top), (bottom, _) in zip(iv, iv[1:]):
+        r_in, r_out = (math.sqrt((1.0 - v) / math.pi) for v in (bottom, top))
+        if r_out - r_in < _THIN_GAP_CELLS * r.cell:
+            _free_band(occ, r, r_in, r_out)
+    return r
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,24 @@ class TestExitCodes:
         assert f"argument --seed: must be a non-negative integer, got '{seed}'" in captured.err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["topology", "--grid", "3"], "argument --grid: must be WxH with integer W and H, got '3'"),
+            (["sections", "--grid", "2x3x4"], "argument --grid: must be WxH with integer W and H, got '2x3x4'"),
+            (["topology", "--hull", "--grid", "ax2"], "argument --grid: must be WxH with integer W and H, got 'ax2'"),
+            (["verify", "--samples", "x"], "argument --samples: must be a number such as 1e5, got 'x'"),
+            (["sections", "--samples", "inf"], "argument --samples: must be finite, got 'inf'"),
+            (["plot", "--z", "0.3,x"], "argument --z: must be numbers z1,z2, got '0.3,x'"),
+        ],
+    )
+    def test_usage_error_names_the_flag_and_its_rule(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert message in captured.err and "_arg" not in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sections", "--c", "3", "--grid", "1x1"],

@@ -1,10 +1,14 @@
+import inspect
 import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import cubewrap.sections as sections
 import cubewrap.topology as topology
 from cubewrap.maps import (
     DISC_RADIUS,
@@ -21,6 +25,7 @@ from cubewrap.sections import (
     section_of_phi,
     z_grid,
 )
+from cubewrap.quotient import preimage_affine_mod, reduce
 from cubewrap.topology import (
     AmbiguousHullError,
     Raster,
@@ -332,21 +337,31 @@ def _psi_cases():
             yield a, section_of_phi(z, cfg)
 
 
-def _ring_cover(r, radius):
-    """The cells of the raster r that the circle of the given radius about
-    0 meets, per cell: np.hypot at its nearest and farthest points."""
+def _band_cover(r, r_in, r_out):
+    """The cells of the raster r that the closed annulus r_in ≤ |y| ≤ r_out
+    about 0 meets, per cell: np.hypot at its nearest and farthest points."""
     edges = r.x0 + np.arange(r.n + 1) * r.cell
     lo = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
     hi = np.meshgrid(edges[1:], edges[1:], indexing="ij")
     near = [np.clip(0.0, l, h) for l, h in zip(lo, hi)]
     far = [np.maximum(np.abs(l), np.abs(h)) for l, h in zip(lo, hi)]
-    return (np.hypot(*near) <= radius) & (radius <= np.hypot(*far))
+    return (np.hypot(*near) <= r_out) & (r_in <= np.hypot(*far))
+
+
+def _thin_gaps(W, r):
+    """(r_in, r_out) of every gap between consecutive intervals of W whose
+    radial width in the ψ raster r is under `_THIN_GAP_CELLS` cells; a
+    touching height is a gap of width 0."""
+    radius = lambda v: math.sqrt((1.0 - v) / math.pi)  # noqa: E731
+    iv = W.intervals
+    gaps = [(radius(b), radius(t)) for (_, t), (b, _) in zip(iv, iv[1:])]
+    return [(ri, ro) for ri, ro in gaps if ro - ri < topology._THIN_GAP_CELLS * r.cell]
 
 
 def _psi_left_on_curves(N):
     """(a, z, curve) of every ψ raster at resolution N that leaves an
-    occupied cell meeting its slit ray (`_segment_cover`) or a touching
-    circle (`_ring_cover`)."""
+    occupied cell meeting its slit ray (`_segment_cover`) or a thin gap
+    of W (`_band_cover`)."""
     left = []
     for a, sd in _psi_cases():
         r = rasterize_psi_section(sd, CFG2, a, N)
@@ -355,8 +370,8 @@ def _psi_left_on_curves(N):
         rim = ChiMap().forward((sd.slit_angle, 0.0))
         if (r.occupancy & _segment_cover((0.0, 0.0), rim, r.x0, r.side, N)).any():
             left.append((a, sd.z, "slit"))
-        for v in topology._touching_heights(sd.W):
-            if (r.occupancy & _ring_cover(r, math.sqrt((1.0 - v) / math.pi))).any():
+        for r_in, r_out in _thin_gaps(sd.W, r):
+            if (r.occupancy & _band_cover(r, r_in, r_out)).any():
                 left.append((a, sd.z, "ring"))
     return left
 
@@ -364,7 +379,8 @@ def _psi_left_on_curves(N):
 class TestPsiCorridor:
     @pytest.mark.parametrize("N", [255, 256])
     def test_no_occupied_cell_meets_the_slit_or_touching_circle(self, N):
-        touching = [a for a, sd in _psi_cases() if topology._touching_heights(sd.W)]
+        r = topology._psi_blank(N)
+        touching = [a for a, sd in _psi_cases() if _thin_gaps(sd.W, r)]
         assert set(touching) == {1.0}
         assert _psi_left_on_curves(N) == []
 
@@ -373,11 +389,19 @@ class TestPsiCorridor:
         r = topology._psi_blank(N)
         for radius in DISC_RADIUS * np.array([0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0]):
             occ = np.ones((N, N), dtype=bool)
-            topology._free_ring(occ, r, radius)
-            assert np.array_equal(~occ, _ring_cover(r, radius)), (N, radius)
+            topology._free_band(occ, r, radius, radius)
+            assert np.array_equal(~occ, _band_cover(r, radius, radius)), (N, radius)
+
+    @pytest.mark.parametrize("N", [64, 255, 256, 1024])
+    def test_band_frees_exactly_the_cells_the_annulus_meets(self, N):
+        r = topology._psi_blank(N)
+        for r_in, r_out in DISC_RADIUS * np.array([[0.0, 0.01], [0.1, 0.1 + 0.3 / N], [0.5, 0.52], [0.9, 1.0]]):
+            occ = np.ones((N, N), dtype=bool)
+            topology._free_band(occ, r, r_in, r_out)
+            assert np.array_equal(~occ, _band_cover(r, r_in, r_out)), (N, r_in, r_out)
 
     def test_fails_on_a_ring_omission(self, monkeypatch):
-        monkeypatch.setattr(topology, "_free_ring", lambda occupancy, r, radius: None)
+        monkeypatch.setattr(topology, "_free_band", lambda occupancy, r, r_in, r_out: None)
         left = _psi_left_on_curves(256)
         assert left and {curve for _, _, curve in left} == {"ring"}
 
@@ -385,6 +409,21 @@ class TestPsiCorridor:
         monkeypatch.setattr(topology, "_free_segment", _sample_cells_only)
         left = _psi_left_on_curves(256)
         assert left and {curve for _, _, curve in left} == {"slit"}
+
+    @pytest.mark.parametrize("a, N", [(0.999, 256), (0.99, 256), (0.9875, 256), (0.999, 1024)])
+    def test_a_gap_thinner_than_a_cell_stays_open(self, a, N):
+        """At a near 1, W = (0, s − (1 − a)) ∪ (s, 1): the heights between
+        are free, an annulus thinner than a cell or two, joined to the
+        rim by the slit.  Cell centres miss it, so unless its cells are
+        freed the raster closes it into enclosed pockets, and the hull
+        grows past the section."""
+        cfg = psi_config(CFG2, a)
+        zs = [z for z in z_grid(cfg, (9, 13))[0] if len(section_of_phi(z, cfg).W.intervals) == 2]
+        assert zs
+        cells = psi_section_cells(N)
+        for z in zs:
+            r = rasterize_psi_section(z, CFG2, a, N, cells=cells)
+            assert np.array_equal(bounded_hull(r).occupancy, r.occupancy), (a, N, z)
 
 
 class TestConnectivity:
@@ -666,6 +705,147 @@ class TestSharedGeometry:
         assert report.entries == tuple(entries)
         assert report.tolerance == max(tols)
         assert report.max_hull_area == max(e[2] for e in entries)
+
+
+def _arc_reference(qbar, p, sd, c):
+    """ψ's arc predicate on every cell at once, in the float steps of
+    `sections._arc_members`, with no blocks and no boxes."""
+    shift, m2, base = sections._arc_terms(sd, c)
+    p2 = sd.P2bar + p * -c
+    p2 = np.where(p2 < 0.0, p2 + c, p2)
+    m = np.maximum(np.abs(p2 - 0.5), m2)
+    B = np.minimum(base - m * m, (0.5 - sections.SLIT_TOL) ** 2)
+    q1 = qbar + shift
+    q1 = q1 - np.floor(q1) - 0.5
+    return ((p - 0.5) * (p - 0.5) < B) & (q1 * q1 < B)
+
+
+def _mutant(fn, old, new):
+    """fn recompiled in its own module's namespace with one piece of its
+    source replaced: a planted fault."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(src.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def _band_cases(a, N):
+    """(section, config) pairs at a: a z grid at n = 2, off-centre tails
+    at n = 3, and W with an end at the height ½, where a member can have
+    a height arbitrarily close to the end."""
+    cases = []
+    for n, tails in [(2, [()]), (3, [(0.3, 0.65), (0.55, 0.2)])]:
+        config = EmbeddingConfig(n=n, c=2.0)
+        cfg = psi_config(config, a)
+        for z in z_grid(cfg, (2, 3))[0]:
+            for t in tails:
+                cases.append((section_of_phi((*z[:2], *t), cfg), config))
+    sd, c = cases[0][0], psi_config(CFG2, a).c
+    for P2bar in (c / 2, reduce(c / 2 + 1.0, c)):
+        cases.append((replace(sd, P2bar=P2bar, W=preimage_affine_mod(P2bar, c)), CFG2))
+    return cases
+
+
+def _knife_edge_cases(N):
+    """Sections at a = 1 whose arc bound B_max is the least float that
+    keeps one cell of the column x = 0 of an odd-N raster a member, with
+    Q2 = 0.8 and p2 = ½ there, so that the band of heights ends exactly
+    at that cell: the outer circle passes through its centre and decides
+    whether its row is tested."""
+    qbar, p = (x.reshape(N, N) for x in psi_section_cells(N))
+    mid, r = N // 2, topology._psi_blank(N)
+    assert r.x0 + r.cell_offsets()[mid] == 0.0
+    config = EmbeddingConfig(n=3, c=2.0)
+    sd = section_of_phi((0.3, 0.7, 0.5, 0.5), psi_config(config, 1.0))
+    cases = []
+    for i in range(mid):
+        ps = p[i, mid]
+        if not 0.12 < ps < 0.28:
+            continue
+        P2bar = ps + 0.5
+
+        def member(t):
+            edge = replace(sd, z=(0.3, 0.7, t, 0.5), Q2=0.8, P2bar=P2bar)
+            return _arc_reference(qbar[i, mid], ps, edge, 1.0), edge
+
+        t = 0.5 + math.sqrt(0.25 - 0.09 - (ps - 0.5) ** 2)
+        while not member(t)[0]:
+            t = np.nextafter(t, 0.0)
+        while member(np.nextafter(t, 1.0))[0]:
+            t = np.nextafter(t, 1.0)
+        edge = member(t)[1]
+        cases.append((replace(edge, W=preimage_affine_mod(P2bar, 1.0)), config))
+    assert len(cases) > 10
+    return cases
+
+
+def _band_mismatches(cases, a, N, monkeypatch):
+    """The sections of `cases` whose banded raster, before the slit and the
+    gaps are freed, differs from `_arc_reference` on all N² cells."""
+    monkeypatch.setattr(topology, "_free_segment", lambda *args: None)
+    monkeypatch.setattr(topology, "_free_band", lambda *args: None)
+    cells = psi_section_cells(N)
+    bad = []
+    for sd, config in cases:
+        c = psi_config(config, a).c
+        # At c = 1e300 the squared |p2 − ½| overflows to inf, so B = −inf:
+        # no member, as in the kernel.
+        with np.errstate(over="ignore" if c > 1e150 else "raise"):
+            ref = _arc_reference(*cells, sd, c).reshape(N, N)
+            got = rasterize_psi_section(sd, config, a, N, cells=cells).occupancy
+        if not np.array_equal(got, ref):
+            bad.append(sd.z)
+    return bad
+
+
+class TestPsiBands:
+    """ψ rasters run the arc kernel only on the boxes of the annuli whose
+    heights can pass (`sections._arc_heights`, `topology._annulus_boxes`)."""
+
+    @pytest.mark.parametrize("N", [64, 256, 333, 1024])
+    @pytest.mark.parametrize("a", [1.0, 0.999, 0.5, 0.3, 0.25, 1e-3, 1e-6, 1e-300])
+    def test_banded_raster_equals_the_dense_kernel(self, a, N, monkeypatch):
+        assert _band_mismatches(_band_cases(a, N), a, N, monkeypatch) == []
+
+    @pytest.mark.parametrize("N", [255, 333])
+    def test_band_edge_through_a_cell_centre(self, N, monkeypatch):
+        assert _band_mismatches(_knife_edge_cases(N), 1.0, N, monkeypatch) == []
+
+    @pytest.mark.parametrize("fault", ["narrower-box", "no-slack", "hole-at-nearest-row"])
+    def test_fails_on_planted_faults(self, fault, monkeypatch):
+        if fault == "no-slack":
+            monkeypatch.setattr(sections, "_HEIGHT_SLACK", 0.0)
+        else:
+            old, new = {
+                "narrower-box": ("yield rows, cols", "yield rows, slice(cols.start, cols.stop - 1)"),
+                "hole-at-nearest-row": ("rr_in - far", "rr_in - near"),
+            }[fault]
+            monkeypatch.setattr(topology, "_annulus_boxes", _mutant(topology._annulus_boxes, old, new))
+        cases = [(_knife_edge_cases(N), 1.0, N) for N in (255, 333)]
+        cases.append((_band_cases(0.5, 1024), 0.5, 1024))
+        assert any(_band_mismatches(*case, monkeypatch) for case in cases)
+
+    def test_kernel_sees_under_half_the_cells_of_the_benchmark_hulls(self, monkeypatch):
+        """Over the hull checks of `topology --hull --N 1024 --grid 1x4` at
+        a = 1, ½, ¼, the kernel sees under half of the 12·N² cells, and
+        two sections, whose ball bound leaves no height of W, skip it."""
+        N, seen = 1024, []
+        arc_members = topology._arc_members
+
+        def counted(qbar, p, sd, c, out=None):
+            seen[-1] += qbar.size
+            return arc_members(qbar, p, sd, c, out=out)
+
+        rasterize = topology.rasterize_psi_section
+        monkeypatch.setattr(topology, "_arc_members", counted)
+        monkeypatch.setattr(
+            topology, "rasterize_psi_section", lambda *args, **kw: seen.append(0) or rasterize(*args, **kw)
+        )
+        for a in (1.0, 0.5, 0.25):
+            check_hull_bound(a, CFG2, grid=(1, 4), N=N)
+        assert len(seen) == 12 and seen.count(0) == 2
+        assert sum(seen) <= 0.5 * 12 * N * N
 
 
 class TestHalfDimensionThree:
