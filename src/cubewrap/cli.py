@@ -16,7 +16,9 @@ argparse defaults, and nothing else (no environment variable) sets them:
 
 Only verify takes --n: at any n the library's z grids put the trailing
 2n-4 coordinates of z at the cube centre, where no section changes.
---seed is a non-negative integer.
+--seed is a non-negative integer.  topology checks every generic z, so
+there it only orders the connectivity entries and picks which failing z
+is named first; --hull ignores it.
 
 verify draws one sample per map, and each check reads it or a prefix:
 

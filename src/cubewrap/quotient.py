@@ -68,8 +68,8 @@ class LineIntervalSet:
         return out
 
 
-# Fragments shorter than this are rounding artifacts of the wrap point
-# landing on an endpoint; they are dropped.
+# A wrapped arc's piece this short is a rounding artifact of the wrap point
+# landing on an endpoint, and is dropped; an unwrapped arc is kept at any c.
 _FRAGMENT_TOL = 1e-15
 
 
@@ -78,8 +78,8 @@ def preimage_affine_mod(target: float, scale: float) -> LineIntervalSet:
 
     scale*x must lie in (target - 1, target) mod scale, so x lies on the
     arc of R/Z from s = (target - 1)/scale mod 1 to e = s + 1/scale.
-    Unrolled into (0, 1) that is (s, e) when e <= 1, else the pieces
-    (0, e - 1) and (s, 1).
+    Unrolled into (0, 1) that is (s, e) when e <= 1, whatever its length,
+    else the pieces of (0, e - 1) and (s, 1) longer than _FRAGMENT_TOL.
     """
     c = float(scale)
     if not c >= 1:
@@ -87,9 +87,8 @@ def preimage_affine_mod(target: float, scale: float) -> LineIntervalSet:
     s = reduce((float(target) - 1.0) / c, 1.0)
     e = s + 1.0 / c
     if e <= 1.0:
-        pieces = [(s, e)]
-    else:
-        # the wrapped piece cannot analytically reach past the arc
-        # start; rounding in s + 1/c may say otherwise
-        pieces = [(0.0, min(e - 1.0, s)), (s, 1.0)]
+        return LineIntervalSet(intervals=((s, e),))
+    # the wrapped piece cannot analytically reach past the arc start;
+    # rounding in s + 1/c may say otherwise
+    pieces = [(0.0, min(e - 1.0, s)), (s, 1.0)]
     return LineIntervalSet(intervals=tuple((a, b) for a, b in pieces if b - a > _FRAGMENT_TOL))

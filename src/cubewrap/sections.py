@@ -25,13 +25,12 @@ iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
 √B centred at ½ − c·Q2 (`_arc_members`).  The kernel needs no disc
 mask: a point on or beyond the rim has p ≤ 0, so (p − ½)² ≥ ¼ > B.  A
 member's height lies in W and within √B_max of ½, B_max the bound B
-reaches at |p2 − ½| ≤ |Q2 − ½|; `_arc_heights` gives those heights,
-widened past every rounding.  A φ raster needs only heights, read from
-its 1-D axis, and frees the closed cells its slit meets
-(`topology.rasterize_section`); a ψ raster runs the arc kernel only on
-the cells (`topology.psi_section_cells`) of the annuli those heights
-map to.  Nothing caches geometry across calls, so a call's memory is
-released with it.
+reaches at |p2 − ½| ≤ |Q2 − ½|; `_arc_heights` gives those heights, W's
+pieces widened past every rounding, so φ and ψ read one W.  A φ raster
+needs only heights, read from its 1-D axis, and frees the closed cells
+its slit meets (`topology.rasterize_section`); a ψ raster runs the arc
+kernel only on the cells (`topology.psi_section_cells`) of the annuli
+those heights map to.  Nothing caches geometry across calls.
 
 The slit-ray bound.  φ membership computes an angle only beside the
 slit ray, the ray from ½ through d + ½, d = λ(slit angle, 0) − ½.  Let θ
@@ -51,10 +50,10 @@ rounding of d, of the two products and of q̄ is about 1e-16.  Only the
 points inside the wedge, a share of order τ of the square, go through
 `square_to_cylinder`, and of those only the angle is tested, since their
 height has already passed p ∈ W; every other point is a member iff its
-height is in W.  Membership runs on blocks of `maps._BLOCK_ELEMENTS`
-points (`maps._by_blocks`), and the ψ kernel on blocks of whole rows of
-about as many cylinder points.  tests/test_certificates.py proves the sector
-identity, the norm inequality and τ/8 > SLIT_TOL.
+height is in W.  φ and ψ membership run on blocks of
+`maps._BLOCK_ELEMENTS` points (`maps._by_blocks`), a ψ raster's kernel
+on its boxes.  tests/test_certificates.py proves the sector identity,
+the norm inequality and τ/8 > SLIT_TOL.
 """
 from __future__ import annotations
 
@@ -64,7 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (
-    _BLOCK_ELEMENTS,
     EmbeddingConfig,
     _as_points,
     _by_blocks,
@@ -206,7 +204,7 @@ def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
             member[idx] = (d > SLIT_TOL) & (d < 1.0 - SLIT_TOL)
         return member
 
-    # width=1: blocks of _BLOCK_ELEMENTS points, as the ψ kernel takes.
+    # width=1: blocks of _BLOCK_ELEMENTS points, as ψ membership takes.
     return _by_blocks(members, ys.reshape(-1, 2), width=1).reshape(ys.shape[:-1])
 
 
@@ -333,17 +331,20 @@ def _arc_terms(sd: SectionDescription, c: float):
 def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
     """Vectorized membership of plane points in the z-section of the
     ball embedding's image (c = 1/a): `_arc_members` of their polar
-    coordinates (q̄, p) = χ⁻¹(y)."""
+    coordinates (q̄, p) = χ⁻¹(y), in blocks as φ membership takes them."""
     cfg = psi_config(config, a)
     sd = resolve_section(z, cfg)
     ys = _as_points(ys)
     if sd.status != "generic":
         return np.zeros(ys.shape[:-1], dtype=bool)
-    qbar, p = disc_to_cylinder(ys[..., 0], ys[..., 1])
-    return _arc_members(np.ravel(qbar), np.ravel(p), sd, cfg.c).reshape(ys.shape[:-1])
+
+    def members(block):
+        return _arc_members(*disc_to_cylinder(block[:, 0], block[:, 1]), sd, cfg.c)
+
+    return _by_blocks(members, ys.reshape(-1, 2), width=1).reshape(ys.shape[:-1])
 
 
-def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float, out=None):
+def _arc_members(qbar, p, sd: SectionDescription, c: float, out=None):
     """Membership of the cylinder points (q̄, p), two arrays of one shape,
     in the generic section `sd` of the ball embedding's image at c = 1/a,
     an arc of angles at each height; written into `out` if given.
@@ -365,68 +366,61 @@ def _arc_members(qbar_all, p_all, sd: SectionDescription, c: float, out=None):
     proves the equivalence on each branch of the max and the mod.
 
     A point on or beyond the disc's rim has p = 1 − π|y|² ≤ 0, so
-    (p − ½)² ≥ ¼ > B and it is never a member.  The points are taken in
-    blocks of whole rows (along the first axis) of about _BLOCK_ELEMENTS
-    points, through preallocated buffers; `_arc_heights` bounds the
-    heights that can pass.
+    (p − ½)² ≥ ¼ > B and it is never a member.  |p2 − ½| is clamped at 1
+    before squaring, so no c overflows: B < 0 wherever the clamp acts.
+    One in-place pass; callers pass blocks of about _BLOCK_ELEMENTS
+    points, and `_arc_heights` bounds the heights that can pass.
     """
     shift, m2, base = _arc_terms(sd, c)
-    ok = np.empty(p_all.shape, dtype=bool) if out is None else out
-    rows = max(1, _BLOCK_ELEMENTS // math.prod(ok.shape[1:]))
-    buf_b, buf_u, buf_v = np.empty((3, min(rows, len(ok))) + ok.shape[1:])
-    buf_f = np.empty(buf_b.shape, dtype=bool)
-    for s in range(0, len(ok), rows):
-        block = slice(s, s + rows)
-        p, qbar, member = p_all[block], qbar_all[block], ok[block]
-        k = len(p)
-        B, u, v, f = buf_b[:k], buf_u[:k], buf_v[:k], buf_f[:k]
-        # p2 = P̄2 − c·p, in (−c, c) for p in (0, 1), reduced into [0, c);
-        # a p outside (0, 1) fails (p − ½)² < B ≤ ¼ whatever p2 is.
-        np.multiply(p, -c, out=u)
-        u += sd.P2bar
-        np.less(u, 0.0, out=f)
-        np.add(u, c, out=u, where=f)
-        # B = ¼ − Σ_tail − max(|Q2 − ½|, |p2 − ½|)².
-        u -= 0.5
-        np.abs(u, out=u)
-        np.maximum(u, m2, out=u)
-        u *= u
-        np.subtract(base, u, out=B)
-        np.minimum(B, _ARC_CAP, out=B)
-        np.subtract(p, 0.5, out=u)
-        u *= u
-        np.less(u, B, out=member)
-        # q1 = q̄ + c·Q2 mod 1, as x − floor(x).
-        np.add(qbar, shift, out=u)
-        np.floor(u, out=v)
-        u -= v
-        u -= 0.5
-        u *= u
-        np.less(u, B, out=f)
-        member &= f
-    return ok
+    member = np.empty(p.shape, dtype=bool) if out is None else out
+    B, u, v = np.empty((3,) + p.shape)
+    f = np.empty(p.shape, dtype=bool)
+    # p2 = P̄2 − c·p, in (−c, c) for p in (0, 1), reduced into [0, c);
+    # a p outside (0, 1) fails (p − ½)² < B ≤ ¼ whatever p2 is.
+    np.multiply(p, -c, out=u)
+    u += sd.P2bar
+    np.less(u, 0.0, out=f)
+    np.add(u, c, out=u, where=f)
+    # B = ¼ − Σ_tail − max(|Q2 − ½|, |p2 − ½|)².
+    u -= 0.5
+    np.abs(u, out=u)
+    np.clip(u, m2, 1.0, out=u)
+    u *= u
+    np.subtract(base, u, out=B)
+    np.minimum(B, _ARC_CAP, out=B)
+    np.subtract(p, 0.5, out=u)
+    u *= u
+    np.less(u, B, out=member)
+    # q1 = q̄ + c·Q2 mod 1, as x − floor(x).
+    np.add(qbar, shift, out=u)
+    np.floor(u, out=v)
+    u -= v
+    u -= 0.5
+    u *= u
+    np.less(u, B, out=f)
+    member &= f
+    return member
 
 
 def _arc_heights(sd: SectionDescription, c: float):
     """Disjoint open height intervals, sorted, at most two, that hold the
     height p of every point `_arc_members` passes in the generic section
-    `sd`: p ∈ (0, 1) with P̄2 − c·p mod c in (0, 1), that is p in one of
-    ((P̄2 − 1)/c + j, P̄2/c + j) for j = 0, 1 (W before `quotient` drops
-    its fragments), and |p − ½| < √B_max, each end widened by
-    _HEIGHT_SLACK.  An empty list means an empty section.
+    `sd`: W's pieces, each end widened by _HEIGHT_SLACK, clipped to
+    ½ ± (√B_max + _HEIGHT_SLACK).  An empty list means an empty section.
 
     Why this holds bit for bit.  B_max = min(¼ − Σ_tail − |Q2 − ½|², cap)
     bounds the kernel's B, since each float step of B is monotone in
     max(|Q2 − ½|, |p2 − ½|) ≥ |Q2 − ½|; a member has fl((p − ½)²) <
     B ≤ B_max, so |p − ½| < √B_max to within an ulp, and B_max ≤ 0
-    leaves no member.  B > 0 needs the kernel's p2 in (0, 1) as a float.
-    That p2 is P̄2 − c·p (plus c) rounded in three steps of at most
-    2⁻⁵³·c each, so the exact P̄2 − c·p mod c lies within 3·2⁻⁵³·c of
-    (0, 1), and p within 3·2⁻⁵³ of a piece above, at every c ≥ 1.  The
-    ends here are rounded by about 2⁻⁵², and a raster's cell heights
-    1 − π|y|² by about 2⁻⁵⁰.  _HEIGHT_SLACK dwarfs all of them, so a
-    cell whose centre lies outside the widened pieces by any rounding
-    fails the kernel.
+    leaves no member.  B > 0 needs the kernel's p2 in (0, 1) as a float,
+    that is p in the exact W but for three errors, each far below
+    _HEIGHT_SLACK: the kernel rounds p2 = P̄2 − c·p (plus c) in three
+    steps of at most 2⁻⁵³·c, which moves p by 3·2⁻⁵³; `quotient.reduce`
+    snaps a start within 1e-15 of 1 to 0, and W's ends round by about
+    2⁻⁵²; and a wrapped W drops pieces of 1e-15 or less, which lie at
+    p < 1e-15 or p > 1 − 1e-15, where (p − ½)² > cap ≥ B.  A raster's
+    cell heights 1 − π|y|² round by about 2⁻⁵⁰, so a cell whose centre
+    lies outside the widened pieces by any rounding fails the kernel.
     """
     m2, base = _arc_terms(sd, c)[1:]
     b_max = min(base - m2 * m2, _ARC_CAP)
@@ -434,9 +428,9 @@ def _arc_heights(sd: SectionDescription, c: float):
         return []
     half = math.sqrt(b_max) + _HEIGHT_SLACK
     pieces = []
-    for j in (0.0, 1.0):
-        lo = max((sd.P2bar - 1.0) / c + j - _HEIGHT_SLACK, 0.5 - half)
-        hi = min(sd.P2bar / c + j + _HEIGHT_SLACK, 0.5 + half)
+    for lo, hi in sd.W.intervals:
+        lo = max(lo - _HEIGHT_SLACK, 0.5 - half)
+        hi = min(hi + _HEIGHT_SLACK, 0.5 + half)
         if pieces and lo <= pieces[-1][1]:
             pieces[-1] = (pieces[-1][0], hi)
         elif lo < hi:

@@ -16,16 +16,16 @@ height of cell (i, j) is min(h_i, h_j), h = 1 − 4u² for the offsets u
 of the centres from ½ (`rasterize_section`), and the slit's cover
 carries the slit.  A ψ cell's cylinder coordinates (q̄, p), the polar
 coordinates of its centre, depend only on the raster's resolution and
-box, not on z; `psi_section_cells` builds them as two plain arrays by
-broadcasting the box's 1-D axis, in blocks of whole rows of about
-`maps._BLOCK_ELEMENTS` cells, and `check_hull_bound`, which holds N
-fixed, builds them once and passes them as `cells=` to every z.  Per z,
-a ψ cell is occupied when its angle lies in the arc of its height
-(`sections._arc_members`).  Only heights in `sections._arc_heights` can
-pass, an annulus or two through p = 1 − π|y|², so the kernel runs only
-on boxes of whole row blocks, one or two column ranges each, taken from
-the annulus on the sorted 1-D axis (`_annulus_boxes`); cells outside
-them, the disc's rim and beyond included, stay free.
+box, not on z; `psi_section_cells` builds them as two (N, N) arrays, the
+raster's grid, by broadcasting the box's 1-D axis in blocks of whole
+rows of about `maps._BLOCK_ELEMENTS` cells, and `check_hull_bound`,
+which holds N fixed, builds them once and passes them as `cells=` to
+every z.  Per z, a ψ cell is occupied when its angle lies in the arc of
+its height (`sections._arc_members`).  Only heights in
+`sections._arc_heights` can pass, an annulus or two through
+p = 1 − π|y|², so the kernel runs only on boxes of whole row blocks,
+one or two column ranges each, taken from the annulus on the sorted 1-D
+axis (`_annulus_boxes`); cells outside them stay free.
 Complement components join overlapping free row runs of adjacent rows;
 `bounded_hull` adds the runs not joined to the free margin ring.
 Every section raster starts from `_phi_blank`, which rejects N < 64.
@@ -223,17 +223,17 @@ def _psi_blank(N: int) -> Raster:
 
 
 def psi_section_cells(N: int):
-    """Cylinder coordinates (q̄, p) of the N² cell centres of a ψ raster,
-    as two 1-D arrays in row-major order.  Its box is a square centred
-    at 0, so both axes share one 1-D array of cell centres, and χ⁻¹ runs
-    on blocks of whole rows, about _BLOCK_ELEMENTS cells each."""
+    """Cylinder coordinates (q̄, p) of the cell centres of a ψ raster, as
+    two (N, N) arrays indexed like its occupancy.  Its box is a square
+    centred at 0, so both axes share one 1-D array of cell centres, and
+    χ⁻¹ runs on blocks of whole rows, about _BLOCK_ELEMENTS cells each."""
     r = _psi_blank(N)
     axis = r.x0 + r.cell_offsets()
     qbar, p = np.empty((2, N, N))
     rows = max(1, _BLOCK_ELEMENTS // N)
     for i in range(0, N, rows):
         qbar[i : i + rows], p[i : i + rows] = disc_to_cylinder(axis[i : i + rows, None], axis)
-    return qbar.reshape(-1), p.reshape(-1)
+    return qbar, p
 
 
 def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
@@ -322,13 +322,13 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     r = _psi_blank(N)
     if sd.status != "generic":
         return r
-    if cells is not None and (cells[0].shape != (N * N,) or cells[1].shape != (N * N,)):
+    if cells is not None and (cells[0].shape != (N, N) or cells[1].shape != (N, N)):
         raise ValueError(f"cells were built for another raster, not N = {N}")
     heights = _arc_heights(sd, cfg.c)
     if not heights:
         return r
     qbar, p = psi_section_cells(N) if cells is None else cells
-    qbar, p, occ = qbar.reshape(N, N), p.reshape(N, N), r.occupancy
+    occ = r.occupancy
     for lo, hi in heights:
         for box in _annulus_boxes(r, (1.0 - hi) / math.pi, (1.0 - lo) / math.pi):
             _arc_members(qbar[box], p[box], sd, cfg.c, out=occ[box])

@@ -22,6 +22,7 @@ from cubewrap.sections import (
     section_area_mc,
     section_membership_many,
     section_of_phi,
+    z_grid,
 )
 
 CFG2 = EmbeddingConfig(n=2, c=2.0)
@@ -95,6 +96,21 @@ class TestWSet:
             assert sd.W == preimage_affine_mod(sd.P2bar, c)
             assert len(sd.W.intervals) in (1, 2)
             assert abs(sd.W.total_length - 1 / c) < 1e-12
+
+    @pytest.mark.parametrize("c", [1e15, 1e16, 1e300])
+    def test_large_c_keeps_the_one_piece(self, c):
+        """From c ≈ 1e15 on, W's one piece is shorter than the fragments
+        `preimage_affine_mod` drops from a wrapped arc, and is kept: W is
+        never empty, and its length is 1/c to within an ulp of 1."""
+        cfg = EmbeddingConfig(n=2, c=c)
+        zs = z_grid(cfg, (7, 9))[0]
+        assert len(zs) > 50
+        for z in zs:
+            sd = section_of_phi(z, cfg)
+            iv = sd.W.intervals
+            assert sd.status == "generic" and iv
+            assert len(iv) == 1 or (iv[0][0], iv[-1][1]) == (0.0, 1.0)
+            assert abs(sd.W.total_length - 1 / c) <= 2.0**-52
 
 
 class TestSectionOfPhi:
@@ -463,8 +479,6 @@ def _psi_reference(ys, z, config, a, slit_tol=1e-9):
 class TestSectionsOfPhi:
     @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, math.pi])
     def test_batch_equals_per_z(self, c):
-        from cubewrap.sections import z_grid
-
         cfg = EmbeddingConfig(n=2, c=c)
         generic_z, special_z = z_grid(cfg, (50, 100))
         zs = np.concatenate([generic_z, special_z, [cfg.z0, (1.5, 0.5)]])
@@ -669,19 +683,15 @@ class TestSectionCells:
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_chunked_build_equals_one_pass(self, kind, monkeypatch):
         """Membership mapped and tested in blocks of 4099 points equals
-        one pass over all of them.  φ's kernel runs through
-        `maps._by_blocks`, whose block size is `maps._BLOCK_ELEMENTS`, and
-        is counted by its box test; ψ's reads the same constant as
-        `sections._BLOCK_ELEMENTS`, and is counted by the slices it takes
-        of its heights."""
+        one pass over all of them.  Both kernels run through
+        `maps._by_blocks`, whose block size is `maps._BLOCK_ELEMENTS`; φ's
+        is counted by its box test, ψ's by the calls of its arc kernel."""
         import cubewrap.maps as maps
         import cubewrap.sections as sec
-        from cubewrap.maps import disc_to_cylinder, psi_config
 
         rng = np.random.default_rng(8)
         blocks = []
         if kind == "phi":
-            owner = maps
             ys = rng.uniform(-0.1, 1.1, (30_000, 2))
             ys[17] = 0.5  # the puncture is left out
             in_box = sec._in_box
@@ -690,27 +700,20 @@ class TestSectionCells:
             )
             member = lambda: sec.section_membership_many(ys, (0.3, 0.7), CFG2)  # noqa: E731
         else:
-            owner = sec
             ys = rng.uniform(-0.6, 0.6, (30_000, 2))
             ys[17] = 0.0  # the centre, height 1
-            cfg = psi_config(CFG2, 0.5)
-            sd = section_of_phi((0.3, 0.7), cfg)
-            qbar, p = disc_to_cylinder(ys[:, 0], ys[:, 1])
-
-            class Counted(np.ndarray):
-                def __getitem__(self, key):
-                    blocks.append(key)
-                    return np.asarray(self)[key]
-
-            member = lambda: sec._arc_members(qbar, p.view(Counted), sd, cfg.c)  # noqa: E731
-            assert np.array_equal(
-                member(), sec.psi_section_membership_many(ys, (0.3, 0.7), CFG2, 0.5)
+            arc_members = sec._arc_members
+            monkeypatch.setattr(
+                sec,
+                "_arc_members",
+                lambda qbar, p, *args: blocks.append(len(p)) or arc_members(qbar, p, *args),
             )
-        monkeypatch.setattr(owner, "_BLOCK_ELEMENTS", len(ys))
+            member = lambda: sec.psi_section_membership_many(ys, (0.3, 0.7), CFG2, 0.5)  # noqa: E731
+        monkeypatch.setattr(maps, "_BLOCK_ELEMENTS", len(ys))
         blocks.clear()
         one_pass = member()
-        assert len(blocks) == 1
-        monkeypatch.setattr(owner, "_BLOCK_ELEMENTS", 4099)
+        assert blocks == [len(ys)]
+        monkeypatch.setattr(maps, "_BLOCK_ELEMENTS", 4099)
         blocks.clear()
         assert np.array_equal(member(), one_pass)
         assert len(blocks) == -(-len(ys) // 4099) > 1

@@ -663,12 +663,12 @@ class TestSharedGeometry:
     def test_psi_grid_cells_equal_point_cells(self, N, chunk, monkeypatch):
         """ψ cells built from the raster's 1-D axis, in blocks of whole
         rows (`_BLOCK_ELEMENTS // N` of them, counted by the χ⁻¹ calls),
-        equal χ⁻¹ of its N² cell centres bit for bit, in row-major order;
-        cells outside the disc included."""
+        equal χ⁻¹ of its N² cell centres bit for bit, as (N, N) arrays
+        indexed like the occupancy; cells outside the disc included."""
         from cubewrap.topology import _psi_blank
 
-        centres = _psi_blank(N).cell_centers().reshape(-1, 2)
-        ref = disc_to_cylinder(centres[:, 0], centres[:, 1])
+        centres = _psi_blank(N).cell_centers()
+        ref = disc_to_cylinder(centres[..., 0], centres[..., 1])
         if chunk is not None:
             monkeypatch.setattr(topology, "_BLOCK_ELEMENTS", chunk)
         rows = []
@@ -680,7 +680,7 @@ class TestSharedGeometry:
         assert len(rows) > 1 or N == 64
         assert len(got) == 2
         for g, r in zip(got, ref):
-            assert g.shape == (N * N,)
+            assert g.shape == (N, N)
             assert np.array_equal(g.view(np.int64), r.view(np.int64))
 
     def test_cells_of_another_raster_rejected(self):
@@ -709,12 +709,15 @@ class TestSharedGeometry:
 
 def _arc_reference(qbar, p, sd, c):
     """ψ's arc predicate on every cell at once, in the float steps of
-    `sections._arc_members`, with no blocks and no boxes."""
+    `sections._arc_members`, with no blocks and no boxes, and with no
+    clamp on |p2 − ½|: at c = 1e300 its square overflows to inf, so
+    B = −inf and no cell is a member, as in the kernel."""
     shift, m2, base = sections._arc_terms(sd, c)
     p2 = sd.P2bar + p * -c
     p2 = np.where(p2 < 0.0, p2 + c, p2)
     m = np.maximum(np.abs(p2 - 0.5), m2)
-    B = np.minimum(base - m * m, (0.5 - sections.SLIT_TOL) ** 2)
+    with np.errstate(over="ignore"):
+        B = np.minimum(base - m * m, (0.5 - sections.SLIT_TOL) ** 2)
     q1 = qbar + shift
     q1 = q1 - np.floor(q1) - 0.5
     return ((p - 0.5) * (p - 0.5) < B) & (q1 * q1 < B)
@@ -753,7 +756,7 @@ def _knife_edge_cases(N):
     Q2 = 0.8 and p2 = ½ there, so that the band of heights ends exactly
     at that cell: the outer circle passes through its centre and decides
     whether its row is tested."""
-    qbar, p = (x.reshape(N, N) for x in psi_section_cells(N))
+    qbar, p = psi_section_cells(N)
     mid, r = N // 2, topology._psi_blank(N)
     assert r.x0 + r.cell_offsets()[mid] == 0.0
     config = EmbeddingConfig(n=3, c=2.0)
@@ -788,12 +791,8 @@ def _band_mismatches(cases, a, N, monkeypatch):
     cells = psi_section_cells(N)
     bad = []
     for sd, config in cases:
-        c = psi_config(config, a).c
-        # At c = 1e300 the squared |p2 − ½| overflows to inf, so B = −inf:
-        # no member, as in the kernel.
-        with np.errstate(over="ignore" if c > 1e150 else "raise"):
-            ref = _arc_reference(*cells, sd, c).reshape(N, N)
-            got = rasterize_psi_section(sd, config, a, N, cells=cells).occupancy
+        ref = _arc_reference(*cells, sd, psi_config(config, a).c)
+        got = rasterize_psi_section(sd, config, a, N, cells=cells).occupancy
         if not np.array_equal(got, ref):
             bad.append(sd.z)
     return bad
@@ -804,7 +803,7 @@ class TestPsiBands:
     heights can pass (`sections._arc_heights`, `topology._annulus_boxes`)."""
 
     @pytest.mark.parametrize("N", [64, 256, 333, 1024])
-    @pytest.mark.parametrize("a", [1.0, 0.999, 0.5, 0.3, 0.25, 1e-3, 1e-6, 1e-300])
+    @pytest.mark.parametrize("a", [1.0, 0.999, 0.5, 0.3, 0.25, 1e-3, 1e-6, 1e-15, 1e-16, 1e-300])
     def test_banded_raster_equals_the_dense_kernel(self, a, N, monkeypatch):
         assert _band_mismatches(_band_cases(a, N), a, N, monkeypatch) == []
 
@@ -812,10 +811,15 @@ class TestPsiBands:
     def test_band_edge_through_a_cell_centre(self, N, monkeypatch):
         assert _band_mismatches(_knife_edge_cases(N), 1.0, N, monkeypatch) == []
 
-    @pytest.mark.parametrize("fault", ["narrower-box", "no-slack", "hole-at-nearest-row"])
+    @pytest.mark.parametrize(
+        "fault", ["narrower-box", "no-slack", "hole-at-nearest-row", "second-piece-of-w-dropped"]
+    )
     def test_fails_on_planted_faults(self, fault, monkeypatch):
         if fault == "no-slack":
             monkeypatch.setattr(sections, "_HEIGHT_SLACK", 0.0)
+        elif fault == "second-piece-of-w-dropped":
+            old, new = "in sd.W.intervals:", "in sd.W.intervals[:1]:"
+            monkeypatch.setattr(topology, "_arc_heights", _mutant(sections._arc_heights, old, new))
         else:
             old, new = {
                 "narrower-box": ("yield rows, cols", "yield rows, slice(cols.start, cols.stop - 1)"),
