@@ -40,6 +40,12 @@ seed; the spec keeps every key of the schema, null ([] for grid, false
 for hull) where the subcommand has no such flag.  Timing goes to stderr
 so it never perturbs report bytes.  Exit codes: 0 all checks pass, 1
 check failure, 2 usage/config error, 3 I/O error.
+
+`_finish` is the one writer: each subcommand hands it its checks, its
+report sections and its files (path -> text or bytes), and nothing else
+opens a file or makes a directory.  So a usage error writes nothing, and
+an OSError on any file (the report, sections.csv, plot's figures) is
+exit 3.
 """
 from __future__ import annotations
 
@@ -145,19 +151,6 @@ def _check(name, passed, value, tolerance=None, **extra):
     return entry
 
 
-def _report(spec: dict, checks, artifacts=()):
-    return {
-        "schema": SCHEMA,
-        "tool": "cubewrap",
-        "version": __version__,
-        "spec": spec,
-        "seed": spec.get("seed"),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-        "artifacts": list(artifacts),
-    }
-
-
 def _image_collisions(X, Y, image_tol, preimage_min):
     """Every pair (a, b), a < b, with ‖Y[a] − Y[b]‖ < image_tol and
     ‖X[a] − X[b]‖ ≥ preimage_min, as an (m, 2) index array, together
@@ -227,7 +220,6 @@ def cmd_verify(args) -> int:
     config = EmbeddingConfig(n=args.n, c=args.c)
     phi = build_phi(config)
     psi = build_psi(config, a=1.0 / args.c)
-    spec = _spec_echo(args)
 
     # One sample per map, each living only through its phase.  The cube
     # sample X, with Y = phi(X), serves containment, injectivity and the
@@ -272,35 +264,31 @@ def cmd_verify(args) -> int:
     if args.n >= 3:
         checks.append(_check("trailing_coordinates_identity", tail_id, tail_id))
 
-    return _finish(_report(spec, checks), args)
+    return _finish(args, checks)
 
 
-def _write_sections_csv(path, generic_z, area, mc_spots):
-    """One CSV row per generic z: z1, z2, the analytic area and, at the
-    Monte Carlo spots, the estimate and its standard error.  Every value
-    reads as `_fmt` writes it ('%.17g' is format's '.17g'), and all rows
-    are formatted in one call."""
+def _sections_csv(generic_z, area, mc_spots):
+    """The CSV text, rows ending in \\r\\n: one row per generic z with z1,
+    z2, the analytic area and, at the Monte Carlo spots, the estimate and
+    its standard error.  Every value reads as `_fmt` writes it ('%.17g' is
+    format's '.17g'), and all rows are formatted in one call."""
     mc = {(z1, z2): f"{_fmt(est)},{_fmt(se)}" for z1, z2, est, se in mc_spots}
     z1, z2 = generic_z[:, 0].tolist(), generic_z[:, 1].tolist()
     cells = [_fmt(area)] * (4 * len(z1))
     cells[0::4], cells[1::4] = z1, z2
     cells[3::4] = [mc.get(key, ",") for key in zip(z1, z2)]
-    with open(path, "w", newline="") as fh:
-        fh.write("z1,z2,analytic_area,mc_area,mc_stderr\r\n")
-        fh.write("%.17g,%.17g,%s,%s\r\n" * len(z1) % tuple(cells))
+    header = "z1,z2,analytic_area,mc_area,mc_stderr\r\n"
+    return header + "%.17g,%.17g,%s,%s\r\n" * len(z1) % tuple(cells)
 
 
 def cmd_sections(args) -> int:
     config = EmbeddingConfig(c=args.c)
     checks = []
-    spec = _spec_echo(args)
-    w, h = args.grid
-    artifacts = []
 
     with _Phase("analytic grid"):
         fr = fubini_check(
             config,
-            grid=(w, h),
+            grid=args.grid,
             mc_spots=args.mc_spots,
             samples_per_spot=args.samples,
             seed=args.seed,
@@ -346,15 +334,12 @@ def cmd_sections(args) -> int:
     sd0 = section_of_phi(config.z0, config)
     checks.append(_check("puncture_section_empty", sd0.status == "puncture", sd0.status))
 
+    files = {}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, "sections.csv")
-        _write_sections_csv(csv_path, z_grid(config, (w, h))[0], 1.0 / args.c, fr.mc_spots)
-        artifacts.append(csv_path)
+        csv = _sections_csv(z_grid(config, args.grid)[0], 1.0 / args.c, fr.mc_spots)
+        files[os.path.join(args.out, "sections.csv")] = csv
 
-    report = _report(spec, checks, artifacts)
-    report["fubini"] = asdict(fr)
-    return _finish(report, args)
+    return _finish(args, checks, files, fubini=asdict(fr))
 
 
 def cmd_topology(args) -> int:
@@ -365,7 +350,6 @@ def cmd_topology(args) -> int:
     args.c = DEFAULT_C if args.c is None else args.c
     config = EmbeddingConfig(c=args.c)
     checks = []
-    spec = _spec_echo(args)
 
     if args.fixture:
         count = complement_components(_FIXTURES[args.fixture](args.N))
@@ -373,7 +357,7 @@ def cmd_topology(args) -> int:
         checks.append(
             _check(f"fixture_{args.fixture}_components", count == expected, count, expected)
         )
-        return _finish(_report(spec, checks), args)
+        return _finish(args, checks)
 
     if args.hull:
         a = args.a if args.a is not None else 1.0 / args.c
@@ -392,9 +376,8 @@ def cmd_topology(args) -> int:
         checks.append(
             _check("hull_equals_section", hr.hull_equals_section, hr.hull_equals_section)
         )
-        report = _report(spec, checks)
-        report["hull"] = {k: v for k, v in asdict(hr).items() if k != "worst"}
-        return _finish(report, args)
+        hull = {k: v for k, v in asdict(hr).items() if k != "worst"}
+        return _finish(args, checks, hull=hull)
 
     with _Phase("connectivity"):
         rng = np.random.default_rng(args.seed)
@@ -419,9 +402,7 @@ def cmd_topology(args) -> int:
     )
     neg = complement_components(annulus_fixture())
     checks.append(_check("annulus_negative_control", neg == 2, neg, 2))
-    report = _report(spec, checks)
-    report["connectivity"] = conn_reports
-    return _finish(report, args)
+    return _finish(args, checks, connectivity=conn_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -508,36 +489,23 @@ def _raster_svg(r):
 
 def cmd_plot(args) -> int:
     config = EmbeddingConfig(c=args.c)
-    spec = _spec_echo(args)
     if args.z is not None and len(args.z) != 2:
         raise ValueError(f"--z takes exactly two values z1,z2, got {len(args.z)}")
     z = args.z if args.z is not None else (0.3, 0.7 * args.c)
     sd = section_of_phi(z, config)
-    # Rasterized before any file is written, so an --N below the raster
-    # minimum writes nothing.
     r = rasterize_section(sd, config, args.N)
     outdir = args.out or "."
-    artifacts = []
-    try:
-        os.makedirs(outdir, exist_ok=True)
+    files = {
+        os.path.join(outdir, name): content
         for name, content in [
             ("ribbon.svg", _ribbon_svg(sd) if sd.status == "generic" else _section_svg(sd)),
             ("section.svg", _section_svg(sd)),
             ("raster.svg", _raster_svg(r)),
-        ]:
-            path = os.path.join(outdir, name)
-            with open(path, "w") as fh:
-                fh.write(content)
-            artifacts.append(path)
-        pgm = os.path.join(outdir, "raster.pgm")
-        r.to_pgm(pgm)
-        artifacts.append(pgm)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    checks = [_check("figures_emitted", True, len(artifacts))]
-    report = _report(spec, checks, artifacts)
-    return _finish(report, args)
+            ("raster.pgm", r.pgm()),
+        ]
+    }
+    checks = [_check("figures_emitted", True, len(files))]
+    return _finish(args, checks, files)
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +531,36 @@ def _spec_echo(args):
     }
 
 
-def _finish(report, args) -> int:
+def _finish(args, checks, files=(), **sections) -> int:
+    """The one writer: the report of `checks` and `sections`, listing
+    `files` (path -> text or bytes) as its artifacts.  Writes the files
+    in order, then with --out `<command>_report.json`, as bytes (text as
+    UTF-8, no newline translation) after making their directories; an
+    OSError is exit 3 with nothing printed.  Else prints the report and
+    returns the checks' verdict."""
+    files = dict(files)
+    report = {
+        "schema": SCHEMA,
+        "tool": "cubewrap",
+        "version": __version__,
+        "spec": _spec_echo(args),
+        "seed": getattr(args, "seed", None),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+        "artifacts": list(files),
+        **sections,
+    }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, f"{report['spec']['command']}_report.json")
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        files[os.path.join(args.out, f"{args.command}_report.json")] = text
+    try:
+        for path, content in files.items():
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(content.encode() if isinstance(content, str) else content)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 

@@ -120,11 +120,13 @@ Z0_EXCLUSION = 1e-3
 
 @dataclass(frozen=True)
 class SectionDescription:
-    """Analytic data of one z-section of the embedded cube's image: V
-    as its one missing point, `slit_angle`, and the heights W."""
+    """Analytic data of one z-section of the embedded cube's image at
+    the length c of the last factor: V as its one missing point,
+    `slit_angle`, and the heights W."""
 
     z: tuple
     status: str  # "empty" | "puncture" | "generic"
+    c: float
     Q2: float | None = None
     P2bar: float | None = None
     slit_angle: float | None = None
@@ -145,9 +147,9 @@ def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
         raise ValueError(f"z must have {2 * config.n - 2} coordinates")
     z = tuple(zs.tolist())
     inside = 0 < z[0] < 1 and 0 < z[1] < config.c and all(0 < t < 1 for t in z[2:])
-    if not inside or z[:2] == config.z0:
-        return SectionDescription(z=z, status="puncture" if inside else "empty")
     c = config.c
+    if not inside or z[:2] == config.z0:
+        return SectionDescription(z=z, status="puncture" if inside else "empty", c=c)
     Q2, P2 = make_lambda_prime(c).inverse(zs[:2]).tolist()
     if not 0 < Q2 < 1:
         raise ValueError(
@@ -158,6 +160,7 @@ def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
     return SectionDescription(
         z=z,
         status="generic",
+        c=c,
         Q2=Q2,
         P2bar=P2bar,
         slit_angle=circle_reduce(-c * Q2, 1.0),
@@ -167,10 +170,13 @@ def section_of_phi(z, config: EmbeddingConfig) -> SectionDescription:
 
 
 def resolve_section(sd_or_z, config: EmbeddingConfig) -> SectionDescription:
-    """A SectionDescription as given, or the section at the given z."""
-    if isinstance(sd_or_z, SectionDescription):
-        return sd_or_z
-    return section_of_phi(sd_or_z, config)
+    """A SectionDescription as given, or the section at the given z.  A
+    section built for another c than config's is an error."""
+    if not isinstance(sd_or_z, SectionDescription):
+        return section_of_phi(sd_or_z, config)
+    if sd_or_z.c != config.c:
+        raise ValueError(f"the section was built for c = {sd_or_z.c}, not c = {config.c}")
+    return sd_or_z
 
 
 def section_membership_many(ys, sd_or_z, config: EmbeddingConfig):
@@ -316,7 +322,7 @@ def fubini_check(
     )
 
 
-def _arc_terms(sd: SectionDescription, c: float):
+def _arc_terms(sd: SectionDescription):
     """The per-z scalars of ψ's arc predicate: the shift c·Q2 that takes
     q̄ to q1, |Q2 − ½|, and ¼ less the squared ‖t − ½‖∞ of each
     trailing coordinate pair t of z."""
@@ -325,7 +331,7 @@ def _arc_terms(sd: SectionDescription, c: float):
     for k in range(0, len(tail), 2):
         m = max(abs(tail[k] - 0.5), abs(tail[k + 1] - 0.5))
         base -= m * m
-    return c * sd.Q2, abs(sd.Q2 - 0.5), base
+    return sd.c * sd.Q2, abs(sd.Q2 - 0.5), base
 
 
 def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
@@ -339,15 +345,16 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
         return np.zeros(ys.shape[:-1], dtype=bool)
 
     def members(block):
-        return _arc_members(*disc_to_cylinder(block[:, 0], block[:, 1]), sd, cfg.c)
+        return _arc_members(*disc_to_cylinder(block[:, 0], block[:, 1]), sd)
 
     return _by_blocks(members, ys.reshape(-1, 2), width=1).reshape(ys.shape[:-1])
 
 
-def _arc_members(qbar, p, sd: SectionDescription, c: float, out=None):
+def _arc_members(qbar, p, sd: SectionDescription, out=None):
     """Membership of the cylinder points (q̄, p), two arrays of one shape,
-    in the generic section `sd` of the ball embedding's image at c = 1/a,
-    an arc of angles at each height; written into `out` if given.
+    in the generic section `sd` of the ball embedding's image at
+    c = sd.c = 1/a, an arc of angles at each height; written into `out`
+    if given.
 
     A disc point y with (q̄, p) = χ⁻¹(y), paired with z, pulls back to
     the cube point with (q1, p1) = (q̄ + c·Q2 mod 1, p) and (Q2, p2) =
@@ -371,7 +378,8 @@ def _arc_members(qbar, p, sd: SectionDescription, c: float, out=None):
     One in-place pass; callers pass blocks of about _BLOCK_ELEMENTS
     points, and `_arc_heights` bounds the heights that can pass.
     """
-    shift, m2, base = _arc_terms(sd, c)
+    c = sd.c
+    shift, m2, base = _arc_terms(sd)
     member = np.empty(p.shape, dtype=bool) if out is None else out
     B, u, v = np.empty((3,) + p.shape)
     f = np.empty(p.shape, dtype=bool)
@@ -402,7 +410,7 @@ def _arc_members(qbar, p, sd: SectionDescription, c: float, out=None):
     return member
 
 
-def _arc_heights(sd: SectionDescription, c: float):
+def _arc_heights(sd: SectionDescription):
     """Disjoint open height intervals, sorted, at most two, that hold the
     height p of every point `_arc_members` passes in the generic section
     `sd`: W's pieces, each end widened by _HEIGHT_SLACK, clipped to
@@ -422,7 +430,7 @@ def _arc_heights(sd: SectionDescription, c: float):
     cell heights 1 − π|y|² round by about 2⁻⁵⁰, so a cell whose centre
     lies outside the widened pieces by any rounding fails the kernel.
     """
-    m2, base = _arc_terms(sd, c)[1:]
+    m2, base = _arc_terms(sd)[1:]
     b_max = min(base - m2 * m2, _ARC_CAP)
     if not b_max > 0.0:
         return []

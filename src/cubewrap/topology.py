@@ -28,7 +28,8 @@ one or two column ranges each, taken from the annulus on the sorted 1-D
 axis (`_annulus_boxes`); cells outside them stay free.
 Complement components join overlapping free row runs of adjacent rows;
 `bounded_hull` adds the runs not joined to the free margin ring.
-Every section raster starts from `_phi_blank`, which rejects N < 64.
+Every raster, the synthetic fixtures too, starts from `_phi_blank`,
+which rejects N < 64.
 """
 from __future__ import annotations
 
@@ -75,7 +76,8 @@ class Raster:
     """A binary occupancy grid over the square box [x0, x0+side]^2.
 
     occupancy[i, j] covers the cell with center
-    (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n).
+    (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n).  `pgm()` returns the
+    grid as PGM bytes; no raster writes a file.
     """
 
     n: int
@@ -110,16 +112,15 @@ class Raster:
         edges += np.count_nonzero(pad[:, 1:] != pad[:, :-1])
         return edges * self.cell
 
-    def to_pgm(self, path):
-        """Binary PGM (magic P5), one byte per cell, 255 = occupied.
+    def pgm(self) -> bytes:
+        """The grid as binary PGM bytes (magic P5), one byte per cell,
+        255 = occupied.
 
         Rows run along the second index so the image is the grid seen
         with the first index increasing downward.
         """
         data = (self.occupancy.astype(np.uint8) * 255).tobytes()
-        header = f"P5\n{self.n} {self.n}\n255\n".encode()
-        with open(path, "wb") as fh:
-            fh.write(header + data)
+        return f"P5\n{self.n} {self.n}\n255\n".encode() + data
 
     def runs(self) -> np.ndarray:
         """Row-wise runs of occupied cells: an (m, 3) array of
@@ -324,14 +325,14 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
         return r
     if cells is not None and (cells[0].shape != (N, N) or cells[1].shape != (N, N)):
         raise ValueError(f"cells were built for another raster, not N = {N}")
-    heights = _arc_heights(sd, cfg.c)
+    heights = _arc_heights(sd)
     if not heights:
         return r
     qbar, p = psi_section_cells(N) if cells is None else cells
     occ = r.occupancy
     for lo, hi in heights:
         for box in _annulus_boxes(r, (1.0 - hi) / math.pi, (1.0 - lo) / math.pi):
-            _arc_members(qbar[box], p[box], sd, cfg.c, out=occ[box])
+            _arc_members(qbar[box], p[box], sd, out=occ[box])
     # κ⁻¹∘λ = χ, so the slit is the ray from 0 to the rim point χ(slit angle, 0).
     _free_segment(occ, (0.0, 0.0), ChiMap().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
     iv = sd.W.intervals
@@ -473,16 +474,16 @@ def check_hull_bound(
 
 
 def _radial_fixture(N, inner, outer, slit_halfwidth=None):
-    """Cells of an N-cell unit raster whose centres lie at distance in
-    (inner, outer) from ½, built from the 1-D axis of centre offsets."""
-    if N < 64:
-        raise ValueError(f"fixture resolution N must be at least 64, got {N}")
+    """Cells of an N-cell unit raster (`_phi_blank`) whose centres lie at
+    distance in (inner, outer) from ½, built from the 1-D axis of centre
+    offsets."""
+    r = _phi_blank(N)
     d = (np.arange(N) + 0.5) / N - 0.5
     rho = np.hypot(d[:, None], d)
-    occ = (rho > inner) & (rho < outer)
+    np.logical_and(rho > inner, rho < outer, out=r.occupancy)
     if slit_halfwidth is not None:
-        occ &= ~((d > 0.0)[:, None] & (np.abs(d) < slit_halfwidth))
-    return Raster(n=N, occupancy=occ)
+        r.occupancy[(d > 0.0)[:, None] & (np.abs(d) < slit_halfwidth)] = False
+    return r
 
 
 def annulus_fixture(N: int = 256, inner: float = 0.2, outer: float = 0.4) -> Raster:

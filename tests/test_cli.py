@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from cubewrap.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     _image_collisions,
@@ -190,6 +191,29 @@ class TestExitCodes:
         assert code == EXIT_USAGE and captured.out == ""
         assert "c must be finite and >= 1, got inf" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            FAST_VERIFY,
+            ["sections", "--grid", "10x20", "--mc-spots", "0"],
+            FAST_TOPOLOGY,
+            ["topology", "--hull", "--grid", "1x2", "--N", "256"],
+            ["topology", "--fixture", "annulus", "--N", "64"],
+            ["plot", "--N", "64"],
+        ],
+        ids=["verify", "sections", "topology", "hull", "fixture", "plot"],
+    )
+    def test_io_error_under_a_regular_file(self, capsys, tmp_path, argv):
+        """An --out below a regular file cannot be made: exit 3, the
+        error on stderr, no report on stdout."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(argv + ["--out", str(blocker / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and captured.out == ""
+        assert "I/O error: [Errno 20] Not a directory" in captured.err
+        assert blocker.read_text() == ""
 
     def test_check_failure_exit_code(self, capsys, monkeypatch):
         # sabotage the sharpness check by monkeypatching the analytic area
@@ -773,7 +797,7 @@ class TestTopology:
         code = main(["topology", "--fixture", fixture, "--N", N])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
-        assert f"fixture resolution N must be at least 64, got {N}" in captured.err
+        assert f"raster resolution must be at least 64, got {N}" in captured.err
 
     @staticmethod
     def _check(doc, name):

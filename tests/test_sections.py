@@ -393,10 +393,10 @@ class TestPsiSectionMembership:
         from cubewrap.sections import SLIT_TOL, SectionDescription, _arc_members
 
         c = 2.0
-        sd = SectionDescription(z=(0.5, 0.5), status="generic", Q2=0.5, P2bar=reduce(1.5, c))
+        sd = SectionDescription(z=(0.5, 0.5), status="generic", c=c, Q2=0.5, P2bar=reduce(1.5, c))
         near, far = 0.1 * SLIT_TOL, 10 * SLIT_TOL
         qbar = np.array([0.0, near, 1.0 - near, far, 1.0 - far, 0.5])
-        got = _arc_members(qbar, np.full(len(qbar), 0.5), sd, c)
+        got = _arc_members(qbar, np.full(len(qbar), 0.5), sd)
         assert got.tolist() == [False, False, False, True, True, True]
 
     @pytest.mark.parametrize("scale", [1 - 2.0**-52, 1.0, 1 + 2.0**-52, 1.01, 2.0, 10.0])
@@ -410,16 +410,16 @@ class TestPsiSectionMembership:
         from cubewrap.sections import SectionDescription, _arc_members
 
         c = 2.0
-        sd = SectionDescription(z=(0.5, 0.5), status="generic", Q2=0.5, P2bar=0.5)
+        sd = SectionDescription(z=(0.5, 0.5), status="generic", c=c, Q2=0.5, P2bar=0.5)
         ang = np.linspace(0.0, 2 * math.pi, 97)[:-1] + 0.05
         ys = scale * DISC_RADIUS * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         qbar, p = disc_to_cylinder(ys[:, 0], ys[:, 1])
         assert np.all(p < 1e-15)
-        assert not _arc_members(qbar, p, sd, c).any()
+        assert not _arc_members(qbar, p, sd).any()
         assert not psi_section_membership_many(ys, sd, CFG2, 1 / c).any()
         # the same angles at 0.99 R are members: the arc there is nearly
         # the whole circle
-        assert _arc_members(*disc_to_cylinder(*(0.99 / scale * ys).T), sd, c).all()
+        assert _arc_members(*disc_to_cylinder(*(0.99 / scale * ys).T), sd).all()
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +433,13 @@ def _section_reference(z, config):
     z = tuple(float(v) for v in z)
     c = config.c
     if not (0 < z[0] < 1 and 0 < z[1] < c and all(0 < v < 1 for v in z[2:])):
-        return SectionDescription(z=z, status="empty")
+        return SectionDescription(z=z, status="empty", c=c)
     if (z[0], z[1]) == config.z0:
-        return SectionDescription(z=z, status="puncture")
+        return SectionDescription(z=z, status="puncture", c=c)
     cyl = make_lambda_prime(c).inverse(np.array([z[0], z[1]]))
     Q2, P2bar = float(cyl[0]), reduce(float(cyl[1]), c)
     return SectionDescription(
-        z=z, status="generic", Q2=Q2, P2bar=P2bar,
+        z=z, status="generic", c=c, Q2=Q2, P2bar=P2bar,
         slit_angle=reduce(-c * Q2, 1.0),
         W=preimage_affine_mod(P2bar, c), analytic_area=1.0 / c,
     )
@@ -608,8 +608,8 @@ class TestBallNorm:
         assert np.array_equal(psi_section_membership_many(ys, z, CFG2, a), ref)
         real = sec._arc_terms
 
-        def planted(sd, c):
-            shift, m2, base = real(sd, c)
+        def planted(sd):
+            shift, m2, base = real(sd)
             if plant == "B + 0.01":
                 return shift, m2, base + 0.01
             return shift + 0.01, m2, base

@@ -83,7 +83,7 @@ class TestRaster:
         occ = np.zeros((4, 4), dtype=bool)
         occ[1, 2] = True
         path = tmp_path / "r.pgm"
-        Raster(n=4, occupancy=occ).to_pgm(path)
+        path.write_bytes(Raster(n=4, occupancy=occ).pgm())
         data = path.read_bytes()
         assert data.startswith(b"P5\n4 4\n255\n")
         body = data.split(b"255\n", 1)[1]
@@ -707,12 +707,13 @@ class TestSharedGeometry:
         assert report.max_hull_area == max(e[2] for e in entries)
 
 
-def _arc_reference(qbar, p, sd, c):
+def _arc_reference(qbar, p, sd):
     """ψ's arc predicate on every cell at once, in the float steps of
     `sections._arc_members`, with no blocks and no boxes, and with no
     clamp on |p2 − ½|: at c = 1e300 its square overflows to inf, so
     B = −inf and no cell is a member, as in the kernel."""
-    shift, m2, base = sections._arc_terms(sd, c)
+    c = sd.c
+    shift, m2, base = sections._arc_terms(sd)
     p2 = sd.P2bar + p * -c
     p2 = np.where(p2 < 0.0, p2 + c, p2)
     m = np.maximum(np.abs(p2 - 0.5), m2)
@@ -770,7 +771,7 @@ def _knife_edge_cases(N):
 
         def member(t):
             edge = replace(sd, z=(0.3, 0.7, t, 0.5), Q2=0.8, P2bar=P2bar)
-            return _arc_reference(qbar[i, mid], ps, edge, 1.0), edge
+            return _arc_reference(qbar[i, mid], ps, edge), edge
 
         t = 0.5 + math.sqrt(0.25 - 0.09 - (ps - 0.5) ** 2)
         while not member(t)[0]:
@@ -791,7 +792,7 @@ def _band_mismatches(cases, a, N, monkeypatch):
     cells = psi_section_cells(N)
     bad = []
     for sd, config in cases:
-        ref = _arc_reference(*cells, sd, psi_config(config, a).c)
+        ref = _arc_reference(*cells, sd)
         got = rasterize_psi_section(sd, config, a, N, cells=cells).occupancy
         if not np.array_equal(got, ref):
             bad.append(sd.z)
@@ -837,9 +838,9 @@ class TestPsiBands:
         N, seen = 1024, []
         arc_members = topology._arc_members
 
-        def counted(qbar, p, sd, c, out=None):
+        def counted(qbar, p, sd, out=None):
             seen[-1] += qbar.size
-            return arc_members(qbar, p, sd, c, out=out)
+            return arc_members(qbar, p, sd, out=out)
 
         rasterize = topology.rasterize_psi_section
         monkeypatch.setattr(topology, "_arc_members", counted)
@@ -850,6 +851,34 @@ class TestPsiBands:
             check_hull_bound(a, CFG2, grid=(1, 4), N=N)
         assert len(seen) == 12 and seen.count(0) == 2
         assert sum(seen) <= 0.5 * 12 * N * N
+
+
+class TestSectionKnowsItsC:
+    """A SectionDescription records the c it was built for, and a caller
+    given a config of another c rejects it instead of mixing the two."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sd: rasterize_section(sd, EmbeddingConfig(c=4.0), 256),
+            lambda sd: rasterize_psi_section(sd, CFG2, 0.25, 256),
+            lambda sd: section_membership_many(np.full((3, 2), 0.3), sd, EmbeddingConfig(c=4.0)),
+            lambda sd: psi_section_membership_many(np.zeros((3, 2)), sd, CFG2, 0.25),
+        ],
+        ids=["phi-raster", "psi-raster", "phi-membership", "psi-membership"],
+    )
+    def test_section_of_another_c_raises(self, call):
+        sd = section_of_phi((0.3, 0.7), CFG2)
+        with pytest.raises(ValueError, match=r"built for c = 2\.0, not c = 4\.0"):
+            call(sd)
+
+    def test_every_status_records_c(self):
+        cfg = EmbeddingConfig(c=3.0)
+        sds = [section_of_phi(z, cfg) for z in [(0.3, 0.7), cfg.z0, (1.5, 0.5)]]
+        assert [sd.status for sd in sds] == ["generic", "puncture", "empty"]
+        assert {sd.c for sd in sds} == {3.0}
+        # built for the config's own c, a section is taken as given
+        assert rasterize_psi_section(sds[0], CFG2, 1 / 3.0, 64).area() > 0
 
 
 class TestHalfDimensionThree:
