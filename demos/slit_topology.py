@@ -9,6 +9,8 @@ checks the analytic slit path point by point.
 
 Run:  python3 demos/slit_topology.py
 """
+import numpy as np
+
 from cubewrap import EmbeddingConfig, check_complement_connected, slit_path_witness
 from cubewrap.sections import section_membership_many
 from cubewrap.topology import (
@@ -41,7 +43,9 @@ for N in (256, 512, 1024):
 # alone would do: at any finite resolution the zero-width slit closes
 # and a hole appears
 opened = rasterize_section(z, config, 512)
-r_closed = Raster(n=512, occupancy=section_membership_many(opened.cell_centers(), z, config))
+t = opened.cell_offsets()
+centres = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1)
+r_closed = Raster(n=512, occupancy=section_membership_many(centres, z, config))
 print(
     f"\nwithout the slit corridor (N = 512): "
     f"{complement_components(r_closed)} components (hole trapped)"

@@ -44,12 +44,14 @@ check failure, 2 usage/config error, 3 I/O error.
 `_finish` is the one writer: each subcommand hands it its checks, its
 report sections and its files (path -> text or bytes), and nothing else
 opens a file or makes a directory.  So a usage error writes nothing, and
-an OSError on any file (the report, sections.csv, plot's figures) is
-exit 3.
+an OSError on any file (the report, sections.csv, plot's figures, the
+PGM of topology's first disconnected section) is exit 3 and leaves
+nothing new.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -391,18 +393,22 @@ def cmd_topology(args) -> int:
             conn_reports.append(asdict(rep))
             if not ok and first_bad is None:
                 first_bad = rep
-    extra = {}
+    extra, files = {}, {}
     if first_bad is not None:
         extra = {
             "first_disconnected_z": list(first_bad.z),
             "first_disconnected_components": first_bad.components,
         }
+        if args.out:
+            name = "_".join(repr(float(v)) for v in first_bad.z)
+            r = rasterize_section(first_bad.z, config, args.N)
+            files[os.path.join(args.out, f"disconnected_z_{name}.pgm")] = r.pgm()
     checks.append(
         _check("complement_connected", first_bad is None, len(conn_reports), **extra)
     )
     neg = complement_components(annulus_fixture())
     checks.append(_check("annulus_negative_control", neg == 2, neg, 2))
-    return _finish(args, checks, connectivity=conn_reports)
+    return _finish(args, checks, files, connectivity=conn_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +486,9 @@ def _raster_svg(r):
     size = _RASTER_FIGURE_SIZE
     s = size / r.n
     body = [
-        f'<rect x="{i * s:.3f}" y="{(r.n - j - length) * s:.3f}" '
-        f'width="{s:.3f}" height="{length * s:.3f}" fill="#d94141"/>\n'
-        for i, j, length in r.runs().tolist()
+        f'<rect x="{i * s:.3f}" y="{(r.n - end) * s:.3f}" '
+        f'width="{s:.3f}" height="{(end - j) * s:.3f}" fill="#d94141"/>\n'
+        for i, j, end in zip(*(x.tolist() for x in r.row_runs()))
     ]
     return _svg(size, "#ffffff", body)
 
@@ -531,13 +537,44 @@ def _spec_echo(args):
     }
 
 
+def _write_all(files):
+    """Write every file (path -> text or bytes).  Each goes, as bytes
+    (text as UTF-8, no newline translation), to a temporary name beside
+    its target, after its missing directories are made; the targets are
+    renamed into place only after every write has succeeded.  On an
+    OSError, remove what this call created (directories, temporary files,
+    and targets that did not exist before) and re-raise."""
+    tmp = f".{os.getpid()}.tmp"
+    undo = []
+    try:
+        for path, content in files.items():
+            missing, parent = [], os.path.dirname(path)
+            while parent and not os.path.exists(parent):
+                missing.append(parent)
+                parent = os.path.dirname(parent)
+            for d in reversed(missing):
+                os.mkdir(d)
+                undo.append((os.rmdir, d))
+            with open(path + tmp, "xb") as fh:
+                undo.append((os.remove, path + tmp))
+                fh.write(content.encode() if isinstance(content, str) else content)
+        for path in files:
+            if not os.path.lexists(path):
+                undo.append((os.remove, path))
+            os.replace(path + tmp, path)
+    except OSError:
+        for remove, path in reversed(undo):
+            with contextlib.suppress(OSError):
+                remove(path)
+        raise
+
+
 def _finish(args, checks, files=(), **sections) -> int:
     """The one writer: the report of `checks` and `sections`, listing
-    `files` (path -> text or bytes) as its artifacts.  Writes the files
-    in order, then with --out `<command>_report.json`, as bytes (text as
-    UTF-8, no newline translation) after making their directories; an
-    OSError is exit 3 with nothing printed.  Else prints the report and
-    returns the checks' verdict."""
+    `files` (path -> text or bytes) as its artifacts.  Writes the files,
+    then with --out `<command>_report.json` (`_write_all`); an OSError
+    is exit 3 with nothing printed.  Else prints the report
+    and returns the checks' verdict."""
     files = dict(files)
     report = {
         "schema": SCHEMA,
@@ -554,10 +591,7 @@ def _finish(args, checks, files=(), **sections) -> int:
     if args.out:
         files[os.path.join(args.out, f"{args.command}_report.json")] = text
     try:
-        for path, content in files.items():
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(content.encode() if isinstance(content, str) else content)
+        _write_all(files)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -11,10 +11,11 @@ complement corridor survives discretization at any resolution, and
 nothing is sampled.
 
 A φ section is every angle but the slit's at the heights in W, so a φ
-raster reads only heights, from its 1-D axis of cell centres: the
-height of cell (i, j) is min(h_i, h_j), h = 1 − 4u² for the offsets u
-of the centres from ½ (`rasterize_section`), and the slit's cover
-carries the slit.  A ψ cell's cylinder coordinates (q̄, p), the polar
+raster reads only heights, from its 1-D axis of cell centres, and the
+slit's cover carries the slit; it is built as row runs
+(`rasterize_section`), and so are the synthetic fixtures.  No N² array
+is made until a reader asks for the grid (`Raster.occupancy`: plots,
+PGM bytes, tests).  A ψ cell's cylinder coordinates (q̄, p), the polar
 coordinates of its centre, depend only on the raster's resolution and
 box, not on z; `psi_section_cells` builds them as two (N, N) arrays, the
 raster's grid, by broadcasting the box's 1-D axis in blocks of whole
@@ -26,15 +27,17 @@ its height (`sections._arc_members`).  Only heights in
 p = 1 − π|y|², so the kernel runs only on boxes of whole row blocks,
 one or two column ranges each, taken from the annulus on the sorted 1-D
 axis (`_annulus_boxes`); cells outside them stay free.
-Complement components join overlapping free row runs of adjacent rows;
-`bounded_hull` adds the runs not joined to the free margin ring.
+Complement components join overlapping free row runs of adjacent rows,
+the gaps between a raster's occupied runs (those of a dense grid from
+`_runs`); `bounded_hull` adds the runs not joined to the free margin
+ring.
 Every raster, the synthetic fixtures too, starts from `_phi_blank`,
 which rejects N < 64.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,19 +74,33 @@ _THIN_GAP_CELLS = 2.0
 _TOUCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class Raster:
     """A binary occupancy grid over the square box [x0, x0+side]^2.
 
     occupancy[i, j] covers the cell with center
-    (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n).  `pgm()` returns the
-    grid as PGM bytes; no raster writes a file.
+    (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n).  A raster holds the grid
+    or its `row_runs`: (rows, starts, ends) of the maximal runs of
+    occupied cells, ends exclusive, in row-major order.  A raster of runs
+    paints its grid the first time `occupancy` is read, and from then on
+    every reader sees the grid.  `pgm()` returns the grid as PGM bytes;
+    no raster writes a file.
     """
 
-    n: int
-    occupancy: np.ndarray
-    x0: float = 0.0
-    side: float = 1.0
+    def __init__(self, n: int, occupancy: np.ndarray | None = None, x0: float = 0.0,
+                 side: float = 1.0, *, row_runs: tuple | None = None):
+        self.n, self.x0, self.side = n, x0, side
+        self._grid, self._row_runs = occupancy, row_runs
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        if self._grid is None:
+            self._grid = np.zeros((self.n, self.n), dtype=bool)
+            _paint(self._grid, *self._row_runs)
+        return self._grid
+
+    def row_runs(self):
+        """(rows, starts, ends) of the occupied runs; a grid's from `_runs`."""
+        return self._row_runs if self._grid is None else _runs(self._grid)
 
     @property
     def cell(self) -> float:
@@ -94,13 +111,15 @@ class Raster:
         axis."""
         return (np.arange(self.n) + 0.5) * self.cell
 
-    def cell_centers(self):
-        t = self.x0 + self.cell_offsets()
-        X, Y = np.meshgrid(t, t, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+    def occupied(self) -> int:
+        """The number of occupied cells."""
+        if self._grid is not None:
+            return int(np.count_nonzero(self._grid))
+        rows, starts, ends = self._row_runs
+        return int((ends - starts).sum())
 
     def area(self) -> float:
-        return float(np.count_nonzero(self.occupancy)) * self.cell**2
+        return float(self.occupied()) * self.cell**2
 
     def perimeter_estimate(self) -> float:
         """Total length of occupied/free cell edges (8-connectivity is
@@ -122,12 +141,6 @@ class Raster:
         data = (self.occupancy.astype(np.uint8) * 255).tobytes()
         return f"P5\n{self.n} {self.n}\n255\n".encode() + data
 
-    def runs(self) -> np.ndarray:
-        """Row-wise runs of occupied cells: an (m, 3) array of
-        (row, start, length), in row-major order."""
-        rows, starts, ends = _runs(self.occupancy)
-        return np.stack([rows, starts, ends - starts], axis=1)
-
 
 def _runs(mask: np.ndarray):
     """Row-major runs of the nonzero cells of a 2-D array, as (rows, starts,
@@ -143,16 +156,52 @@ def _ranges(first, count):
     return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
+def _paint(grid: np.ndarray, rows, starts, ends):
+    """Set the cells of the runs (rows, starts, ends) in `grid`."""
+    count = ends - starts
+    grid[np.repeat(rows, count), _ranges(starts, count)] = True
+
+
+def _joined(rows, starts, ends):
+    """Row-major runs with each two that touch in a row joined."""
+    new, last = np.ones((2, len(rows)), dtype=bool)
+    new[1:] = last[:-1] = (rows[1:] != rows[:-1]) | (starts[1:] != ends[:-1])
+    return rows[new], starts[new], ends[last]
+
+
+def _cut(rows, starts, ends, lo, hi):
+    """Row-major runs less the column range [lo[i], hi[i]) of each row i,
+    which cuts nothing where lo[i] ≥ hi[i].  Each run keeps its part left
+    of the range and then its part right of it, so the runs stay
+    row-major and maximal."""
+    lo, hi = lo[rows], hi[rows]
+    cut = lo < hi
+    s = np.stack([starts, np.where(cut, np.maximum(starts, hi), ends)], axis=1).ravel()
+    e = np.stack([np.where(cut, np.minimum(ends, lo), ends), ends], axis=1).ravel()
+    keep = s < e
+    return np.repeat(rows, 2)[keep], s[keep], e[keep]
+
+
 def _free_runs(r: Raster):
     """The runs of r's free cells framed by a free ring, and the root of
-    each: the least run index of its 4-connected component.  Run a of row i
-    meets the runs of row i + 1 from the first ending after a starts to the
-    last starting before a ends.  Hook each root to the least root joined
-    to it, jump pointers, and repeat until joined runs share a root."""
-    free = np.ones((r.n + 2, r.n + 2), dtype=bool)
-    np.logical_not(r.occupancy, out=free[1:-1, 1:-1])
-    rows, starts, ends = _runs(free)
-    w = r.n + 3  # above every column, so row·w + column orders runs row-major
+    each: the least run index of its 4-connected component.  The ring's
+    rows 0 and n + 1 are one run each; row i + 1 holds the gaps of row
+    i's occupied runs, one column to the right: from column 0 to the
+    first start, between each end and the next start, and from the last
+    end to n + 2.  Run a of row i meets the runs of row i + 1 from the
+    first ending after a starts to the last starting before a ends.  Hook
+    each root to the least root joined to it, jump pointers, and repeat
+    until joined runs share a root."""
+    n = r.n
+    rows, starts, ends = r.row_runs()
+    at = np.arange(len(rows)) + rows  # the gap before each occupied run
+    gap_starts, gap_ends = np.zeros(len(rows) + n, dtype=np.intp), np.full(len(rows) + n, n + 2)
+    gap_starts[at + 1], gap_ends[at] = ends + 1, starts + 1
+    gap_rows = np.repeat(np.arange(1, n + 1), np.bincount(rows, minlength=n) + 1)
+    rows = np.concatenate([[0], gap_rows, [n + 1]])
+    starts = np.concatenate([[0], gap_starts, [0]])
+    ends = np.concatenate([[n + 2], gap_ends, [n + 2]])
+    w = n + 3  # above every column, so row·w + column orders runs row-major
     first = np.searchsorted(rows * w + ends, (rows + 1) * w + starts, side="right")
     count = np.searchsorted(rows * w + starts, (rows + 1) * w + ends) - first
     a, b = np.repeat(np.arange(len(rows)), count), _ranges(first, count)
@@ -173,14 +222,14 @@ def complement_components(r: Raster) -> int:
     return int(np.count_nonzero(root == np.arange(len(root))))
 
 
-def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
-    """Free every closed cell, of a grid with corner (x0, x0) and cells
-    of side `cell`, that the segment from `start` to `end` meets.  In
-    grid units, strips one cell wide step along the major axis; y at each
-    strip edge is computed once, and each strip frees rows
-    ceil(y_min − 1 − tol) … floor(y_max + tol), so neighbouring strips
-    share a row and a pass within rounding of an edge frees both sides."""
-    n = occupancy.shape[0]
+def _segment_cells(n: int, start, end, x0, cell):
+    """(first, second) indices of every closed cell, of an n-cell grid
+    with corner (x0, x0) and cells of side `cell`, that the segment from
+    `start` to `end` meets.  In grid units, strips one cell wide step
+    along the major axis; y at each strip edge is computed once, and each
+    strip takes rows ceil(y_min − 1 − tol) … floor(y_max + tol), so
+    neighbouring strips share a row and a pass within rounding of an edge
+    takes both sides."""
     g0, g1 = ((np.asarray(pt, dtype=float) - x0) / cell for pt in (start, end))
     k = int(abs(g1[1] - g0[1]) > abs(g1[0] - g0[0]))
     (a, ya), (b, yb) = sorted([(g0[k], g0[1 - k]), (g1[k], g1[1 - k])])
@@ -191,7 +240,26 @@ def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
     last = np.clip(np.floor(np.maximum(y[:-1], y[1:]) + _TOUCH_TOL), -1, n - 1).astype(np.intp)
     count = last - first + 1
     rows, cols = _ranges(first, count), np.repeat(np.arange(lo, hi + 1), count)
-    occupancy[(cols, rows) if k == 0 else (rows, cols)] = False
+    return (cols, rows) if k == 0 else (rows, cols)
+
+
+def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
+    """Free every closed cell of the grid that the segment from `start`
+    to `end` meets (`_segment_cells`)."""
+    occupancy[_segment_cells(occupancy.shape[0], start, end, x0, cell)] = False
+
+
+def _slit_cover(n: int, start, end, x0, cell):
+    """Per row i of an n-cell grid, the column range [lo_i, hi_i) of the
+    closed cells that the segment meets (`_segment_cells`), with
+    lo_i ≥ hi_i where it meets none.  In a row they are one range: each
+    strip's range of rows has ends that move monotonically along the
+    segment."""
+    i, j = _segment_cells(n, start, end, x0, cell)
+    lo, hi = np.full(n, n), np.zeros(n, dtype=np.intp)
+    np.minimum.at(lo, i, j)
+    np.maximum.at(hi, i, j + 1)
+    return lo, hi
 
 
 def _free_band(occupancy: np.ndarray, r: Raster, r_in: float, r_out: float):
@@ -209,18 +277,19 @@ def _free_band(occupancy: np.ndarray, r: Raster, r_in: float, r_out: float):
 
 
 def _phi_blank(N: int) -> Raster:
-    """An empty raster over the unit square, of resolution N ≥ 64."""
+    """An empty raster of runs over the unit square, of resolution N ≥ 64."""
     if N < 64:
         raise ValueError(f"raster resolution must be at least 64, got {N}")
-    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool))
+    none = np.empty(0, dtype=np.intp)
+    return Raster(n=N, row_runs=(none, none, none))
 
 
 def _psi_blank(N: int) -> Raster:
-    """An empty raster over a box slightly larger than the disc of
-    radius 1/sqrt(pi)."""
-    r = _phi_blank(N)
+    """An empty grid over a box slightly larger than the disc of radius
+    1/sqrt(pi)."""
+    _phi_blank(N)
     side = 2 * DISC_RADIUS * (1.0 + 2.0 * _PSI_MARGIN_CELLS / N)
-    return replace(r, x0=-side / 2.0, side=side)
+    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=-side / 2.0, side=side)
 
 
 def psi_section_cells(N: int):
@@ -237,8 +306,20 @@ def psi_section_cells(N: int):
     return qbar, p
 
 
+def _height_ranges(h):
+    """Per i, the column range [lo_i, hi_i) of the j with h_j ≥ h_i, for
+    the heights h = 1 − 4u² of a raster axis.  u rises along the axis and
+    x ↦ 1 − 4x² is monotone in floating point on each sign of x, so h
+    rises on its first N // 2 entries and falls on the rest: the range is
+    a tail of the first half and a head of the second, each found by
+    `np.searchsorted`.  It holds i."""
+    k = len(h) // 2
+    return np.searchsorted(h[:k], h), k + np.searchsorted(-h[k:], -h, side="right")
+
+
 def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
-    """Rasterize the section at z over [0,1]^2 by cell-center membership.
+    """Rasterize the section at z over [0,1]^2 by cell-center membership,
+    as row runs.
 
     The section is λ(V × W): every angle but the slit's, at the heights
     in W.  So a cell is occupied when its height lies in W, and the
@@ -250,16 +331,19 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     coordinate of larger magnitude (`maps.square_to_cylinder`), which is
     min(h(u), h(v)) with h(u) = 1 − 4u² bit for bit, since x ↦ 1 − 4x is
     monotone in floating point: one 1-D axis of heights gives all N², and
-    W is decided once per axis height.  The odd-N centre cell, the
-    puncture, has height 1 ∉ W.
+    W is decided once per axis height, as the mask w.  Along row i the
+    cells with h_j ≥ h_i, one column range (`_height_ranges`), take
+    w[i]; every other cell takes w[j], the runs of w outside that range.
+    The odd-N centre cell, the puncture, has height 1 ∉ W.
 
     Dropping the angle test frees no fewer cells.  By the slit-ray bound
     (`sections` module docstring), q̄ moves at least 1/8 as fast as the
     Euclidean angle, so a cell centre y within SLIT_TOL of the slit angle
     is within 8·SLIT_TOL of the ray's direction and so within
-    8·SLIT_TOL·|y − ½| < 6e-9 of the slit ray.  The ray meets that cell
-    and `_free_segment` frees it.  The closed cover of a segment is
-    4-connected, so the corridor stays open.
+    8·SLIT_TOL·|y − ½| < 6e-9 of the slit ray.  The ray meets that cell,
+    and its cover (`_slit_cover`), one column range per row, is cut from
+    the runs.  The closed cover of a segment is 4-connected, so the
+    corridor stays open.
     """
     sd = resolve_section(z, config)
     r = _phi_blank(N)
@@ -268,9 +352,18 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     u = r.cell_offsets() - 0.5
     h = 1.0 - 4.0 * (u * u)
     w = sd.W.contains_many(h)
-    occ = np.where(h[:, None] <= h, w[:, None], w)
-    _free_segment(occ, (0.5, 0.5), make_lambda().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
-    return Raster(n=N, occupancy=occ)
+    lo, hi = (x[:, None] for x in _height_ranges(h))
+    _, ws, we = _runs(w[None])
+    ws, we = np.broadcast_to(ws, (N, len(ws))), np.broadcast_to(we, (N, len(we)))
+    # Per row: the runs of w left of [lo, hi), that range if w[i], and the
+    # runs of w right of it; an empty slot has start ≥ end.
+    starts = np.concatenate([ws, lo, np.maximum(ws, hi)], axis=1).ravel()
+    ends = np.concatenate([np.minimum(we, lo), np.where(w[:, None], hi, lo), we], axis=1).ravel()
+    keep = starts < ends
+    rows = np.repeat(np.arange(N), len(starts) // N)
+    runs = _joined(rows[keep], starts[keep], ends[keep])
+    rim = make_lambda().forward((sd.slit_angle, 0.0))
+    return Raster(n=N, row_runs=_cut(*runs, *_slit_cover(N, (0.5, 0.5), rim, r.x0, r.cell)))
 
 
 def _annulus_boxes(r: Raster, rr_in: float, rr_out: float):
@@ -352,6 +445,16 @@ class ConnectivityReport:
     occupied_fraction: float
 
 
+def _resolution_for(W) -> int:
+    """The least N above 1/width of W's thinnest height band, so that at
+    it and every N beyond, each interval of heights in W holds an axis
+    cell's height.  Heights (lo, hi) are the square radii
+    (√(1 − hi)/2, √(1 − lo)/2) about ½, and the axis offsets of the cell
+    centres from ½ are 1/N apart, so a band wider than 1/N holds one."""
+    width = min(math.sqrt(1.0 - lo) - math.sqrt(1.0 - hi) for lo, hi in W.intervals) / 2.0
+    return math.floor(1.0 / width) + 1
+
+
 def check_complement_connected(z, config: EmbeddingConfig, N: int):
     """True iff the complement of the section raster (in the plane) is a
     single 4-connected component.  Verdicts below N = 256 are advisory.
@@ -360,11 +463,12 @@ def check_complement_connected(z, config: EmbeddingConfig, N: int):
         raise ValueError("acceptance-grade connectivity checks need N >= 256")
     sd = resolve_section(z, config)
     r = rasterize_section(sd, config, N)
-    occupied = np.count_nonzero(r.occupancy)
+    occupied = r.occupied()
     if sd.status == "generic" and not occupied:
         raise ValueError(
             f"the section at z = {sd.z} (c = {config.c}) is thinner than a cell "
-            f"of the N = {N} raster; raise --N"
+            f"of the N = {N} raster; raise --N (N >= {_resolution_for(sd.W)} puts a cell "
+            "centre in every height band of W)"
         )
     components = complement_components(r)
     report = ConnectivityReport(
@@ -372,7 +476,7 @@ def check_complement_connected(z, config: EmbeddingConfig, N: int):
         N=N,
         components=components,
         connected=components == 1,
-        occupied_fraction=float(occupied / r.occupancy.size),
+        occupied_fraction=float(occupied / (N * N)),
     )
     return report.connected, report
 
@@ -407,9 +511,8 @@ def bounded_hull(r: Raster) -> Raster:
         raise AmbiguousHullError("occupancy touches the raster margin")
     rows, starts, ends, root = _free_runs(r)
     hole = root != 0
-    # Padded cell (i, j) is cell (i − 1, j − 1) of the box.
-    count = (ends - starts)[hole]
-    hull[np.repeat(rows[hole] - 1, count), _ranges(starts[hole] - 1, count)] = True
+    # Framed cell (i, j) is cell (i − 1, j − 1) of the box.
+    _paint(hull, rows[hole] - 1, starts[hole] - 1, ends[hole] - 1)
     return Raster(n=r.n, occupancy=hull, x0=r.x0, side=r.side)
 
 
@@ -473,17 +576,44 @@ def check_hull_bound(
 # Synthetic fixtures (negative controls and hull tests)
 
 
+def _hypot_count(a, half, rho):
+    """For each a, how many leading entries b of the ascending array
+    `half` have np.hypot(a, b) < rho: the count below √(rho² − a²), moved
+    by one entry where np.hypot disagrees."""
+    if rho <= 0.0:
+        return np.zeros(len(a), dtype=np.intp)
+    m = np.searchsorted(half, np.sqrt(np.maximum(rho * rho - a * a, 0.0)))
+    last = len(half) - 1
+    m += (m <= last) & (np.hypot(a, half[np.minimum(m, last)]) < rho)
+    m -= (m > 0) & (np.hypot(a, half[np.maximum(m - 1, 0)]) >= rho)
+    return m
+
+
 def _radial_fixture(N, inner, outer, slit_halfwidth=None):
     """Cells of an N-cell unit raster (`_phi_blank`) whose centres lie at
-    distance in (inner, outer) from ½, built from the 1-D axis of centre
-    offsets."""
-    r = _phi_blank(N)
+    distance in (inner, outer) from ½, as row runs from the 1-D axis d of
+    centre offsets.  |d| falls along the first N // 2 entries and rises
+    along the rest, so in row i the centres within a radius form one
+    column range, counted on each half (`_hypot_count`).  The range within
+    `inner` is cut from the range within `outer`, and the slit's columns
+    |d| < slit_halfwidth from the rows with d > 0."""
+    _phi_blank(N)
     d = (np.arange(N) + 0.5) / N - 0.5
-    rho = np.hypot(d[:, None], d)
-    np.logical_and(rho > inner, rho < outer, out=r.occupancy)
+    k = N // 2
+    halves = (-d[k - 1 :: -1], d[k:])
+
+    def within(rho):
+        return k - _hypot_count(d, halves[0], rho), k + _hypot_count(d, halves[1], rho)
+
+    lo, hi = within(outer)
+    rows = np.flatnonzero(lo < hi)
+    runs = _cut(rows, lo[rows], hi[rows], *within(np.nextafter(inner, math.inf)))
     if slit_halfwidth is not None:
-        r.occupancy[(d > 0.0)[:, None] & (np.abs(d) < slit_halfwidth)] = False
-    return r
+        ray = d > 0.0
+        lo = k - np.searchsorted(halves[0], slit_halfwidth)
+        hi = k + np.searchsorted(halves[1], slit_halfwidth)
+        runs = _cut(*runs, np.where(ray, lo, 0), np.where(ray, hi, 0))
+    return Raster(n=N, row_runs=runs)
 
 
 def annulus_fixture(N: int = 256, inner: float = 0.2, outer: float = 0.4) -> Raster:

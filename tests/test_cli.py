@@ -215,6 +215,30 @@ class TestExitCodes:
         assert "I/O error: [Errno 20] Not a directory" in captured.err
         assert blocker.read_text() == ""
 
+    def test_io_error_on_one_file_leaves_nothing_new(self, capsys, tmp_path):
+        """A target that is a directory fails plot's third file: exit 3,
+        and neither the files before it nor any temporary file is left."""
+        (tmp_path / "raster.svg").mkdir()
+        code = main(["plot", "--N", "64", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and captured.out == ""
+        assert "I/O error: [Errno 21] Is a directory" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["raster.svg"]
+        assert list((tmp_path / "raster.svg").iterdir()) == []
+
+    def test_io_error_removes_the_directories_it_made(self, capsys, tmp_path, monkeypatch):
+        import cubewrap.cli as climod
+
+        def full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(climod.os, "replace", full)
+        code = main(["plot", "--N", "64", "--out", str(tmp_path / "a" / "b")])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and captured.out == ""
+        assert "No space left on device" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_check_failure_exit_code(self, capsys, monkeypatch):
         # sabotage the sharpness check by monkeypatching the analytic area
         import cubewrap.cli as climod
@@ -732,8 +756,24 @@ class TestTopology:
         code = main(argv + ["--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
-        assert "z = (0.5, 150.0) (c = 600.0)" in captured.err and "raise --N" in captured.err
+        assert "z = (0.5, 150.0) (c = 600.0)" in captured.err
+        assert "raise --N (N >= 2080 puts a cell centre in every height band of W)" in captured.err
         assert list(tmp_path.iterdir()) == []
+        # The N it names passes, and so do both z of the grid.
+        code, out = run_main(["topology", "--c", "600", "--N", "2080", "--grid", "1x2"], capsys)
+        assert code == EXIT_OK
+        assert [e["components"] for e in json.loads(out)["connectivity"]] == [1, 1]
+
+    def test_large_c_at_n_8192(self, capsys):
+        """c = 600 at N = 8192, from row runs; the dense path's numbers."""
+        code, out = run_main(["topology", "--c", "600", "--N", "8192", "--grid", "1x2"], capsys)
+        assert code == EXIT_OK
+        entries = json.loads(out)["connectivity"]
+        assert [e["components"] for e in entries] == [1, 1]
+        assert [e["occupied_fraction"] for e in entries] == [
+            0.0016921758651733398,
+            0.0017116963863372803,
+        ]
 
     def test_hull(self, capsys):
         code, out = run_main(
@@ -835,6 +875,32 @@ class TestTopology:
         assert check["first_disconnected_z"] == list(seen[1])
         assert check["first_disconnected_components"] == 2
         assert doc["connectivity"][0]["connected"] and not doc["connectivity"][1]["connected"]
+
+    def test_disconnected_section_leaves_its_raster(self, capsys, monkeypatch, tmp_path):
+        """With the slit's cover planted empty, every φ section closes into
+        an annulus; --out then gets the PGM of the first z named, painted
+        from its runs, and lists it in artifacts.  A passing run gets no
+        such file."""
+        import cubewrap.topology as topo
+
+        argv = FAST_TOPOLOGY + ["--out", str(tmp_path / "ok")]
+        code, out = run_main(argv, capsys)
+        assert code == EXIT_OK and json.loads(out)["artifacts"] == []
+        assert [p.name for p in (tmp_path / "ok").iterdir()] == ["topology_report.json"]
+
+        monkeypatch.setattr(topo, "_slit_cover", lambda n, *segment: (np.zeros(n, int),) * 2)
+        code, out = run_main(FAST_TOPOLOGY + ["--out", str(tmp_path / "bad")], capsys)
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(out)
+        z = self._check(doc, "complement_connected")["first_disconnected_z"]
+        pgm = tmp_path / "bad" / f"disconnected_z_{z[0]!r}_{z[1]!r}.pgm"
+        assert doc["artifacts"] == [str(pgm)]
+        from cubewrap.maps import EmbeddingConfig
+
+        r = topo.rasterize_section(z, EmbeddingConfig(c=2.0), 256)
+        assert topo.complement_components(r) == 2
+        assert pgm.read_bytes() == r.pgm()
+        assert pgm.read_bytes().startswith(b"P5\n256 256\n255\n")
 
     def test_oversized_hull_names_worst_z(self, capsys, monkeypatch):
         # plant a disc of area about 0.64 > a = 0.5 at one z of the grid

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -51,6 +52,19 @@ def _labels_reference(occ):
     return ndimage.label(~np.pad(occ.astype(bool), 1))
 
 
+def _cell_centers(r):
+    """The centres of r's cells, an (n, n, 2) array indexed like its
+    occupancy."""
+    t = r.x0 + r.cell_offsets()
+    X, Y = np.meshgrid(t, t, indexing="ij")
+    return np.stack([X, Y], axis=-1)
+
+
+def _run_lists(runs):
+    """(rows, starts, ends) as lists, for comparing two sets of runs."""
+    return [x.tolist() for x in runs]
+
+
 def _hull_reference(occ):
     """The occupancy plus every labelled free cell not in the ring's
     component."""
@@ -63,7 +77,7 @@ class TestRaster:
     def test_cell_geometry(self):
         r = Raster(n=4, occupancy=np.zeros((4, 4), dtype=bool), x0=1.0, side=2.0)
         assert r.cell == 0.5
-        cc = r.cell_centers()
+        cc = _cell_centers(r)
         assert cc[0, 0].tolist() == [1.25, 1.25]
         assert cc[0, 3].tolist() == [1.25, 2.75]
         assert cc[3, 3].tolist() == [2.75, 2.75]
@@ -93,12 +107,12 @@ class TestRaster:
         occ = np.zeros((6, 6), dtype=bool)
         occ[2, 1:4] = True
         occ[4, 5] = True
-        runs = Raster(n=6, occupancy=occ).runs()
+        runs = Raster(n=6, occupancy=occ).row_runs()
         rebuilt = np.zeros((6, 6), dtype=bool)
-        for i, j, ln in runs:
-            rebuilt[i, j : j + ln] = True
+        for i, j, end in zip(*runs):
+            rebuilt[i, j:end] = True
         assert np.array_equal(rebuilt, occ)
-        assert runs.tolist() == [[2, 1, 3], [4, 5, 1]]
+        assert _run_lists(runs) == [[2, 4], [1, 5], [4, 6]]
 
 
 class TestFixtures:
@@ -127,14 +141,21 @@ class TestFixtures:
 
     @pytest.mark.parametrize("N", [64, 255, 256, 1024])
     def test_fixtures_equal_meshgrid_reference(self, N):
+        """Each fixture's row runs, read before its grid is painted, are
+        the runs of a dense np.hypot reference, and so is the grid."""
         t = (np.arange(N) + 0.5) / N
         X, Y = np.meshgrid(t, t, indexing="ij")
         rho = np.hypot(X - 0.5, Y - 0.5)
         annulus = (rho > 0.2) & (rho < 0.4)
         on_ray = (np.abs(Y - 0.5) < 1.5 / N) & (X > 0.5)
-        assert np.array_equal(annulus_fixture(N).occupancy, annulus)
-        assert np.array_equal(annulus_with_slit_fixture(N).occupancy, annulus & ~on_ray)
-        assert np.array_equal(disk_fixture(N).occupancy, rho < 0.3)
+        for r, ref in [
+            (annulus_fixture(N), annulus),
+            (annulus_with_slit_fixture(N), annulus & ~on_ray),
+            (disk_fixture(N), rho < 0.3),
+            (disk_fixture(N, radius=0.45), rho < 0.45),
+        ]:
+            assert _run_lists(r.row_runs()) == _run_lists(topology._runs(ref))
+            assert np.array_equal(r.occupancy, ref)
 
 
 class TestBoundedHull:
@@ -208,7 +229,7 @@ class TestRasterizeSection:
     def test_slit_open_vs_closed(self):
         # Cell-centre membership alone, with no slit corridor.
         opened = rasterize_section([0.3, 0.7], CFG2, 256)
-        occ = section_membership_many(opened.cell_centers(), [0.3, 0.7], CFG2)
+        occ = section_membership_many(_cell_centers(opened), [0.3, 0.7], CFG2)
         closed = Raster(n=256, occupancy=occ)
         assert complement_components(closed) >= 2
         assert complement_components(opened) == 1
@@ -260,13 +281,23 @@ def _slit_cases():
             yield cfg, section_of_phi(z, cfg)
 
 
-def _sample_cells_only(occupancy, start, end, x0, cell):
-    """A faulty corridor: frees only the cells that hold one of 8N
-    samples of the segment."""
-    s = (np.arange(8 * len(occupancy)) + 0.5) / (8 * len(occupancy))
+def _sample_cells(n, start, end, x0, cell):
+    """A faulty cover: only the cells that hold one of 8n samples of the
+    segment."""
+    s = (np.arange(8 * n) + 0.5) / (8 * n)
     start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
     ij = np.floor((start + s[:, None] * (end - start) - x0) / cell).astype(int)
-    occupancy[ij[:, 0], ij[:, 1]] = False
+    return ij[:, 0], ij[:, 1]
+
+
+def _sample_cells_only(occupancy, start, end, x0, cell):
+    """A faulty corridor: frees only `_sample_cells`."""
+    occupancy[_sample_cells(len(occupancy), start, end, x0, cell)] = False
+
+
+def _no_cover(n, *segment):
+    """A slit cover that cuts no cell: an empty range on every row."""
+    return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
 
 
 class TestSlitCorridor:
@@ -318,7 +349,7 @@ class TestSlitCorridor:
             assert _slit_cover(sd, N)[i - 1 : i + 1, j - 1 : j + 1].sum() == 3
 
     def test_fails_on_a_stamp_that_frees_only_the_sample_cells(self, monkeypatch):
-        monkeypatch.setattr(topology, "_free_segment", _sample_cells_only)
+        monkeypatch.setattr(topology, "_segment_cells", _sample_cells)
         N = 256
         left = [
             sd.slit_angle
@@ -446,14 +477,100 @@ class TestConnectivity:
         occupancy = rasterize_section([0.3, 0.7], CFG2, 256).occupancy
         assert report.occupied_fraction == float(occupancy.mean())
 
+    # W = (¼ − 1/c, ¼) is the band of square radii (√¾, √(¾ + 1/c))/2,
+    # (√(¾ + 1/c) − √¾)/2 wide: 1/2079.6 at c = 600 and 1/34642.0 at 1e4.
     @pytest.mark.parametrize("c", [600.0, 1e4])
     def test_section_thinner_than_a_cell_is_an_error(self, c):
         # the section has area 1/c > 0, yet no cell centre of the raster
         # lies in it: an empty raster would pass on nothing
         z, cfg = (0.5, c / 4), EmbeddingConfig(c=c)
+        needed = {600.0: 2080, 1e4: 34643}[c]
         assert not rasterize_section(z, cfg, 256).occupancy.any()
-        with pytest.raises(ValueError, match=rf"z = \({z[0]}, {z[1]}\) \(c = {c}\).*N = 256.*--N"):
+        with pytest.raises(
+            ValueError,
+            match=rf"z = \({z[0]}, {z[1]}\) \(c = {c}\).*N = 256.*--N \(N >= {needed} puts",
+        ):
             check_complement_connected(z, cfg, 256)
+        ok, report = check_complement_connected(z, cfg, needed)
+        assert ok and report.components == 1
+
+    @pytest.mark.parametrize("c", [2.0, 600.0])
+    def test_a_check_at_n_8192_stays_small(self, c):
+        """Row runs keep one check far below one 8192² grid (64 MiB)."""
+        cfg = EmbeddingConfig(c=c)
+        z = z_grid(cfg, (1, 2))[0][0]
+        tracemalloc.start()
+        try:
+            ok, report = check_complement_connected(z, cfg, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and report.components == 1
+        assert peak < 16 * 2**20
+
+
+def _phi_cases():
+    """(config, section) at c ∈ {1, 1.5, 2, π, 7, 600}: z1 = ½ gives axis
+    and diagonal slits, and the 2 × 4 grid one- and two-piece W."""
+    for c in (1.0, 1.5, 2.0, math.pi, 7.0, 600.0):
+        cfg = EmbeddingConfig(n=2, c=c)
+        for z in [*z_grid(cfg, (1, 2))[0], *z_grid(cfg, (2, 4))[0]]:
+            yield cfg, section_of_phi(z, cfg)
+
+
+def _phi_dense_reference(sd, N):
+    """The φ raster as the dense formula builds it: W at min(h_i, h_j)
+    for every cell (i, j), then `_free_segment`."""
+    u = (np.arange(N) + 0.5) * (1.0 / N) - 0.5
+    h = 1.0 - 4.0 * (u * u)
+    w = sd.W.contains_many(h)
+    occ = np.where(h[:, None] <= h, w[:, None], w)
+    topology._free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+    return occ
+
+
+def _phi_run_mismatches():
+    """(c, z, N) of each φ raster whose row runs, read before its grid is
+    painted, are not the runs of `_phi_dense_reference`, or whose grid
+    differs from it; lazily, so a fault stops at its first case."""
+    for cfg, sd in _phi_cases():
+        for N in (64, 255, 256, 1023, 1024):
+            r = rasterize_section(sd, cfg, N)
+            ref = _phi_dense_reference(sd, N)
+            runs = _run_lists(r.row_runs())
+            if runs != _run_lists(topology._runs(ref)) or not np.array_equal(r.occupancy, ref):
+                yield cfg.c, sd.z, N
+
+
+class TestPhiRowRuns:
+    def test_runs_equal_the_dense_formula(self):
+        assert {len(sd.W.intervals) for _, sd in _phi_cases()} == {1, 2}
+        assert list(_phi_run_mismatches()) == []
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda lo, hi: (np.maximum(lo - 1, 0), hi),
+            lambda lo, hi: (lo, hi - 1),
+        ],
+        ids=["one_column_wider", "one_column_narrower"],
+    )
+    def test_fails_on_a_height_range_off_by_one_column(self, fault, monkeypatch):
+        real = topology._height_ranges
+        monkeypatch.setattr(topology, "_height_ranges", lambda h: fault(*real(h)))
+        assert next(_phi_run_mismatches(), None) is not None
+
+    def test_fails_on_a_slit_cover_dropped_on_one_row(self, monkeypatch):
+        real = topology._slit_cover
+
+        def dropped(n, *segment):
+            lo, hi = real(n, *segment)
+            rows = np.flatnonzero(lo < hi)
+            lo[rows[len(rows) // 2]] = n
+            return lo, hi
+
+        monkeypatch.setattr(topology, "_slit_cover", dropped)
+        assert next(_phi_run_mismatches(), None) is not None
 
 
 class TestSlitWitness:
@@ -533,8 +650,9 @@ class TestPsiSections:
 
 
 def _runs_reference(occ):
-    """Row-wise runs by scanning each row cell by cell."""
-    runs = []
+    """Row-wise runs as [rows, starts, ends], by scanning each row cell by
+    cell."""
+    runs = [[], [], []]
     for i, row in enumerate(occ.astype(bool)):
         j = 0
         while j < len(row):
@@ -542,7 +660,8 @@ def _runs_reference(occ):
                 k = j
                 while k < len(row) and row[k]:
                     k += 1
-                runs.append([i, j, k - j])
+                for part, v in zip(runs, (i, j, k)):
+                    part.append(v)
                 j = k
             else:
                 j += 1
@@ -554,11 +673,11 @@ class TestRuns:
         rng = np.random.default_rng(3)
         for density in (0.0, 0.1, 0.5, 0.9, 1.0):
             occ = rng.uniform(size=(37, 37)) < density
-            assert Raster(n=37, occupancy=occ).runs().tolist() == _runs_reference(occ)
+            assert _run_lists(Raster(n=37, occupancy=occ).row_runs()) == _runs_reference(occ)
 
     def test_fixture_runs(self):
         r = annulus_with_slit_fixture(128)
-        assert r.runs().tolist() == _runs_reference(r.occupancy)
+        assert _run_lists(r.row_runs()) == _runs_reference(r.occupancy)
 
 
 class TestRunLabels:
@@ -621,7 +740,7 @@ class TestSharedGeometry:
             for z in zs:
                 got = rasterize_section(z, cfg, N)
                 sd = section_of_phi(z, cfg)
-                ref = section_membership_many(got.cell_centers(), sd, cfg)
+                ref = section_membership_many(_cell_centers(got), sd, cfg)
                 topology._free_segment(ref, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
                 assert ref.any()
                 assert np.array_equal(got.occupancy, ref), (N, z)
@@ -631,7 +750,7 @@ class TestSharedGeometry:
         """W tested on the 1-D height axis and spread by the lower of each
         cell's two heights equals W tested at every cell's height
         min(h_i, h_j), bit for bit, before the slit corridor."""
-        monkeypatch.setattr(topology, "_free_segment", lambda *args: None)
+        monkeypatch.setattr(topology, "_slit_cover", _no_cover)
         cfg = EmbeddingConfig(n=2, c=c)
         for N in (64, 255, 256, 1023, 1024):
             u = Raster(n=N, occupancy=np.zeros((N, N), dtype=bool)).cell_offsets() - 0.5
@@ -667,7 +786,7 @@ class TestSharedGeometry:
         indexed like the occupancy; cells outside the disc included."""
         from cubewrap.topology import _psi_blank
 
-        centres = _psi_blank(N).cell_centers()
+        centres = _cell_centers(_psi_blank(N))
         ref = disc_to_cylinder(centres[..., 0], centres[..., 1])
         if chunk is not None:
             monkeypatch.setattr(topology, "_BLOCK_ELEMENTS", chunk)
