@@ -11,7 +11,7 @@ Run:  python3 demos/slit_topology.py
 """
 import numpy as np
 
-from cubewrap import EmbeddingConfig, check_complement_connected, slit_path_witness
+from cubewrap import EmbeddingConfig, check_complement_connected, make_lambda, section_of_phi
 from cubewrap.sections import section_membership_many
 from cubewrap.topology import (
     Raster,
@@ -51,7 +51,11 @@ print(
     f"{complement_components(r_closed)} components (hole trapped)"
 )
 
-pts, outside = slit_path_witness(z, config, steps=1000)
+# The slit path: λ of the slit angle at 1000 heights t, from the square's
+# boundary (t -> 0) to the puncture (t -> 1), each tested against the section.
+t = (np.arange(1000) + 0.5) / 1000
+pts = make_lambda().forward(np.stack([np.full_like(t, section_of_phi(z, config).slit_angle), t], axis=-1))
+outside = not section_membership_many(pts, z, config).any()
 print(f"\nslit path witness: {len(pts)} samples, all outside the section: {outside}")
 print(f"  starts near the boundary at {pts[0].round(4)}")
 print(f"  ends near the puncture at  {pts[-1].round(4)}")

@@ -35,7 +35,6 @@ from .topology import (
     check_hull_bound,
     complement_components,
     rasterize_section,
-    slit_path_witness,
 )
 
 __all__ = [
@@ -64,5 +63,4 @@ __all__ = [
     "check_hull_bound",
     "complement_components",
     "rasterize_section",
-    "slit_path_witness",
 ]

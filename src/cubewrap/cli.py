@@ -44,9 +44,9 @@ check failure, 2 usage/config error, 3 I/O error.
 `_finish` is the one writer: each subcommand hands it its checks, its
 report sections and its files (path -> text or bytes), and nothing else
 opens a file or makes a directory.  So a usage error writes nothing, and
-an OSError on any file (the report, sections.csv, plot's figures, the
-PGM of topology's first disconnected section) is exit 3 and leaves
-nothing new.
+an OSError on any file (the report, sections.csv, plot's figures,
+topology's PGM of a failing section or hull) is exit 3 and leaves the
+files as they were.
 """
 from __future__ import annotations
 
@@ -84,10 +84,12 @@ from .sections import (
 from .topology import (
     annulus_fixture,
     annulus_with_slit_fixture,
+    bounded_hull,
     check_complement_connected,
     check_hull_bound,
     complement_components,
     disk_fixture,
+    rasterize_psi_section,
     rasterize_section,
 )
 
@@ -365,10 +367,13 @@ def cmd_topology(args) -> int:
         a = args.a if args.a is not None else 1.0 / args.c
         with _Phase("bounded hull"):
             hr = check_hull_bound(a, config, grid=args.grid, N=args.N)
-        extra = {}
+        extra, files = {}, {}
         if not hr.all_within_bound:
             z1, z2, area = hr.worst
             extra = {"worst_z": [z1, z2], "worst_hull_area": area}
+            if args.out:
+                r = bounded_hull(rasterize_psi_section((z1, z2), config, a, args.N))
+                files[os.path.join(args.out, f"hull_over_bound_z_{z1!r}_{z2!r}.pgm")] = r.pgm()
         checks.append(
             _check(
                 "hull_areas_bounded", hr.all_within_bound, hr.max_hull_area, a + hr.tolerance,
@@ -379,7 +384,7 @@ def cmd_topology(args) -> int:
             _check("hull_equals_section", hr.hull_equals_section, hr.hull_equals_section)
         )
         hull = {k: v for k, v in asdict(hr).items() if k != "worst"}
-        return _finish(args, checks, hull=hull)
+        return _finish(args, checks, files, hull=hull)
 
     with _Phase("connectivity"):
         rng = np.random.default_rng(args.seed)
@@ -538,14 +543,13 @@ def _spec_echo(args):
 
 
 def _write_all(files):
-    """Write every file (path -> text or bytes).  Each goes, as bytes
-    (text as UTF-8, no newline translation), to a temporary name beside
-    its target, after its missing directories are made; the targets are
-    renamed into place only after every write has succeeded.  On an
-    OSError, remove what this call created (directories, temporary files,
-    and targets that did not exist before) and re-raise."""
-    tmp = f".{os.getpid()}.tmp"
-    undo = []
+    """Write every file (path -> text or bytes) as bytes (text as UTF-8)
+    to a temporary name beside its target, making missing directories.
+    After every write, move each old target but a directory aside, rename
+    the new file into place, and at the end remove the old.  On an
+    OSError, undo all this (old targets back) and re-raise."""
+    tmp, old = f".{os.getpid()}.tmp", f".{os.getpid()}.old"
+    undo, moved = [], []
     try:
         for path, content in files.items():
             missing, parent = [], os.path.dirname(path)
@@ -561,12 +565,19 @@ def _write_all(files):
         for path in files:
             if not os.path.lexists(path):
                 undo.append((os.remove, path))
+            elif not os.path.isdir(path):
+                os.replace(path, path + old)
+                undo.append((os.replace, path + old, path))
+                moved.append(path + old)
             os.replace(path + tmp, path)
     except OSError:
-        for remove, path in reversed(undo):
+        for action, *paths in reversed(undo):
             with contextlib.suppress(OSError):
-                remove(path)
+                action(*paths)
         raise
+    for path in moved:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 def _finish(args, checks, files=(), **sections) -> int:

@@ -29,8 +29,8 @@ reaches at |p2 − ½| ≤ |Q2 − ½|; `_arc_heights` gives those heights, W's
 pieces widened past every rounding, so φ and ψ read one W.  A φ raster
 needs only heights, read from its 1-D axis, and frees the closed cells
 its slit meets (`topology.rasterize_section`); a ψ raster runs the arc
-kernel only on the cells (`topology.psi_section_cells`) of the annuli
-those heights map to.  Nothing caches geometry across calls.
+kernel only on the annuli those heights map to, reading q̄ from
+`topology.psi_section_cells` and p from its 1-D axis, none of it cached.
 
 The slit-ray bound.  φ membership computes an angle only beside the
 slit ray, the ray from ½ through d + ½, d = λ(slit angle, 0) − ½.  Let θ
@@ -350,11 +350,10 @@ def psi_section_membership_many(ys, z, config: EmbeddingConfig, a: float):
     return _by_blocks(members, ys.reshape(-1, 2), width=1).reshape(ys.shape[:-1])
 
 
-def _arc_members(qbar, p, sd: SectionDescription, out=None):
+def _arc_members(qbar, p, sd: SectionDescription):
     """Membership of the cylinder points (q̄, p), two arrays of one shape,
     in the generic section `sd` of the ball embedding's image at
-    c = sd.c = 1/a, an arc of angles at each height; written into `out`
-    if given.
+    c = sd.c = 1/a, an arc of angles at each height.
 
     A disc point y with (q̄, p) = χ⁻¹(y), paired with z, pulls back to
     the cube point with (q1, p1) = (q̄ + c·Q2 mod 1, p) and (Q2, p2) =
@@ -380,7 +379,7 @@ def _arc_members(qbar, p, sd: SectionDescription, out=None):
     """
     c = sd.c
     shift, m2, base = _arc_terms(sd)
-    member = np.empty(p.shape, dtype=bool) if out is None else out
+    member = np.empty(p.shape, dtype=bool)
     B, u, v = np.empty((3,) + p.shape)
     f = np.empty(p.shape, dtype=bool)
     # p2 = P̄2 − c·p, in (−c, c) for p in (0, 1), reduced into [0, c);

@@ -13,24 +13,17 @@ nothing is sampled.
 A φ section is every angle but the slit's at the heights in W, so a φ
 raster reads only heights, from its 1-D axis of cell centres, and the
 slit's cover carries the slit; it is built as row runs
-(`rasterize_section`), and so are the synthetic fixtures.  No N² array
-is made until a reader asks for the grid (`Raster.occupancy`: plots,
-PGM bytes, tests).  A ψ cell's cylinder coordinates (q̄, p), the polar
-coordinates of its centre, depend only on the raster's resolution and
-box, not on z; `psi_section_cells` builds them as two (N, N) arrays, the
-raster's grid, by broadcasting the box's 1-D axis in blocks of whole
-rows of about `maps._BLOCK_ELEMENTS` cells, and `check_hull_bound`,
-which holds N fixed, builds them once and passes them as `cells=` to
-every z.  Per z, a ψ cell is occupied when its angle lies in the arc of
-its height (`sections._arc_members`).  Only heights in
-`sections._arc_heights` can pass, an annulus or two through
-p = 1 − π|y|², so the kernel runs only on boxes of whole row blocks,
-one or two column ranges each, taken from the annulus on the sorted 1-D
-axis (`_annulus_boxes`); cells outside them stay free.
+(`rasterize_section`), and so are the synthetic fixtures.  A ψ raster's
+one (N, N) array is the angle q̄ of its cells, built once per N, not per
+z (`psi_section_cells`).  Per z, a ψ cell is occupied when its angle lies
+in the arc of its height p = 1 − π|y|² (`sections._arc_members`), which
+only heights in `sections._arc_heights` can pass, an annulus or two: the
+kernel runs on boxes of whole row blocks, one or two column ranges each
+(`_annulus_boxes`), each reading p from the 1-D axis.  No other N² array
+is made until a reader asks for the grid (`Raster.occupancy`).
 Complement components join overlapping free row runs of adjacent rows,
 the gaps between a raster's occupied runs (those of a dense grid from
-`_runs`); `bounded_hull` adds the runs not joined to the free margin
-ring.
+`_runs`); the hull adds the runs not joined to the free margin ring.
 Every raster, the synthetic fixtures too, starts from `_phi_blank`,
 which rejects N < 64.
 """
@@ -43,7 +36,7 @@ import numpy as np
 
 from .maps import _BLOCK_ELEMENTS, DISC_RADIUS, ChiMap, EmbeddingConfig, disc_to_cylinder
 from .maps import make_lambda, psi_config
-from .sections import _arc_heights, _arc_members, resolve_section, section_membership_many, z_grid
+from .sections import _HEIGHT_SLACK, _arc_heights, _arc_members, resolve_section, z_grid
 
 __all__ = [
     "Raster",
@@ -52,7 +45,6 @@ __all__ = [
     "rasterize_psi_section",
     "complement_components",
     "check_complement_connected",
-    "slit_path_witness",
     "bounded_hull",
     "check_hull_bound",
     "annulus_fixture",
@@ -113,23 +105,20 @@ class Raster:
 
     def occupied(self) -> int:
         """The number of occupied cells."""
-        if self._grid is not None:
-            return int(np.count_nonzero(self._grid))
-        rows, starts, ends = self._row_runs
+        rows, starts, ends = self.row_runs()
         return int((ends - starts).sum())
 
     def area(self) -> float:
         return float(self.occupied()) * self.cell**2
 
     def perimeter_estimate(self) -> float:
-        """Total length of occupied/free cell edges (8-connectivity is
-        used only implicitly: diagonal contacts contribute both edges)."""
-        occ = self.occupancy
-        pad = np.pad(occ, 1, constant_values=False)
-        edges = 0
-        edges += np.count_nonzero(pad[1:, :] != pad[:-1, :])
-        edges += np.count_nonzero(pad[:, 1:] != pad[:, :-1])
-        return edges * self.cell
+        """Total length of occupied/free cell edges, diagonal contacts counting
+        both: two per maximal run and per cell, less two per cell shared
+        with the row below (`_adjacent`)."""
+        rows, starts, ends = self.row_runs()
+        a, b = _adjacent(rows, starts, ends)
+        shared = np.minimum(ends[a], ends[b]) - np.maximum(starts[a], starts[b])
+        return (2 * len(rows) + 2 * int((ends - starts).sum()) - 2 * int(shared.sum())) * self.cell
 
     def pgm(self) -> bytes:
         """The grid as binary PGM bytes (magic P5), one byte per cell,
@@ -169,6 +158,19 @@ def _joined(rows, starts, ends):
     return rows[new], starts[new], ends[last]
 
 
+def _union(*runs):
+    """The maximal row-major runs of the union of sets of runs: sorted by
+    row·w + start (w above every column), each is clipped to the farthest
+    end so far in its row, and then they are joined (`_joined`)."""
+    rows, starts, ends = (np.concatenate(x) for x in zip(*runs))
+    w = int(ends.max(initial=0)) + 1
+    order = np.argsort(rows * w + starts, kind="stable")
+    rows, starts, key = rows[order], starts[order], rows[order] * w
+    ends = np.maximum.accumulate(key + ends[order]) - key
+    starts[1:] = np.where(rows[1:] == rows[:-1], np.maximum(starts[1:], ends[:-1]), starts[1:])
+    return _joined(rows, starts, ends)
+
+
 def _cut(rows, starts, ends, lo, hi):
     """Row-major runs less the column range [lo[i], hi[i]) of each row i,
     which cuts nothing where lo[i] ≥ hi[i].  Each run keeps its part left
@@ -182,16 +184,25 @@ def _cut(rows, starts, ends, lo, hi):
     return np.repeat(rows, 2)[keep], s[keep], e[keep]
 
 
+def _adjacent(rows, starts, ends):
+    """Index pairs (a, b) of row-major, disjoint runs, b in the row after
+    a's, from the first ending after a starts to the last starting before
+    a ends: the pairs that share a column (row·w + column as in `_union`)."""
+    w = int(ends.max(initial=0)) + 1
+    first = np.searchsorted(rows * w + ends, (rows + 1) * w + starts, side="right")
+    count = np.searchsorted(rows * w + starts, (rows + 1) * w + ends) - first
+    return np.repeat(np.arange(len(rows)), count), _ranges(first, count)
+
+
 def _free_runs(r: Raster):
     """The runs of r's free cells framed by a free ring, and the root of
     each: the least run index of its 4-connected component.  The ring's
     rows 0 and n + 1 are one run each; row i + 1 holds the gaps of row
     i's occupied runs, one column to the right: from column 0 to the
     first start, between each end and the next start, and from the last
-    end to n + 2.  Run a of row i meets the runs of row i + 1 from the
-    first ending after a starts to the last starting before a ends.  Hook
-    each root to the least root joined to it, jump pointers, and repeat
-    until joined runs share a root."""
+    end to n + 2.  Runs that share a column in adjacent rows are joined
+    (`_adjacent`).  Hook each root to the least root joined to it, jump
+    pointers, and repeat until joined runs share a root."""
     n = r.n
     rows, starts, ends = r.row_runs()
     at = np.arange(len(rows)) + rows  # the gap before each occupied run
@@ -201,10 +212,7 @@ def _free_runs(r: Raster):
     rows = np.concatenate([[0], gap_rows, [n + 1]])
     starts = np.concatenate([[0], gap_starts, [0]])
     ends = np.concatenate([[n + 2], gap_ends, [n + 2]])
-    w = n + 3  # above every column, so row·w + column orders runs row-major
-    first = np.searchsorted(rows * w + ends, (rows + 1) * w + starts, side="right")
-    count = np.searchsorted(rows * w + starts, (rows + 1) * w + ends) - first
-    a, b = np.repeat(np.arange(len(rows)), count), _ranges(first, count)
+    a, b = _adjacent(rows, starts, ends)
     root = np.arange(len(rows))
     while True:
         ra, rb = root[a], root[b]
@@ -243,12 +251,6 @@ def _segment_cells(n: int, start, end, x0, cell):
     return (cols, rows) if k == 0 else (rows, cols)
 
 
-def _free_segment(occupancy: np.ndarray, start, end, x0, cell):
-    """Free every closed cell of the grid that the segment from `start`
-    to `end` meets (`_segment_cells`)."""
-    occupancy[_segment_cells(occupancy.shape[0], start, end, x0, cell)] = False
-
-
 def _slit_cover(n: int, start, end, x0, cell):
     """Per row i of an n-cell grid, the column range [lo_i, hi_i) of the
     closed cells that the segment meets (`_segment_cells`), with
@@ -262,18 +264,20 @@ def _slit_cover(n: int, start, end, x0, cell):
     return lo, hi
 
 
-def _free_band(occupancy: np.ndarray, r: Raster, r_in: float, r_out: float):
-    """Free every closed cell of the raster r (box centred at 0) that the
-    closed annulus r_in ≤ |y| ≤ r_out about 0 meets: a cell's distances
-    from 0 fill the range from its nearest to its farthest point, so it
-    meets the annulus iff near ≤ r_out and far ≥ r_in.  Both offsets come
-    from the 1-D axis of cell edges and are compared as 1-D vectors: no
-    N² float array is built.  r_in = r_out is a circle."""
+def _gap_cover(r: Raster, r_in: float, r_out: float):
+    """Two column ranges [lo_i, hi_i) per row i of the raster r (box centred
+    at 0) holding the closed cells the closed annulus r_in ≤ |y| ≤ r_out
+    meets: those with near2_i ≤ r_out² − near2_j and far2_i ≥ r_in² − far2_j,
+    the squared offsets of their nearest and farthest points.  Both fall,
+    then rise, along the axis of cell edges, so the first test holds on
+    one range and the second fails on one (`_at_least`)."""
     e = r.x0 + np.arange(r.n + 1) * r.cell
     lo, hi = np.abs(e[:-1]), np.abs(e[1:])
     near2 = np.where((e[:-1] <= 0.0) & (e[1:] >= 0.0), 0.0, np.minimum(lo, hi)) ** 2
     far2 = np.maximum(lo, hi) ** 2
-    occupancy &= ~((near2[:, None] <= r_out * r_out - near2) & (far2[:, None] >= r_in * r_in - far2))
+    a_lo, a_hi = _at_least(r_out * r_out - near2, int(np.argmin(near2)), near2)
+    c_lo, c_hi = _at_least(r_in * r_in - far2, int(np.argmin(far2)), far2, strict=True)
+    return (a_lo, np.minimum(a_hi, c_lo)), (np.maximum(a_lo, c_hi), a_hi)
 
 
 def _phi_blank(N: int) -> Raster:
@@ -285,36 +289,31 @@ def _phi_blank(N: int) -> Raster:
 
 
 def _psi_blank(N: int) -> Raster:
-    """An empty grid over a box slightly larger than the disc of radius
-    1/sqrt(pi)."""
-    _phi_blank(N)
+    """An empty raster of runs over a square centred at 0, just wider than the disc."""
+    runs = _phi_blank(N).row_runs()
     side = 2 * DISC_RADIUS * (1.0 + 2.0 * _PSI_MARGIN_CELLS / N)
-    return Raster(n=N, occupancy=np.zeros((N, N), dtype=bool), x0=-side / 2.0, side=side)
+    return Raster(n=N, row_runs=runs, x0=-side / 2.0, side=side)
 
 
-def psi_section_cells(N: int):
-    """Cylinder coordinates (q̄, p) of the cell centres of a ψ raster, as
-    two (N, N) arrays indexed like its occupancy.  Its box is a square
-    centred at 0, so both axes share one 1-D array of cell centres, and
-    χ⁻¹ runs on blocks of whole rows, about _BLOCK_ELEMENTS cells each."""
+def psi_section_cells(N: int) -> np.ndarray:
+    """The angle q̄ of χ⁻¹ of each cell centre of a ψ raster, an (N, N)
+    array indexed like its grid, computed from the 1-D axis of centres on
+    the disc's boxes (`_annulus_boxes`, widened past the rim) only; q̄ is
+    0 beyond them, where p = 1 − π|y|² ≤ 0 and no cell is a member."""
     r = _psi_blank(N)
     axis = r.x0 + r.cell_offsets()
-    qbar, p = np.empty((2, N, N))
-    rows = max(1, _BLOCK_ELEMENTS // N)
-    for i in range(0, N, rows):
-        qbar[i : i + rows], p[i : i + rows] = disc_to_cylinder(axis[i : i + rows, None], axis)
-    return qbar, p
+    qbar = np.zeros((N, N))
+    for rows, cols in _annulus_boxes(r, 0.0, (1.0 + _HEIGHT_SLACK) / math.pi):
+        qbar[rows, cols] = disc_to_cylinder(axis[rows, None], axis[cols])[0]
+    return qbar
 
 
-def _height_ranges(h):
-    """Per i, the column range [lo_i, hi_i) of the j with h_j ≥ h_i, for
-    the heights h = 1 − 4u² of a raster axis.  u rises along the axis and
-    x ↦ 1 − 4x² is monotone in floating point on each sign of x, so h
-    rises on its first N // 2 entries and falls on the rest: the range is
-    a tail of the first half and a head of the second, each found by
-    `np.searchsorted`.  It holds i."""
-    k = len(h) // 2
-    return np.searchsorted(h[:k], h), k + np.searchsorted(-h[k:], -h, side="right")
+def _at_least(g, m, t, strict=False):
+    """Per entry of t, the range [lo, hi) of the j with g_j ≥ t (g_j > t if
+    strict), for g rising on its first m entries and falling on the rest:
+    a tail of the first part and a head of the second (`np.searchsorted`)."""
+    first, second = ("right", "left") if strict else ("left", "right")
+    return np.searchsorted(g[:m], t, first), m + np.searchsorted(-g[m:], -t, second)
 
 
 def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
@@ -331,9 +330,11 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     coordinate of larger magnitude (`maps.square_to_cylinder`), which is
     min(h(u), h(v)) with h(u) = 1 − 4u² bit for bit, since x ↦ 1 − 4x is
     monotone in floating point: one 1-D axis of heights gives all N², and
-    W is decided once per axis height, as the mask w.  Along row i the
-    cells with h_j ≥ h_i, one column range (`_height_ranges`), take
-    w[i]; every other cell takes w[j], the runs of w outside that range.
+    W is decided once per axis height, as the mask w.  h rises on its
+    first N // 2 entries and falls on the rest (x ↦ 1 − 4x² is monotone
+    on each sign of x), so along row i the cells with h_j ≥ h_i are one
+    column range holding i (`_at_least`); they take w[i], and every other
+    cell takes w[j], the runs of w outside that range.
     The odd-N centre cell, the puncture, has height 1 ∉ W.
 
     Dropping the angle test frees no fewer cells.  By the slit-ray bound
@@ -352,7 +353,7 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     u = r.cell_offsets() - 0.5
     h = 1.0 - 4.0 * (u * u)
     w = sd.W.contains_many(h)
-    lo, hi = (x[:, None] for x in _height_ranges(h))
+    lo, hi = (x[:, None] for x in _at_least(h, N // 2, h))
     _, ws, we = _runs(w[None])
     ws, we = np.broadcast_to(ws, (N, len(ws))), np.broadcast_to(we, (N, len(we)))
     # Per row: the runs of w left of [lo, hi), that range if w[i], and the
@@ -395,45 +396,52 @@ def _annulus_boxes(r: Raster, rr_in: float, rr_out: float):
 
 def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells=None) -> Raster:
     """Rasterize the z-section of the ball embedding's image over a box
-    slightly larger than the disc of radius 1/sqrt(pi).  `cells`, if
-    given, is `psi_section_cells(N)`.
+    slightly larger than the disc of radius 1/sqrt(pi), as row runs.
+    `cells`, if given, is `psi_section_cells(N)`.
 
     Only cells whose height can pass are tested: `sections._arc_heights`
     bounds the heights of every member, each piece is an annulus through
     p = 1 − π|y|², and the arc kernel runs on the boxes of
-    `_annulus_boxes`, writing into a zeroed occupancy.  A section with
-    no piece skips the kernel.
+    `_annulus_boxes`, reading q̄ from `cells` and p from the 1-D axis by
+    `maps.disc_to_cylinder`'s expression, so bit for bit, and the runs of
+    the boxes, which may overlap, are merged (`_union`).
 
     The slit, and every gap between two intervals of W that is under
     _THIN_GAP_CELLS cells wide radially, are free in the section but too
     thin for cell centres to keep open, so the closed cells they meet
-    are freed: such a gap would otherwise close into pockets of enclosed
-    cells.  A touching height, where two intervals of W share an
-    endpoint, is a gap of zero width.
+    are cut from the runs (`_slit_cover`, `_gap_cover`): such a gap would
+    otherwise close into pockets of enclosed cells.  A touching height,
+    where two intervals of W share an endpoint, is a gap of zero width.
     """
     cfg = psi_config(config, a)
     sd = resolve_section(z, cfg)
     r = _psi_blank(N)
     if sd.status != "generic":
         return r
-    if cells is not None and (cells[0].shape != (N, N) or cells[1].shape != (N, N)):
+    if cells is not None and cells.shape != (N, N):
         raise ValueError(f"cells were built for another raster, not N = {N}")
     heights = _arc_heights(sd)
     if not heights:
         return r
-    qbar, p = psi_section_cells(N) if cells is None else cells
-    occ = r.occupancy
+    qbar = psi_section_cells(N) if cells is None else cells
+    axis = r.x0 + r.cell_offsets()
+    square = axis * axis
+    runs = [r.row_runs()]
     for lo, hi in heights:
-        for box in _annulus_boxes(r, (1.0 - hi) / math.pi, (1.0 - lo) / math.pi):
-            _arc_members(qbar[box], p[box], sd, out=occ[box])
+        for rows, cols in _annulus_boxes(r, (1.0 - hi) / math.pi, (1.0 - lo) / math.pi):
+            p = 1.0 - math.pi * (square[rows, None] + square[cols])
+            i, j, end = _runs(_arc_members(qbar[rows, cols], p, sd))
+            runs.append((i + rows.start, j + cols.start, end + cols.start))
     # κ⁻¹∘λ = χ, so the slit is the ray from 0 to the rim point χ(slit angle, 0).
-    _free_segment(occ, (0.0, 0.0), ChiMap().forward((sd.slit_angle, 0.0)), r.x0, r.cell)
+    rim = ChiMap().forward((sd.slit_angle, 0.0))
+    runs = _cut(*_union(*runs), *_slit_cover(N, (0.0, 0.0), rim, r.x0, r.cell))
     iv = sd.W.intervals
     for (_, top), (bottom, _) in zip(iv, iv[1:]):
         r_in, r_out = (math.sqrt((1.0 - v) / math.pi) for v in (bottom, top))
         if r_out - r_in < _THIN_GAP_CELLS * r.cell:
-            _free_band(occ, r, r_in, r_out)
-    return r
+            for lo, hi in _gap_cover(r, r_in, r_out):
+                runs = _cut(*runs, lo, hi)
+    return Raster(n=N, x0=r.x0, side=r.side, row_runs=runs)
 
 
 @dataclass(frozen=True)
@@ -481,39 +489,25 @@ def check_complement_connected(z, config: EmbeddingConfig, N: int):
     return report.connected, report
 
 
-def slit_path_witness(z, config: EmbeddingConfig, steps: int = 1000):
-    """Sample the slit path and confirm every sample avoids the section.
-
-    Returns (polyline, all_outside).  The path starts on the square
-    boundary (t -> 0) and ends at the puncture (t -> 1).
-    """
-    sd = resolve_section(z, config)
-    if sd.status != "generic":
-        raise ValueError("the slit path exists only for generic sections")
-    lam = make_lambda()
-    t = (np.arange(steps) + 0.5) / steps
-    qp = np.stack([np.full_like(t, sd.slit_angle), t], axis=-1)
-    pts = lam.forward(qp)
-    inside = section_membership_many(pts, sd, config)
-    return pts, bool(~inside.any())
-
-
 class AmbiguousHullError(ValueError):
     """Occupancy reaches the raster margin; the bounded hull is undefined."""
 
 
-def bounded_hull(r: Raster) -> Raster:
-    """Union of the occupancy with every bounded complement component:
-    the free margin ring is connected, so the one unbounded component is
-    root 0's, run 0 being the ring's top row."""
-    hull = r.occupancy.astype(bool)
-    if hull[0, :].any() or hull[-1, :].any() or hull[:, 0].any() or hull[:, -1].any():
+def _holes(r: Raster):
+    """The runs of r's bounded complement components: the free margin ring
+    is connected, so the unbounded one is root 0's (`_free_runs`)."""
+    rows, starts, ends = r.row_runs()
+    if len(rows) and (rows[0] == 0 or rows[-1] == r.n - 1 or starts.min() == 0 or ends.max() == r.n):
         raise AmbiguousHullError("occupancy touches the raster margin")
     rows, starts, ends, root = _free_runs(r)
     hole = root != 0
     # Framed cell (i, j) is cell (i − 1, j − 1) of the box.
-    _paint(hull, rows[hole] - 1, starts[hole] - 1, ends[hole] - 1)
-    return Raster(n=r.n, occupancy=hull, x0=r.x0, side=r.side)
+    return rows[hole] - 1, starts[hole] - 1, ends[hole] - 1
+
+
+def bounded_hull(r: Raster) -> Raster:
+    """The occupied runs joined with those of every hole (`_holes`)."""
+    return Raster(n=r.n, x0=r.x0, side=r.side, row_runs=_union(r.row_runs(), _holes(r)))
 
 
 @dataclass(frozen=True)
@@ -536,27 +530,25 @@ def check_hull_bound(
 ) -> HullReport:
     """Verify that every section hull of the ball embedding has area at
     most a (up to a raster tolerance scaling with boundary length / N).
-
-    The raster geometry is built once and serves every z of the grid."""
+    The angles q̄ are built once and serve every z of the grid; the hull's
+    area and tolerance are counted on runs (`_holes`, perimeter)."""
     cfg = psi_config(config, a)
     zs = z_grid(cfg, grid)[0]
     cells = psi_section_cells(N)
-    entries = []
-    worst_tol = 0.0
+    entries, worst_tol, hull_eq = [], 0.0, True
     worst, worst_excess = (), -math.inf
-    hull_eq = True
     for z in zs:
         r = rasterize_psi_section(z, cfg, a, N, cells=cells)
-        hull = bounded_hull(r)
+        _, starts, ends = _holes(r)
         tol = 4.0 * r.perimeter_estimate() / N
         worst_tol = max(worst_tol, tol)
-        area, section_area = hull.area(), r.area()
+        area, section_area = float(r.occupied() + int((ends - starts).sum())) * r.cell**2, r.area()
         zi, zj = float(z[0]), float(z[1])
         entries.append((zi, zj, area, section_area))
         if area - (a + tol) > worst_excess:
             worst, worst_excess = (zi, zj, area), area - (a + tol)
-        # bounded_hull only adds cells, and both areas are a cell count
-        # times one cell area, so equal areas mean equal cell sets.
+        # The hull only adds cells, and both areas are a cell count times
+        # one cell area, so equal areas mean equal cell sets.
         hull_eq &= area == section_area
     return HullReport(
         a=a,

@@ -38,8 +38,8 @@ from cubewrap.topology import (
     check_complement_connected,
     check_hull_bound,
     complement_components,
-    slit_path_witness,
 )
+from slit_path import slit_path_witness
 
 C_VALUES = (1.0, 1.5, 2.0, math.pi)
 

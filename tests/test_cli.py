@@ -226,6 +226,28 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["raster.svg"]
         assert list((tmp_path / "raster.svg").iterdir()) == []
 
+    def test_io_error_keeps_the_targets_that_existed(self, capsys, tmp_path):
+        """An old ribbon.svg is moved aside before plot's renames and put
+        back when raster.svg, a directory, fails: exit 3 leaves the files
+        as they were.  A run that succeeds replaces it and leaves nothing
+        moved aside."""
+        (tmp_path / "ribbon.svg").write_bytes(b"old")
+        (tmp_path / "raster.svg").mkdir()
+        argv = ["plot", "--N", "64", "--out", str(tmp_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and captured.out == ""
+        assert "I/O error: [Errno 21] Is a directory" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raster.svg", "ribbon.svg"]
+        assert (tmp_path / "ribbon.svg").read_bytes() == b"old"
+        assert list((tmp_path / "raster.svg").iterdir()) == []
+        (tmp_path / "raster.svg").rmdir()
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        names = ["plot_report.json", "raster.pgm", "raster.svg", "ribbon.svg", "section.svg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert (tmp_path / "ribbon.svg").read_bytes().startswith(b"<svg")
+
     def test_io_error_removes_the_directories_it_made(self, capsys, tmp_path, monkeypatch):
         import cubewrap.cli as climod
 
@@ -925,6 +947,43 @@ class TestTopology:
         assert check["worst_z"] == list(target)
         planted_entry = [e for e in doc["hull"]["entries"] if tuple(e[:2]) == target]
         assert check["worst_hull_area"] == planted_entry[0][2] > check["tolerance"]
+
+
+    def test_hull_over_its_bound_leaves_its_raster(self, capsys, monkeypatch, tmp_path):
+        """With --out, a failing hull check hands _finish the PGM of its
+        worst hull, painted from the occupied and hole runs, named by z
+        and listed in artifacts.  A passing run gets no such file."""
+        import cubewrap.cli as climod
+        import cubewrap.topology as topo
+
+        argv = ["topology", "--hull", "--a", "0.5", "--grid", "2x2", "--N", "256", "--out"]
+        code, out = run_main(argv + [str(tmp_path / "ok")], capsys)
+        assert code == EXIT_OK and json.loads(out)["artifacts"] == []
+        assert [p.name for p in (tmp_path / "ok").iterdir()] == ["topology_report.json"]
+
+        # An annulus whose hull, the disc of radius 0.45, is over a = 0.5.
+        real = topo.rasterize_psi_section
+        target = (0.75, 0.5)
+
+        def planted(z, config, a, N, **kw):
+            if tuple(z) == target:
+                return topo.annulus_fixture(N, inner=0.2, outer=0.45)
+            return real(z, config, a, N, **kw)
+
+        monkeypatch.setattr(topo, "rasterize_psi_section", planted)
+        monkeypatch.setattr(climod, "rasterize_psi_section", planted)
+        code, out = run_main(argv + [str(tmp_path / "bad")], capsys)
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(out)
+        z = self._check(doc, "hull_areas_bounded")["worst_z"]
+        assert z == list(target)
+        pgm = tmp_path / "bad" / f"hull_over_bound_z_{z[0]!r}_{z[1]!r}.pgm"
+        assert doc["artifacts"] == [str(pgm)]
+        section = topo.annulus_fixture(256, inner=0.2, outer=0.45)
+        hull = topo.bounded_hull(section)
+        assert hull.occupied() > section.occupied()
+        assert pgm.read_bytes() == hull.pgm()
+        assert pgm.read_bytes().startswith(b"P5\n256 256\n255\n")
 
 
 class TestProcess:

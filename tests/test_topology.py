@@ -40,8 +40,8 @@ from cubewrap.topology import (
     psi_section_cells,
     rasterize_psi_section,
     rasterize_section,
-    slit_path_witness,
 )
+from slit_path import slit_path_witness
 
 CFG2 = EmbeddingConfig(n=2, c=2.0)
 
@@ -92,6 +92,23 @@ class TestRaster:
         occ = np.zeros((8, 8), dtype=bool)
         occ[3, 3] = True
         assert Raster(n=8, occupancy=occ).perimeter_estimate() == pytest.approx(4 / 8)
+
+    def test_perimeter_counts_the_edges_of_the_runs(self):
+        """The edge count from runs equals the padded grid's count of
+        occupied/free neighbours, on random grids, fixtures, φ and ψ
+        rasters."""
+        rng = np.random.default_rng(5)
+        rasters = [
+            Raster(n=n, occupancy=rng.uniform(size=(n, n)) < d)
+            for n, d in [(1, 0.5), (7, 0.3), (40, 0.5), (64, 0.9)]
+        ]
+        rasters += [annulus_fixture(100), disk_fixture(64), rasterize_section((0.3, 0.7), CFG2, 256)]
+        rasters += [rasterize_psi_section(z, CFG2, 0.5, 256) for z in z_grid(psi_config(CFG2, 0.5), (2, 2))[0]]
+        for r in rasters:
+            got = r.perimeter_estimate()
+            pad = np.pad(r.occupancy, 1)
+            edges = np.count_nonzero(pad[1:] != pad[:-1]) + np.count_nonzero(pad[:, 1:] != pad[:, :-1])
+            assert got == edges * r.cell
 
     def test_pgm_export(self, tmp_path):
         occ = np.zeros((4, 4), dtype=bool)
@@ -261,6 +278,12 @@ def _segment_cover(start, end, x0, side, N, tol=Fraction(0)):
     return cover
 
 
+def _free_segment(occupancy, start, end, x0, cell):
+    """Free every closed cell of the grid that the segment from `start` to
+    `end` meets (`topology._segment_cells`), in place."""
+    occupancy[topology._segment_cells(occupancy.shape[0], start, end, x0, cell)] = False
+
+
 def _phi_rim(sd):
     """The rim end λ(slit angle, 0) of the φ slit segment."""
     return make_lambda().forward((sd.slit_angle, 0.0))
@@ -288,11 +311,6 @@ def _sample_cells(n, start, end, x0, cell):
     start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
     ij = np.floor((start + s[:, None] * (end - start) - x0) / cell).astype(int)
     return ij[:, 0], ij[:, 1]
-
-
-def _sample_cells_only(occupancy, start, end, x0, cell):
-    """A faulty corridor: frees only `_sample_cells`."""
-    occupancy[_sample_cells(len(occupancy), start, end, x0, cell)] = False
 
 
 def _no_cover(n, *segment):
@@ -328,7 +346,7 @@ class TestSlitCorridor:
         tol = Fraction(topology._TOUCH_TOL)
         for cfg, sd in _slit_cases():
             occ = np.ones((N, N), dtype=bool)
-            topology._free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+            _free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
             exact = _slit_cover(sd, N)
             assert not (exact & occ).any(), (cfg.c, sd.z, N)
             extra = ~occ & ~exact
@@ -343,7 +361,7 @@ class TestSlitCorridor:
         N = 256
         sd = section_of_phi((0.3, 0.7), CFG2)
         occ = np.ones((N, N), dtype=bool)
-        topology._free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+        _free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
         for i, j in [(114, 153), (100, 178), (58, 253)]:
             assert not occ[i - 1 : i + 1, j - 1 : j + 1].any(), (i, j)
             assert _slit_cover(sd, N)[i - 1 : i + 1, j - 1 : j + 1].sum() == 3
@@ -407,6 +425,32 @@ def _psi_left_on_curves(N):
     return left
 
 
+def _free_band(occupancy, r, r_in, r_out):
+    """Free every closed cell of the raster r (box centred at 0) that the
+    closed annulus r_in ≤ |y| ≤ r_out meets, by the N × N comparison of
+    the offsets of the cells' nearest and farthest points: the dense
+    reference for `topology._gap_cover`."""
+    e = r.x0 + np.arange(r.n + 1) * r.cell
+    lo, hi = np.abs(e[:-1]), np.abs(e[1:])
+    near2 = np.where((e[:-1] <= 0.0) & (e[1:] >= 0.0), 0.0, np.minimum(lo, hi)) ** 2
+    far2 = np.maximum(lo, hi) ** 2
+    occupancy &= ~((near2[:, None] <= r_out * r_out - near2) & (far2[:, None] >= r_in * r_in - far2))
+
+
+def _gap_cells(r, r_in, r_out):
+    """The cells of `topology._gap_cover`'s column ranges, painted."""
+    cells = np.zeros((r.n, r.n), dtype=bool)
+    for lo, hi in topology._gap_cover(r, r_in, r_out):
+        rows = np.flatnonzero(lo < hi)
+        topology._paint(cells, rows, lo[rows], hi[rows])
+    return cells
+
+
+def _no_gap_cover(r, r_in, r_out):
+    """A gap cover that cuts no cell."""
+    return [_no_cover(r.n)]
+
+
 class TestPsiCorridor:
     @pytest.mark.parametrize("N", [255, 256])
     def test_no_occupied_cell_meets_the_slit_or_touching_circle(self, N):
@@ -419,25 +463,65 @@ class TestPsiCorridor:
     def test_ring_frees_exactly_the_cells_the_circle_meets(self, N):
         r = topology._psi_blank(N)
         for radius in DISC_RADIUS * np.array([0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0]):
-            occ = np.ones((N, N), dtype=bool)
-            topology._free_band(occ, r, radius, radius)
-            assert np.array_equal(~occ, _band_cover(r, radius, radius)), (N, radius)
+            ref = np.ones((N, N), dtype=bool)
+            _free_band(ref, r, radius, radius)
+            cells = _gap_cells(r, radius, radius)
+            assert np.array_equal(cells, _band_cover(r, radius, radius)), (N, radius)
+            assert np.array_equal(cells, ~ref), (N, radius)
 
     @pytest.mark.parametrize("N", [64, 255, 256, 1024])
     def test_band_frees_exactly_the_cells_the_annulus_meets(self, N):
         r = topology._psi_blank(N)
         for r_in, r_out in DISC_RADIUS * np.array([[0.0, 0.01], [0.1, 0.1 + 0.3 / N], [0.5, 0.52], [0.9, 1.0]]):
-            occ = np.ones((N, N), dtype=bool)
-            topology._free_band(occ, r, r_in, r_out)
-            assert np.array_equal(~occ, _band_cover(r, r_in, r_out)), (N, r_in, r_out)
+            ref = np.ones((N, N), dtype=bool)
+            _free_band(ref, r, r_in, r_out)
+            cells = _gap_cells(r, r_in, r_out)
+            assert np.array_equal(cells, _band_cover(r, r_in, r_out)), (N, r_in, r_out)
+            assert np.array_equal(cells, ~ref), (N, r_in, r_out)
+
+    def test_gap_cover_equals_the_dense_comparison_at_every_n(self):
+        """Two column ranges per row hold exactly the cells of the N × N
+        comparison at every N from 64 to 300, at the touching height's
+        circle of a = 1 and a band thinner than a cell."""
+        for N in range(64, 301):
+            r = topology._psi_blank(N)
+            for r_in, r_out in [(0.5, 0.5), (0.3, 0.3 + 0.7 / N)]:
+                ref = np.ones((N, N), dtype=bool)
+                _free_band(ref, r, r_in * DISC_RADIUS, r_out * DISC_RADIUS)
+                assert np.array_equal(_gap_cells(r, r_in * DISC_RADIUS, r_out * DISC_RADIUS), ~ref), N
+
+    @pytest.mark.parametrize("N", [64, 255, 256])
+    def test_gap_cover_at_exact_ties(self, N):
+        """Radii whose square is exactly twice a cell's squared nearest or
+        farthest offset put that cell's diagonal on the annulus's edge in
+        floating point: the outer test keeps its equality, the inner one
+        does not, as in the dense comparison."""
+        r = topology._psi_blank(N)
+        e = r.x0 + np.arange(N + 1) * r.cell
+        near = np.where((e[:-1] <= 0.0) & (e[1:] >= 0.0), 0.0, np.minimum(np.abs(e[:-1]), np.abs(e[1:])))
+        far = np.maximum(np.abs(e[:-1]), np.abs(e[1:]))
+        cases = []
+        for offsets, band in [(near, lambda x: (0.8 * x, x)), (far, lambda x: (x, 1.2 * x))]:
+            for v in 2.0 * offsets[offsets > 0.0] ** 2:
+                x = math.sqrt(v)
+                for _ in range(4):
+                    if x * x != v:
+                        x = np.nextafter(x, math.inf if x * x < v else 0.0)
+                if x * x == v:
+                    cases.append(band(x))
+        assert len(cases) > N // 2
+        for r_in, r_out in cases[:: max(1, len(cases) // 40)]:
+            ref = np.ones((N, N), dtype=bool)
+            _free_band(ref, r, r_in, r_out)
+            assert np.array_equal(_gap_cells(r, r_in, r_out), ~ref), (N, r_in, r_out)
 
     def test_fails_on_a_ring_omission(self, monkeypatch):
-        monkeypatch.setattr(topology, "_free_band", lambda occupancy, r, r_in, r_out: None)
+        monkeypatch.setattr(topology, "_gap_cover", _no_gap_cover)
         left = _psi_left_on_curves(256)
         assert left and {curve for _, _, curve in left} == {"ring"}
 
     def test_fails_on_a_corridor_that_frees_only_the_sample_cells(self, monkeypatch):
-        monkeypatch.setattr(topology, "_free_segment", _sample_cells_only)
+        monkeypatch.setattr(topology, "_segment_cells", _sample_cells)
         left = _psi_left_on_curves(256)
         assert left and {curve for _, _, curve in left} == {"slit"}
 
@@ -525,7 +609,7 @@ def _phi_dense_reference(sd, N):
     h = 1.0 - 4.0 * (u * u)
     w = sd.W.contains_many(h)
     occ = np.where(h[:, None] <= h, w[:, None], w)
-    topology._free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+    _free_segment(occ, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
     return occ
 
 
@@ -556,8 +640,8 @@ class TestPhiRowRuns:
         ids=["one_column_wider", "one_column_narrower"],
     )
     def test_fails_on_a_height_range_off_by_one_column(self, fault, monkeypatch):
-        real = topology._height_ranges
-        monkeypatch.setattr(topology, "_height_ranges", lambda h: fault(*real(h)))
+        real = topology._at_least
+        monkeypatch.setattr(topology, "_at_least", lambda *args: fault(*real(*args)))
         assert next(_phi_run_mismatches(), None) is not None
 
     def test_fails_on_a_slit_cover_dropped_on_one_row(self, monkeypatch):
@@ -590,6 +674,89 @@ class TestSlitWitness:
             slit_path_witness(CFG2.z0, CFG2)
 
 
+def _touching_only(*runs):
+    """A faulty `topology._union`: sorted runs are joined only where one
+    ends as the next starts, so overlapping runs stay apart."""
+    rows, starts, ends = (np.concatenate(x) for x in zip(*runs))
+    order = np.lexsort((starts, rows))
+    rows, starts, ends = rows[order], starts[order], ends[order]
+    new, last = np.ones((2, len(rows)), dtype=bool)
+    new[1:] = last[:-1] = (rows[1:] != rows[:-1]) | (starts[1:] != ends[:-1])
+    return rows[new], starts[new], ends[last]
+
+
+def _psi_run_faults(N, a, zs):
+    """(z, fault) of each ψ raster whose runs, read before its grid is
+    painted, are not row-major, disjoint and maximal ("order"), or are not
+    the runs of the painted grid ("grid")."""
+    cells = psi_section_cells(N)
+    bad = []
+    for z in zs:
+        r = rasterize_psi_section(z, CFG2, a, N, cells=cells)
+        rows, starts, ends = r.row_runs()
+        same_row = rows[1:] == rows[:-1]
+        ordered = np.all(rows[1:] >= rows[:-1]) and np.all(starts < ends)
+        if not (ordered and np.all(~same_row | (starts[1:] > ends[:-1]))):
+            bad.append((tuple(z), "order"))
+        elif _run_lists(topology._runs(r.occupancy)) != _run_lists((rows, starts, ends)):
+            bad.append((tuple(z), "grid"))
+    return bad
+
+
+class TestPsiRowRuns:
+    """ψ rasters are the union of the runs of the kernel's boxes, less the
+    slit's and the gaps' column ranges."""
+
+    @pytest.mark.parametrize("N, grid", [(256, (1, 2)), (1024, (1, 4))])
+    def test_runs_are_maximal_and_equal_the_grid(self, N, grid, monkeypatch):
+        """At a = ½, W = (0, ¼) ∪ (¾, 1), and at N = 256 the boxes of its
+        two pieces overlap near the centre, on occupied cells: the union
+        still gives one set of row-major, disjoint, maximal runs."""
+        union, overlaps = topology._union, []
+
+        def counted(*runs):
+            out = union(*runs)
+            cells = sum(int((e - s).sum()) for _, s, e in runs)
+            overlaps.append(cells - int((out[2] - out[1]).sum()))
+            return out
+
+        monkeypatch.setattr(topology, "_union", counted)
+        assert _psi_run_faults(N, 0.5, z_grid(psi_config(CFG2, 0.5), grid)[0]) == []
+        assert max(overlaps) > 0 or N == 1024
+
+    def test_fails_on_a_merge_that_only_joins_touching_runs(self, monkeypatch):
+        monkeypatch.setattr(topology, "_union", _touching_only)
+        assert _psi_run_faults(256, 0.5, z_grid(psi_config(CFG2, 0.5), (1, 2))[0])
+
+    @pytest.mark.parametrize("a, N", [(1.0, 255), (0.5, 256), (0.25, 1024)])
+    def test_box_p_equals_disc_to_cylinder(self, a, N, monkeypatch):
+        """Each box's p, read from the raster's 1-D axis, is
+        `disc_to_cylinder`'s p of its cell centres bit for bit, and its q̄
+        is χ⁻¹'s wherever p > 0."""
+        cells, (ref_q, ref_p) = psi_section_cells(N), _dense_cells(N)
+        annulus_boxes, arc_members = topology._annulus_boxes, topology._arc_members
+        boxes, inputs = [], []
+
+        def recorded(*args):
+            for box in annulus_boxes(*args):
+                boxes.append(box)
+                yield box
+
+        def kernel(qbar, p, sd):
+            inputs.append((qbar.copy(), p.copy()))
+            return arc_members(qbar, p, sd)
+
+        monkeypatch.setattr(topology, "_annulus_boxes", recorded)
+        monkeypatch.setattr(topology, "_arc_members", kernel)
+        for z in z_grid(psi_config(CFG2, a), (2, 3))[0]:
+            rasterize_psi_section(z, CFG2, a, N, cells=cells)
+        assert len(boxes) == len(inputs) > 0
+        for box, (q, p) in zip(boxes, inputs):
+            assert np.array_equal(p.view(np.int64), ref_p[box].view(np.int64))
+            inside = p > 0.0
+            assert np.array_equal(q[inside].view(np.int64), ref_q[box][inside].view(np.int64))
+
+
 class TestPsiSections:
     def test_raster_box_covers_disc(self):
         r = rasterize_psi_section([0.3, 0.7], CFG2, a=0.5, N=128)
@@ -604,16 +771,24 @@ class TestPsiSections:
         assert len(report.entries) == 8
 
     def test_hull_with_an_added_cell_differs_from_section(self, monkeypatch):
-        real = topology.bounded_hull
+        real = topology._holes
 
         def grown(r):
-            hull = real(r)
-            free = np.argwhere(~hull.occupancy[1:-1, 1:-1])[0] + 1
-            hull.occupancy[tuple(free)] = True
-            return hull
+            # Cell (1, 1) lies in the free margin of every ψ raster.
+            return (np.append(x, v) for x, v in zip(real(r), (1, 1, 2)))
 
-        monkeypatch.setattr(topology, "bounded_hull", grown)
+        monkeypatch.setattr(topology, "_holes", grown)
         assert not check_hull_bound(0.5, CFG2, grid=(1, 2), N=256).hull_equals_section
+
+    def test_hull_area_counts_the_holes(self, monkeypatch):
+        """With an annulus planted as every section, each entry's hull area
+        is that of the labelled reference, which fills the hole."""
+        section = annulus_fixture(256, inner=0.2, outer=0.3)
+        monkeypatch.setattr(topology, "rasterize_psi_section", lambda *args, **kw: section)
+        report = check_hull_bound(0.5, CFG2, grid=(1, 2), N=256)
+        area = float(np.count_nonzero(_hull_reference(section.occupancy))) * section.cell**2
+        assert [e[2] for e in report.entries] == [area, area]
+        assert area > section.area() and not report.hull_equals_section
 
     def test_invalid_a(self):
         with pytest.raises(ValueError):
@@ -674,6 +849,18 @@ class TestRuns:
         for density in (0.0, 0.1, 0.5, 0.9, 1.0):
             occ = rng.uniform(size=(37, 37)) < density
             assert _run_lists(Raster(n=37, occupancy=occ).row_runs()) == _runs_reference(occ)
+
+    def test_union_of_overlapping_runs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(0, 60))
+            rows, starts = rng.integers(0, n, k), rng.integers(0, n, k)
+            ends = np.minimum(starts + rng.integers(1, 6, k), n)
+            ref = np.zeros((n, n), dtype=bool)
+            topology._paint(ref, rows, starts, ends)
+            half = k // 2
+            got = topology._union((rows[:half], starts[:half], ends[:half]), (rows[half:], starts[half:], ends[half:]))
+            assert _run_lists(got) == _run_lists(topology._runs(ref))
 
     def test_fixture_runs(self):
         r = annulus_with_slit_fixture(128)
@@ -741,7 +928,7 @@ class TestSharedGeometry:
                 got = rasterize_section(z, cfg, N)
                 sd = section_of_phi(z, cfg)
                 ref = section_membership_many(_cell_centers(got), sd, cfg)
-                topology._free_segment(ref, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
+                _free_segment(ref, (0.5, 0.5), _phi_rim(sd), 0.0, 1.0 / N)
                 assert ref.any()
                 assert np.array_equal(got.occupancy, ref), (N, z)
 
@@ -780,31 +967,33 @@ class TestSharedGeometry:
 
     @pytest.mark.parametrize("N, chunk", [(64, None), (1024, None), (333, 4099), (1000, 4099)])
     def test_psi_grid_cells_equal_point_cells(self, N, chunk, monkeypatch):
-        """ψ cells built from the raster's 1-D axis, in blocks of whole
-        rows (`_BLOCK_ELEMENTS // N` of them, counted by the χ⁻¹ calls),
-        equal χ⁻¹ of its N² cell centres bit for bit, as (N, N) arrays
-        indexed like the occupancy; cells outside the disc included."""
+        """ψ angles built from the raster's 1-D axis, in blocks of whole
+        rows (at most `_BLOCK_ELEMENTS // N` of them per χ⁻¹ call), equal
+        χ⁻¹ of its N² cell centres bit for bit wherever p > 0, as an (N, N)
+        array indexed like the grid; χ⁻¹ runs only on the rectangles of the
+        row blocks the disc meets, and q̄ is 0 on the other cells."""
         from cubewrap.topology import _psi_blank
 
         centres = _cell_centers(_psi_blank(N))
-        ref = disc_to_cylinder(centres[..., 0], centres[..., 1])
+        ref_q, ref_p = disc_to_cylinder(centres[..., 0], centres[..., 1])
         if chunk is not None:
             monkeypatch.setattr(topology, "_BLOCK_ELEMENTS", chunk)
-        rows = []
+        shapes = []
         monkeypatch.setattr(
-            topology, "disc_to_cylinder", lambda x, y: rows.append(len(x)) or disc_to_cylinder(x, y)
+            topology, "disc_to_cylinder", lambda x, y: shapes.append((len(x), len(y))) or disc_to_cylinder(x, y)
         )
         got = psi_section_cells(N)
-        assert sum(rows) == N and max(rows) == min(N, topology._BLOCK_ELEMENTS // N)
-        assert len(rows) > 1 or N == 64
-        assert len(got) == 2
-        for g, r in zip(got, ref):
-            assert g.shape == (N, N)
-            assert np.array_equal(g.view(np.int64), r.view(np.int64))
+        assert got.shape == (N, N)
+        assert max(rows for rows, _ in shapes) <= min(N, topology._BLOCK_ELEMENTS // N)
+        assert len(shapes) > 1 or N == 64
+        assert sum(rows * cols for rows, cols in shapes) < 0.9 * N * N
+        inside = ref_p > 0.0
+        assert np.array_equal(got[inside].view(np.int64), ref_q[inside].view(np.int64))
+        assert np.all((got == ref_q) | (got == 0.0))
 
     def test_cells_of_another_raster_rejected(self):
-        qbar, p = psi_section_cells(256)
-        for cells in [psi_section_cells(128), (qbar, p[:-1]), (qbar[:-1], p)]:
+        qbar = psi_section_cells(256)
+        for cells in [psi_section_cells(128), qbar[:-1], qbar[:, :-1]]:
             with pytest.raises(ValueError, match="N = 256"):
                 rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=cells)
 
@@ -875,15 +1064,17 @@ def _knife_edge_cases(N):
     keeps one cell of the column x = 0 of an odd-N raster a member, with
     Q2 = 0.8 and p2 = ½ there, so that the band of heights ends exactly
     at that cell: the outer circle passes through its centre and decides
-    whether its row is tested."""
-    qbar, p = psi_section_cells(N)
+    whether its row is tested.  p is read from the raster's axis."""
+    qbar = psi_section_cells(N)
     mid, r = N // 2, topology._psi_blank(N)
-    assert r.x0 + r.cell_offsets()[mid] == 0.0
+    axis = r.x0 + r.cell_offsets()
+    assert axis[mid] == 0.0
+    p = 1.0 - math.pi * (axis * axis + axis[mid] * axis[mid])
     config = EmbeddingConfig(n=3, c=2.0)
     sd = section_of_phi((0.3, 0.7, 0.5, 0.5), psi_config(config, 1.0))
     cases = []
     for i in range(mid):
-        ps = p[i, mid]
+        ps = p[i]
         if not 0.12 < ps < 0.28:
             continue
         P2bar = ps + 0.5
@@ -903,15 +1094,22 @@ def _knife_edge_cases(N):
     return cases
 
 
+def _dense_cells(N):
+    """(q̄, p) = χ⁻¹ of every cell centre of a ψ raster, as two (N, N)
+    arrays: the dense reference for the kernel's inputs."""
+    centres = _cell_centers(topology._psi_blank(N))
+    return disc_to_cylinder(centres[..., 0], centres[..., 1])
+
+
 def _band_mismatches(cases, a, N, monkeypatch):
     """The sections of `cases` whose banded raster, before the slit and the
-    gaps are freed, differs from `_arc_reference` on all N² cells."""
-    monkeypatch.setattr(topology, "_free_segment", lambda *args: None)
-    monkeypatch.setattr(topology, "_free_band", lambda *args: None)
-    cells = psi_section_cells(N)
+    gaps are cut, differs from `_arc_reference` on all N² cells."""
+    monkeypatch.setattr(topology, "_slit_cover", _no_cover)
+    monkeypatch.setattr(topology, "_gap_cover", _no_gap_cover)
+    cells, dense = psi_section_cells(N), _dense_cells(N)
     bad = []
     for sd, config in cases:
-        ref = _arc_reference(*cells, sd)
+        ref = _arc_reference(*dense, sd)
         got = rasterize_psi_section(sd, config, a, N, cells=cells).occupancy
         if not np.array_equal(got, ref):
             bad.append(sd.z)
@@ -957,9 +1155,9 @@ class TestPsiBands:
         N, seen = 1024, []
         arc_members = topology._arc_members
 
-        def counted(qbar, p, sd, out=None):
+        def counted(qbar, p, sd):
             seen[-1] += qbar.size
-            return arc_members(qbar, p, sd, out=out)
+            return arc_members(qbar, p, sd)
 
         rasterize = topology.rasterize_psi_section
         monkeypatch.setattr(topology, "_arc_members", counted)
