@@ -43,7 +43,7 @@ for N in (256, 512, 1024):
 # alone would do: at any finite resolution the zero-width slit closes
 # and a hole appears
 opened = rasterize_section(z, config, 512)
-t = opened.cell_offsets()
+t = opened.centres()
 centres = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1)
 r_closed = Raster(n=512, occupancy=section_membership_many(centres, z, config))
 print(

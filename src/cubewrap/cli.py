@@ -74,6 +74,7 @@ from .maps import (
     finite_difference_jacobian,
     jacobian_defect,
     make_lambda,
+    psi_config,
 )
 from .sections import (
     MIN_MC_SAMPLES,
@@ -351,6 +352,8 @@ def cmd_topology(args) -> int:
         raise ValueError("--a sets the bound of --hull and needs it")
     if args.a is not None and args.c is not None:
         raise ValueError("--hull --a sets c = 1/a; --c contradicts it")
+    if args.a is not None:  # ψ runs at c = 1/a, and the spec echoes that c
+        args.c = psi_config(EmbeddingConfig(), args.a).c
     args.c = DEFAULT_C if args.c is None else args.c
     config = EmbeddingConfig(c=args.c)
     checks = []

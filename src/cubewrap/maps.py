@@ -58,7 +58,6 @@ __all__ = [
     "build_phi",
     "build_psi",
     "psi_config",
-    "symplectic_matrix",
     "jacobian_defect",
     "block_defect",
     "finite_difference_jacobian",
@@ -189,8 +188,7 @@ class ChiMap:
 
     def jacobian(self, pts):
         """[2πρ·(−sin θ, cos θ) | −(cos θ, sin θ)/(2πρ)] at θ = 2πq and
-        ρ = √((1 − p)/π), of determinant 1 (tests/test_certificates.py
-        proves both)."""
+        ρ = √((1 − p)/π), of determinant 1 (`test_chi_jacobian_proved`)."""
         pts = _as_points(pts)
         theta = TWO_PI * pts[..., 0]
         w = TWO_PI * np.sqrt((1.0 - pts[..., 1]) / math.pi)
@@ -266,17 +264,11 @@ def _cylinder_walk(qp):
 
 
 class _Lambda:
-    """λ, the cylinder-to-punctured-square symplectomorphism
-    (R/Z) x [0,1) -> (0,1)^2 minus the center point, in closed form.
-
-    λ = κ∘χ: χ sends (q, p) to radius √((1 − p)/π) at angle 2πq, and κ
-    sends that circle to the square of half-side m = ½√(1 − p), turning
-    each eighth of the angle linearly into a half-edge.  So λ(q, p) =
-    ½ + m·S(t), t = 8·(q mod 1), with S the walk of `_square_walk`, and
-    height -> 1 converges to the square center.  No trig.  The Jacobian
-    is [8m·S′(t) | −S(t)/(8m)], of determinant 1 (tests/
-    test_certificates.py proves both sector by sector).
-    """
+    """λ = κ∘χ, the cylinder (R/Z) x [0,1) onto the punctured square, in
+    closed form with no trig: λ(q, p) = ½ + m·S(t), m = ½√(1 − p),
+    t = 8·(q mod 1), S the walk of `_square_walk`, with Jacobian
+    [8m·S′(t) | −S(t)/(8m)] of determinant 1
+    (`test_lambda_closed_form_proved`)."""
 
     def forward(self, qp):
         return _on_square(*_cylinder_walk(qp))
@@ -316,21 +308,9 @@ def square_to_cylinder(ys):
     each point y of the open unit square minus its centre (the centre,
     where λ⁻¹ is undefined, gets height 1, off the cylinder).
 
-    λ⁻¹ = χ⁻¹∘κ⁻¹.  Write (u, v) = y − ½ and let r be the coordinate of
-    larger magnitude (u where |u| ≥ |v|, else v).  On each of κ's four
-    sectors, κ⁻¹ sends (u, v) to the disc point of radius k·|r|, k =
-    2/√π, at the angle below, and χ⁻¹ reads off q̄ = angle / 2π mod 1
-    and p = 1 − π·radius² = 1 − 4r²:
-
-    * |u| ≥ |v|, u > 0: angle (π/4)(v/u), so q̄ = v/8u;
-    * |u| ≥ |v|, u < 0: κ⁻¹ has signed radius k·u < 0, which turns the
-      angle by π: q̄ = v/8u + ½;
-    * |v| > |u|, v > 0: angle π/2 − (π/4)(u/v), so q̄ = ¼ − u/8v;
-    * |v| > |u|, v < 0: likewise turned by π: q̄ = ¼ − u/8v + ½.
-
-    Only the sector u > 0 reaches below 0 (q̄ ≥ −⅛), so the reduction
-    mod 1 is q̄ − floor(q̄).  tests/test_certificates.py proves the
-    sector formulas.
+    On each of κ's sectors λ⁻¹ = χ⁻¹∘κ⁻¹ is p = 1 − 4r², r the coordinate
+    of y − ½ of larger magnitude, and `_square_polar`'s rational q̄
+    reduced mod 1 as q̄ − floor(q̄) (`test_closed_forms_proved`).
     """
     q, r = _square_polar(ys)
     out = np.empty(q.shape + (2,))
@@ -405,17 +385,10 @@ class KappaMap:
 
 @dataclass(frozen=True)
 class _LambdaPrime:
-    """λ′, the cylinder-to-punctured-rectangle symplectomorphism
-    (0,1) x (R/cZ) -> ((0,1) x (0,c)) minus the rectangle center, as λ
-    rescaled.
-
-    Input is (height, angle mod c).  λ′ = scale∘κ_√c∘χ_c∘swap: the swap
-    (h, a) -> (−a, h), the cylinder collapse of circumference c, the
-    concentric map onto the square of side √c, and the stretch
-    diag(1/√c, √c) onto (0,1) x (0,c).  Since κ_√c∘χ_c(q, p) =
-    √c·λ(q/c, p), this is λ′(h, a) = (y₁, c·y₂) with y = λ(−a/c, h), of
-    Jacobian diag(1, c)·Jλ·[[0, −1/c], [1, 0]] (determinant 1).
-    """
+    """λ′, the cylinder (0,1) x (R/cZ) of points (height, angle mod c)
+    onto the punctured rectangle (0,1) x (0,c), as λ rescaled:
+    λ′(h, a) = (y₁, c·y₂) with y = λ(−a/c, h)
+    (`test_lambda_prime_through_lambda_proved`)."""
 
     c: float
 
@@ -455,12 +428,6 @@ def make_lambda_prime(c: float) -> _LambdaPrime:
 
 # ---------------------------------------------------------------------------
 # Phase-space maps
-
-
-def symplectic_matrix(n: int):
-    """The standard symplectic matrix for coordinate order (q1, p1, ..., qn, pn)."""
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n), j2)
 
 
 class PhaseMap:
@@ -849,7 +816,7 @@ class SymplecticReport:
 def block_defect(C, B):
     """max|JᵀΩJ − Ω| at each point of J = diag(C, B₁, …), from its
     blocks: JᵀΩJ − Ω = diag(CᵀΩC − Ω, (det B₁ − 1)·Ω₂, …)
-    (tests/test_certificates.py proves it)."""
+    (`test_block_lemma_proved`)."""
     dev = jacobian_defect(C)
     for i in range(B.shape[-3]):
         det = B[..., i, 0, 0] * B[..., i, 1, 1] - B[..., i, 1, 0] * B[..., i, 0, 1]

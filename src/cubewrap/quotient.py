@@ -56,10 +56,6 @@ class LineIntervalSet:
 
     intervals: tuple
 
-    @property
-    def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
     def contains_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape, dtype=bool)

@@ -18,12 +18,9 @@ polar coordinates, q̄ = arg y / 2π and p = 1 − π|y|².
 
 Both sections are a set of angles at each height.  For φ, a point is a
 member iff p ∈ W and q̄ is off the slit (`section_membership_many`).
-For ψ (c = 1/a) the angles at height p form one open arc: with
-p2 = P̄2 − c·p mod c and
-B(p) = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail ‖·‖∞², a point is a member
-iff (p − ½)² < B and (q̄ + c·Q2 mod 1 − ½)² < B, the arc of half-width
-√B centred at ½ − c·Q2 (`_arc_members`).  The kernel needs no disc
-mask: a point on or beyond the rim has p ≤ 0, so (p − ½)² ≥ ¼ > B.  A
+For ψ (c = 1/a) the angles at height p form one open arc, of half-width
+√B(p) centred at ½ − c·Q2 (`_arc_members`), and a point on or beyond
+the disc's rim is never a member, so the kernel needs no disc mask.  A
 member's height lies in W and within √B_max of ½, B_max the bound B
 reaches at |p2 − ½| ≤ |Q2 − ½|; `_arc_heights` gives those heights, W's
 pieces widened past every rounding, so φ and ψ read one W.  A φ raster
@@ -33,27 +30,18 @@ kernel only on the annuli those heights map to, reading q̄ from
 `topology.psi_section_cells` and p from its 1-D axis, none of it cached.
 
 The slit-ray bound.  φ membership computes an angle only beside the
-slit ray, the ray from ½ through d + ½, d = λ(slit angle, 0) − ½.  Let θ
-be the Euclidean angle of (u, v) = y − ½.  On each of κ's four sectors,
-centred at θ_k = kπ/2, `square_to_cylinder` reads
-q̄ = tan(θ − θ_k)/8 + k/4, so dq̄/dθ = sec²(θ − θ_k)/8 ≥ 1/8, and q̄ runs
-monotonically round the circle.  So a point's circle distance from the
-slit in q̄ is at least 1/8 of its angle from the ray in θ:
-
-* u·d₀ + v·d₁ ≤ 0 puts it π/2 or more from the ray, π/16 in q̄;
-* |u·d₁ − v·d₀| > τ·(|u| + |v|)·(|d₀| + |d₁|) gives |sin Δθ| > τ,
-  since ‖y‖₁‖d‖₁ ≥ ‖y‖₂‖d‖₂, so |Δθ| > τ and q̄ is more than
-  τ/8 = 1.25e-7 from the slit.
-
-τ = `SLIT_RAY_TOL` = 1e-6 makes τ/8 over 100 times SLIT_TOL, while the
-rounding of d, of the two products and of q̄ is about 1e-16.  Only the
-points inside the wedge, a share of order τ of the square, go through
-`square_to_cylinder`, and of those only the angle is tested, since their
-height has already passed p ∈ W; every other point is a member iff its
-height is in W.  φ and ψ membership run on blocks of
+slit ray, the ray from ½ through λ(slit angle, 0): q̄ moves at least 1/8
+as fast as the Euclidean angle of y − ½, so a point more than
+τ = `SLIT_RAY_TOL` radians off the ray is more than τ/8 > 100·SLIT_TOL
+from the slit in q̄ (`test_slit_ray_slope_proved`,
+`test_slit_ray_norms_and_margin_proved`), while the rounding of the ray,
+of the wedge's two products and of q̄ is about 1e-16.  Only the points
+inside the wedge (`SLIT_RAY_TOL`), a share of order τ of the square, go
+through `square_to_cylinder`, and of those only the angle is tested,
+since their height has already passed p ∈ W; every other point is a
+member iff its height is in W.  φ and ψ membership run on blocks of
 `maps._BLOCK_ELEMENTS` points (`maps._by_blocks`), a ψ raster's kernel
-on its boxes.  tests/test_certificates.py proves the sector identity,
-the norm inequality and τ/8 > SLIT_TOL.
+on its boxes.
 """
 from __future__ import annotations
 
@@ -100,10 +88,11 @@ __all__ = [
 # robustly excluded under floating-point round trips.
 SLIT_TOL = 1e-9
 
-# τ of the slit-ray bound (module docstring).  A point y − ½ = (u, v) off
-# the wedge |u·d₁ − v·d₀| ≤ τ·‖(u, v)‖₁‖d‖₁ around the slit ray d lies
-# more than τ radians from the ray, and dq̄/dθ ≥ 1/8 puts it more than
-# τ/8 = 1.25e-7 from the slit in q̄: over 100 times SLIT_TOL.
+# τ of the slit-ray bound (module docstring).  A point y − ½ = (u, v)
+# with u·d₀ + v·d₁ ≤ 0 lies π/2 or more from the slit ray d, and one off
+# the wedge |u·d₁ − v·d₀| ≤ τ·‖(u, v)‖₁‖d‖₁ more than τ radians, so
+# dq̄/dθ ≥ 1/8 puts it more than τ/8 = 1.25e-7 from the slit in q̄: over
+# 100 times SLIT_TOL.
 SLIT_RAY_TOL = 1e-6
 
 # The cap on ψ's arc bound B: every arc stays SLIT_TOL clear of the slit.
@@ -355,21 +344,13 @@ def _arc_members(qbar, p, sd: SectionDescription):
     in the generic section `sd` of the ball embedding's image at
     c = sd.c = 1/a, an arc of angles at each height.
 
-    A disc point y with (q̄, p) = χ⁻¹(y), paired with z, pulls back to
-    the cube point with (q1, p1) = (q̄ + c·Q2 mod 1, p) and (Q2, p2) =
-    (Q2, P̄2 − c·p mod c); it came from the ball iff the κ⁻¹-norms of
-    its coordinate pairs, trailing pairs of z included, sum below
-    DISC_RADIUS² = 1/π.  |κ⁻¹(u)|² = (4/π)·‖u − ½‖∞², so that is
-    max(|q1 − ½|, |p − ½|)² < B with
-
-        B = ¼ − max(|Q2 − ½|, |p2 − ½|)² − Σ_tail max(|t − ½|, |t′ − ½|)²,
-
-    that is (p − ½)² < B and (q1 − ½)² < B: at height p, the arc of
-    half-width √B centred at q̄ = ½ − c·Q2.  p2 ∉ (0, 1), that is p ∉ W,
-    makes |p2 − ½| ≥ ½ and B ≤ 0, so no point passes; B ≤ ¼ keeps p and
-    q1 in (0, 1).  B is capped at (½ − SLIT_TOL)², so every arc stays
-    SLIT_TOL clear of the slit q1 = 0.  tests/test_certificates.py
-    proves the equivalence on each branch of the max and the mod.
+    A disc point y with (q̄, p) = χ⁻¹(y), paired with z, came from the
+    ball iff (p − ½)² < B and (q1 − ½)² < B, with q1 = q̄ + c·Q2 mod 1,
+    p2 = P̄2 − c·p mod c and B = ¼ − max(|Q2 − ½|, |p2 − ½|)² −
+    Σ_tail max(|t − ½|, |t′ − ½|)² (`test_arc_predicate_proved`): at
+    height p, the arc of half-width √B centred at q̄ = ½ − c·Q2.  p ∉ W
+    makes |p2 − ½| ≥ ½ and B ≤ 0.  B is capped at (½ − SLIT_TOL)², so
+    every arc stays SLIT_TOL clear of the slit q1 = 0.
 
     A point on or beyond the disc's rim has p = 1 − π|y|² ≤ 0, so
     (p − ½)² ≥ ¼ > B and it is never a member.  |p2 − ½| is clamped at 1

@@ -20,10 +20,10 @@ in the arc of its height p = 1 − π|y|² (`sections._arc_members`), which
 only heights in `sections._arc_heights` can pass, an annulus or two: the
 kernel runs on boxes of whole row blocks, one or two column ranges each
 (`_annulus_boxes`), each reading p from the 1-D axis.  No other N² array
-is made until a reader asks for the grid (`Raster.occupancy`).
+is made; `Raster.occupancy` paints one from the runs for its reader.
 Complement components join overlapping free row runs of adjacent rows,
-the gaps between a raster's occupied runs (those of a dense grid from
-`_runs`); the hull adds the runs not joined to the free margin ring.
+the gaps between a raster's occupied runs; the hull adds the runs not
+joined to the free margin ring.
 Every raster, the synthetic fixtures too, starts from `_phi_blank`,
 which rejects N < 64.
 """
@@ -67,41 +67,38 @@ _TOUCH_TOL = 1e-9
 
 
 class Raster:
-    """A binary occupancy grid over the square box [x0, x0+side]^2.
+    """A binary occupancy grid over the square box [x0, x0+side]^2, held
+    as its `row_runs`: (rows, starts, ends) of the maximal runs of
+    occupied cells, ends exclusive, in row-major order.
 
-    occupancy[i, j] covers the cell with center
-    (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n).  A raster holds the grid
-    or its `row_runs`: (rows, starts, ends) of the maximal runs of
-    occupied cells, ends exclusive, in row-major order.  A raster of runs
-    paints its grid the first time `occupancy` is read, and from then on
-    every reader sees the grid.  `pgm()` returns the grid as PGM bytes;
-    no raster writes a file.
+    Cell (i, j) has centre (x0 + (i+0.5)*side/n, x0 + (j+0.5)*side/n)
+    (`centres`).  An `occupancy` grid given to the constructor is encoded
+    once (`_runs`); reading `occupancy` paints a new grid from the runs.
+    `pgm()` returns the grid as PGM bytes; no raster writes a file.
     """
 
     def __init__(self, n: int, occupancy: np.ndarray | None = None, x0: float = 0.0,
                  side: float = 1.0, *, row_runs: tuple | None = None):
         self.n, self.x0, self.side = n, x0, side
-        self._grid, self._row_runs = occupancy, row_runs
+        self._row_runs = row_runs if occupancy is None else _runs(occupancy)
 
     @property
     def occupancy(self) -> np.ndarray:
-        if self._grid is None:
-            self._grid = np.zeros((self.n, self.n), dtype=bool)
-            _paint(self._grid, *self._row_runs)
-        return self._grid
+        grid = np.zeros((self.n, self.n), dtype=bool)
+        _paint(grid, *self._row_runs)
+        return grid
 
     def row_runs(self):
-        """(rows, starts, ends) of the occupied runs; a grid's from `_runs`."""
-        return self._row_runs if self._grid is None else _runs(self._grid)
+        """(rows, starts, ends) of the occupied runs."""
+        return self._row_runs
 
     @property
     def cell(self) -> float:
         return self.side / self.n
 
-    def cell_offsets(self):
-        """Offsets of the cell centres from the box corner, along either
-        axis."""
-        return (np.arange(self.n) + 0.5) * self.cell
+    def centres(self):
+        """The cell centres x0 + (i + ½)·cell along either axis."""
+        return self.x0 + (np.arange(self.n) + 0.5) * self.cell
 
     def occupied(self) -> int:
         """The number of occupied cells."""
@@ -301,7 +298,7 @@ def psi_section_cells(N: int) -> np.ndarray:
     the disc's boxes (`_annulus_boxes`, widened past the rim) only; q̄ is
     0 beyond them, where p = 1 − π|y|² ≤ 0 and no cell is a member."""
     r = _psi_blank(N)
-    axis = r.x0 + r.cell_offsets()
+    axis = r.centres()
     qbar = np.zeros((N, N))
     for rows, cols in _annulus_boxes(r, 0.0, (1.0 + _HEIGHT_SLACK) / math.pi):
         qbar[rows, cols] = disc_to_cylinder(axis[rows, None], axis[cols])[0]
@@ -350,7 +347,7 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     r = _phi_blank(N)
     if sd.status != "generic":
         return r
-    u = r.cell_offsets() - 0.5
+    u = r.centres() - 0.5
     h = 1.0 - 4.0 * (u * u)
     w = sd.W.contains_many(h)
     lo, hi = (x[:, None] for x in _at_least(h, N // 2, h))
@@ -377,7 +374,7 @@ def _annulus_boxes(r: Raster, rr_in: float, rr_out: float):
     column range, or two where the hole spans the block.  Callers widen
     the annulus far beyond rounding, so whether an end is kept does not
     matter."""
-    axis = r.x0 + r.cell_offsets()
+    axis = r.centres()
     edge = math.sqrt(rr_out)
     first, last = np.searchsorted(axis, (-edge, edge)).tolist()
     step = max(1, _BLOCK_ELEMENTS // r.n)
@@ -424,7 +421,7 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     if not heights:
         return r
     qbar = psi_section_cells(N) if cells is None else cells
-    axis = r.x0 + r.cell_offsets()
+    axis = r.centres()
     square = axis * axis
     runs = [r.row_runs()]
     for lo, hi in heights:
@@ -465,7 +462,7 @@ def _resolution_for(W) -> int:
 
 def check_complement_connected(z, config: EmbeddingConfig, N: int):
     """True iff the complement of the section raster (in the plane) is a
-    single 4-connected component.  Verdicts below N = 256 are advisory.
+    single 4-connected component.  Below N = 256 it raises ValueError.
     A generic φ section has area 1/c > 0, so an empty raster is an error."""
     if N < 256:
         raise ValueError("acceptance-grade connectivity checks need N >= 256")

@@ -844,6 +844,14 @@ class TestTopology:
         code, out = run_main(["topology", "--hull", "--grid", "1x2", "--N", "256"] + argv, capsys)
         assert code == EXIT_OK and json.loads(out)["spec"]["c"] == 2.0
 
+    def test_hull_a_echoes_the_c_it_ran_at(self, capsys):
+        # The z grid runs over (0, 1/a), so at a = 0.25 its second z2 is 3.
+        argv = ["topology", "--hull", "--a", "0.25", "--grid", "1x2", "--N", "256"]
+        code, out = run_main(argv, capsys)
+        report = json.loads(out)
+        assert code == EXIT_OK and report["spec"]["c"] == 4.0 and report["spec"]["a"] == 0.25
+        assert [e[1] for e in report["hull"]["entries"]] == [1.0, 3.0]
+
     @pytest.mark.parametrize("N", ["0", "-4", "63"])
     def test_usage_error_hull_raster_below_64(self, capsys, N):
         # Checked where the ψ raster's blank is built, before any division by N.

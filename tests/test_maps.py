@@ -24,7 +24,6 @@ from cubewrap.maps import (
     make_lambda_prime,
     psi_config,
     shear_wrap,
-    symplectic_matrix,
     unshear_wrap,
 )
 from cubewrap.quotient import circle_distance
@@ -35,6 +34,12 @@ from composed_maps import (
     composed_lambda,
     composed_lambda_prime,
 )
+
+
+def symplectic_matrix(n):
+    """The standard symplectic matrix for coordinate order (q1, p1, ..., qn, pn)."""
+    return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
 
 RNG = np.random.default_rng(12345)
 

@@ -10,6 +10,12 @@ from cubewrap.quotient import (
     reduce,
 )
 
+
+def total_length(w):
+    """The summed length of the intervals of W, a `LineIntervalSet`."""
+    return float(sum(b - a for a, b in w.intervals))
+
+
 # Targets at scale 1 where start + 1 - 1 rounds one ulp past the start.
 FULL_CIRCLE_TARGETS = (0.4632352941176471, 0.5, 0.46710526315789474)
 
@@ -107,31 +113,31 @@ class TestCircleDistance:
 class TestLineIntervalSet:
     def test_total_length(self):
         s = LineIntervalSet(((0.0, 0.25), (0.75, 1.0)))
-        assert s.total_length == 0.5
+        assert total_length(s) == 0.5
 
 
 class TestPreimageAffineMod:
     def test_two_interval_case(self):
         w = preimage_affine_mod(reduce(0.5, 2.0), 2.0)
         assert w.intervals == ((0.0, 0.25), (0.75, 1.0))
-        assert w.total_length == pytest.approx(0.5, abs=1e-15)
+        assert total_length(w) == pytest.approx(0.5, abs=1e-15)
 
     def test_one_interval_case(self):
         w = preimage_affine_mod(reduce(1.5, 2.0), 2.0)
         assert w.intervals == ((0.25, 0.75),)
-        assert w.total_length == pytest.approx(0.5, abs=1e-15)
+        assert total_length(w) == pytest.approx(0.5, abs=1e-15)
 
     def test_c_equals_one(self):
         w = preimage_affine_mod(reduce(0.5, 1.0), 1.0)
         assert w.intervals == ((0.0, 0.5), (0.5, 1.0))
-        assert w.total_length == pytest.approx(1.0, abs=1e-15)
+        assert total_length(w) == pytest.approx(1.0, abs=1e-15)
 
     def test_wrap_point_at_boundary_single_interval(self):
         # Target at 0: the arc boundary coincides with the clip edge and
         # a single interval comes out, no zero-length fragment.
         w = preimage_affine_mod(reduce(0.0, 2.0), 2.0)
         assert len(w.intervals) == 1
-        assert w.total_length == pytest.approx(0.5, abs=1e-12)
+        assert total_length(w) == pytest.approx(0.5, abs=1e-12)
 
     def test_full_circle_preimage_keeps_excluded_point(self):
         # scale 1: the preimage is the full interval minus one point, and
@@ -153,7 +159,7 @@ class TestPreimageAffineMod:
             c = rng.uniform(1, 10)
             t = rng.uniform(0, c)
             w = preimage_affine_mod(reduce(t, c), c)
-            assert abs(w.total_length - 1 / c) < 1e-12
+            assert abs(total_length(w) - 1 / c) < 1e-12
             assert len(w.intervals) in (1, 2)
 
     def test_agrees_with_grid_oracle(self):

@@ -25,6 +25,12 @@ from cubewrap.sections import (
     z_grid,
 )
 
+
+def total_length(w):
+    """The summed length of the intervals of W, a `LineIntervalSet`."""
+    return float(sum(b - a for a, b in w.intervals))
+
+
 CFG2 = EmbeddingConfig(n=2, c=2.0)
 
 
@@ -54,7 +60,7 @@ class TestVSet:
         sd = section_of_phi([0.3, 0.7], cfg)
         assert sd.slit_angle == reduce(-sd.Q2, 1.0)
         # at c = 1, W is all of (0, 1) but one point, and the slit stays out
-        assert sd.W.total_length == pytest.approx(1.0, abs=1e-15)
+        assert total_length(sd.W) == pytest.approx(1.0, abs=1e-15)
         t = np.array([0.1, 0.45, 0.8])
         on_slit = make_lambda().forward(np.stack([np.full(3, sd.slit_angle), t], axis=-1))
         beside = make_lambda().forward(np.stack([np.full(3, sd.slit_angle + 0.1), t], axis=-1))
@@ -95,7 +101,7 @@ class TestWSet:
             sd = self._section_at(rng.uniform(0, c), c, Q2=rng.uniform(0.01, 0.99))
             assert sd.W == preimage_affine_mod(sd.P2bar, c)
             assert len(sd.W.intervals) in (1, 2)
-            assert abs(sd.W.total_length - 1 / c) < 1e-12
+            assert abs(total_length(sd.W) - 1 / c) < 1e-12
 
     @pytest.mark.parametrize("c", [1e15, 1e16, 1e300])
     def test_large_c_keeps_the_one_piece(self, c):
@@ -110,7 +116,7 @@ class TestWSet:
             iv = sd.W.intervals
             assert sd.status == "generic" and iv
             assert len(iv) == 1 or (iv[0][0], iv[-1][1]) == (0.0, 1.0)
-            assert abs(sd.W.total_length - 1 / c) <= 2.0**-52
+            assert abs(total_length(sd.W) - 1 / c) <= 2.0**-52
 
 
 class TestSectionOfPhi:
@@ -127,7 +133,7 @@ class TestSectionOfPhi:
         assert sd.status == "generic"
         assert sd.analytic_area == 0.5
         assert 0.0 <= sd.slit_angle < 1.0
-        assert abs(sd.W.total_length - 0.5) < 1e-12
+        assert abs(total_length(sd.W) - 0.5) < 1e-12
 
     def test_n3_tail_handling(self):
         cfg = EmbeddingConfig(n=3, c=2.0)

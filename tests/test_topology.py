@@ -55,7 +55,7 @@ def _labels_reference(occ):
 def _cell_centers(r):
     """The centres of r's cells, an (n, n, 2) array indexed like its
     occupancy."""
-    t = r.x0 + r.cell_offsets()
+    t = r.centres()
     X, Y = np.meshgrid(t, t, indexing="ij")
     return np.stack([X, Y], axis=-1)
 
@@ -940,7 +940,7 @@ class TestSharedGeometry:
         monkeypatch.setattr(topology, "_slit_cover", _no_cover)
         cfg = EmbeddingConfig(n=2, c=c)
         for N in (64, 255, 256, 1023, 1024):
-            u = Raster(n=N, occupancy=np.zeros((N, N), dtype=bool)).cell_offsets() - 0.5
+            u = Raster(n=N, occupancy=np.zeros((N, N), dtype=bool)).centres() - 0.5
             h = 1.0 - 4.0 * (u * u)
             for z in z_grid(cfg, (7, 9))[0]:
                 sd = section_of_phi(z, cfg)
@@ -1067,7 +1067,7 @@ def _knife_edge_cases(N):
     whether its row is tested.  p is read from the raster's axis."""
     qbar = psi_section_cells(N)
     mid, r = N // 2, topology._psi_blank(N)
-    axis = r.x0 + r.cell_offsets()
+    axis = r.centres()
     assert axis[mid] == 0.0
     p = 1.0 - math.pi * (axis * axis + axis[mid] * axis[mid])
     config = EmbeddingConfig(n=3, c=2.0)
