@@ -27,9 +27,10 @@ verify draws one sample per map, and each check reads it or a prefix:
                 identity read all of it; φ's analytic symplectic check
                 the smooth points among its first SYMPLECTIC_ROWS, and
                 φ's finite-difference check the first FD_ROWS of those
-  ball sample   --samples points (seed + 3), mapped through ψ once for
-                psi_first_factor_in_disc; ψ's analytic symplectic check
-                reads the smooth points among its first SYMPLECTIC_ROWS
+  ball sample   --samples points (seed + 3), mapped through ψ's first
+                factor (`PsiMap.first_factor`) for psi_first_factor_in_disc;
+                ψ's analytic symplectic check reads the smooth points among
+                its first SYMPLECTIC_ROWS
   image volume  --samples uniform points of the target box (seed + 5)
 
 Each of the three is one phase on stderr, and each sample is freed at
@@ -245,7 +246,7 @@ def cmd_verify(args) -> int:
         psi_analytic = _symplectic_check(
             "psi_symplectic_analytic", check_symplectic(psi, Xb[:SYMPLECTIC_ROWS])
         )
-        Yb = psi.forward(Xb)
+        Yb = psi.first_factor(Xb)
         del Xb
         in_disc = np.hypot(Yb[:, 0], Yb[:, 1]) < DISC_RADIUS
         del Yb

@@ -687,8 +687,9 @@ class PsiMap(PhaseMap):
         return _sum_of_squares(X) < DISC_RADIUS**2
 
     def _to_cube(self, X):
+        """κ of each coordinate pair of X."""
         U = np.empty_like(X)
-        for i in range(self.n):
+        for i in range(X.shape[-1] // 2):
             U[..., 2 * i : 2 * i + 2] = self._kappa.forward(X[..., 2 * i : 2 * i + 2])
         return U
 
@@ -699,6 +700,20 @@ class PsiMap(PhaseMap):
         if not np.all(self.contains(X)):
             raise DomainError("input outside the open ball")
         return self._phi.forward(self._to_cube(X))
+
+    def first_factor(self, X):
+        """forward(X)[..., :2] bit for bit, from κ of the first two input
+        pairs only: the ball test on all 2n coordinates, the open-cube test
+        on those two κ images U, then χ of (u₀ − c·u₂ mod 1, u₁)."""
+        return _by_blocks(self._first_factor, _as_points(X, self.dim))
+
+    def _first_factor(self, X):
+        if not np.all(self.contains(X)):
+            raise DomainError("input outside the open ball")
+        U = self._to_cube(X[..., 0:4])
+        if not np.all(_in_box(U, 0.0, 1.0)):
+            raise DomainError("input outside the open unit cube")
+        return self._phi._first.forward(shear_wrap(U, self.c)[..., 0:2])
 
     def jacobian(self, X):
         """The dense 2n × 2n Jacobian, assembled from `jacobian_blocks`."""

@@ -26,8 +26,8 @@ reaches at |p2 − ½| ≤ |Q2 − ½|; `_arc_heights` gives those heights, W's
 pieces widened past every rounding, so φ and ψ read one W.  A φ raster
 needs only heights, read from its 1-D axis, and frees the closed cells
 its slit meets (`topology.rasterize_section`); a ψ raster runs the arc
-kernel only on the annuli those heights map to, reading q̄ from
-`topology.psi_section_cells` and p from its 1-D axis, none of it cached.
+kernel only on the annuli those heights map to, reading (q̄, p) from
+one sweep of its row blocks (`topology._psi_rasters`), none of it cached.
 
 The slit-ray bound.  φ membership computes an angle only beside the
 slit ray, the ray from ½ through λ(slit angle, 0): q̄ moves at least 1/8

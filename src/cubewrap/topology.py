@@ -13,14 +13,13 @@ nothing is sampled.
 A φ section is every angle but the slit's at the heights in W, so a φ
 raster reads only heights, from its 1-D axis of cell centres, and the
 slit's cover carries the slit; it is built as row runs
-(`rasterize_section`), and so are the synthetic fixtures.  A ψ raster's
-one (N, N) array is the angle q̄ of its cells, built once per N, not per
-z (`psi_section_cells`).  Per z, a ψ cell is occupied when its angle lies
-in the arc of its height p = 1 − π|y|² (`sections._arc_members`), which
-only heights in `sections._arc_heights` can pass, an annulus or two: the
-kernel runs on boxes of whole row blocks, one or two column ranges each
-(`_annulus_boxes`), each reading p from the 1-D axis.  No other N² array
-is made; `Raster.occupancy` paints one from the runs for its reader.
+(`rasterize_section`), and so are the synthetic fixtures.  A ψ cell is
+occupied when its angle q̄ lies in the arc of its height p = 1 − π|y|²
+(`sections._arc_members`), which only heights in `sections._arc_heights`
+can pass, an annulus or two per z.  The ψ rasters of many z are one
+sweep of the disc's row blocks (`_psi_rasters`), each block's (q̄, p)
+serving every z.  No array is larger than one block; `Raster.occupancy`
+paints a grid from the runs for its reader.
 Complement components join overlapping free row runs of adjacent rows,
 the gaps between a raster's occupied runs; the hull adds the runs not
 joined to the free margin ring.
@@ -40,7 +39,6 @@ from .sections import _HEIGHT_SLACK, _arc_heights, _arc_members, resolve_section
 
 __all__ = [
     "Raster",
-    "psi_section_cells",
     "rasterize_section",
     "rasterize_psi_section",
     "complement_components",
@@ -292,19 +290,6 @@ def _psi_blank(N: int) -> Raster:
     return Raster(n=N, row_runs=runs, x0=-side / 2.0, side=side)
 
 
-def psi_section_cells(N: int) -> np.ndarray:
-    """The angle q̄ of χ⁻¹ of each cell centre of a ψ raster, an (N, N)
-    array indexed like its grid, computed from the 1-D axis of centres on
-    the disc's boxes (`_annulus_boxes`, widened past the rim) only; q̄ is
-    0 beyond them, where p = 1 − π|y|² ≤ 0 and no cell is a member."""
-    r = _psi_blank(N)
-    axis = r.centres()
-    qbar = np.zeros((N, N))
-    for rows, cols in _annulus_boxes(r, 0.0, (1.0 + _HEIGHT_SLACK) / math.pi):
-        qbar[rows, cols] = disc_to_cylinder(axis[rows, None], axis[cols])[0]
-    return qbar
-
-
 def _at_least(g, m, t, strict=False):
     """Per entry of t, the range [lo, hi) of the j with g_j ≥ t (g_j > t if
     strict), for g rising on its first m entries and falling on the rest:
@@ -364,44 +349,43 @@ def rasterize_section(z, config: EmbeddingConfig, N: int) -> Raster:
     return Raster(n=N, row_runs=_cut(*runs, *_slit_cover(N, (0.5, 0.5), rim, r.x0, r.cell)))
 
 
-def _annulus_boxes(r: Raster, rr_in: float, rr_out: float):
-    """(rows, columns) slices of boxes of r's cells that hold every cell
-    whose centre y has rr_in < |y|² < rr_out: for each block of
-    _BLOCK_ELEMENTS // N rows that the outer circle meets, the columns
-    within the outer circle at the block's row nearest 0, less those
-    within the inner circle at its row farthest from 0, found by
-    `np.searchsorted` on the sorted 1-D axis of centres.  That is one
-    column range, or two where the hole spans the block.  Callers widen
-    the annulus far beyond rounding, so whether an end is kept does not
-    matter."""
-    axis = r.centres()
-    edge = math.sqrt(rr_out)
-    first, last = np.searchsorted(axis, (-edge, edge)).tolist()
-    step = max(1, _BLOCK_ELEMENTS // r.n)
-    for i in range(first, last, step):
-        rows = slice(i, min(i + step, last))
-        ends = axis[[rows.start, rows.stop - 1]]
-        near = 0.0 if ends[0] <= 0.0 <= ends[1] else float(np.min(ends * ends))
-        far = float(np.max(ends * ends))
-        out = math.sqrt(max(rr_out - near, 0.0))
-        hole = math.sqrt(max(rr_in - far, 0.0))
-        lo, hole_lo, hole_hi, hi = np.searchsorted(axis, (-out, -hole, hole, out)).tolist()
-        for cols in (slice(lo, hole_lo), slice(hole_hi, hi)) if hole_lo < hole_hi else (slice(lo, hi),):
-            if cols.start < cols.stop:
-                yield rows, cols
+def _block_columns(axis, rows: slice, rr_in: float, rr_out: float):
+    """Column slices of the row block `rows`, on the sorted 1-D axis of
+    centres `axis`, holding every cell whose centre y has rr_in < |y|² <
+    rr_out: those within the outer circle at the block's row nearest 0,
+    less those within the inner circle at its row farthest from 0
+    (`np.searchsorted`), so one range, two where the hole spans the block,
+    or none.  Callers widen the annulus far beyond rounding, so whether an
+    end is kept does not matter."""
+    ends = axis[[rows.start, rows.stop - 1]]
+    near = 0.0 if ends[0] <= 0.0 <= ends[1] else float(np.min(ends * ends))
+    far = float(np.max(ends * ends))
+    out = math.sqrt(max(rr_out - near, 0.0))
+    hole = math.sqrt(max(rr_in - far, 0.0))
+    lo, hole_lo, hole_hi, hi = np.searchsorted(axis, (-out, -hole, hole, out)).tolist()
+    cols = (slice(lo, hole_lo), slice(hole_hi, hi)) if hole_lo < hole_hi else (slice(lo, hi),)
+    return [c for c in cols if c.start < c.stop]
 
 
-def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells=None) -> Raster:
-    """Rasterize the z-section of the ball embedding's image over a box
-    slightly larger than the disc of radius 1/sqrt(pi), as row runs.
-    `cells`, if given, is `psi_section_cells(N)`.
+def _psi_rasters(zs, cfg: EmbeddingConfig, N: int):
+    """The ψ raster of each z in zs (cfg at c = 1/a), in order: a sweep
+    (`_psi_sweep`) per _BLOCK_ELEMENTS // N of the z, so the runs held at
+    once do not grow with the number of z."""
+    r = _psi_blank(N)
+    chunk = max(1, _BLOCK_ELEMENTS // N)
+    for k in range(0, len(zs), chunk):
+        yield from _psi_sweep(zs[k : k + chunk], cfg, r)
 
-    Only cells whose height can pass are tested: `sections._arc_heights`
-    bounds the heights of every member, each piece is an annulus through
-    p = 1 − π|y|², and the arc kernel runs on the boxes of
-    `_annulus_boxes`, reading q̄ from `cells` and p from the 1-D axis by
-    `maps.disc_to_cylinder`'s expression, so bit for bit, and the runs of
-    the boxes, which may overlap, are merged (`_union`).
+
+def _psi_sweep(zs, cfg: EmbeddingConfig, r: Raster):
+    """The ψ raster of each z in zs, r blank (`_psi_blank`), from one sweep
+    of the disc's blocks of _BLOCK_ELEMENTS // N rows, widened past the rim
+    as `_arc_heights` widens heights.  A z's heights bound its members',
+    each piece an annulus through p = 1 − π|y|² with column ranges per
+    block (`_block_columns`).  χ⁻¹ of a block's centres over the span of
+    the ranges is computed once (`maps.disc_to_cylinder`), and the arc
+    kernel runs on each range's slice, so bit for bit as on every cell; a
+    z's runs, which may overlap, are merged (`_union`) after the sweep.
 
     The slit, and every gap between two intervals of W that is under
     _THIN_GAP_CELLS cells wide radially, are free in the section but too
@@ -410,35 +394,47 @@ def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int, *, cells
     otherwise close into pockets of enclosed cells.  A touching height,
     where two intervals of W share an endpoint, is a gap of zero width.
     """
-    cfg = psi_config(config, a)
-    sd = resolve_section(z, cfg)
-    r = _psi_blank(N)
-    if sd.status != "generic":
-        return r
-    if cells is not None and cells.shape != (N, N):
-        raise ValueError(f"cells were built for another raster, not N = {N}")
-    heights = _arc_heights(sd)
-    if not heights:
-        return r
-    qbar = psi_section_cells(N) if cells is None else cells
-    axis = r.centres()
-    square = axis * axis
-    runs = [r.row_runs()]
-    for lo, hi in heights:
-        for rows, cols in _annulus_boxes(r, (1.0 - hi) / math.pi, (1.0 - lo) / math.pi):
-            p = 1.0 - math.pi * (square[rows, None] + square[cols])
-            i, j, end = _runs(_arc_members(qbar[rows, cols], p, sd))
-            runs.append((i + rows.start, j + cols.start, end + cols.start))
-    # κ⁻¹∘λ = χ, so the slit is the ray from 0 to the rim point χ(slit angle, 0).
-    rim = ChiMap().forward((sd.slit_angle, 0.0))
-    runs = _cut(*_union(*runs), *_slit_cover(N, (0.0, 0.0), rim, r.x0, r.cell))
-    iv = sd.W.intervals
-    for (_, top), (bottom, _) in zip(iv, iv[1:]):
-        r_in, r_out = (math.sqrt((1.0 - v) / math.pi) for v in (bottom, top))
-        if r_out - r_in < _THIN_GAP_CELLS * r.cell:
-            for lo, hi in _gap_cover(r, r_in, r_out):
-                runs = _cut(*runs, lo, hi)
-    return Raster(n=N, x0=r.x0, side=r.side, row_runs=runs)
+    N, axis = r.n, r.centres()
+    sds = [resolve_section(z, cfg) for z in zs]
+    heights = (_arc_heights(sd) if sd.status == "generic" else [] for sd in sds)
+    annuli = [[((1.0 - hi) / math.pi, (1.0 - lo) / math.pi) for lo, hi in h] for h in heights]
+    runs = [[r.row_runs()] for _ in sds]
+    edge = math.sqrt((1.0 + _HEIGHT_SLACK) / math.pi)
+    first, last = np.searchsorted(axis, (-edge, edge)).tolist()
+    step = max(1, _BLOCK_ELEMENTS // N)
+    for start in range(first, last, step):
+        rows = slice(start, min(start + step, last))
+        boxes = [(k, cols) for k, pieces in enumerate(annuli) for rr in pieces
+                 for cols in _block_columns(axis, rows, *rr)]
+        if not boxes:
+            continue
+        lo = min(cols.start for _, cols in boxes)
+        qbar, p = disc_to_cylinder(axis[rows, None], axis[lo : max(cols.stop for _, cols in boxes)])
+        for k, cols in boxes:
+            box = np.s_[:, cols.start - lo : cols.stop - lo]
+            i, j, end = _runs(_arc_members(qbar[box], p[box], sds[k]))
+            runs[k].append((i + rows.start, j + cols.start, end + cols.start))
+    for sd, pieces, z_runs in zip(sds, annuli, runs):
+        if not pieces:
+            yield r
+            continue
+        # κ⁻¹∘λ = χ, so the slit is the ray from 0 to the rim point χ(slit angle, 0).
+        rim = ChiMap().forward((sd.slit_angle, 0.0))
+        z_runs = _cut(*_union(*z_runs), *_slit_cover(N, (0.0, 0.0), rim, r.x0, r.cell))
+        iv = sd.W.intervals
+        for (_, top), (bottom, _) in zip(iv, iv[1:]):
+            r_in, r_out = (math.sqrt((1.0 - v) / math.pi) for v in (bottom, top))
+            if r_out - r_in < _THIN_GAP_CELLS * r.cell:
+                for lo, hi in _gap_cover(r, r_in, r_out):
+                    z_runs = _cut(*z_runs, lo, hi)
+        yield Raster(n=N, x0=r.x0, side=r.side, row_runs=z_runs)
+
+
+def rasterize_psi_section(z, config: EmbeddingConfig, a: float, N: int) -> Raster:
+    """Rasterize the z-section of the ball embedding's image over a box
+    slightly larger than the disc of radius 1/sqrt(pi), as row runs
+    (`_psi_rasters` of this z alone)."""
+    return next(_psi_rasters([z], psi_config(config, a), N))
 
 
 @dataclass(frozen=True)
@@ -527,15 +523,13 @@ def check_hull_bound(
 ) -> HullReport:
     """Verify that every section hull of the ball embedding has area at
     most a (up to a raster tolerance scaling with boundary length / N).
-    The angles q̄ are built once and serve every z of the grid; the hull's
+    The grid's rasters share sweeps of row blocks (`_psi_rasters`); the hull's
     area and tolerance are counted on runs (`_holes`, perimeter)."""
     cfg = psi_config(config, a)
     zs = z_grid(cfg, grid)[0]
-    cells = psi_section_cells(N)
     entries, worst_tol, hull_eq = [], 0.0, True
     worst, worst_excess = (), -math.inf
-    for z in zs:
-        r = rasterize_psi_section(z, cfg, a, N, cells=cells)
+    for z, r in zip(zs, _psi_rasters(zs, cfg, N)):
         _, starts, ends = _holes(r)
         tol = 4.0 * r.perimeter_estimate() / N
         worst_tol = max(worst_tol, tol)

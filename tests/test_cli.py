@@ -340,6 +340,20 @@ class TestVerify:
         for name in ("phi_symplectic_fd", "phi_image_volume_mc"):
             assert "worst_point" not in failing[name]
 
+    def test_chi_outside_the_disc_fails_the_first_factor_check(self, capsys, monkeypatch):
+        """ψ's first factor is χ of the first two κ images: a χ planted to
+        land 1.5 times too far out puts first factors outside the disc,
+        and only psi_first_factor_in_disc fails."""
+        from cubewrap.maps import ChiMap
+
+        real = ChiMap.forward
+        monkeypatch.setattr(ChiMap, "forward", lambda chi, pts: 1.5 * real(chi, pts))
+        code, out = run_main(FAST_VERIFY, capsys)
+        assert code == EXIT_CHECK_FAILED
+        failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["passed"]}
+        assert list(failed) == ["psi_first_factor_in_disc"]
+        assert failed["psi_first_factor_in_disc"]["value"] < 20_000
+
     def test_scaled_trailing_kappa_block_fails_psi_check(self, capsys, monkeypatch):
         """ψ's check reads the trailing blocks: Jκ of the third pair scaled
         by 1 + 1e-6 (determinant off by 2e-6) fails it, and only it."""
@@ -936,15 +950,14 @@ class TestTopology:
         # plant a disc of area about 0.64 > a = 0.5 at one z of the grid
         import cubewrap.topology as topo
 
-        real = topo.rasterize_psi_section
+        real = topo._psi_rasters
         target = (0.75, 0.5)
 
-        def planted(z, config, a, N, **kw):
-            if tuple(z) == target:
-                return topo.disk_fixture(N, radius=0.45)
-            return real(z, config, a, N, **kw)
+        def planted(zs, cfg, N):
+            for z, r in zip(zs, real(zs, cfg, N)):
+                yield topo.disk_fixture(N, radius=0.45) if tuple(z) == target else r
 
-        monkeypatch.setattr(topo, "rasterize_psi_section", planted)
+        monkeypatch.setattr(topo, "_psi_rasters", planted)
         code, out = run_main(
             ["topology", "--hull", "--a", "0.5", "--grid", "2x2", "--N", "256"], capsys
         )
@@ -961,7 +974,6 @@ class TestTopology:
         """With --out, a failing hull check hands _finish the PGM of its
         worst hull, painted from the occupied and hole runs, named by z
         and listed in artifacts.  A passing run gets no such file."""
-        import cubewrap.cli as climod
         import cubewrap.topology as topo
 
         argv = ["topology", "--hull", "--a", "0.5", "--grid", "2x2", "--N", "256", "--out"]
@@ -969,17 +981,16 @@ class TestTopology:
         assert code == EXIT_OK and json.loads(out)["artifacts"] == []
         assert [p.name for p in (tmp_path / "ok").iterdir()] == ["topology_report.json"]
 
-        # An annulus whose hull, the disc of radius 0.45, is over a = 0.5.
-        real = topo.rasterize_psi_section
+        # An annulus whose hull, the disc of radius 0.45, is over a = 0.5;
+        # the hull check and the PGM's raster both come from _psi_rasters.
+        real = topo._psi_rasters
         target = (0.75, 0.5)
 
-        def planted(z, config, a, N, **kw):
-            if tuple(z) == target:
-                return topo.annulus_fixture(N, inner=0.2, outer=0.45)
-            return real(z, config, a, N, **kw)
+        def planted(zs, cfg, N):
+            for z, r in zip(zs, real(zs, cfg, N)):
+                yield topo.annulus_fixture(N, inner=0.2, outer=0.45) if tuple(z) == target else r
 
-        monkeypatch.setattr(topo, "rasterize_psi_section", planted)
-        monkeypatch.setattr(climod, "rasterize_psi_section", planted)
+        monkeypatch.setattr(topo, "_psi_rasters", planted)
         code, out = run_main(argv + [str(tmp_path / "bad")], capsys)
         assert code == EXIT_CHECK_FAILED
         doc = json.loads(out)

@@ -457,6 +457,17 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi.forward(np.full(4, DISC_RADIUS))
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_first_factor_equals_forward(self, n):
+        """The first output pair from κ of the first two input pairs only
+        is forward's, bit for bit, and a point off the ball still raises."""
+        psi = build_psi(EmbeddingConfig(n=n, c=2.0), 0.5)
+        X = psi.sample_domain(np.random.default_rng(40 + n), 20_000)
+        got, ref = psi.first_factor(X), psi.forward(X)[:, :2]
+        assert got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+        with pytest.raises(DomainError, match="open ball"):
+            psi.first_factor(np.full(2 * n, DISC_RADIUS))
+
     def test_invalid_a(self):
         with pytest.raises(ValueError):
             build_psi(EmbeddingConfig(n=2, c=2.0), 1.5)

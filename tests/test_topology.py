@@ -37,7 +37,6 @@ from cubewrap.topology import (
     check_hull_bound,
     complement_components,
     disk_fixture,
-    psi_section_cells,
     rasterize_psi_section,
     rasterize_section,
 )
@@ -535,9 +534,7 @@ class TestPsiCorridor:
         cfg = psi_config(CFG2, a)
         zs = [z for z in z_grid(cfg, (9, 13))[0] if len(section_of_phi(z, cfg).W.intervals) == 2]
         assert zs
-        cells = psi_section_cells(N)
-        for z in zs:
-            r = rasterize_psi_section(z, CFG2, a, N, cells=cells)
+        for z, r in zip(zs, topology._psi_rasters(zs, cfg, N)):
             assert np.array_equal(bounded_hull(r).occupancy, r.occupancy), (a, N, z)
 
 
@@ -689,10 +686,8 @@ def _psi_run_faults(N, a, zs):
     """(z, fault) of each ψ raster whose runs, read before its grid is
     painted, are not row-major, disjoint and maximal ("order"), or are not
     the runs of the painted grid ("grid")."""
-    cells = psi_section_cells(N)
     bad = []
-    for z in zs:
-        r = rasterize_psi_section(z, CFG2, a, N, cells=cells)
+    for z, r in zip(zs, topology._psi_rasters(zs, psi_config(CFG2, a), N)):
         rows, starts, ends = r.row_runs()
         same_row = rows[1:] == rows[:-1]
         ordered = np.all(rows[1:] >= rows[:-1]) and np.all(starts < ends)
@@ -730,26 +725,27 @@ class TestPsiRowRuns:
 
     @pytest.mark.parametrize("a, N", [(1.0, 255), (0.5, 256), (0.25, 1024)])
     def test_box_p_equals_disc_to_cylinder(self, a, N, monkeypatch):
-        """Each box's p, read from the raster's 1-D axis, is
-        `disc_to_cylinder`'s p of its cell centres bit for bit, and its q̄
-        is χ⁻¹'s wherever p > 0."""
-        cells, (ref_q, ref_p) = psi_section_cells(N), _dense_cells(N)
-        annulus_boxes, arc_members = topology._annulus_boxes, topology._arc_members
+        """Each kernel input, a box of a row block's (q̄, p) in the sweep of
+        many z, is `disc_to_cylinder` of the box's cell centres bit for
+        bit in p, and in q̄ wherever p > 0.  A block runs the kernel on its
+        boxes in the order `_block_columns` returns them."""
+        ref_q, ref_p = _dense_cells(N)
+        block_columns, arc_members = topology._block_columns, topology._arc_members
         boxes, inputs = [], []
 
-        def recorded(*args):
-            for box in annulus_boxes(*args):
-                boxes.append(box)
-                yield box
+        def recorded(axis, rows, *annulus):
+            cols = block_columns(axis, rows, *annulus)
+            boxes.extend((rows, c) for c in cols)
+            return cols
 
         def kernel(qbar, p, sd):
             inputs.append((qbar.copy(), p.copy()))
             return arc_members(qbar, p, sd)
 
-        monkeypatch.setattr(topology, "_annulus_boxes", recorded)
+        monkeypatch.setattr(topology, "_block_columns", recorded)
         monkeypatch.setattr(topology, "_arc_members", kernel)
-        for z in z_grid(psi_config(CFG2, a), (2, 3))[0]:
-            rasterize_psi_section(z, CFG2, a, N, cells=cells)
+        cfg = psi_config(CFG2, a)
+        list(topology._psi_rasters(z_grid(cfg, (2, 3))[0], cfg, N))
         assert len(boxes) == len(inputs) > 0
         for box, (q, p) in zip(boxes, inputs):
             assert np.array_equal(p.view(np.int64), ref_p[box].view(np.int64))
@@ -770,6 +766,36 @@ class TestPsiSections:
         # the 3x3 grid center lands on the puncture and is skipped
         assert len(report.entries) == 8
 
+    @staticmethod
+    def _hull_peak(N):
+        tracemalloc.start()
+        try:
+            report = check_hull_bound(0.5, CFG2, grid=(1, 2), N=N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_within_bound and report.hull_equals_section
+        return peak
+
+    def test_a_hull_check_at_n_8192_stays_small(self):
+        """The sweep keeps a hull check far below one 8192² grid (512 MiB
+        of float64)."""
+        assert self._hull_peak(8192) < 16 * 2**20
+
+    def test_hull_memory_gate_fails_on_a_planted_grid(self, monkeypatch):
+        """A full (N, N) q̄ grid held through the sweep fails the gate.  It
+        is planted at N = 2048, where the grid alone (32 MiB) is twice the
+        gate, rather than at 8192, where it would take 512 MiB."""
+        sweep = topology._psi_sweep
+
+        def planted(zs, cfg, r):
+            qbar = np.zeros((r.n, r.n))
+            yield from sweep(zs, cfg, r)
+            del qbar
+
+        monkeypatch.setattr(topology, "_psi_sweep", planted)
+        assert self._hull_peak(2048) >= 16 * 2**20
+
     def test_hull_with_an_added_cell_differs_from_section(self, monkeypatch):
         real = topology._holes
 
@@ -784,7 +810,7 @@ class TestPsiSections:
         """With an annulus planted as every section, each entry's hull area
         is that of the labelled reference, which fills the hole."""
         section = annulus_fixture(256, inner=0.2, outer=0.3)
-        monkeypatch.setattr(topology, "rasterize_psi_section", lambda *args, **kw: section)
+        monkeypatch.setattr(topology, "_psi_rasters", lambda zs, cfg, N: (section for _ in zs))
         report = check_hull_bound(0.5, CFG2, grid=(1, 2), N=256)
         area = float(np.count_nonzero(_hull_reference(section.occupancy))) * section.cell**2
         assert [e[2] for e in report.entries] == [area, area]
@@ -883,10 +909,9 @@ class TestRunLabels:
 
     @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
     def test_psi_rasters_and_hulls(self, a):
-        N = 1024
-        cells = psi_section_cells(N)
-        for z in z_grid(psi_config(CFG2, a), (20, 20))[0][::50]:
-            r = rasterize_psi_section(z, CFG2, a, N, cells=cells)
+        N, cfg = 1024, psi_config(CFG2, a)
+        zs = z_grid(cfg, (20, 20))[0][::50]
+        for r in topology._psi_rasters(zs, cfg, N):
             self._same_count(r)
             assert np.array_equal(bounded_hull(r).occupancy, _hull_reference(r.occupancy))
 
@@ -956,48 +981,80 @@ class TestSharedGeometry:
         ],
     )
     def test_psi_shared_cells(self, n, a, zs):
+        """The many-z sweep gives each z the raster of that z alone."""
         cfg = EmbeddingConfig(n=n, c=2.0)
-        cells = psi_section_cells(256)
-        for z in zs:
-            shared = rasterize_psi_section(z, cfg, a, 256, cells=cells)
+        for z, shared in zip(zs, topology._psi_rasters(zs, psi_config(cfg, a), 256)):
             own = rasterize_psi_section(z, cfg, a, 256)
             assert own.occupancy.any()
-            assert np.array_equal(shared.occupancy, own.occupancy)
+            assert _run_lists(shared.row_runs()) == _run_lists(own.row_runs())
             assert (shared.x0, shared.side) == (own.x0, own.side)
+
+    def test_one_sweep_equals_one_z_at_a_time(self, monkeypatch):
+        """On the 12 sections of `topology --hull --N 1024 --grid 1x4` at
+        a = 1, ½, ¼, the runs of one many-z sweep equal, in grid order,
+        those of `rasterize_psi_section` of each z alone, and the two
+        sections with no height run no kernel, in either."""
+        N, kernel_z = 1024, []
+        arc_members = topology._arc_members
+        monkeypatch.setattr(
+            topology, "_arc_members",
+            lambda qbar, p, sd: kernel_z[-1].add(tuple(sd.z)) or arc_members(qbar, p, sd),
+        )
+        with_kernel = 0
+        for a in (1.0, 0.5, 0.25):
+            cfg = psi_config(CFG2, a)
+            zs = z_grid(cfg, (1, 4))[0]
+            kernel_z.append(set())
+            swept = list(topology._psi_rasters(zs, cfg, N))
+            kernel_z.append(set())
+            alone = [rasterize_psi_section(z, CFG2, a, N) for z in zs]
+            assert len(swept) == len(alone) == 4
+            for z, r, own in zip(zs, swept, alone):
+                assert _run_lists(r.row_runs()) == _run_lists(own.row_runs()), (a, z)
+            assert kernel_z[-1] == kernel_z[-2]
+            with_kernel += len(kernel_z[-1])
+        assert with_kernel == 10
 
     @pytest.mark.parametrize("N, chunk", [(64, None), (1024, None), (333, 4099), (1000, 4099)])
     def test_psi_grid_cells_equal_point_cells(self, N, chunk, monkeypatch):
         """ψ angles built from the raster's 1-D axis, in blocks of whole
         rows (at most `_BLOCK_ELEMENTS // N` of them per χ⁻¹ call), equal
-        χ⁻¹ of its N² cell centres bit for bit wherever p > 0, as an (N, N)
-        array indexed like the grid; χ⁻¹ runs only on the rectangles of the
-        row blocks the disc meets, and q̄ is 0 on the other cells."""
+        χ⁻¹ of the cell centres they stand for bit for bit, p everywhere
+        and q̄ wherever p > 0; over the sweep of the four z of a 1 × 4 grid
+        at a = 1, χ⁻¹ runs on rectangles of the disc's row blocks only,
+        each row block once."""
         from cubewrap.topology import _psi_blank
 
-        centres = _cell_centers(_psi_blank(N))
-        ref_q, ref_p = disc_to_cylinder(centres[..., 0], centres[..., 1])
+        axis = _psi_blank(N).centres()
+        ref_q, ref_p = _dense_cells(N)
         if chunk is not None:
             monkeypatch.setattr(topology, "_BLOCK_ELEMENTS", chunk)
-        shapes = []
-        monkeypatch.setattr(
-            topology, "disc_to_cylinder", lambda x, y: shapes.append((len(x), len(y))) or disc_to_cylinder(x, y)
-        )
-        got = psi_section_cells(N)
-        assert got.shape == (N, N)
-        assert max(rows for rows, _ in shapes) <= min(N, topology._BLOCK_ELEMENTS // N)
-        assert len(shapes) > 1 or N == 64
-        assert sum(rows * cols for rows, cols in shapes) < 0.9 * N * N
-        inside = ref_p > 0.0
-        assert np.array_equal(got[inside].view(np.int64), ref_q[inside].view(np.int64))
-        assert np.all((got == ref_q) | (got == 0.0))
+        calls = []
 
-    def test_cells_of_another_raster_rejected(self):
-        qbar = psi_section_cells(256)
-        for cells in [psi_section_cells(128), qbar[:-1], qbar[:, :-1]]:
-            with pytest.raises(ValueError, match="N = 256"):
-                rasterize_psi_section([0.3, 0.7], CFG2, 0.5, 256, cells=cells)
+        def recorded(x, y):
+            out = disc_to_cylinder(x, y)
+            calls.append((x.ravel(), y, *out))
+            return out
 
-    def test_hull_report_equals_per_z_recomputation(self):
+        monkeypatch.setattr(topology, "disc_to_cylinder", recorded)
+        cfg = psi_config(CFG2, 1.0)
+        list(topology._psi_rasters(z_grid(cfg, (1, 4))[0], cfg, N))
+        assert len(calls) > 1 or N == 64
+        assert max(len(x) for x, *_ in calls) <= min(N, topology._BLOCK_ELEMENTS // N)
+        assert sum(len(x) * len(y) for x, y, *_ in calls) < 0.9 * N * N
+        rows = np.concatenate([np.searchsorted(axis, x) for x, *_ in calls])
+        assert np.array_equal(np.sort(rows), np.unique(rows))
+        for x, y, q, p in calls:
+            i, j = np.searchsorted(axis, x), np.searchsorted(axis, y)
+            assert np.array_equal(axis[i], x) and np.array_equal(axis[j], y)
+            box = np.ix_(i, j)
+            assert np.array_equal(p.view(np.int64), ref_p[box].view(np.int64))
+            inside = p > 0.0
+            assert np.array_equal(q[inside].view(np.int64), ref_q[box][inside].view(np.int64))
+
+    def test_hull_report_equals_per_z_recomputation(self, monkeypatch):
+        """The report of one sweep of the grid's eight z, and of sweeps of
+        three z (blocks of 3·N + 1 floats), equals one built z by z."""
         a, N = 0.5, 256
         cfg = EmbeddingConfig(n=2, c=2.0)
         entries, tols = [], []
@@ -1009,10 +1066,16 @@ class TestSharedGeometry:
                 hull = bounded_hull(r)
                 tols.append(4.0 * r.perimeter_estimate() / N)
                 entries.append((float(zi), float(zj), hull.area(), r.area()))
-        report = check_hull_bound(a, cfg, grid=(3, 3), N=N)
-        assert report.entries == tuple(entries)
-        assert report.tolerance == max(tols)
-        assert report.max_hull_area == max(e[2] for e in entries)
+        sweep, calls = topology._psi_sweep, []
+        monkeypatch.setattr(topology, "_psi_sweep", lambda zs, *args: calls.append(len(zs)) or sweep(zs, *args))
+        for block in (None, 3 * N + 1):
+            if block is not None:
+                monkeypatch.setattr(topology, "_BLOCK_ELEMENTS", block)
+            report = check_hull_bound(a, cfg, grid=(3, 3), N=N)
+            assert report.entries == tuple(entries)
+            assert report.tolerance == max(tols)
+            assert report.max_hull_area == max(e[2] for e in entries)
+        assert calls == [8, 3, 3, 2]
 
 
 def _arc_reference(qbar, p, sd):
@@ -1065,7 +1128,7 @@ def _knife_edge_cases(N):
     Q2 = 0.8 and p2 = ½ there, so that the band of heights ends exactly
     at that cell: the outer circle passes through its centre and decides
     whether its row is tested.  p is read from the raster's axis."""
-    qbar = psi_section_cells(N)
+    qbar = _dense_cells(N)[0]
     mid, r = N // 2, topology._psi_blank(N)
     axis = r.centres()
     assert axis[mid] == 0.0
@@ -1106,11 +1169,11 @@ def _band_mismatches(cases, a, N, monkeypatch):
     gaps are cut, differs from `_arc_reference` on all N² cells."""
     monkeypatch.setattr(topology, "_slit_cover", _no_cover)
     monkeypatch.setattr(topology, "_gap_cover", _no_gap_cover)
-    cells, dense = psi_section_cells(N), _dense_cells(N)
+    dense = _dense_cells(N)
     bad = []
     for sd, config in cases:
         ref = _arc_reference(*dense, sd)
-        got = rasterize_psi_section(sd, config, a, N, cells=cells).occupancy
+        got = rasterize_psi_section(sd, config, a, N).occupancy
         if not np.array_equal(got, ref):
             bad.append(sd.z)
     return bad
@@ -1118,7 +1181,7 @@ def _band_mismatches(cases, a, N, monkeypatch):
 
 class TestPsiBands:
     """ψ rasters run the arc kernel only on the boxes of the annuli whose
-    heights can pass (`sections._arc_heights`, `topology._annulus_boxes`)."""
+    heights can pass (`sections._arc_heights`, `topology._block_columns`)."""
 
     @pytest.mark.parametrize("N", [64, 256, 333, 1024])
     @pytest.mark.parametrize("a", [1.0, 0.999, 0.5, 0.3, 0.25, 1e-3, 1e-6, 1e-15, 1e-16, 1e-300])
@@ -1140,10 +1203,10 @@ class TestPsiBands:
             monkeypatch.setattr(topology, "_arc_heights", _mutant(sections._arc_heights, old, new))
         else:
             old, new = {
-                "narrower-box": ("yield rows, cols", "yield rows, slice(cols.start, cols.stop - 1)"),
+                "narrower-box": ("return [c for c", "return [slice(c.start, c.stop - 1) for c"),
                 "hole-at-nearest-row": ("rr_in - far", "rr_in - near"),
             }[fault]
-            monkeypatch.setattr(topology, "_annulus_boxes", _mutant(topology._annulus_boxes, old, new))
+            monkeypatch.setattr(topology, "_block_columns", _mutant(topology._block_columns, old, new))
         cases = [(_knife_edge_cases(N), 1.0, N) for N in (255, 333)]
         cases.append((_band_cases(0.5, 1024), 0.5, 1024))
         assert any(_band_mismatches(*case, monkeypatch) for case in cases)
@@ -1152,22 +1215,18 @@ class TestPsiBands:
         """Over the hull checks of `topology --hull --N 1024 --grid 1x4` at
         a = 1, ½, ¼, the kernel sees under half of the 12·N² cells, and
         two sections, whose ball bound leaves no height of W, skip it."""
-        N, seen = 1024, []
+        N, seen = 1024, {}
         arc_members = topology._arc_members
 
         def counted(qbar, p, sd):
-            seen[-1] += qbar.size
+            key = (sd.c, tuple(sd.z))
+            seen[key] = seen.get(key, 0) + qbar.size
             return arc_members(qbar, p, sd)
 
-        rasterize = topology.rasterize_psi_section
         monkeypatch.setattr(topology, "_arc_members", counted)
-        monkeypatch.setattr(
-            topology, "rasterize_psi_section", lambda *args, **kw: seen.append(0) or rasterize(*args, **kw)
-        )
-        for a in (1.0, 0.5, 0.25):
-            check_hull_bound(a, CFG2, grid=(1, 4), N=N)
-        assert len(seen) == 12 and seen.count(0) == 2
-        assert sum(seen) <= 0.5 * 12 * N * N
+        reports = [check_hull_bound(a, CFG2, grid=(1, 4), N=N) for a in (1.0, 0.5, 0.25)]
+        assert sum(len(r.entries) for r in reports) == 12 and len(seen) == 10
+        assert sum(seen.values()) <= 0.5 * 12 * N * N
 
 
 class TestSectionKnowsItsC:
